@@ -176,34 +176,9 @@ void BM_BatchedMlpForward(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedMlpForward)->Arg(256)->Arg(4096)->Arg(65536);
 
-void BM_BatchedEnsemblePredict(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(8);
-  ml::Dataset data;
-  data.x = random_matrix(400, 9, rng);
-  data.y = random_matrix(400, 1, rng);
-  ml::BaggingEnsemble::Options opts;
-  opts.k = 11;  // paper's ensemble size
-  opts.trainer.common.max_epochs = 30;
-  ml::BaggingEnsemble ensemble(opts);
-  ensemble.fit(data, rng);
-  const ml::BatchedEnsemble batched(ensemble);
-  const auto x = random_floats(n * 9, rng);
-  std::vector<float> out;
-  ml::BatchedEnsemble::Scratch scratch;
-  for (auto _ : state) {
-    batched.predict_batch_into(x.data(), n, out, scratch);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BatchedEnsemblePredict)->Arg(65536);
-
-// --- quantized inference tier ----------------------------------------------
-
-/// The trained ensemble the quantized benches pack (same shape as the
-/// fp32 batched bench so throughputs compare directly).
+/// The trained ensemble the batched and quantized benches pack (the paper's
+/// k = 11, same seed for every engine so throughputs compare directly),
+/// with the [-8, 8] box random_floats draws from as its calibration.
 ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   ml::Dataset data;
   data.x = random_matrix(400, 9, rng);
@@ -216,35 +191,39 @@ ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   return ensemble;
 }
 
-void BM_QuantEnsemblePredict(benchmark::State& state, ml::QuantMode mode) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(8);  // same seed/shape as BM_BatchedEnsemblePredict
-  const ml::BaggingEnsemble ensemble = bench_ensemble(rng);
+ml::QuantCalibration bench_calibration() {
   ml::QuantCalibration calib;
   calib.lo.assign(9, -8.0F);
   calib.hi.assign(9, 8.0F);
-  const ml::QuantizedEnsemble quant(
-      ensemble, mode, mode == ml::QuantMode::kInt8 ? &calib : nullptr);
+  return calib;
+}
+
+template <typename Engine>
+void BM_EnsemblePredict(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  common::Rng rng(8);
+  const ml::BaggingEnsemble ensemble = bench_ensemble(rng);
+  const Engine engine(ensemble, bench_calibration());
   const auto x = random_floats(n * 9, rng);
   std::vector<float> out;
-  ml::QuantizedEnsemble::Scratch scratch;
+  typename Engine::Scratch scratch;
   for (auto _ : state) {
-    quant.predict_batch_into(x.data(), n, out, scratch);
+    engine.predict_batch_into(x.data(), n, out, scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
 
+void BM_BatchedEnsemblePredict(benchmark::State& state) {
+  BM_EnsemblePredict<ml::BatchedEnsemble>(state);
+}
+BENCHMARK(BM_BatchedEnsemblePredict)->Arg(65536);
+
 void BM_QuantInt8EnsemblePredict(benchmark::State& state) {
-  BM_QuantEnsemblePredict(state, ml::QuantMode::kInt8);
+  BM_EnsemblePredict<ml::QuantizedEnsemble>(state);
 }
 BENCHMARK(BM_QuantInt8EnsemblePredict)->Arg(65536);
-
-void BM_QuantFp16EnsemblePredict(benchmark::State& state) {
-  BM_QuantEnsemblePredict(state, ml::QuantMode::kFp16);
-}
-BENCHMARK(BM_QuantFp16EnsemblePredict)->Arg(65536);
 
 }  // namespace
 

@@ -2,11 +2,14 @@
 // trajectory over the Table-2 spaces. For every space and thread count it
 // times the dense range scan (predict_range_ms) and the streaming top-M scan
 // (predict_scan_top_m) on ALL inference paths — the scalar fp64 reference,
-// the batched SIMD fp32 engine, and the quantized int8 and fp16 tiers —
+// the batched SIMD fp32 engine (the default) and the quantized int8 tier —
 // checks that every approximate path's top-M selection is identical to the
 // fp64 one (indices and values), checks determinism across thread counts,
-// and writes BENCH_scan.json. Speedups are always against the same-run fp64
-// baseline, so columns within one report are directly comparable.
+// reports each approximate path's re-rank bound (certified for fp32,
+// declared for int8) beside its measured worst raw-output error against
+// fp64, and writes BENCH_scan.json. Speedups are always against the
+// same-run fp64 baseline, so columns within one report are directly
+// comparable.
 //
 // The model is trained on synthetic (strictly positive) times so the bench
 // exercises exactly the prediction path — no device simulation involved.
@@ -16,9 +19,9 @@
 //     on both entry points (range scan and top-M scan);
 //   * quantized int8 must sustain >= 2x the range-scan configs/sec of the
 //     batched fp32 path (the tier exists to beat fp32, not just fp64).
-// The top-M selection must match fp64 exactly on every path (also under
-// --smoke — the quantized exactness cell ctest runs). Exit code 1 on any
-// violation.
+// The top-M selection must match fp64 exactly on every path, and the
+// measured fp32 error must stay within its certified bound (both also under
+// --smoke, which ctest runs). Exit code 1 on any violation.
 //
 // Flags:
 //   --out=FILE      JSON report path (default micro_scan.json)
@@ -30,6 +33,7 @@
 //                   Chrome trace next to it (<out>.trace.json)
 //   --smoke         small limits + assertions only; used by ctest
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -73,13 +77,14 @@ double synthetic_time_ms(const pt::tuner::Configuration& config) {
 
 /// One inference path at one thread count.
 struct PathRun {
-  std::string inference;  // "fp64" | "fp32" | "int8" | "fp16"
+  std::string inference;  // "fp64" | "fp32" | "int8"
   double range_ms = 0.0;
   double range_configs_per_sec = 0.0;
   double top_m_ms = 0.0;
   double top_m_configs_per_sec = 0.0;
+  double error_bound = 0.0;  // half-width of the re-rank band
+  double measured_max_error = 0.0;  // max |raw - fp64 raw| over the range
   std::uint64_t fp64_reranked = 0;
-  std::uint64_t quant_reranked = 0;
   std::uint64_t near_ties = 0;
   // Against the same-run fp64 baseline (1.0 for the baseline itself).
   double range_speedup = 1.0;
@@ -87,6 +92,7 @@ struct PathRun {
   bool top_m_match = true;
   std::vector<std::uint64_t> top_indices;
   std::vector<double> top_values;
+  std::vector<double> range_values;
 };
 
 struct Run {
@@ -102,6 +108,7 @@ struct SpaceReport {
   std::vector<Run> runs;
   bool deterministic = true;
   bool top_m_match = true;
+  bool within_bound = true;  // fp32 measured <= certified on every run
   bool gate_pass = true;
 };
 
@@ -109,7 +116,6 @@ constexpr pt::tuner::ScanInference kInferences[] = {
     pt::tuner::ScanInference::kScalarFp64,
     pt::tuner::ScanInference::kBatchedFp32,
     pt::tuner::ScanInference::kQuantInt8,
-    pt::tuner::ScanInference::kFp16,
 };
 
 PathRun run_path(pt::tuner::AnnPerformanceModel& model,
@@ -123,18 +129,18 @@ PathRun run_path(pt::tuner::AnnPerformanceModel& model,
   run.inference = pt::tuner::scan_inference_name(inference);
   {
     const auto start = Clock::now();
-    const auto preds = model.predict_range_ms(0, scanned);
+    run.range_values = model.predict_range_ms(0, scanned, inference);
     run.range_ms = ms_since(start);
     run.range_configs_per_sec = configs_per_sec(scanned, run.range_ms);
-    if (preds.size() != scanned) std::exit(1);  // defensive
+    if (run.range_values.size() != scanned) std::exit(1);  // defensive
   }
   {
     const auto start = Clock::now();
     const auto scan = model.predict_scan_top_m(0, scanned, m);
     run.top_m_ms = ms_since(start);
     run.top_m_configs_per_sec = configs_per_sec(scanned, run.top_m_ms);
+    run.error_bound = scan.error_bound;
     run.fp64_reranked = scan.fp64_reranked;
-    run.quant_reranked = scan.quant_reranked;
     run.near_ties = scan.near_ties;
     run.top_indices.reserve(scan.top.size());
     for (const auto& c : scan.top) {
@@ -214,6 +220,16 @@ int main(int argc, char** argv) {
       // fp64 top-M — same indices, same predicted values.
       const PathRun& fp64 = run.paths.front();
       for (PathRun& path : run.paths) {
+        // Raw outputs from the predicted times: log(t) = raw*scale + mean.
+        for (std::size_t i = 0; i < path.range_values.size(); ++i)
+          path.measured_max_error = std::max(
+              path.measured_max_error,
+              std::fabs(std::log(path.range_values[i]) -
+                        std::log(fp64.range_values[i])) /
+                  model.target_scale());
+        if (path.inference == "fp32" &&
+            path.measured_max_error > path.error_bound)
+          report.within_bound = false;
         if (path.range_ms > 0.0)
           path.range_speedup = fp64.range_ms / path.range_ms;
         if (path.top_m_ms > 0.0)
@@ -222,6 +238,7 @@ int main(int argc, char** argv) {
                            path.top_values == fp64.top_values;
         if (!path.top_m_match) report.top_m_match = false;
       }
+      for (PathRun& path : run.paths) path.range_values = {};
 
       // Determinism: every path and thread count selects the same top-M.
       if (!report.runs.empty()) {
@@ -237,7 +254,9 @@ int main(int argc, char** argv) {
         std::cout << " " << path.inference << "="
                   << static_cast<std::uint64_t>(path.range_configs_per_sec)
                   << " cfg/s (x" << path.range_speedup
-                  << ", match=" << path.top_m_match << ")";
+                  << ", match=" << path.top_m_match << ", err="
+                  << path.measured_max_error << "<=" << path.error_bound
+                  << ")";
       std::cout << "\n" << std::flush;
       report.runs.push_back(std::move(run));
     }
@@ -256,6 +275,11 @@ int main(int argc, char** argv) {
     if (!report.top_m_match) {
       std::cout << "FAIL: " << name
                 << ": an approximate top-M differs from fp64\n";
+      all_match = false;
+    }
+    if (!report.within_bound) {
+      std::cout << "FAIL: " << name
+                << ": measured fp32 error exceeds the certified bound\n";
       all_match = false;
     }
     if (!report.deterministic) {
@@ -291,6 +315,7 @@ int main(int argc, char** argv) {
     entry.set("fit_ms", r.fit_ms);
     entry.set("deterministic_across_threads", r.deterministic);
     entry.set("top_m_match", r.top_m_match);
+    entry.set("fp32_within_certified_bound", r.within_bound);
     entry.set("gate_pass", r.gate_pass);
     common::json::Value runs = common::json::Value::array();
     for (const auto& run : r.runs) {
@@ -306,8 +331,9 @@ int main(int argc, char** argv) {
         path_json.set("top_m_ms", p.top_m_ms);
         path_json.set("top_m_configs_per_sec", p.top_m_configs_per_sec);
         path_json.set("top_m_speedup_vs_fp64", p.top_m_speedup);
+        path_json.set("error_bound", p.error_bound);
+        path_json.set("measured_max_error", p.measured_max_error);
         path_json.set("fp64_reranked", p.fp64_reranked);
-        path_json.set("quant_reranked", p.quant_reranked);
         path_json.set("near_ties", p.near_ties);
         path_json.set("top_m_match", p.top_m_match);
         paths.push(std::move(path_json));

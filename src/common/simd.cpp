@@ -491,33 +491,6 @@ bool self_test(std::string* error) {
     }
   }
 
-  // load_f16 must widen exactly like the scalar f16_to_f32 (normals,
-  // subnormals, zeros, both signs).
-  {
-    std::uint16_t halves[kWidth];
-    float lanes_h[kWidth];
-    std::uint32_t h = 1;
-    for (int trial = 0; trial < 512; ++trial) {
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        h = h * 1664525U + 1013904223U;
-        // Exclude exponent 31 (inf/nan patterns never occur in packed
-        // weights and compare unequal as floats anyway).
-        std::uint16_t bits = static_cast<std::uint16_t>(h >> 16);
-        if (((bits >> 10) & 0x1FU) == 0x1FU)
-          bits = static_cast<std::uint16_t>(bits & 0x83FFU);
-        halves[l] = bits;
-      }
-      load_f16(halves).store(lanes_h);
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        const float want = f16_to_f32(halves[l]);
-        if (std::bit_cast<std::uint32_t>(lanes_h[l]) !=
-            std::bit_cast<std::uint32_t>(want))
-          return fail(error, "load_f16", static_cast<float>(halves[l]),
-                      lanes_h[l], want);
-      }
-    }
-  }
-
   // Integer microkernels against the scalar reference loops (exact).
   {
     constexpr std::size_t kIn = 20;        // a multiple of kQuantInputQuad

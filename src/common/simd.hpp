@@ -17,6 +17,10 @@
 //  - tanh:    2*sigmoid(2x)-1; at most 16 ULP relative error for |x| >= 2^-3
 //             and at most 2^-21 absolute error everywhere (the subtraction
 //             cancels for tiny x, where the absolute bound is what matters).
+// The absolute forms of the sigmoid/tanh bounds (kSigmoidAbsError,
+// kTanhAbsError) are what the certified fp32 scan bound of ml/batched.hpp
+// builds on; tests/common/test_simd.cpp checks them on a dense sweep of
+// every binade.
 //
 // Every backend is *runtime-verified* against the scalar reference
 // implementations (exp_ref/sigmoid_ref/tanh_ref, which spell out the same
@@ -365,72 +369,6 @@ struct VecD {
 #endif
 
 // ---------------------------------------------------------------------------
-// IEEE fp16 storage conversions (ml/quant.hpp keeps fp16 weight panels and
-// converts to fp32 in the inner loop). f32->f16 rounds to nearest-even and
-// only runs at pack time; it is always the software conversion, so packed
-// panels are identical on every backend. f16->f32 is exact (every half is
-// representable as a float); load_f16 widens kWidth halves to a VecF and
-// uses the F16C instruction when compiled in, which computes the same exact
-// conversion.
-// ---------------------------------------------------------------------------
-
-/// Round a float to IEEE half (round-to-nearest-even, overflow to inf).
-[[nodiscard]] inline std::uint16_t f32_to_f16(float x) noexcept {
-  constexpr std::uint32_t kF32Inf = 255U << 23;
-  constexpr std::uint32_t kF16Max = (127U + 16U) << 23;
-  constexpr std::uint32_t kDenormMagic = ((127U - 15U) + (23U - 10U) + 1U)
-                                         << 23;
-  const std::uint32_t in = std::bit_cast<std::uint32_t>(x);
-  const std::uint32_t sign = in & 0x80000000U;
-  std::uint32_t f = in ^ sign;
-  std::uint16_t out;
-  if (f >= kF16Max) {  // overflow -> inf; nan -> quiet nan
-    out = f > kF32Inf ? 0x7E00U : 0x7C00U;
-  } else if (f < (113U << 23)) {  // half-subnormal range (incl. zero)
-    // Adding the magic constant shifts the mantissa into the subnormal
-    // position with correct round-to-nearest-even.
-    const float shifted =
-        std::bit_cast<float>(f) + std::bit_cast<float>(kDenormMagic);
-    out = static_cast<std::uint16_t>(std::bit_cast<std::uint32_t>(shifted) -
-                                     kDenormMagic);
-  } else {
-    const std::uint32_t mant_odd = (f >> 13) & 1U;  // ties-to-even bit
-    f += 0xC8000FFFU;  // exponent rebias (15 - 127) << 23, plus 0xFFF
-    f += mant_odd;
-    out = static_cast<std::uint16_t>(f >> 13);
-  }
-  return static_cast<std::uint16_t>(out | (sign >> 16));
-}
-
-/// Exact widening of an IEEE half to float.
-[[nodiscard]] inline float f16_to_f32(std::uint16_t h) noexcept {
-  const std::uint32_t sign = (static_cast<std::uint32_t>(h) & 0x8000U) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1FU;
-  const std::uint32_t man = h & 0x3FFU;
-  if (exp == 0) {
-    // Subnormal (or zero): value is man * 2^-24, exact in fp32.
-    const float v = static_cast<float>(man) * 0x1p-24f;
-    return sign ? -v : v;
-  }
-  if (exp == 31) {  // inf / nan
-    return std::bit_cast<float>(sign | 0x7F800000U | (man << 13));
-  }
-  return std::bit_cast<float>(sign | ((exp - 15U + 127U) << 23) | (man << 13));
-}
-
-/// Widen kWidth consecutive halves to a VecF (exact conversion).
-[[nodiscard]] inline VecF load_f16(const std::uint16_t* p) noexcept {
-#if defined(PT_SIMD_AVX2) && defined(__F16C__)
-  return {_mm256_cvtph_ps(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
-#else
-  float lanes[kWidth];
-  for (std::size_t i = 0; i < kWidth; ++i) lanes[i] = f16_to_f32(p[i]);
-  return VecF::load(lanes);
-#endif
-}
-
-// ---------------------------------------------------------------------------
 // Integer microkernels for the quantized int8 inference engine
 // (ml/quant.hpp). All arithmetic is exact integer arithmetic, so every
 // backend produces identical results by construction; self_test still
@@ -546,6 +484,11 @@ inline constexpr float kExpP5 = 5.0000001201e-1f;
   y = add(y, VecF::broadcast(1.0f));
   return mul(y, pow2i(fx));
 }
+
+/// Absolute error of sigmoid / tanh against the exact functions, for every
+/// finite fp32 input: 8 ULP of a result below 1 is at most 8 * 2^-24.
+inline constexpr double kSigmoidAbsError = 0x1p-21;
+inline constexpr double kTanhAbsError = 0x1p-21;
 
 /// 1 / (1 + exp(-x)).
 [[nodiscard]] inline VecF sigmoid(VecF x) noexcept {

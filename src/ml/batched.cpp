@@ -1,6 +1,8 @@
 #include "ml/batched.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -30,6 +32,73 @@ float activate_f32(Activation act, float y) {
 
 }  // namespace
 
+namespace {
+
+/// Layer l of `mlp` in double with the standardization (x - mean) / stddev
+/// folded into layer 0:
+///   W'[i][j] = W[i][j] / s[i];  b'[j] = b[j] - sum_i m[i]*W[i][j]/s[i].
+/// w_err/b_err bound the fold's own double rounding (zero when unfolded):
+/// two roundings per weight, and a bias that is a sum of `in` rounded
+/// quotients.
+struct FoldedLayer {
+  std::size_t in = 0;
+  std::size_t units = 0;
+  Activation act = Activation::kLinear;
+  std::vector<double> w;  // (in, units) row-major
+  std::vector<double> bias;
+  std::vector<double> w_err;
+  std::vector<double> b_err;
+};
+
+constexpr double kU64 = 0x1p-53;
+
+double gamma(std::size_t n, double u) {
+  const double nu = static_cast<double>(n) * u;
+  return nu / (1.0 - nu);
+}
+
+FoldedLayer fold_layer(const Mlp& mlp, std::size_t l,
+                       const StandardScaler* scaler) {
+  const Matrix& w = mlp.weights(l);
+  const std::vector<double>& b = mlp.biases(l);
+  FoldedLayer f;
+  f.in = w.rows();
+  f.units = w.cols();
+  f.act = mlp.layers()[l].activation;
+  f.w.assign(f.in * f.units, 0.0);
+  f.bias.assign(f.units, 0.0);
+  f.w_err.assign(f.in * f.units, 0.0);
+  f.b_err.assign(f.units, 0.0);
+  const bool fold = l == 0 && scaler;
+  const std::vector<double>* m = fold ? &scaler->means() : nullptr;
+  const std::vector<double>* s = fold ? &scaler->stddevs() : nullptr;
+  for (std::size_t j = 0; j < f.units; ++j) {
+    double bias = b[j];
+    if (fold) {
+      double shift = 0.0;
+      double magnitude = std::fabs(b[j]);
+      for (std::size_t i = 0; i < f.in; ++i) {
+        shift += (*m)[i] * w(i, j) / (*s)[i];
+        magnitude += std::fabs((*m)[i] * w(i, j) / (*s)[i]);
+      }
+      bias -= shift;
+      f.b_err[j] = gamma(f.in + 3, kU64) * magnitude;
+    }
+    f.bias[j] = bias;
+  }
+  for (std::size_t i = 0; i < f.in; ++i) {
+    const double scale = fold ? 1.0 / (*s)[i] : 1.0;
+    for (std::size_t j = 0; j < f.units; ++j) {
+      const double v = w(i, j) * scale;
+      f.w[i * f.units + j] = v;
+      if (fold) f.w_err[i * f.units + j] = 3.0 * kU64 * std::fabs(v);
+    }
+  }
+  return f;
+}
+
+}  // namespace
+
 BatchedMlp::BatchedMlp(const Mlp& mlp, const StandardScaler* scaler)
     : inputs_(mlp.input_size()) {
   if (scaler && scaler->width() != inputs_)
@@ -37,37 +106,22 @@ BatchedMlp::BatchedMlp(const Mlp& mlp, const StandardScaler* scaler)
         "BatchedMlp: scaler width does not match network input width");
   layers_.reserve(mlp.layer_count());
   for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
-    const Matrix& w = mlp.weights(l);
-    const std::vector<double>& b = mlp.biases(l);
+    // Folds are computed in double, so the only fp32 rounding at pack time
+    // is the final cast of each weight and bias.
+    const FoldedLayer f = fold_layer(mlp, l, scaler);
     Layer layer;
-    layer.in = w.rows();
-    layer.units = w.cols();
+    layer.in = f.in;
+    layer.units = f.units;
     layer.padded = round_up(layer.units);
-    layer.act = mlp.layers()[l].activation;
+    layer.act = f.act;
     layer.w.assign(layer.in * layer.padded, 0.0f);
     layer.bias.assign(layer.padded, 0.0f);
-    // Fold the standardization (x - mean) / stddev into layer 0:
-    //   W'[i][j] = W[i][j] / s[i];  b'[j] = b[j] - sum_i m[i]*W[i][j]/s[i].
-    // Kept in double until the final cast, so the fold adds no fp32 rounding
-    // beyond the unavoidable weight quantization.
-    const bool fold = l == 0 && scaler;
-    const std::vector<double>* m = fold ? &scaler->means() : nullptr;
-    const std::vector<double>* s = fold ? &scaler->stddevs() : nullptr;
-    for (std::size_t j = 0; j < layer.units; ++j) {
-      double bias = b[j];
-      if (fold) {
-        double shift = 0.0;
-        for (std::size_t i = 0; i < layer.in; ++i)
-          shift += (*m)[i] * w(i, j) / (*s)[i];
-        bias -= shift;
-      }
-      layer.bias[j] = static_cast<float>(bias);
-    }
-    for (std::size_t i = 0; i < layer.in; ++i) {
-      const double scale = fold ? 1.0 / (*s)[i] : 1.0;
+    for (std::size_t j = 0; j < layer.units; ++j)
+      layer.bias[j] = static_cast<float>(f.bias[j]);
+    for (std::size_t i = 0; i < layer.in; ++i)
       for (std::size_t j = 0; j < layer.units; ++j)
-        layer.w[i * layer.padded + j] = static_cast<float>(w(i, j) * scale);
-    }
+        layer.w[i * layer.padded + j] =
+            static_cast<float>(f.w[i * layer.units + j]);
     // Single-output layer fed by a padded activation panel: repack the one
     // weight column contiguously (pads zero) so the forward pass can run it
     // as a vector dot + horizontal sum. The previous layer's pad lanes hold
@@ -172,17 +226,261 @@ void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
   }
 }
 
-BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble) {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Certified error bound (see the header comment). Everything below bounds
+// the distance of one engine's computed value from the exact real-number
+// network on the same input row, so the fp32-vs-fp64 bound is the sum of an
+// fp32 and an fp64 instance of the same analysis.
+// ---------------------------------------------------------------------------
+
+constexpr double kU32 = 0x1p-24;
+// Relative slack for this file's own double arithmetic on the bound sums
+// (each is a sum of at most a few hundred non-negative terms).
+constexpr double kBoundSlack = 1e-12;
+
+/// One layer as an engine evaluates it. `w`/`bias` are reference values in
+/// double; `dw`/`db` bound their distance both to the exact weights and to
+/// what the engine stores. `depth` bounds the roundings on the path of any
+/// one term of a unit's sum.
+struct BoundLayer {
+  std::size_t in = 0;
+  std::size_t units = 0;
+  Activation act = Activation::kLinear;
+  std::vector<double> w;  // (in, units) row-major
+  std::vector<double> dw;
+  std::vector<double> bias;
+  std::vector<double> db;
+  std::size_t depth = 0;
+};
+
+/// The rounding model of one engine: unit roundoff and the absolute error
+/// of its sigmoid/tanh at a computed argument.
+struct Arithmetic {
+  double u = 0.0;
+  double sigmoid_error = 0.0;
+  double tanh_error = 0.0;
+};
+
+/// A layer's input: every exact value lies in [lo_i, hi_i], and the engine's
+/// value is within err_i of the exact one.
+struct Signal {
+  std::vector<double> lo;
+  std::vector<double> hi;
+  std::vector<double> err;
+};
+
+/// Error and magnitude bounds of one member's (single) output.
+struct MemberBound {
+  double error = 0.0;
+  double magnitude = 0.0;
+};
+
+MemberBound propagate(const std::vector<BoundLayer>& layers, Signal x,
+                      const Arithmetic& arith) {
+  for (const BoundLayer& layer : layers) {
+    Signal y;
+    y.lo.resize(layer.units);
+    y.hi.resize(layer.units);
+    y.err.resize(layer.units);
+    for (std::size_t j = 0; j < layer.units; ++j) {
+      // |exact z - engine z| and the range of the exact z over the box.
+      double sum = std::fabs(layer.bias[j]) + layer.db[j];
+      double z_err = layer.db[j];
+      double center = layer.bias[j];
+      double radius = layer.db[j];
+      for (std::size_t i = 0; i < layer.in; ++i) {
+        const std::size_t k = i * layer.units + j;
+        const double a = std::max(std::fabs(x.lo[i]), std::fabs(x.hi[i])) +
+                         x.err[i];  // bounds exact and engine input
+        const double w = std::fabs(layer.w[k]) + layer.dw[k];
+        sum += a * w;
+        z_err += a * layer.dw[k] + w * x.err[i];
+        center += layer.w[k] * 0.5 * (x.lo[i] + x.hi[i]);
+        radius += std::fabs(layer.w[k]) * 0.5 * (x.hi[i] - x.lo[i]) +
+                  layer.dw[k] * a;
+      }
+      z_err += gamma(layer.depth, arith.u) * sum + kBoundSlack * sum;
+      radius += kBoundSlack * sum;
+      const double z_lo = center - radius;
+      const double z_hi = center + radius;
+      switch (layer.act) {
+        case Activation::kLinear:
+          y.lo[j] = z_lo;
+          y.hi[j] = z_hi;
+          y.err[j] = z_err;
+          break;
+        case Activation::kSigmoid:
+          y.lo[j] = 0.0;
+          y.hi[j] = 1.0;
+          y.err[j] = arith.sigmoid_error + 0.25 * z_err;
+          break;
+        case Activation::kTanh:
+          y.lo[j] = -1.0;
+          y.hi[j] = 1.0;
+          y.err[j] = arith.tanh_error + z_err;
+          break;
+        case Activation::kRelu:
+          y.lo[j] = std::max(0.0, z_lo);
+          y.hi[j] = std::max(0.0, z_hi);
+          y.err[j] = z_err;
+          break;
+      }
+    }
+    x = std::move(y);
+  }
+  return {x.err[0],
+          std::max(std::fabs(x.lo[0]), std::fabs(x.hi[0])) + x.err[0]};
+}
+
+/// Bound on |engine mean - exact mean| for a member sum accumulated in
+/// order from zero (k - 1 roundings) and scaled by a stored 1/k that is
+/// within inv_k_error of the exact reciprocal (one more rounding).
+double average_bound(const std::vector<MemberBound>& members, double u,
+                     double inv_k, double inv_k_error) {
+  const double k = static_cast<double>(members.size());
+  double error = 0.0;
+  double magnitude = 0.0;
+  for (const MemberBound& m : members) {
+    error += m.error;
+    magnitude += m.magnitude;
+  }
+  const double g = gamma(members.size() - 1, u);
+  return (error + g * magnitude) / k +
+         magnitude * (1.0 + g) * (inv_k_error + inv_k * u);
+}
+
+/// The packed fp32 member (BatchedMlp) over raw features in the box:
+/// float casts of the folded weights, FMA chains of depth fan-in for the
+/// hidden layers, and for a single-output last layer the kWidth-lane dot
+/// (padded / kWidth FMAs per lane), a horizontal sum (at most kWidth - 1
+/// roundings in any reduction order) and the bias add.
+MemberBound fp32_member_bound(const Mlp& mlp, const StandardScaler* scaler,
+                              const Signal& box) {
+  std::vector<BoundLayer> layers;
+  std::size_t prev_padded = 0;
+  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
+    const FoldedLayer f = fold_layer(mlp, l, scaler);
+    BoundLayer b;
+    b.in = f.in;
+    b.units = f.units;
+    b.act = f.act;
+    b.w = f.w;
+    b.bias = f.bias;
+    b.dw.resize(f.w.size());
+    b.db.resize(f.bias.size());
+    for (std::size_t k = 0; k < f.w.size(); ++k)
+      b.dw[k] = std::fabs(static_cast<double>(static_cast<float>(f.w[k])) -
+                          f.w[k]) +
+                f.w_err[k];
+    for (std::size_t j = 0; j < f.bias.size(); ++j)
+      b.db[j] =
+          std::fabs(static_cast<double>(static_cast<float>(f.bias[j])) -
+                    f.bias[j]) +
+          f.b_err[j];
+    const bool dot = l > 0 && l + 1 == mlp.layer_count() && f.units == 1;
+    b.depth = dot ? prev_padded / simd::kWidth + simd::kWidth : f.in;
+    prev_padded = round_up(f.units);
+    layers.push_back(std::move(b));
+  }
+  const Arithmetic arith{kU32, simd::kSigmoidAbsError, simd::kTanhAbsError};
+  return propagate(layers, box, arith);
+}
+
+/// The fp64 reference (BaggingEnsemble::predict_batch_into) on the same
+/// rows: standardization (x - m) / s with two roundings per feature, then
+/// per layer a matmul (a rounded product and a sum of fan-in terms) and a
+/// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + std::exp(-x)) and
+/// its tanh std::tanh; the activation error assumes the platform libm's exp
+/// and tanh are within 2 ULP (glibc's documented maxima) and allows 8 u.
+MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
+                              const Signal& box) {
+  Signal x = box;
+  if (scaler) {
+    const std::vector<double>& m = scaler->means();
+    const std::vector<double>& s = scaler->stddevs();
+    for (std::size_t i = 0; i < x.lo.size(); ++i) {
+      const double a = (box.lo[i] - m[i]) / s[i];
+      const double b = (box.hi[i] - m[i]) / s[i];
+      x.lo[i] = std::min(a, b);
+      x.hi[i] = std::max(a, b);
+      const double mag = std::max(std::fabs(a), std::fabs(b));
+      x.err[i] = gamma(2, kU64) * mag + kBoundSlack * mag;
+      x.lo[i] -= kBoundSlack * mag;
+      x.hi[i] += kBoundSlack * mag;
+    }
+  } else {
+    std::fill(x.err.begin(), x.err.end(), 0.0);
+  }
+  std::vector<BoundLayer> layers;
+  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
+    const Matrix& w = mlp.weights(l);
+    BoundLayer b;
+    b.in = w.rows();
+    b.units = w.cols();
+    b.act = mlp.layers()[l].activation;
+    b.w.assign(w.flat().begin(), w.flat().end());
+    b.dw.assign(b.w.size(), 0.0);
+    b.bias = mlp.biases(l);
+    b.db.assign(b.bias.size(), 0.0);
+    b.depth = b.in + 1;
+    layers.push_back(std::move(b));
+  }
+  const Arithmetic arith{kU64, 8.0 * kU64, 8.0 * kU64};
+  return propagate(layers, x, arith);
+}
+
+}  // namespace
+
+BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
+                                 const QuantCalibration& calibration)
+    : calibration_(calibration) {
   if (!ensemble.fitted())
     throw std::invalid_argument("BatchedEnsemble: ensemble is not fitted");
   simd::ensure_verified();
   inputs_ = ensemble.member(0).input_size();
-  inv_k_ = 1.0f / static_cast<float>(ensemble.member_count());
-  members_.reserve(ensemble.member_count());
+  if (calibration_.width() != inputs_ ||
+      calibration_.hi.size() != calibration_.lo.size())
+    throw std::invalid_argument(
+        "BatchedEnsemble: calibration does not match the input width");
+  const std::size_t k = ensemble.member_count();
+  inv_k_ = 1.0f / static_cast<float>(k);
   const StandardScaler* scaler =
       ensemble.scaler().fitted() ? &ensemble.scaler() : nullptr;
-  for (std::size_t i = 0; i < ensemble.member_count(); ++i)
+  members_.reserve(k);
+  for (std::size_t i = 0; i < k; ++i)
     members_.emplace_back(ensemble.member(i), scaler);
+
+  // The box of exact inputs: every float feature in [lo, hi] is the
+  // rounding of a double within u * |value| of it, which is also the
+  // fp32 engine's input error.
+  Signal box;
+  for (std::size_t i = 0; i < inputs_; ++i) {
+    const double lo = calibration_.lo[i];
+    const double hi = calibration_.hi[i];
+    if (!(hi >= lo))
+      throw std::invalid_argument(
+          "BatchedEnsemble: calibration range with hi < lo");
+    const double cast = kU32 / (1.0 - kU32) *
+                        std::max(std::fabs(lo), std::fabs(hi));
+    box.lo.push_back(lo - cast);
+    box.hi.push_back(hi + cast);
+    box.err.push_back(cast);
+  }
+  std::vector<MemberBound> fp32(k);
+  std::vector<MemberBound> fp64(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    fp32[i] = fp32_member_bound(ensemble.member(i), scaler, box);
+    fp64[i] = fp64_member_bound(ensemble.member(i), scaler, box);
+  }
+  const double exact_inv_k = 1.0 / static_cast<double>(k);
+  const double inv_k_error =
+      std::fabs(static_cast<double>(inv_k_) - exact_inv_k) +
+      kU64 * exact_inv_k;
+  error_bound_ =
+      average_bound(fp32, kU32, static_cast<double>(inv_k_), inv_k_error) +
+      average_bound(fp64, kU64, exact_inv_k, kU64 * exact_inv_k);
 }
 
 void BatchedEnsemble::predict_batch_into(const float* x, std::size_t rows,
@@ -204,7 +502,6 @@ BatchedEnsembleCache::BatchedEnsembleCache(
   const std::scoped_lock lock(other.mutex_);
   engine_ = std::move(other.engine_);
   int8_engine_ = std::move(other.int8_engine_);
-  fp16_engine_ = std::move(other.fp16_engine_);
 }
 
 BatchedEnsembleCache& BatchedEnsembleCache::operator=(
@@ -213,39 +510,33 @@ BatchedEnsembleCache& BatchedEnsembleCache::operator=(
     const std::scoped_lock lock(mutex_, other.mutex_);
     engine_ = std::move(other.engine_);
     int8_engine_ = std::move(other.int8_engine_);
-    fp16_engine_ = std::move(other.fp16_engine_);
   }
   return *this;
 }
 
 std::shared_ptr<const BatchedEnsemble> BatchedEnsembleCache::get(
-    const BaggingEnsemble& ensemble) const {
+    const BaggingEnsemble& ensemble,
+    const QuantCalibration& calibration) const {
   const std::scoped_lock lock(mutex_);
-  if (!engine_) engine_ = std::make_shared<const BatchedEnsemble>(ensemble);
+  if (!engine_ || !(engine_->calibration() == calibration))
+    engine_ = std::make_shared<const BatchedEnsemble>(ensemble, calibration);
   return engine_;
 }
 
 std::shared_ptr<const QuantizedEnsemble> BatchedEnsembleCache::get_quantized(
-    const BaggingEnsemble& ensemble, QuantMode mode,
+    const BaggingEnsemble& ensemble,
     const QuantCalibration& calibration) const {
   const std::scoped_lock lock(mutex_);
-  if (mode == QuantMode::kInt8) {
-    if (!int8_engine_ || !(int8_engine_->calibration() == calibration))
-      int8_engine_ =
-          std::make_shared<const QuantizedEnsemble>(ensemble, mode,
-                                                    &calibration);
-    return int8_engine_;
-  }
-  if (!fp16_engine_)
-    fp16_engine_ = std::make_shared<const QuantizedEnsemble>(ensemble, mode);
-  return fp16_engine_;
+  if (!int8_engine_ || !(int8_engine_->calibration() == calibration))
+    int8_engine_ =
+        std::make_shared<const QuantizedEnsemble>(ensemble, calibration);
+  return int8_engine_;
 }
 
 void BatchedEnsembleCache::reset() noexcept {
   const std::scoped_lock lock(mutex_);
   engine_ = nullptr;
   int8_engine_ = nullptr;
-  fp16_engine_ = nullptr;
 }
 
 }  // namespace pt::ml

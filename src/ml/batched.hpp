@@ -21,11 +21,29 @@
 // activation (simd::sigmoid / simd::tanh, with the documented ULP bounds).
 // The final single-output layer reduces with a dot-product + horizontal sum.
 //
-// Accuracy: everything is fp32 with fused multiply-adds, so raw outputs can
-// differ from the fp64 reference by ~1e-6..1e-5 in standardized-output
-// units. Callers that need fp64-identical *ranking* (tuner/scan.hpp) re-rank
-// near-tie candidates through the fp64 path; ScanOptions::fp32_error_bound
-// is the contract between the two.
+// Certified accuracy: at pack time BatchedEnsemble computes a sound upper
+// bound on |fp32 raw output - fp64 raw output| over every input row inside a
+// calibration box (per-feature [lo, hi] ranges; tuner::RangeEncoder supplies
+// the box of a configuration space, instance-feature tail included). The
+// bound is a forward rounding-error analysis with unit roundoff u = 2^-24
+// (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3, with
+// gamma(n) = n*u / (1 - n*u)), summing:
+//   - the casts of inputs, folded weights and biases to float (plus the
+//     double-precision fold's own rounding);
+//   - each unit's accumulation: gamma(depth) * (|b'_j| + sum_i A_i*|w'_ij|),
+//     depth = the roundings on one term's path (fan-in for the FMA chains,
+//     lanes + horizontal sum + bias add for the output dot) and A_i the
+//     largest input magnitude in the box. The raw-feature magnitudes, not
+//     the standardized ones, are what the folded layer 0 accumulates, so
+//     the term prices the cancellation the scaler fold introduces;
+//   - the activation error: the simd sigmoid/tanh absolute error bounds
+//     (common/simd.hpp) plus the activation's Lipschitz constant times the
+//     pre-activation error, carried layer by layer through |W|;
+//   - the float member average and the rounding of 1/k;
+//   - the same analysis at u = 2^-53 for the fp64 reference itself.
+// Interval arithmetic over the box bounds every magnitude. Callers that need
+// fp64-identical *ranking* (tuner/scan.hpp) re-rank every candidate within
+// twice the bound of the fp32 cutoff through the fp64 path.
 
 #include <cstddef>
 #include <memory>
@@ -92,15 +110,25 @@ class BatchedMlp {
 /// independent of how callers chunk the rows.
 class BatchedEnsemble {
  public:
-  /// Packs a fitted ensemble; throws std::invalid_argument if it is not
-  /// fitted and std::runtime_error if the SIMD backend fails verification
-  /// (simd::ensure_verified runs before the first pack in the process).
-  explicit BatchedEnsemble(const BaggingEnsemble& ensemble);
+  /// Packs a fitted ensemble and certifies its error bound over the rows
+  /// inside `calibration`. Throws std::invalid_argument if the ensemble is
+  /// not fitted or the calibration does not match its input width (or has
+  /// hi < lo), and std::runtime_error if the SIMD backend fails
+  /// verification (simd::ensure_verified runs before the first pack in the
+  /// process).
+  BatchedEnsemble(const BaggingEnsemble& ensemble,
+                  const QuantCalibration& calibration);
 
   [[nodiscard]] std::size_t input_width() const noexcept { return inputs_; }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return members_.size();
   }
+  [[nodiscard]] const QuantCalibration& calibration() const noexcept {
+    return calibration_;
+  }
+  /// Certified upper bound on |predict_batch_into - the fp64 ensemble's
+  /// predict_batch_into| (raw outputs) for every row inside calibration().
+  [[nodiscard]] double error_bound() const noexcept { return error_bound_; }
 
   using Scratch = BatchedMlp::Scratch;
 
@@ -112,12 +140,15 @@ class BatchedEnsemble {
  private:
   std::size_t inputs_;
   float inv_k_;
+  QuantCalibration calibration_;
+  double error_bound_ = 0.0;
   std::vector<BatchedMlp> members_;
 };
 
-/// Lazily-built, shared BatchedEnsemble for model classes that expose both
-/// inference paths (tuner/model.hpp). Copying a cache resets it (the copy
-/// re-packs on first use); moving transfers the packed engine. Thread-safe.
+/// Lazily-built, shared reduced-precision engines for model classes that
+/// expose several inference paths (tuner/model.hpp). Copying a cache resets
+/// it (the copy re-packs on first use); moving transfers the packed engines.
+/// Thread-safe.
 class BatchedEnsembleCache {
  public:
   BatchedEnsembleCache() = default;
@@ -130,17 +161,19 @@ class BatchedEnsembleCache {
   BatchedEnsembleCache& operator=(BatchedEnsembleCache&& other) noexcept;
   ~BatchedEnsembleCache() = default;
 
-  /// The packed engine for `ensemble`, building it on first call. The caller
-  /// must reset() whenever the ensemble is refitted or restored.
+  /// The fp32 engine for `ensemble` certified over `calibration`, building
+  /// it on first call. Each slot is keyed by the calibration: asking with a
+  /// different one (e.g. input-aware instance tails changed) repacks and
+  /// replaces the cached engine. The caller must reset() whenever the
+  /// ensemble is refitted or restored.
   [[nodiscard]] std::shared_ptr<const BatchedEnsemble> get(
-      const BaggingEnsemble& ensemble) const;
+      const BaggingEnsemble& ensemble,
+      const QuantCalibration& calibration) const;
 
-  /// The quantized engine for `ensemble` in `mode`, building it on first
-  /// call. The int8 slot is keyed by the calibration as well: asking with a
-  /// different calibration (e.g. input-aware instance tails changed) repacks
-  /// and replaces the cached engine. fp16 ignores `calibration`.
+  /// The int8 engine for `ensemble` quantized over `calibration`; same
+  /// keying and lifetime rules as get().
   [[nodiscard]] std::shared_ptr<const QuantizedEnsemble> get_quantized(
-      const BaggingEnsemble& ensemble, QuantMode mode,
+      const BaggingEnsemble& ensemble,
       const QuantCalibration& calibration) const;
 
   /// Drop the packed engines (outstanding shared_ptrs stay valid).
@@ -150,7 +183,6 @@ class BatchedEnsembleCache {
   mutable std::mutex mutex_;
   mutable std::shared_ptr<const BatchedEnsemble> engine_;
   mutable std::shared_ptr<const QuantizedEnsemble> int8_engine_;
-  mutable std::shared_ptr<const QuantizedEnsemble> fp16_engine_;
 };
 
 }  // namespace pt::ml

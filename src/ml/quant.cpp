@@ -87,22 +87,17 @@ struct EffectiveLayer {
 }  // namespace
 
 QuantizedMlp::QuantizedMlp(const Mlp& mlp, const StandardScaler* scaler,
-                           QuantMode mode,
-                           const QuantCalibration* calibration)
-    : mode_(mode), inputs_(mlp.input_size()) {
+                           const QuantCalibration& calibration)
+    : inputs_(mlp.input_size()) {
   if (scaler && scaler->width() != inputs_)
     throw std::invalid_argument(
         "QuantizedMlp: scaler width does not match network input width");
-  if (mode_ == QuantMode::kInt8) {
-    if (!calibration || calibration->width() != inputs_ ||
-        calibration->hi.size() != calibration->lo.size())
-      throw std::invalid_argument(
-          "QuantizedMlp: int8 packing requires a calibration of network "
-          "input width");
-    pack_int8(mlp, scaler, *calibration);
-  } else {
-    pack_f16(mlp, scaler);
-  }
+  if (calibration.width() != inputs_ ||
+      calibration.hi.size() != calibration.lo.size())
+    throw std::invalid_argument(
+        "QuantizedMlp: int8 packing requires a calibration of network "
+        "input width");
+  pack_int8(mlp, scaler, calibration);
 }
 
 void QuantizedMlp::pack_int8(const Mlp& mlp, const StandardScaler* scaler,
@@ -246,53 +241,8 @@ void QuantizedMlp::pack_int8(const Mlp& mlp, const StandardScaler* scaler,
   out_bias_ = out.bias[0];
 }
 
-void QuantizedMlp::pack_f16(const Mlp& mlp, const StandardScaler* scaler) {
-  in_padded_ = inputs_;
-  f16_layers_.reserve(mlp.layer_count());
-  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
-    const Matrix& w = mlp.weights(l);
-    const std::vector<double>& b = mlp.biases(l);
-    F16Layer layer;
-    layer.in = w.rows();
-    layer.units = w.cols();
-    layer.padded = round_up(layer.units, simd::kWidth);
-    layer.act = mlp.layers()[l].activation;
-    layer.w.assign(layer.in * layer.padded, 0);
-    layer.bias.assign(layer.padded, 0.0f);
-    // Same double-precision scaler fold as the fp32 engine; the only extra
-    // rounding is the final f32 -> f16 weight narrowing (biases stay fp32).
-    const bool fold = l == 0 && scaler;
-    const std::vector<double>* m = fold ? &scaler->means() : nullptr;
-    const std::vector<double>* s = fold ? &scaler->stddevs() : nullptr;
-    for (std::size_t j = 0; j < layer.units; ++j) {
-      double bias = b[j];
-      if (fold) {
-        double shift = 0.0;
-        for (std::size_t i = 0; i < layer.in; ++i)
-          shift += (*m)[i] * w(i, j) / (*s)[i];
-        bias -= shift;
-      }
-      layer.bias[j] = static_cast<float>(bias);
-    }
-    for (std::size_t i = 0; i < layer.in; ++i) {
-      const double scale = fold ? 1.0 / (*s)[i] : 1.0;
-      for (std::size_t j = 0; j < layer.units; ++j)
-        layer.w[i * layer.padded + j] = simd::f32_to_f16(
-            static_cast<float>(w(i, j) * scale));
-    }
-    if (layer.units == 1 && l > 0) {
-      const std::size_t prev_padded = f16_layers_[l - 1].padded;
-      layer.wcol.assign(prev_padded, 0);
-      for (std::size_t i = 0; i < layer.in; ++i)
-        layer.wcol[i] = layer.w[i * layer.padded];
-    }
-    f16_layers_.push_back(std::move(layer));
-  }
-}
-
 float QuantizedMlp::forward_int8(const std::uint8_t* qrow,
                                  Scratch& scratch) const {
-  assert(mode_ == QuantMode::kInt8);
   if (int8_layers_.size() == 1) {
     // Single hidden layer (the paper-default topology): fused kernel, no
     // intermediate buffers. Bit-identical to the generic path below.
@@ -325,139 +275,31 @@ float QuantizedMlp::forward_int8(const std::uint8_t* qrow,
                             out_bias_);
 }
 
-namespace {
-
-float activate_f32(Activation act, float y) {
-  switch (act) {
-    case Activation::kLinear:
-      return y;
-    case Activation::kSigmoid:
-      return simd::sigmoid_ref(y);
-    case Activation::kTanh:
-      return simd::tanh_ref(y);
-    case Activation::kRelu:
-      return y > 0.0f ? y : 0.0f;
-  }
-  return y;
-}
-
-// One row through one f16-storage layer: identical structure to the batched
-// fp32 engine's forward_row, with weight loads widened from f16.
-void forward_row_f16(const float* x, std::size_t in, std::size_t padded,
-                     Activation act, const std::uint16_t* w,
-                     const float* bias, float* out) {
-  using simd::VecF;
-  constexpr std::size_t kTile = 4;
-  for (std::size_t j0 = 0; j0 < padded; j0 += kTile * simd::kWidth) {
-    const std::size_t lanes_left = (padded - j0) / simd::kWidth;
-    const std::size_t tiles = lanes_left < kTile ? lanes_left : kTile;
-    VecF acc[kTile];
-    for (std::size_t t = 0; t < tiles; ++t)
-      acc[t] = VecF::load(bias + j0 + t * simd::kWidth);
-    for (std::size_t i = 0; i < in; ++i) {
-      const VecF xi = VecF::broadcast(x[i]);
-      const std::uint16_t* wrow = w + i * padded + j0;
-      for (std::size_t t = 0; t < tiles; ++t)
-        acc[t] = simd::fmadd(xi, simd::load_f16(wrow + t * simd::kWidth),
-                             acc[t]);
-    }
-    switch (act) {
-      case Activation::kLinear:
-        break;
-      case Activation::kSigmoid:
-        for (std::size_t t = 0; t < tiles; ++t) acc[t] = simd::sigmoid(acc[t]);
-        break;
-      case Activation::kTanh:
-        for (std::size_t t = 0; t < tiles; ++t) acc[t] = simd::tanh(acc[t]);
-        break;
-      case Activation::kRelu:
-        for (std::size_t t = 0; t < tiles; ++t)
-          acc[t] = simd::max(acc[t], VecF::zero());
-        break;
-    }
-    for (std::size_t t = 0; t < tiles; ++t)
-      acc[t].store(out + j0 + t * simd::kWidth);
-  }
-}
-
-}  // namespace
-
-void QuantizedMlp::forward_column0_f16(const float* x, std::size_t rows,
-                                       float* out, Scratch& scratch) const {
-  assert(mode_ == QuantMode::kFp16);
-  assert(f16_layers_.back().units == 1 &&
-         "forward_column0_f16 requires a single-output network");
-  std::size_t max_panel = 0;
-  for (const F16Layer& layer : f16_layers_)
-    max_panel = std::max(max_panel, layer.padded);
-  if (scratch.a.size() < max_panel) scratch.a.assign(max_panel, 0.0f);
-  if (scratch.b.size() < max_panel) scratch.b.assign(max_panel, 0.0f);
-
-  const std::size_t nl = f16_layers_.size();
-  const F16Layer& last = f16_layers_.back();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* cur = x + r * inputs_;
-    float* ping = scratch.a.data();
-    float* pong = scratch.b.data();
-    for (std::size_t l = 0; l + 1 < nl; ++l) {
-      const F16Layer& layer = f16_layers_[l];
-      forward_row_f16(cur, layer.in, layer.padded, layer.act, layer.w.data(),
-                      layer.bias.data(), ping);
-      cur = ping;
-      std::swap(ping, pong);
-    }
-    if (!last.wcol.empty()) {
-      using simd::VecF;
-      const std::size_t prev_padded = f16_layers_[nl - 2].padded;
-      VecF acc = VecF::zero();
-      for (std::size_t i = 0; i < prev_padded; i += simd::kWidth)
-        acc = simd::fmadd(VecF::load(cur + i),
-                          simd::load_f16(last.wcol.data() + i), acc);
-      out[r] = activate_f32(last.act, last.bias[0] + simd::hsum(acc));
-    } else if (last.units == 1) {
-      float sum = last.bias[0];
-      for (std::size_t i = 0; i < last.in; ++i)
-        sum = std::fma(cur[i], simd::f16_to_f32(last.w[i * last.padded]),
-                       sum);
-      out[r] = activate_f32(last.act, sum);
-    } else {
-      forward_row_f16(cur, last.in, last.padded, last.act, last.w.data(),
-                      last.bias.data(), ping);
-      out[r] = ping[0];
-    }
-  }
-}
-
 QuantizedEnsemble::QuantizedEnsemble(const BaggingEnsemble& ensemble,
-                                     QuantMode mode,
-                                     const QuantCalibration* calibration)
-    : mode_(mode) {
+                                     const QuantCalibration& calibration)
+    : calibration_(calibration) {
   if (!ensemble.fitted())
     throw std::invalid_argument("QuantizedEnsemble: ensemble is not fitted");
   simd::ensure_verified();
   inputs_ = ensemble.member(0).input_size();
   inv_k_ = 1.0f / static_cast<float>(ensemble.member_count());
-  if (mode_ == QuantMode::kInt8) {
-    if (!calibration || calibration->width() != inputs_)
+  if (calibration_.width() != inputs_)
+    throw std::invalid_argument(
+        "QuantizedEnsemble: int8 requires a calibration of input width");
+  inv_step_.resize(inputs_);
+  for (std::size_t i = 0; i < inputs_; ++i) {
+    const float lo = calibration_.lo[i];
+    const float hi = calibration_.hi[i];
+    if (!(hi >= lo))
       throw std::invalid_argument(
-          "QuantizedEnsemble: int8 requires a calibration of input width");
-    calibration_ = *calibration;
-    inv_step_.resize(inputs_);
-    for (std::size_t i = 0; i < inputs_; ++i) {
-      const float lo = calibration_.lo[i];
-      const float hi = calibration_.hi[i];
-      if (!(hi >= lo))
-        throw std::invalid_argument(
-            "QuantizedEnsemble: calibration range with hi < lo");
-      inv_step_[i] = hi > lo ? 127.0f / (hi - lo) : 0.0f;
-    }
+          "QuantizedEnsemble: calibration range with hi < lo");
+    inv_step_[i] = hi > lo ? 127.0f / (hi - lo) : 0.0f;
   }
   const StandardScaler* scaler =
       ensemble.scaler().fitted() ? &ensemble.scaler() : nullptr;
   members_.reserve(ensemble.member_count());
   for (std::size_t i = 0; i < ensemble.member_count(); ++i)
-    members_.emplace_back(ensemble.member(i), scaler, mode_,
-                          mode_ == QuantMode::kInt8 ? &calibration_ : nullptr);
+    members_.emplace_back(ensemble.member(i), scaler, calibration_);
 }
 
 void QuantizedEnsemble::predict_batch_into(const float* x, std::size_t rows,
@@ -465,30 +307,23 @@ void QuantizedEnsemble::predict_batch_into(const float* x, std::size_t rows,
                                            Scratch& scratch) const {
   out.assign(rows, 0.0f);
   if (scratch.ms.member.size() < rows) scratch.ms.member.resize(rows);
-  if (mode_ == QuantMode::kInt8) {
-    // Quantize the chunk once (shared by every member): u7 activations,
-    // saturating at the calibration edges. quantize_u7 rounds to nearest
-    // even, fixed across backends.
-    const std::size_t qw = members_.front().quantized_input_width();
-    if (scratch.qrows.size() < rows * qw) scratch.qrows.resize(rows * qw);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* xr = x + r * inputs_;
-      std::uint8_t* qr = scratch.qrows.data() + r * qw;
-      simd::quantize_u7(xr, calibration_.lo.data(), inv_step_.data(), inputs_,
-                        qr);
-      for (std::size_t i = inputs_; i < qw; ++i) qr[i] = 0;
-    }
-    for (const QuantizedMlp& member : members_) {
-      for (std::size_t r = 0; r < rows; ++r)
-        scratch.ms.member[r] =
-            member.forward_int8(scratch.qrows.data() + r * qw, scratch.ms);
-      for (std::size_t r = 0; r < rows; ++r) out[r] += scratch.ms.member[r];
-    }
-  } else {
-    for (const QuantizedMlp& member : members_) {
-      member.forward_column0_f16(x, rows, scratch.ms.member.data(), scratch.ms);
-      for (std::size_t r = 0; r < rows; ++r) out[r] += scratch.ms.member[r];
-    }
+  // Quantize the chunk once (shared by every member): u7 activations,
+  // saturating at the calibration edges. quantize_u7 rounds to nearest
+  // even, fixed across backends.
+  const std::size_t qw = members_.front().quantized_input_width();
+  if (scratch.qrows.size() < rows * qw) scratch.qrows.resize(rows * qw);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* xr = x + r * inputs_;
+    std::uint8_t* qr = scratch.qrows.data() + r * qw;
+    simd::quantize_u7(xr, calibration_.lo.data(), inv_step_.data(), inputs_,
+                      qr);
+    for (std::size_t i = inputs_; i < qw; ++i) qr[i] = 0;
+  }
+  for (const QuantizedMlp& member : members_) {
+    for (std::size_t r = 0; r < rows; ++r)
+      scratch.ms.member[r] =
+          member.forward_int8(scratch.qrows.data() + r * qw, scratch.ms);
+    for (std::size_t r = 0; r < rows; ++r) out[r] += scratch.ms.member[r];
   }
   for (std::size_t r = 0; r < rows; ++r) out[r] *= inv_k_;
 }

@@ -29,15 +29,18 @@ TuneResponse make_failure(const TuneRequest& request, ResponseStatus status,
   return response;
 }
 
-/// The scan inference mode rides on the store's model version: a tune
-/// executed under (say) int8 scan inference must not validate against an
-/// entry cached under fp64 — flipping the mode invalidates the cache the
-/// same way a model-format bump does.
+/// The scan's exactness class rides on the store's model version. fp64 and
+/// fp32 select identical top-M candidates by certification, so they share
+/// "+scan-exact"; int8's exactness rests on a declared bound, so a tune
+/// executed under int8 must not validate against an exact entry (or vice
+/// versa) — flipping between classes invalidates the cache the same way a
+/// model-format bump does.
 TunedConfigStore::Options with_scan_mode(TunedConfigStore::Options store,
                                          const tuner::AutoTunerOptions& tuner) {
-  store.model_version += "+scan-";
   store.model_version +=
-      tuner::scan_inference_name(tuner.model.scan.inference);
+      tuner.model.scan.inference == tuner::ScanInference::kQuantInt8
+          ? "+scan-int8"
+          : "+scan-exact";
   return store;
 }
 

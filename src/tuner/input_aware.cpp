@@ -183,10 +183,10 @@ ScanRowFillerF32 InputAwarePerformanceModel::row_filler_f32(
   };
 }
 
-// Builds the BatchedScan for a reduced-precision inference mode. For the
-// quantized tiers the calibration carries the instance features as
-// degenerate [v, v] tail ranges, so a scan for a different instance repacks
-// the int8 engine (the cache compares calibrations).
+// Builds the BatchedScan for a reduced-precision inference mode. The
+// calibration carries the instance features as degenerate [v, v] tail
+// ranges, so a scan for a different instance repacks the engine (the cache
+// compares calibrations) and the fp32 bound is certified for that instance.
 struct InputAwarePerformanceModel::ScanEngines {
   std::shared_ptr<const ml::BatchedEnsemble> engine;
   std::shared_ptr<const ml::QuantizedEnsemble> quant;
@@ -194,18 +194,17 @@ struct InputAwarePerformanceModel::ScanEngines {
 };
 
 InputAwarePerformanceModel::ScanEngines
-InputAwarePerformanceModel::scan_engines(
-    const ProblemInstance& instance) const {
+InputAwarePerformanceModel::scan_engines(const ProblemInstance& instance,
+                                         ScanInference inference) const {
   ScanEngines e;
-  if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_);
+  const auto inst = instance_features(instance);
+  const std::vector<float> inst_f(inst.begin(), inst.end());
+  const ml::QuantCalibration calibration = range_encoder_.calibration(inst_f);
+  if (inference == ScanInference::kBatchedFp32) {
+    e.engine = batched_.get(ensemble_, calibration);
     e.batched.engine = e.engine.get();
   } else {
-    const auto inst = instance_features(instance);
-    const std::vector<float> inst_f(inst.begin(), inst.end());
-    e.quant = batched_.get_quantized(ensemble_,
-                                     scan_quant_mode(options_.scan.inference),
-                                     range_encoder_.calibration(inst_f));
+    e.quant = batched_.get_quantized(ensemble_, calibration);
     e.batched.quant = e.quant.get();
   }
   e.batched.fill = row_filler_f32(instance);
@@ -213,17 +212,18 @@ InputAwarePerformanceModel::scan_engines(
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_range_ms(
-    std::uint64_t begin, std::uint64_t end,
-    const ProblemInstance& instance) const {
+    std::uint64_t begin, std::uint64_t end, const ProblemInstance& instance,
+    ScanInference inference) const {
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines(instance);
+  if (inference == ScanInference::kScalarFp64)
     return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                              output_transform(), options_.scan, &e.batched);
-  }
+                              output_transform());
+  const ScanEngines e = scan_engines(instance, inference);
+  ScanOptions options = options_.scan;
+  options.inference = inference;
   return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                            output_transform());
+                            output_transform(), options, &e.batched);
 }
 
 TopMScanResult InputAwarePerformanceModel::predict_scan_top_m(
@@ -231,13 +231,12 @@ TopMScanResult InputAwarePerformanceModel::predict_scan_top_m(
     const ProblemInstance& instance, const ScanFilter& filter) const {
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines(instance);
+  if (options_.scan.inference == ScanInference::kScalarFp64)
     return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                      output_transform(), filter, options_.scan, &e.batched);
-  }
+                      output_transform(), filter);
+  const ScanEngines e = scan_engines(instance, options_.scan.inference);
   return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                    output_transform(), filter);
+                    output_transform(), filter, options_.scan, &e.batched);
 }
 
 }  // namespace pt::tuner

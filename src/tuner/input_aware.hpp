@@ -75,7 +75,7 @@ class InputAwarePerformanceModel {
            const std::vector<InputAwareSample>& samples);
 
   [[nodiscard]] bool fitted() const noexcept { return ensemble_.fitted(); }
-  /// Switch scan inference paths on a fitted model.
+  /// Switch the top-m scan engine on a fitted model.
   void set_scan_options(const ScanOptions& scan) noexcept {
     options_.scan = scan;
   }
@@ -96,10 +96,11 @@ class InputAwarePerformanceModel {
       const ProblemInstance& instance) const;
 
   /// Predicted times for the flat-index range [begin, end) of the space at
-  /// one instance — the parallel chunked scan (see tuner/scan.hpp).
+  /// one instance — the parallel chunked scan (see
+  /// AnnPerformanceModel::predict_range_ms for the `inference` semantics).
   [[nodiscard]] std::vector<double> predict_range_ms(
-      std::uint64_t begin, std::uint64_t end,
-      const ProblemInstance& instance) const;
+      std::uint64_t begin, std::uint64_t end, const ProblemInstance& instance,
+      ScanInference inference = ScanInference::kScalarFp64) const;
 
   /// Streaming top-m selection over [begin, end) at one instance (see
   /// AnnPerformanceModel::predict_scan_top_m for semantics).
@@ -126,7 +127,8 @@ class InputAwarePerformanceModel {
   [[nodiscard]] ScanRowFillerF32 row_filler_f32(
       const ProblemInstance& instance) const;
   struct ScanEngines;
-  [[nodiscard]] ScanEngines scan_engines(const ProblemInstance& instance) const;
+  [[nodiscard]] ScanEngines scan_engines(const ProblemInstance& instance,
+                                         ScanInference inference) const;
 
   Options options_;
   ParamSpace space_;

@@ -111,15 +111,15 @@ struct AnnPerformanceModel::ScanEngines {
   BatchedScan batched;
 };
 
-AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines() const {
+AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines(
+    ScanInference inference) const {
   ScanEngines e;
-  if (options_.scan.inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_);
+  const ml::QuantCalibration calibration = range_encoder_.calibration();
+  if (inference == ScanInference::kBatchedFp32) {
+    e.engine = batched_.get(ensemble_, calibration);
     e.batched.engine = e.engine.get();
   } else {
-    e.quant = batched_.get_quantized(ensemble_,
-                                     scan_quant_mode(options_.scan.inference),
-                                     range_encoder_.calibration());
+    e.quant = batched_.get_quantized(ensemble_, calibration);
     e.batched.quant = e.quant.get();
   }
   e.batched.fill = row_filler_f32();
@@ -127,16 +127,17 @@ AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines() const {
 }
 
 std::vector<double> AnnPerformanceModel::predict_range_ms(
-    std::uint64_t begin, std::uint64_t end) const {
+    std::uint64_t begin, std::uint64_t end, ScanInference inference) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines();
+  if (inference == ScanInference::kScalarFp64)
     return scan_predict_range(ensemble_, row_filler(), begin, end,
-                              output_transform(), options_.scan, &e.batched);
-  }
+                              output_transform());
+  const ScanEngines e = scan_engines(inference);
+  ScanOptions options = options_.scan;
+  options.inference = inference;
   return scan_predict_range(ensemble_, row_filler(), begin, end,
-                            output_transform());
+                            output_transform(), options, &e.batched);
 }
 
 TopMScanResult AnnPerformanceModel::predict_scan_top_m(
@@ -144,13 +145,12 @@ TopMScanResult AnnPerformanceModel::predict_scan_top_m(
     const ScanFilter& filter) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (options_.scan.inference != ScanInference::kScalarFp64) {
-    const ScanEngines e = scan_engines();
+  if (options_.scan.inference == ScanInference::kScalarFp64)
     return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                      output_transform(), filter, options_.scan, &e.batched);
-  }
+                      output_transform(), filter);
+  const ScanEngines e = scan_engines(options_.scan.inference);
   return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                    output_transform(), filter);
+                    output_transform(), filter, options_.scan, &e.batched);
 }
 
 std::vector<double> AnnPerformanceModel::predict_many_ms(

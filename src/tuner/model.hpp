@@ -36,9 +36,8 @@ class AnnPerformanceModel {
     /// Train on log(time) so squared error means relative error (paper 5.2).
     bool log_targets = true;
     FeatureEncoding encoding = FeatureEncoding::kLog2;
-    /// Scan engine knobs; scan.inference = kBatchedFp32 opts the bulk
-    /// prediction paths into the SIMD engine (top-m results stay identical
-    /// to the fp64 reference, see tuner/scan.hpp).
+    /// Top-m scan engine; the default batched fp32 engine selects exactly
+    /// the fp64 reference's top-m (certified, see tuner/scan.hpp).
     ScanOptions scan{};
   };
 
@@ -53,7 +52,7 @@ class AnnPerformanceModel {
 
   [[nodiscard]] bool fitted() const noexcept { return ensemble_.fitted(); }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  /// Switch scan inference paths on a fitted model (e.g. benches comparing
+  /// Switch the top-m scan engine on a fitted model (e.g. benches comparing
   /// fp64 vs batched fp32 on the same ensemble).
   void set_scan_options(const ScanOptions& scan) noexcept {
     options_.scan = scan;
@@ -69,18 +68,22 @@ class AnnPerformanceModel {
   [[nodiscard]] double predict_ms(const Configuration& config) const;
 
   /// Predicted times for a contiguous flat-index range [begin, end) of the
-  /// space — the bulk path used to scan entire configuration spaces.
-  /// Chunks of kScanChunkRows rows are dispatched on the global thread pool;
-  /// results are bit-identical for every pool size.
-  [[nodiscard]] std::vector<double> predict_range_ms(std::uint64_t begin,
-                                                     std::uint64_t end) const;
+  /// space — the dense bulk path. Chunks of kScanChunkRows rows are
+  /// dispatched on the global thread pool; results are bit-identical for
+  /// every pool size. Runs the fp64 reference unless `inference` asks for a
+  /// reduced-precision engine, whose values are then only within its error
+  /// bound of the reference (scan options do not apply here).
+  [[nodiscard]] std::vector<double> predict_range_ms(
+      std::uint64_t begin, std::uint64_t end,
+      ScanInference inference = ScanInference::kScalarFp64) const;
 
   /// Streaming top-m selection over [begin, end): the m configurations with
   /// the lowest predicted time (ascending), found in O(n log m) time and
-  /// O(workers * m) memory — no full prediction vector. The optional filter
-  /// (e.g. a validity model; must be thread-safe) is applied during the
-  /// scan, lazily, and the result also carries the unfiltered top-m so
-  /// callers can top up after heavy filtering.
+  /// O(workers * m) memory — no full prediction vector — on the engine in
+  /// scan_options(). The optional filter (e.g. a validity model; must be
+  /// thread-safe) is applied during the scan, lazily, and the result also
+  /// carries the unfiltered top-m so callers can top up after heavy
+  /// filtering.
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;
@@ -115,7 +118,7 @@ class AnnPerformanceModel {
   [[nodiscard]] ScanRowFiller row_filler() const;
   [[nodiscard]] ScanRowFillerF32 row_filler_f32() const;
   struct ScanEngines;
-  [[nodiscard]] ScanEngines scan_engines() const;
+  [[nodiscard]] ScanEngines scan_engines(ScanInference inference) const;
 
   Options options_;
   ParamSpace space_;
@@ -127,9 +130,9 @@ class AnnPerformanceModel {
   double target_mean_ = 0.0;
   double target_scale_ = 1.0;
   ml::BaggingEnsemble ensemble_;
-  // Packed reduced-precision engines (fp32 + quantized tiers), built lazily
-  // on the first scan in each mode and dropped whenever the ensemble
-  // changes (fit/restore).
+  // Packed reduced-precision engines (fp32 and int8), built lazily on the
+  // first scan in each mode and dropped whenever the ensemble changes
+  // (fit/restore).
   ml::BatchedEnsembleCache batched_;
 };
 

@@ -89,9 +89,9 @@ class BoundedTopM {
   std::vector<RawCandidate> heap_;
 };
 
-/// Relaxed selection for the batched fp32 path: the best-m heap plus an
-/// overflow list of every candidate within `slack` (= 2x the fp32 error
-/// bound) of the heap cutoff. The heap cutoff only improves as the chunk
+/// Relaxed selection for the reduced-precision paths: the best-m heap plus
+/// an overflow list of every candidate within `slack` (= 2x the engine's
+/// error bound) of the heap cutoff. The heap cutoff only improves as the chunk
 /// streams, so pruning the overflow against the current cutoff never drops
 /// a candidate that the final cutoff would have kept.
 class RelaxedTopM {
@@ -167,23 +167,23 @@ std::vector<ScanCandidate> merge_chunks(
 
 void require_batched(const ScanOptions& options, const BatchedScan* batched,
                      const char* where) {
-  if (options.inference == ScanInference::kScalarFp64) return;
-  if (options.inference == ScanInference::kBatchedFp32) {
-    if (!batched || !batched->engine || !batched->fill)
-      throw std::invalid_argument(std::string(where) +
-                                  ": batched fp32 inference requested without "
-                                  "an engine and fp32 row filler");
-    return;
-  }
-  const ml::QuantMode mode = options.inference == ScanInference::kQuantInt8
-                                 ? ml::QuantMode::kInt8
-                                 : ml::QuantMode::kFp16;
-  if (!batched || !batched->quant || !batched->fill ||
-      batched->quant->mode() != mode)
+  const bool ok =
+      options.inference == ScanInference::kScalarFp64 ||
+      (batched && batched->fill &&
+       (options.inference == ScanInference::kBatchedFp32
+            ? batched->engine != nullptr
+            : batched->quant != nullptr));
+  if (!ok)
     throw std::invalid_argument(
         std::string(where) + ": " + scan_inference_name(options.inference) +
-        " inference requested without a matching quantized engine and fp32 "
-        "row filler");
+        " inference requested without its engine and fp32 row filler");
+}
+
+/// The fp64 reference, the options every engine-less overload runs with.
+ScanOptions fp64_options() {
+  ScanOptions options;
+  options.inference = ScanInference::kScalarFp64;
+  return options;
 }
 
 void gauge_configs_per_sec(std::uint64_t n,
@@ -279,7 +279,7 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
                                        std::uint64_t begin, std::uint64_t end,
                                        const OutputTransform& transform) {
   return scan_predict_range(ensemble, fill, begin, end, transform,
-                            ScanOptions{}, nullptr);
+                            fp64_options(), nullptr);
 }
 
 std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
@@ -293,10 +293,8 @@ std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
   const std::uint64_t n = end - begin;
   std::vector<double> out(static_cast<std::size_t>(n));
   if (n == 0) return out;
-  const bool quant = options.inference == ScanInference::kQuantInt8 ||
-                     options.inference == ScanInference::kFp16;
-  const bool approx =
-      quant || options.inference == ScanInference::kBatchedFp32;
+  const bool quant = options.inference == ScanInference::kQuantInt8;
+  const bool approx = options.inference != ScanInference::kScalarFp64;
   const auto start = std::chrono::steady_clock::now();
 
   ScratchPool pool;
@@ -337,7 +335,7 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
                           const OutputTransform& transform,
                           const ScanFilter& filter) {
   return scan_top_m(ensemble, fill, begin, end, m, transform, filter,
-                    ScanOptions{}, nullptr);
+                    fp64_options(), nullptr);
 }
 
 TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
@@ -354,12 +352,12 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
   const std::uint64_t n = end - begin;
   result.scanned = n;
   if (n == 0 || m == 0) return result;
-  const bool quant = options.inference == ScanInference::kQuantInt8 ||
-                     options.inference == ScanInference::kFp16;
-  const bool approx =
-      quant || options.inference == ScanInference::kBatchedFp32;
-  const double slack = 2.0 * (quant ? options.quant_error_bound
-                                    : options.fp32_error_bound);
+  const bool quant = options.inference == ScanInference::kQuantInt8;
+  const bool approx = options.inference != ScanInference::kScalarFp64;
+  if (approx)
+    result.error_bound = quant ? options.quant_error_bound
+                               : batched->engine->error_bound();
+  const double slack = 2.0 * result.error_bound;
   const auto start = std::chrono::steady_clock::now();
 
   const std::size_t chunks = static_cast<std::size_t>(chunk_count_for(n));
@@ -431,7 +429,7 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
     // Survivors of the coarse-pass cutoff (per selection set), then one
     // exact fp64 evaluation per unique survivor, then the fp64-ordered
     // truncation. The result matches the fp64 path exactly whenever the
-    // coarse-pass error stays within the per-mode bound.
+    // coarse-pass error stays within error_bound.
     std::vector<RawCandidate> unfiltered_survivors =
         fp32_survivors(chunk_top_unfiltered, m, slack);
     std::vector<RawCandidate> filtered_survivors =
@@ -448,7 +446,6 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
     for (const auto& c : filtered_survivors) indices.push_back(c.index);
     const auto raw64 = rerank_fp64(ensemble, fill, std::move(indices));
     result.fp64_reranked = raw64.size();
-    if (quant) result.quant_reranked = result.fp64_reranked;
     result.top_unfiltered = finish_fp64(unfiltered_survivors, raw64, m, transform);
     result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform)
                         : result.top_unfiltered;
@@ -469,9 +466,6 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
       common::telemetry::count("tuner.scan.near_ties",
                                static_cast<double>(result.near_ties));
     }
-    if (quant)
-      common::telemetry::count("tuner.scan.quant_rerank",
-                               static_cast<double>(result.quant_reranked));
   }
   return result;
 }

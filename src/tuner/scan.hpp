@@ -23,29 +23,26 @@
 // tie-break makes the order total — merge results cannot depend on chunk
 // arrival order.
 
-// The scan has four inference paths, selected by ScanOptions::inference:
-//  - kScalarFp64 (default): the fp64 reference — per-chunk Matrix fill and
+// The scan has three inference paths, selected by ScanOptions::inference:
+//  - kScalarFp64: the fp64 reference — per-chunk Matrix fill and
 //    BaggingEnsemble::predict_batch_into.
-//  - kBatchedFp32: the SIMD fast path — per-chunk fp32 row fill and a packed
-//    ml::BatchedEnsemble forward. Selection stays *exactly* fp64-identical:
-//    each chunk keeps, besides its best-m heap, every candidate whose fp32
-//    output lies within 2 * fp32_error_bound of the heap cutoff, and after
-//    the merge all candidates within that band of the global fp32 cutoff are
-//    re-ranked through the fp64 path (whose per-row results are bit-identical
-//    to the fp64 scan's chunked results, because every kernel under
-//    predict_batch_into accumulates per output element in a row-count
-//    independent order). As long as |fp32 - fp64| <= fp32_error_bound on raw
-//    outputs — bound ~1e-4, observed ~1e-6 for the paper's networks — the
+//  - kBatchedFp32 (default): the SIMD path — per-chunk fp32 row fill and a
+//    packed ml::BatchedEnsemble forward. Selection stays *exactly*
+//    fp64-identical: each chunk keeps, besides its best-m heap, every
+//    candidate whose fp32 output lies within 2 * B of the heap cutoff, and
+//    after the merge all candidates within that band of the global fp32
+//    cutoff are re-ranked through the fp64 path (whose per-row results are
+//    bit-identical to the fp64 scan's chunked results, because every kernel
+//    under predict_batch_into accumulates per output element in a row-count
+//    independent order). B is the engine's certified bound on
+//    |fp32 raw - fp64 raw| over the scanned rows (ml/batched.hpp), so the
 //    returned top-M is the one the fp64 scan would return, candidate for
-//    candidate, predicted values included.
-//  - kQuantInt8 / kFp16: the quantized tiers (ml/quant.hpp) — the same
-//    two-tier scheme with a coarser first pass and a wider band: the chunk
-//    heaps keep every candidate within 2 * quant_error_bound of the cutoff,
-//    and every survivor of the merged quantized cutoff is re-ranked through
-//    fp64 (batched — one gathered matrix per rerank chunk). The exactness
-//    contract is the same: whenever |quant raw - fp64 raw| stays within
-//    quant_error_bound, the returned top-M is identical to the fp64 scan's,
-//    indices and predicted values both.
+//    candidate, predicted values included — by proof, not by assumption.
+//  - kQuantInt8: the quantized tier (ml/quant.hpp) — the same two-tier
+//    scheme with a coarser first pass and a wider band, B =
+//    ScanOptions::quant_error_bound. That bound is hand-set (checked with
+//    2x margin by tests), so int8 is opt-in: its top-M equals the fp64 one
+//    whenever |int8 raw - fp64 raw| stays within it.
 
 #include <atomic>
 #include <cmath>
@@ -89,39 +86,29 @@ struct ScanCandidate {
 /// Result of scan_top_m. `top` is the best-first filtered selection (equal
 /// to `top_unfiltered` when no filter was given); `rejected` counts filter
 /// rejections, which only happen for candidates good enough to enter a
-/// chunk heap at the moment they were scanned. The last two fields are only
-/// non-zero on the batched fp32 path: `fp64_reranked` counts candidates sent
-/// through the fp64 reference for exact ranking, `near_ties` the subset that
-/// sat outside the fp32 top-m but within the error band (i.e. the ones whose
-/// fate fp64 actually decided).
+/// chunk heap at the moment they were scanned. The last three fields are
+/// only non-zero on the reduced-precision paths: `error_bound` is the
+/// half-width B of the re-rank band (the fp32 engine's certified bound, or
+/// the declared int8 bound), `fp64_reranked` counts candidates sent through
+/// the fp64 reference for exact ranking, `near_ties` the subset that sat
+/// outside the coarse top-m but within the band (i.e. the ones whose fate
+/// fp64 actually decided).
 struct TopMScanResult {
   std::vector<ScanCandidate> top;
   std::vector<ScanCandidate> top_unfiltered;
   std::uint64_t scanned = 0;
   std::uint64_t rejected = 0;
+  double error_bound = 0.0;
   std::uint64_t fp64_reranked = 0;
   std::uint64_t near_ties = 0;
-  /// Candidates re-ranked through fp64 because the coarse pass ran on a
-  /// quantized engine (kQuantInt8/kFp16). Equal to fp64_reranked on those
-  /// paths, zero otherwise.
-  std::uint64_t quant_reranked = 0;
 };
 
 /// Which inference engine the scan drives.
 enum class ScanInference {
   kScalarFp64,   // per-chunk fp64 matrix forward (reference)
-  kBatchedFp32,  // packed SIMD fp32 forward with fp64 near-tie re-ranking
-  kQuantInt8,    // s8-weight/u7-activation forward, wide-band fp64 re-rank
-  kFp16,         // f16-storage/fp32-compute forward, wide-band fp64 re-rank
+  kBatchedFp32,  // packed SIMD fp32 forward, certified fp64 re-rank band
+  kQuantInt8,    // s8-weight/u7-activation forward, declared re-rank band
 };
-
-/// QuantMode behind a quantized scan inference; call only for kQuantInt8 /
-/// kFp16.
-[[nodiscard]] constexpr ml::QuantMode scan_quant_mode(
-    ScanInference inference) noexcept {
-  return inference == ScanInference::kQuantInt8 ? ml::QuantMode::kInt8
-                                                : ml::QuantMode::kFp16;
-}
 
 [[nodiscard]] constexpr const char* scan_inference_name(
     ScanInference inference) noexcept {
@@ -132,28 +119,23 @@ enum class ScanInference {
       return "fp32";
     case ScanInference::kQuantInt8:
       return "int8";
-    case ScanInference::kFp16:
-      return "fp16";
   }
   return "fp64";
 }
 
 /// Scan tuning knobs, carried by the model layer (AnnPerformanceModel
-/// options) so callers opt in without new plumbing at every call site.
+/// options) so callers choose an engine without new plumbing at every call
+/// site.
 struct ScanOptions {
-  ScanInference inference = ScanInference::kScalarFp64;
-  /// Upper bound assumed on |fp32 raw output - fp64 raw output|. Candidates
-  /// within 2x this bound of the fp32 selection cutoff are re-ranked in
-  /// fp64. In raw (standardized) output units.
-  double fp32_error_bound = 1e-4;
-  /// Same role for the quantized tiers (kQuantInt8/kFp16): assumed upper
-  /// bound on |quantized raw output - fp64 raw output|. Deliberately loose —
-  /// int8 error is dominated by the u7 activation resolution times the
-  /// output layer's L1 norm, measured at ~0.06 worst-case on the paper's
-  /// default ensemble (k=5, 30 sigmoid hidden); tests verify the measured
-  /// error stays under half this bound so it keeps a 2x margin. The band is
-  /// around the top-M cutoff — deep in the tail of the score distribution —
-  /// so widening it re-ranks few extra rows.
+  ScanInference inference = ScanInference::kBatchedFp32;
+  /// Assumed upper bound on |int8 raw output - fp64 raw output| for
+  /// kQuantInt8, in raw (standardized) output units. Candidates within 2x
+  /// this bound of the int8 selection cutoff are re-ranked in fp64.
+  /// Deliberately loose — int8 error is dominated by the u7 activation
+  /// resolution times the output layer's L1 norm, measured at ~0.06
+  /// worst-case on the paper's default ensemble (k=5, 30 sigmoid hidden);
+  /// tests verify the measured error stays under half this bound so it
+  /// keeps a 2x margin.
   double quant_error_bound = 0.15;
 };
 
@@ -196,23 +178,24 @@ using ScanRowFillerF32 = std::function<void(
 
 /// The reduced-precision engines and their shared fp32 row filler, passed
 /// alongside the fp64 pair when ScanOptions::inference is not kScalarFp64.
-/// kBatchedFp32 uses `engine`; kQuantInt8/kFp16 use `quant` (whose mode must
-/// match the requested inference). The fp64 filler/ensemble are still
-/// required — they are the re-ranking reference.
+/// kBatchedFp32 uses `engine` (certified over the calibration box that
+/// contains every row `fill` produces); kQuantInt8 uses `quant`. The fp64
+/// filler/ensemble are still required — they are the re-ranking reference.
 struct BatchedScan {
   const ml::BatchedEnsemble* engine = nullptr;
   const ml::QuantizedEnsemble* quant = nullptr;
   ScanRowFillerF32 fill;
 };
 
-/// Predicted (transformed) value for every index in [begin, end), in order.
+/// Predicted (transformed) value for every index in [begin, end), in order,
+/// through the fp64 reference.
 [[nodiscard]] std::vector<double> scan_predict_range(
     const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
     std::uint64_t begin, std::uint64_t end, const OutputTransform& transform);
 
 /// As above, honouring options.inference. The non-fp64 paths compute each
 /// prediction at their reduced precision (values may differ from the
-/// reference by up to the transform-scaled per-mode error bound); throws
+/// reference by up to the transform-scaled error bound); throws
 /// std::invalid_argument if a reduced-precision inference is requested
 /// without the matching BatchedScan engine.
 [[nodiscard]] std::vector<double> scan_predict_range(
@@ -221,9 +204,9 @@ struct BatchedScan {
     const ScanOptions& options, const BatchedScan* batched);
 
 /// Best m candidates over [begin, end) by predicted value (ascending),
-/// without materializing the full prediction vector. Requires
-/// transform.scale > 0. `m` may exceed the range size; the result is then
-/// just every (valid) index, ranked.
+/// without materializing the full prediction vector, through the fp64
+/// reference. Requires transform.scale > 0. `m` may exceed the range size;
+/// the result is then just every (valid) index, ranked.
 [[nodiscard]] TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
                                         const ScanRowFiller& fill,
                                         std::uint64_t begin, std::uint64_t end,
@@ -234,7 +217,8 @@ struct BatchedScan {
 /// As above, honouring options.inference. On the reduced-precision paths
 /// the returned selection (indices *and* predicted values) is identical to
 /// the fp64 reference whenever the coarse-pass error stays within the
-/// per-mode bound (fp32_error_bound or quant_error_bound); throws
+/// band's bound — always for fp32, whose bound is certified; for int8
+/// whenever quant_error_bound holds. Throws
 /// std::invalid_argument if a reduced-precision inference is requested
 /// without the matching BatchedScan engine.
 [[nodiscard]] TopMScanResult scan_top_m(

@@ -1,11 +1,14 @@
 // Tests for the batched fp32 inference engine (ml/batched.hpp): parity with
 // the per-row fp64 forward pass across topologies and activations, scaler
-// folding, ensemble averaging, determinism, and cache semantics.
+// folding, ensemble averaging, determinism, cache semantics, and the
+// certified error bound (measured <= certified on random networks,
+// cancellation-heavy scaler folds and degenerate calibration ranges).
 
 #include "ml/batched.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -34,6 +37,13 @@ std::vector<float> random_rows(std::size_t rows, std::size_t cols,
   for (auto& v : x)
     v = static_cast<float>(rng.uniform() * 8.0 - 4.0);
   return x;
+}
+
+ml::QuantCalibration box(std::size_t width, float lo, float hi) {
+  ml::QuantCalibration calib;
+  calib.lo.assign(width, lo);
+  calib.hi.assign(width, hi);
+  return calib;
 }
 
 /// fp64 reference for one row of fp32 features.
@@ -170,7 +180,7 @@ ml::BaggingEnsemble fitted_ensemble(std::uint64_t seed) {
 
 TEST(BatchedEnsemble, MatchesFp64EnsemblePrediction) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(11);
-  const ml::BatchedEnsemble batched(ensemble);
+  const ml::BatchedEnsemble batched(ensemble, box(3, -4.0f, 4.0f));
   EXPECT_EQ(batched.input_width(), 3u);
   EXPECT_EQ(batched.member_count(), ensemble.member_count());
 
@@ -183,13 +193,14 @@ TEST(BatchedEnsemble, MatchesFp64EnsemblePrediction) {
   for (std::size_t r = 0; r < rows; ++r) {
     std::vector<double> row(x.begin() + static_cast<std::ptrdiff_t>(r * 3),
                             x.begin() + static_cast<std::ptrdiff_t>(r * 3 + 3));
-    EXPECT_NEAR(out[r], ensemble.predict(row), 1e-4) << "row = " << r;
+    EXPECT_NEAR(out[r], ensemble.predict(row), batched.error_bound())
+        << "row = " << r;
   }
 }
 
 TEST(BatchedEnsemble, DeterministicAndChunkingIndependent) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(13);
-  const ml::BatchedEnsemble batched(ensemble);
+  const ml::BatchedEnsemble batched(ensemble, box(3, -4.0f, 4.0f));
   const std::size_t rows = 96;
   const auto x = random_rows(rows, 3, 5);
 
@@ -208,29 +219,185 @@ TEST(BatchedEnsemble, DeterministicAndChunkingIndependent) {
 
 TEST(BatchedEnsemble, UnfittedEnsembleThrows) {
   const ml::BaggingEnsemble ensemble;
-  EXPECT_THROW(ml::BatchedEnsemble{ensemble}, std::invalid_argument);
+  EXPECT_THROW(ml::BatchedEnsemble(ensemble, box(3, 0.0f, 1.0f)),
+               std::invalid_argument);
+}
+
+TEST(BatchedEnsemble, BadCalibrationThrows) {
+  const ml::BaggingEnsemble ensemble = fitted_ensemble(23);
+  EXPECT_THROW(ml::BatchedEnsemble(ensemble, box(2, 0.0f, 1.0f)),
+               std::invalid_argument);
+  ml::QuantCalibration inverted = box(3, 0.0f, 1.0f);
+  inverted.lo[1] = 2.0f;
+  EXPECT_THROW(ml::BatchedEnsemble(ensemble, inverted), std::invalid_argument);
 }
 
 TEST(BatchedEnsembleCache, BuildsOnceAndResets) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(17);
+  const ml::QuantCalibration calib = box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
-  const auto a = cache.get(ensemble);
-  const auto b = cache.get(ensemble);
+  const auto a = cache.get(ensemble, calib);
+  const auto b = cache.get(ensemble, calib);
   EXPECT_EQ(a.get(), b.get());  // same packed engine
   cache.reset();
-  const auto c = cache.get(ensemble);
+  const auto c = cache.get(ensemble, calib);
   EXPECT_NE(a.get(), c.get());  // rebuilt
   EXPECT_EQ(a->member_count(), c->member_count());
+  // A different calibration (e.g. a new input-aware instance tail) repacks
+  // and re-certifies.
+  const auto d = cache.get(ensemble, box(3, 0.0f, 5.0f));
+  EXPECT_NE(c.get(), d.get());
+  EXPECT_TRUE(d->calibration() == box(3, 0.0f, 5.0f));
 }
 
 TEST(BatchedEnsembleCache, CopyResetsMoveTransfers) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(19);
+  const ml::QuantCalibration calib = box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
-  const auto original = cache.get(ensemble);
+  const auto original = cache.get(ensemble, calib);
 
   ml::BatchedEnsembleCache copy(cache);
-  EXPECT_NE(copy.get(ensemble).get(), original.get());  // copy re-packs
+  EXPECT_NE(copy.get(ensemble, calib).get(), original.get());  // re-packs
 
   ml::BatchedEnsembleCache moved(std::move(cache));
-  EXPECT_EQ(moved.get(ensemble).get(), original.get());  // move transfers
+  EXPECT_EQ(moved.get(ensemble, calib).get(), original.get());  // transfers
+}
+
+// ---- Certified error bound --------------------------------------------------
+
+namespace {
+
+/// Max |fp32 engine - fp64 ensemble| over rows drawn inside `calib` (every
+/// corner of the box first, then uniform samples), in raw output units.
+double measured_error(const ml::BaggingEnsemble& ensemble,
+                      const ml::BatchedEnsemble& batched,
+                      const ml::QuantCalibration& calib, std::size_t samples,
+                      std::uint64_t seed) {
+  const std::size_t cols = calib.width();
+  const std::size_t corners = cols <= 10 ? std::size_t{1} << cols : 0;
+  const std::size_t rows = corners + samples;
+  pt::common::Rng rng(seed);
+  std::vector<float> x(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      x[r * cols + c] =
+          r < corners
+              ? ((r >> c) & 1U ? calib.hi[c] : calib.lo[c])
+              : static_cast<float>(calib.lo[c] +
+                                   rng.uniform() * (calib.hi[c] - calib.lo[c]));
+  std::vector<float> got;
+  ml::BatchedEnsemble::Scratch scratch;
+  batched.predict_batch_into(x.data(), rows, got, scratch);
+  ml::Matrix m(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) m(r, c) = x[r * cols + c];
+  const std::vector<double> want = ensemble.predict_batch(m);
+  double worst = 0.0;
+  for (std::size_t r = 0; r < rows; ++r)
+    worst = std::max(worst, std::fabs(static_cast<double>(got[r]) - want[r]));
+  return worst;
+}
+
+/// An ensemble of `k` random networks (Xavier init, then weights scaled by
+/// `gain` so hidden units leave the linear region) behind `scaler`.
+ml::BaggingEnsemble random_ensemble(std::size_t inputs,
+                                    const std::vector<ml::LayerSpec>& hidden,
+                                    std::size_t k, double gain,
+                                    ml::StandardScaler scaler,
+                                    std::uint64_t seed) {
+  std::vector<ml::LayerSpec> layers = hidden;
+  layers.push_back({1, ml::Activation::kLinear});
+  std::vector<ml::Mlp> members;
+  for (std::size_t i = 0; i < k; ++i) {
+    ml::Mlp net = make_net(inputs, layers, seed + i);
+    for (std::size_t l = 0; l < net.layer_count(); ++l) {
+      for (auto& w : net.weights(l).flat()) w *= gain;
+      for (auto& b : net.biases(l)) b = gain * (b + 0.1 * (l + 1));
+    }
+    members.push_back(std::move(net));
+  }
+  ml::BaggingEnsemble::Options opts;
+  opts.k = k;
+  opts.hidden_layers = hidden;
+  ml::BaggingEnsemble ensemble(opts);
+  ensemble.restore(opts, std::move(scaler), std::move(members));
+  return ensemble;
+}
+
+ml::StandardScaler scaler_of(std::vector<double> means,
+                             std::vector<double> stddevs) {
+  ml::StandardScaler scaler;
+  scaler.restore(std::move(means), std::move(stddevs));
+  return scaler;
+}
+
+}  // namespace
+
+TEST(BatchedEnsembleBound, MeasuredWithinCertifiedOnRandomNetworks) {
+  // 1- and 2-hidden-layer networks over every activation, with weights
+  // large enough to saturate: the measured fp32-vs-fp64 error may never
+  // exceed the bound certified for the box the rows come from.
+  const ml::Activation acts[] = {ml::Activation::kSigmoid,
+                                 ml::Activation::kTanh, ml::Activation::kRelu};
+  std::uint64_t seed = 100;
+  for (const auto act : acts) {
+    for (const double gain : {1.0, 4.0}) {
+      for (const bool deep : {false, true}) {
+        std::vector<ml::LayerSpec> hidden = {{30, act}};
+        if (deep) hidden.push_back({9, ml::Activation::kSigmoid});
+        const ml::QuantCalibration calib = box(5, -3.0f, 7.0f);
+        const auto ensemble = random_ensemble(
+            5, hidden, 5, gain,
+            scaler_of({2.0, 2.0, 2.0, 2.0, 2.0}, {2.5, 1.0, 3.0, 0.5, 2.0}),
+            seed += 10);
+        const ml::BatchedEnsemble batched(ensemble, calib);
+        const double err = measured_error(ensemble, batched, calib, 2000, seed);
+        EXPECT_LE(err, batched.error_bound())
+            << ml::to_string(act) << " gain " << gain << " deep " << deep;
+        EXPECT_GT(batched.error_bound(), 0.0);
+      }
+    }
+  }
+}
+
+TEST(BatchedEnsembleBound, CoversCancellationHeavyScalerFolds) {
+  // Features far from the origin relative to their spread: the folded bias
+  // b' = b - sum m*W/s nearly cancels the x*W' terms, so fp32 accumulates
+  // large terms into a small result. The bound must price that in (it
+  // grows with the raw magnitudes) and still hold.
+  const ml::QuantCalibration calib = box(4, 990.0f, 1010.0f);
+  const auto ensemble = random_ensemble(
+      4, {{20, ml::Activation::kSigmoid}}, 3, 1.0,
+      scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
+  const ml::BatchedEnsemble batched(ensemble, calib);
+  const double err = measured_error(ensemble, batched, calib, 4000, 9);
+  EXPECT_LE(err, batched.error_bound());
+  // The same network over a box at the origin certifies a far tighter bound.
+  const auto centered = random_ensemble(
+      4, {{20, ml::Activation::kSigmoid}}, 3, 1.0,
+      scaler_of({0.0, 0.0, 0.0, 0.0}, {5.0, 5.0, 5.0, 5.0}), 7);
+  const ml::BatchedEnsemble tight(centered, box(4, -10.0f, 10.0f));
+  EXPECT_LT(10.0 * tight.error_bound(), batched.error_bound());
+}
+
+TEST(BatchedEnsembleBound, DegenerateCalibrationRanges) {
+  // Fixed features (lo == hi, e.g. input-aware instance tails) and a box
+  // that is a single point: still sound, and a point box certifies no more
+  // than the full box it sits in.
+  const auto ensemble = random_ensemble(
+      3, {{12, ml::Activation::kTanh}}, 4, 2.0,
+      scaler_of({1.0, -2.0, 8.0}, {1.5, 0.75, 2.0}), 31);
+  ml::QuantCalibration calib = box(3, -1.0f, 3.0f);
+  calib.lo[2] = calib.hi[2] = 9.5f;
+  const ml::BatchedEnsemble batched(ensemble, calib);
+  EXPECT_LE(measured_error(ensemble, batched, calib, 1000, 3),
+            batched.error_bound());
+
+  ml::QuantCalibration point = calib;
+  point.hi[0] = point.lo[0] = 0.5f;
+  point.hi[1] = point.lo[1] = 2.25f;
+  const ml::BatchedEnsemble at_point(ensemble, point);
+  EXPECT_LE(measured_error(ensemble, at_point, point, 1, 4),
+            at_point.error_bound());
+  EXPECT_LE(at_point.error_bound(), batched.error_bound());
 }

@@ -173,9 +173,11 @@ TEST(TuneService, RepeatRequestServedFromStoreAndIdentical) {
 }
 
 TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
-  // The store's model version carries the scan inference mode
-  // ("+scan-<mode>"), so a tune cached under fp64 must not answer a
-  // service running quantized inference — and vice versa.
+  // The store's model version carries the scan's exactness class: fp64 and
+  // fp32 select identical top-M candidates by certification and share
+  // "+scan-exact", so flipping between them keeps cache hits; int8 rests on
+  // a declared bound ("+scan-int8"), so a tune cached under an exact mode
+  // must not answer an int8 service — and vice versa.
   const auto dir = std::filesystem::temp_directory_path() /
                    "pt_serve_test_scan_mode_flip";
   std::filesystem::remove_all(dir);
@@ -183,17 +185,29 @@ TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
   RecordingFactory recorder;
   TuneServiceOptions fp64_opts = fast_service_options(1);
   fp64_opts.store.directory = dir.string();
+  fp64_opts.tuner.model.scan.inference = tuner::ScanInference::kScalarFp64;
   {
     TuneService service(fp64_opts, recorder.factory());
-    EXPECT_EQ(service.store().options().model_version, "v1+scan-fp64");
+    EXPECT_EQ(service.store().options().model_version, "v1+scan-exact");
     const TuneResponse first = Session(service, "t").tune(bowl_key(), 7);
     ASSERT_EQ(first.status, ResponseStatus::kOk);
     EXPECT_FALSE(first.from_cache);
     EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
   }
 
-  // Same store directory, scan inference flipped to int8: the fp64 entry
-  // is stale, the tune re-executes and caches under the new version.
+  // Same store directory, scan flipped to fp32: same exactness class, so
+  // the fp64 entry still answers.
+  TuneServiceOptions fp32_opts = fp64_opts;
+  fp32_opts.tuner.model.scan.inference = tuner::ScanInference::kBatchedFp32;
+  {
+    TuneService service(fp32_opts, recorder.factory());
+    EXPECT_EQ(service.store().options().model_version, "v1+scan-exact");
+    EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
+  }
+  EXPECT_EQ(recorder.calls().size(), 1u);
+
+  // Scan flipped to int8: the exact entry is stale, the tune re-executes
+  // and caches under the new version.
   TuneServiceOptions int8_opts = fp64_opts;
   int8_opts.tuner.model.scan.inference = tuner::ScanInference::kQuantInt8;
   {
@@ -203,7 +217,7 @@ TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
     ASSERT_EQ(flipped.status, ResponseStatus::kOk);
     EXPECT_FALSE(flipped.from_cache);
   }
-  EXPECT_EQ(recorder.calls().size(), 2u);  // one executed tune per mode
+  EXPECT_EQ(recorder.calls().size(), 2u);  // one executed tune per class
 
   // A fresh int8 service over the same directory starts warm again.
   {

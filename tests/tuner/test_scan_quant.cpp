@@ -1,8 +1,8 @@
-// Tests for the quantized scan paths (tuner/scan.hpp kQuantInt8/kFp16): the
-// top-M selection must be exactly the fp64 reference — indices and predicted
+// Tests for the quantized scan path (tuner/scan.hpp kQuantInt8): the top-M
+// selection must be exactly the fp64 reference — indices and predicted
 // values — at 1 and 4 threads, with validity filters, under adversarially
 // widened near-tie bands, and through the input-aware model (whose instance
-// features become degenerate calibration ranges). Also the quant_reranked
+// features become degenerate calibration ranges). Also the re-rank
 // accounting and the engine-missing error paths.
 
 #include <gtest/gtest.h>
@@ -63,11 +63,14 @@ AnnPerformanceModel trained_model(const ParamSpace& space) {
   return model;
 }
 
-ScanOptions quant_options(ScanInference inference) {
+ScanOptions options_for(ScanInference inference) {
   ScanOptions scan;
   scan.inference = inference;
   return scan;
 }
+
+ScanOptions int8_options() { return options_for(ScanInference::kQuantInt8); }
+ScanOptions fp64_options() { return options_for(ScanInference::kScalarFp64); }
 
 void expect_same_selection(const TopMScanResult& fp64,
                            const TopMScanResult& quant) {
@@ -96,19 +99,16 @@ TEST_F(ScanQuantTest, TopMMatchesFp64AtOneAndFourThreads) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  for (const auto inference :
-       {ScanInference::kQuantInt8, ScanInference::kFp16}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      common::set_global_pool_threads(threads);
-      model.set_scan_options(ScanOptions{});  // fp64 reference
-      const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
-      model.set_scan_options(quant_options(inference));
-      const auto quant = model.predict_scan_top_m(0, space.size(), 25);
-      EXPECT_EQ(quant.scanned, space.size());
-      EXPECT_GE(quant.quant_reranked, 25u);
-      EXPECT_EQ(quant.quant_reranked, quant.fp64_reranked);
-      expect_same_selection(fp64, quant);
-    }
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_global_pool_threads(threads);
+    model.set_scan_options(fp64_options());
+    const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
+    model.set_scan_options(int8_options());
+    const auto quant = model.predict_scan_top_m(0, space.size(), 25);
+    EXPECT_EQ(quant.scanned, space.size());
+    EXPECT_GE(quant.fp64_reranked, 25u);
+    EXPECT_EQ(quant.error_bound, ScanOptions{}.quant_error_bound);
+    expect_same_selection(fp64, quant);
   }
 }
 
@@ -118,9 +118,9 @@ TEST_F(ScanQuantTest, TopMMatchesFp64WithValidityFilter) {
   // Reject every third index: exercises the filtered heap + re-rank path.
   const ScanFilter filter = [](std::uint64_t idx) { return idx % 3 != 0; };
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 20, filter);
-  model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+  model.set_scan_options(int8_options());
   const auto quant = model.predict_scan_top_m(0, space.size(), 20, filter);
   expect_same_selection(fp64, quant);
   for (const auto& c : quant.top) EXPECT_NE(c.index % 3, 0u);
@@ -129,7 +129,7 @@ TEST_F(ScanQuantTest, TopMMatchesFp64WithValidityFilter) {
 TEST_F(ScanQuantTest, QuantPathIsDeterministicAcrossThreadCounts) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+  model.set_scan_options(int8_options());
 
   common::set_global_pool_threads(1);
   const auto one = model.predict_scan_top_m(0, space.size(), 30);
@@ -140,7 +140,7 @@ TEST_F(ScanQuantTest, QuantPathIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(one.top[i].index, four.top[i].index);
     EXPECT_EQ(one.top[i].predicted_ms, four.top[i].predicted_ms);
   }
-  EXPECT_EQ(one.quant_reranked, four.quant_reranked);
+  EXPECT_EQ(one.fp64_reranked, four.fp64_reranked);
   EXPECT_EQ(one.near_ties, four.near_ties);
 }
 
@@ -152,40 +152,35 @@ TEST_F(ScanQuantTest, AdversarialNearTieBandStillMatchesFp64Exactly) {
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
 
-  model.set_scan_options(ScanOptions{});
+  model.set_scan_options(fp64_options());
   const auto fp64 = model.predict_scan_top_m(0, space.size(), 15);
-  ScanOptions wide = quant_options(ScanInference::kQuantInt8);
+  ScanOptions wide = int8_options();
   wide.quant_error_bound = 0.5;
   model.set_scan_options(wide);
   const auto quant = model.predict_scan_top_m(0, space.size(), 15);
   expect_same_selection(fp64, quant);
   EXPECT_GT(quant.near_ties, 0u);
-  EXPECT_GE(quant.quant_reranked, 15u + quant.near_ties);
+  EXPECT_GE(quant.fp64_reranked, 15u + quant.near_ties);
 }
 
 TEST_F(ScanQuantTest, MeasuredQuantErrorHasTwoTimesMarginOnDeclaredBound) {
   // The exactness argument rests on |quant raw - fp64 raw| staying within
   // quant_error_bound; verify the measured error keeps a 2x margin on a
-  // trained model, for both quantized modes, via logs of predicted times.
+  // trained model, via logs of predicted times.
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
   const double scale = model.target_scale();
 
-  model.set_scan_options(ScanOptions{});
   const auto fp64 = model.predict_range_ms(0, 4096);
-  for (const auto inference :
-       {ScanInference::kQuantInt8, ScanInference::kFp16}) {
-    model.set_scan_options(quant_options(inference));
-    const auto quant = model.predict_range_ms(0, 4096);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < fp64.size(); ++i) {
-      const double raw_err =
-          std::fabs(std::log(quant[i]) - std::log(fp64[i])) / scale;
-      worst = std::max(worst, raw_err);
-    }
-    EXPECT_LT(worst, 0.5 * ScanOptions{}.quant_error_bound)
-        << scan_inference_name(inference);
+  const auto quant =
+      model.predict_range_ms(0, 4096, ScanInference::kQuantInt8);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < fp64.size(); ++i) {
+    const double raw_err =
+        std::fabs(std::log(quant[i]) - std::log(fp64[i])) / scale;
+    worst = std::max(worst, raw_err);
   }
+  EXPECT_LT(worst, 0.5 * ScanOptions{}.quant_error_bound);
 }
 
 TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
@@ -216,21 +211,21 @@ TEST_F(ScanQuantTest, InputAwareQuantScanMatchesFp64) {
 
   for (const double size : {64.0, 1024.0}) {
     const ProblemInstance instance{{size}};
-    model.set_scan_options(ScanOptions{});
+    model.set_scan_options(fp64_options());
     const auto fp64 =
         model.predict_scan_top_m(0, space.size(), 10, instance);
-    model.set_scan_options(quant_options(ScanInference::kQuantInt8));
+    model.set_scan_options(int8_options());
     const auto quant =
         model.predict_scan_top_m(0, space.size(), 10, instance);
     expect_same_selection(fp64, quant);
-    EXPECT_GT(quant.quant_reranked, 0u);
+    EXPECT_GT(quant.fp64_reranked, 0u);
   }
 }
 
 TEST_F(ScanQuantTest, QuantWithoutMatchingEngineThrows) {
   const ml::BaggingEnsemble unused;
   const ScanRowFiller fill = [](std::uint64_t, std::uint64_t, ml::Matrix&) {};
-  const ScanOptions opts = quant_options(ScanInference::kQuantInt8);
+  const ScanOptions opts = int8_options();
   EXPECT_THROW((void)scan_top_m(unused, fill, 0, 10, 3, OutputTransform{}, {},
                                 opts, nullptr),
                std::invalid_argument);
@@ -241,17 +236,6 @@ TEST_F(ScanQuantTest, QuantWithoutMatchingEngineThrows) {
   EXPECT_THROW((void)scan_predict_range(unused, fill, 0, 10, OutputTransform{},
                                         opts, nullptr),
                std::invalid_argument);
-}
-
-TEST_F(ScanQuantTest, Fp64PathReportsNoQuantRerank) {
-  const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(ScanOptions{});
-  const auto fp64 = model.predict_scan_top_m(0, space.size(), 5);
-  EXPECT_EQ(fp64.quant_reranked, 0u);
-  model.set_scan_options(quant_options(ScanInference::kBatchedFp32));
-  const auto fp32 = model.predict_scan_top_m(0, space.size(), 5);
-  EXPECT_EQ(fp32.quant_reranked, 0u);
 }
 
 }  // namespace
