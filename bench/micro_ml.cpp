@@ -69,8 +69,9 @@ void BM_MlpBackwardBatch(benchmark::State& state) {
   const ml::Matrix x = random_matrix(batch, 9, rng);
   const ml::Matrix t = random_matrix(batch, 1, rng);
   ml::Gradients grads = net.make_gradients();
+  ml::BatchScratch scratch;  // reused across iterations, as the trainers do
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.backward_batch(x, t, grads));
+    benchmark::DoNotOptimize(net.backward_batch(x, t, grads, scratch));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);

@@ -445,12 +445,23 @@ bool self_test(std::string* error) {
       return fail(error, "hsum", in[0], got, static_cast<float>(want_d));
   }
 
-  // VecD: element-wise add/mul must round exactly like the scalar operators
-  // and hsum_pairwise must reproduce the (l0+l1)+(l2+l3) combine.
+  // VecD: element-wise add/sub/mul/div must round exactly like the scalar
+  // operators, fmadd exactly like std::fma, and hsum_pairwise must
+  // reproduce the (l0+l1)+(l2+l3) combine.
   {
     double da[kWidthD];
     double db[kWidthD];
     double lanes_d[kWidthD];
+    const auto check_d = [&](const char* what, auto&& want_of) {
+      for (std::size_t l = 0; l < kWidthD; ++l) {
+        const double want = want_of(l);
+        if (std::bit_cast<std::uint64_t>(lanes_d[l]) !=
+            std::bit_cast<std::uint64_t>(want))
+          return fail(error, what, static_cast<float>(da[l]),
+                      static_cast<float>(lanes_d[l]), static_cast<float>(want));
+      }
+      return true;
+    };
     std::uint64_t state = 0x9e3779b97f4a7c15ULL;
     const auto next = [&state] {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -465,23 +476,23 @@ bool self_test(std::string* error) {
       const VecD xa = VecD::load(da);
       const VecD xb = VecD::load(db);
       add(xa, xb).store(lanes_d);
-      for (std::size_t l = 0; l < kWidthD; ++l) {
-        const double want = da[l] + db[l];
-        if (std::bit_cast<std::uint64_t>(lanes_d[l]) !=
-            std::bit_cast<std::uint64_t>(want))
-          return fail(error, "vecd_add", static_cast<float>(da[l]),
-                      static_cast<float>(lanes_d[l]),
-                      static_cast<float>(want));
-      }
+      if (!check_d("vecd_add", [&](std::size_t l) { return da[l] + db[l]; }))
+        return false;
+      sub(xa, xb).store(lanes_d);
+      if (!check_d("vecd_sub", [&](std::size_t l) { return da[l] - db[l]; }))
+        return false;
       mul(xa, xb).store(lanes_d);
-      for (std::size_t l = 0; l < kWidthD; ++l) {
-        const double want = da[l] * db[l];
-        if (std::bit_cast<std::uint64_t>(lanes_d[l]) !=
-            std::bit_cast<std::uint64_t>(want))
-          return fail(error, "vecd_mul", static_cast<float>(da[l]),
-                      static_cast<float>(lanes_d[l]),
-                      static_cast<float>(want));
-      }
+      if (!check_d("vecd_mul", [&](std::size_t l) { return da[l] * db[l]; }))
+        return false;
+      div(xa, xb).store(lanes_d);
+      if (!check_d("vecd_div", [&](std::size_t l) { return da[l] / db[l]; }))
+        return false;
+      // Operands whose product is inexact, so an unfused mul+add differs.
+      fmadd(xa, xb, xa).store(lanes_d);
+      if (!check_d("vecd_fmadd", [&](std::size_t l) {
+            return std::fma(da[l], db[l], da[l]);
+          }))
+        return false;
       const double got_h = hsum_pairwise(xa);
       const double want_h = (da[0] + da[1]) + (da[2] + da[3]);
       if (std::bit_cast<std::uint64_t>(got_h) !=

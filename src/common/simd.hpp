@@ -256,11 +256,12 @@ struct VecF {
 // VecD: 4 packed doubles. The logical width is fixed at 4 on *every*
 // backend (AVX2 uses one 256-bit register, NEON a pair of 128-bit ones, the
 // scalar fallback an array), so kernels written against VecD have identical
-// semantics everywhere — which is what lets the fp64 training matmuls
-// (ml/matrix.cpp) stay bit-identical to their blocked scalar forms.
-// Deliberately minimal: load/store/broadcast, add, mul (two-rounding, like
-// the scalar `+`/`*` they replace — no FMA), and the pairwise horizontal
-// sum (l0 + l1) + (l2 + l3) that matches the matmul_bt accumulator combine.
+// semantics everywhere — which is what keeps the fp64 training kernels
+// (ml/matrix.cpp, ml/activation.cpp) bit-identical across backends.
+// Deliberately minimal: load/store/broadcast, add/sub/mul/div (each one
+// IEEE rounding, like the scalar operators), fmadd (one rounding, like
+// std::fma), and the pairwise horizontal sum (l0 + l1) + (l2 + l3) that
+// matches the matmul_bt accumulator combine.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::size_t kWidthD = 4;
@@ -283,8 +284,18 @@ struct VecD {
 [[nodiscard]] inline VecD add(VecD a, VecD b) noexcept {
   return {_mm256_add_pd(a.v, b.v)};
 }
+[[nodiscard]] inline VecD sub(VecD a, VecD b) noexcept {
+  return {_mm256_sub_pd(a.v, b.v)};
+}
 [[nodiscard]] inline VecD mul(VecD a, VecD b) noexcept {
   return {_mm256_mul_pd(a.v, b.v)};
+}
+[[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
+  return {_mm256_div_pd(a.v, b.v)};
+}
+/// a*b + c, single rounding.
+[[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
+  return {_mm256_fmadd_pd(a.v, b.v, c.v)};
 }
 /// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
 /// scalar accumulators.
@@ -320,8 +331,18 @@ struct VecD {
 [[nodiscard]] inline VecD add(VecD a, VecD b) noexcept {
   return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
 }
+[[nodiscard]] inline VecD sub(VecD a, VecD b) noexcept {
+  return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
+}
 [[nodiscard]] inline VecD mul(VecD a, VecD b) noexcept {
   return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
+}
+[[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
+  return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+}
+/// a*b + c, single rounding.
+[[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
+  return {vfmaq_f64(c.lo, a.lo, b.lo), vfmaq_f64(c.hi, a.hi, b.hi)};
 }
 /// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
 /// scalar accumulators.
@@ -356,9 +377,24 @@ struct VecD {
   for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] += b.v[i];
   return a;
 }
+[[nodiscard]] inline VecD sub(VecD a, VecD b) noexcept {
+  for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] -= b.v[i];
+  return a;
+}
 [[nodiscard]] inline VecD mul(VecD a, VecD b) noexcept {
   for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] *= b.v[i];
   return a;
+}
+[[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
+  for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] /= b.v[i];
+  return a;
+}
+/// a*b + c, single rounding (std::fma, whatever the compiler's
+/// -ffp-contract setting).
+[[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
+  for (std::size_t i = 0; i < kWidthD; ++i)
+    c.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
+  return c;
 }
 /// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
 /// scalar accumulators.

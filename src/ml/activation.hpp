@@ -4,6 +4,7 @@
 // units and a linear output; the others are provided for the ablation study
 // and for general use of the library.
 
+#include <span>
 #include <string>
 
 #include "ml/matrix.hpp"
@@ -21,10 +22,14 @@ enum class Activation { kLinear, kSigmoid, kTanh, kRelu };
 [[nodiscard]] double activate_grad_from_output(Activation act,
                                                double y) noexcept;
 
-/// Apply the activation elementwise in place.
-void activate_inplace(Activation act, Matrix& m) noexcept;
+/// m(r, c) = activate(act, m(r, c) + bias[c]) for every element: the bias
+/// add rounds, then the activation (sigmoid as 1 / (1 + exp(-x)) with libm
+/// exp), so the result equals the scalar activate() bit for bit.
+void add_bias_activate(Activation act, std::span<const double> bias,
+                       Matrix& m);
 
-/// delta *= f'(y) elementwise, with y the activated forward output.
+/// delta *= f'(y) elementwise, with y the activated forward output and f'
+/// exactly activate_grad_from_output.
 void scale_by_activation_grad(Activation act, const Matrix& y,
                               Matrix& delta) noexcept;
 

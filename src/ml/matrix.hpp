@@ -55,6 +55,15 @@ class Matrix {
     data_.assign(rows * cols, value);
   }
 
+  /// Change shape to (rows, cols), reusing the allocation whenever it is
+  /// large enough, without setting the elements: for outputs the caller
+  /// overwrites in full.
+  void resize(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   void fill(double value) noexcept;
 
   Matrix& operator+=(const Matrix& other);
@@ -71,24 +80,33 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// out = a * b. Shapes must agree; out is reshaped in place (its allocation
-/// is reused when possible). out must not alias a or b.
+// The fp64 kernels below fix the floating-point operations every output
+// element sees, so training is bit-identical on every SIMD backend and
+// thread count (DESIGN.md "Training path"). fma(x, y, s) is one rounding of
+// x*y + s; every other operation rounds on its own.
+
+/// out = a * b: out(i, j) = fma(a(i, k), b(k, j), acc) for k ascending,
+/// from acc = +0.0. Shapes must agree; out is reshaped in place (its
+/// allocation is reused when possible). out must not alias a or b.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out = a * b^T (avoids materializing the transpose; the backward pass hot
-/// path). out must not alias a or b.
+/// path). With K = a.cols() and K4 = K - K % 4, four fma chains from +0.0
+/// take k < K4 with k % 4 == l, combine as (l0 + l1) + (l2 + l3), then the
+/// last K % 4 products are added in order: each rounded before its add,
+/// except that an odd remainder ends with one fma. out must not alias a or b.
 void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = a^T * b. out must not alias a or b.
+/// out = a^T * b: out(i, j) = fma(a(k, i), b(k, j), acc) for k ascending,
+/// from acc = +0.0. out must not alias a or b.
 void matmul_at(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out(r, :) += bias for every row r.
-void add_row_vector(Matrix& out, std::span<const double> bias);
-
-/// Column-wise sums of a (length a.cols()).
+/// Column-wise sums of a (length a.cols()), rows added in order from +0.0.
 void column_sums(const Matrix& a, std::span<double> out);
 
-/// Frobenius-style dot product of two same-shaped matrices.
-[[nodiscard]] double dot(const Matrix& a, const Matrix& b);
+/// Sum over all elements of (y - target)^2 in flat order from +0.0: each
+/// square rounded before its add, except that an odd element count ends
+/// with one fma (the same rule as matmul_bt's remainder).
+[[nodiscard]] double squared_error_sum(const Matrix& y, const Matrix& target);
 
 }  // namespace pt::ml

@@ -1,5 +1,6 @@
 #include "ml/mlp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -54,22 +55,12 @@ std::size_t Mlp::parameter_count() const noexcept {
 
 std::vector<double> Mlp::forward(std::span<const double> x) const {
   if (x.size() != inputs_) throw std::invalid_argument("Mlp::forward: width");
-  std::vector<double> cur(x.begin(), x.end());
-  std::vector<double> next;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const auto& w = weights_[l];
-    next.assign(w.cols(), 0.0);
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      const double xi = cur[i];
-      const auto wrow = w.row(i);
-      for (std::size_t j = 0; j < w.cols(); ++j) next[j] += xi * wrow[j];
-    }
-    for (std::size_t j = 0; j < next.size(); ++j) {
-      next[j] = activate(layers_[l].activation, next[j] + biases_[l][j]);
-    }
-    cur.swap(next);
-  }
-  return cur;
+  Matrix row(1, inputs_);
+  std::copy(x.begin(), x.end(), row.flat().begin());
+  Matrix scratch_a;
+  Matrix scratch_b;
+  const auto y = forward_batch_into(row, scratch_a, scratch_b).flat();
+  return {y.begin(), y.end()};
 }
 
 Matrix Mlp::forward_batch(const Matrix& x) const {
@@ -91,8 +82,7 @@ Matrix& Mlp::forward_batch_into(const Matrix& x, Matrix& scratch_a,
     Matrix* next = bufs[which];
     which ^= 1;
     matmul(*cur, weights_[l], *next);
-    add_row_vector(*next, biases_[l]);
-    activate_inplace(layers_[l].activation, *next);
+    add_bias_activate(layers_[l].activation, biases_[l], *next);
     cur = next;
     last = next;
   }
@@ -101,6 +91,12 @@ Matrix& Mlp::forward_batch_into(const Matrix& x, Matrix& scratch_a,
 
 double Mlp::backward_batch(const Matrix& x, const Matrix& target,
                            Gradients& grads) const {
+  BatchScratch scratch;
+  return backward_batch(x, target, grads, scratch);
+}
+
+double Mlp::backward_batch(const Matrix& x, const Matrix& target,
+                           Gradients& grads, BatchScratch& scratch) const {
   if (x.cols() != inputs_)
     throw std::invalid_argument("Mlp::backward_batch: input width");
   if (target.rows() != x.rows() || target.cols() != output_size())
@@ -109,29 +105,28 @@ double Mlp::backward_batch(const Matrix& x, const Matrix& target,
   const double n = static_cast<double>(x.rows());
 
   // Forward pass, caching every layer's activated output.
-  std::vector<Matrix> outputs(depth);
+  auto& outputs = scratch.outputs;
+  outputs.resize(depth);
   {
     const Matrix* cur = &x;
     for (std::size_t l = 0; l < depth; ++l) {
       matmul(*cur, weights_[l], outputs[l]);
-      add_row_vector(outputs[l], biases_[l]);
-      activate_inplace(layers_[l].activation, outputs[l]);
+      add_bias_activate(layers_[l].activation, biases_[l], outputs[l]);
       cur = &outputs[l];
     }
   }
 
   // Loss and output delta: dL/dy = 2 (y - t) / N.
-  double loss_acc = 0.0;
-  Matrix delta = outputs[depth - 1];
+  const Matrix& y = outputs[depth - 1];
+  const double loss = squared_error_sum(y, target) / n;
+  Matrix& delta = scratch.delta;
+  delta.resize(y.rows(), y.cols());
   {
+    const auto fy = y.flat();
     const auto ft = target.flat();
     auto fd = delta.flat();
-    for (std::size_t i = 0; i < fd.size(); ++i) {
-      const double diff = fd[i] - ft[i];
-      loss_acc += diff * diff;
-      fd[i] = 2.0 * diff / n;
-    }
-    loss_acc /= n;
+    for (std::size_t i = 0; i < fd.size(); ++i)
+      fd[i] = 2.0 * (fy[i] - ft[i]) / n;
   }
 
   // Backward pass.
@@ -142,26 +137,25 @@ double Mlp::backward_batch(const Matrix& x, const Matrix& target,
     matmul_at(below, delta, grads.weights[li]);
     column_sums(delta, grads.biases[li]);
     if (li > 0) {
-      Matrix next_delta;
-      matmul_bt(delta, weights_[li], next_delta);
-      delta = std::move(next_delta);
+      matmul_bt(delta, weights_[li], scratch.delta_next);
+      std::swap(delta, scratch.delta_next);
     }
   }
-  return loss_acc;
+  return loss;
 }
 
 double Mlp::loss(const Matrix& x, const Matrix& target) const {
-  const Matrix y = forward_batch(x);
+  BatchScratch scratch;
+  return loss(x, target, scratch);
+}
+
+double Mlp::loss(const Matrix& x, const Matrix& target,
+                 BatchScratch& scratch) const {
+  const Matrix& y =
+      forward_batch_into(x, scratch.delta, scratch.delta_next);
   if (!y.same_shape(target))
     throw std::invalid_argument("Mlp::loss: target shape");
-  const auto fy = y.flat();
-  const auto ft = target.flat();
-  double acc = 0.0;
-  for (std::size_t i = 0; i < fy.size(); ++i) {
-    const double d = fy[i] - ft[i];
-    acc += d * d;
-  }
-  return acc / static_cast<double>(x.rows());
+  return squared_error_sum(y, target) / static_cast<double>(x.rows());
 }
 
 Gradients Mlp::make_gradients() const {

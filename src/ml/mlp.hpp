@@ -31,6 +31,14 @@ struct Gradients {
   void accumulate(const Gradients& other);
 };
 
+/// Buffers that backward_batch and loss reuse across calls, so a training
+/// epoch allocates nothing once they have grown to the batch size.
+struct BatchScratch {
+  std::vector<Matrix> outputs;  // activated output of every layer
+  Matrix delta;                 // back-propagated error; loss() ping-pongs
+  Matrix delta_next;            // its forward pass through these two
+};
+
 class Mlp {
  public:
   /// Construct with the given input width and layer stack (last layer is the
@@ -64,7 +72,8 @@ class Mlp {
     return biases_[l];
   }
 
-  /// Predict a single sample.
+  /// Predict a single sample: forward_batch on a one-row batch, so the
+  /// result equals that row of any batch prediction bit for bit.
   [[nodiscard]] std::vector<double> forward(std::span<const double> x) const;
 
   /// Predict a batch; rows of X are samples. Returns (X.rows, output_size).
@@ -82,9 +91,13 @@ class Mlp {
   /// L = (1/N) * sum_i sum_k (y_ik - t_ik)^2.
   /// Fills `grads` (resized as needed) and returns the loss.
   double backward_batch(const Matrix& x, const Matrix& target,
+                        Gradients& grads, BatchScratch& scratch) const;
+  double backward_batch(const Matrix& x, const Matrix& target,
                         Gradients& grads) const;
 
   /// Mean squared-error loss of the network on (x, target), no gradients.
+  [[nodiscard]] double loss(const Matrix& x, const Matrix& target,
+                            BatchScratch& scratch) const;
   [[nodiscard]] double loss(const Matrix& x, const Matrix& target) const;
 
   /// Allocate a gradient structure with this network's shapes.

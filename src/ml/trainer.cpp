@@ -13,8 +13,9 @@ namespace pt::ml {
 namespace {
 
 /// Shared epoch-loop scaffolding: validation split, early stopping, best-
-/// weight snapshot/restore. `epoch_fn` performs one training epoch and
-/// returns the epoch's training loss.
+/// weight snapshot/restore. `epoch_fn(train_set, scratch)` performs one
+/// training epoch and returns the epoch's training loss; the scratch
+/// buffers (shared with the validation loss) live across epochs.
 template <typename EpochFn>
 TrainResult run_epochs(Mlp& net, const Dataset& data,
                        const TrainOptions& options, common::Rng& rng,
@@ -43,18 +44,20 @@ TrainResult run_epochs(Mlp& net, const Dataset& data,
   const bool monitor_validation = val_set.size() > 0;
 
   TrainResult result;
+  BatchScratch scratch;
   double best = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
 
-  // Snapshot of the best weights seen (restored before returning).
+  // Snapshot of the best weights seen (restored before returning). Copy
+  // assignment reuses the snapshot's storage after the first one.
   std::vector<Matrix> best_weights;
   std::vector<std::vector<double>> best_biases;
   auto snapshot = [&] {
-    best_weights.clear();
-    best_biases.clear();
+    best_weights.resize(net.layer_count());
+    best_biases.resize(net.layer_count());
     for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      best_weights.push_back(net.weights(l));
-      best_biases.push_back(net.biases(l));
+      best_weights[l] = net.weights(l);
+      best_biases[l] = net.biases(l);
     }
   };
   auto restore = [&] {
@@ -66,9 +69,10 @@ TrainResult run_epochs(Mlp& net, const Dataset& data,
   };
 
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
-    const double train_loss = epoch_fn(train_set);
-    const double monitored =
-        monitor_validation ? net.loss(val_set.x, val_set.y) : train_loss;
+    const double train_loss = epoch_fn(train_set, scratch);
+    const double monitored = monitor_validation
+                                 ? net.loss(val_set.x, val_set.y, scratch)
+                                 : train_loss;
     result.train_loss.push_back(train_loss);
     result.monitored_loss.push_back(monitored);
     ++result.epochs;
@@ -145,8 +149,9 @@ TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
     prev = grad;
   };
 
-  auto epoch_fn = [&](const Dataset& train_set) {
-    const double loss = net.backward_batch(train_set.x, train_set.y, grads);
+  auto epoch_fn = [&](const Dataset& train_set, BatchScratch& scratch) {
+    const double loss =
+        net.backward_batch(train_set.x, train_set.y, grads, scratch);
     for (std::size_t l = 0; l < net.layer_count(); ++l) {
       auto wf = net.weights(l).flat();
       auto gf = grads.weights[l].flat();
@@ -173,11 +178,11 @@ TrainResult SgdTrainer::train(Mlp& net, const Dataset& data,
   Gradients grads = net.make_gradients();
   Gradients velocity = net.make_gradients();
 
-  auto epoch_fn = [&](const Dataset& train_set) {
+  auto epoch_fn = [&](const Dataset& train_set, BatchScratch& scratch) {
     return minibatch_epoch(
         train_set, options_.batch_size, rng,
         [&](const Matrix& bx, const Matrix& by) {
-          const double loss = net.backward_batch(bx, by, grads);
+          const double loss = net.backward_batch(bx, by, grads, scratch);
           for (std::size_t l = 0; l < net.layer_count(); ++l) {
             auto wf = net.weights(l).flat();
             auto gf = grads.weights[l].flat();
@@ -211,11 +216,11 @@ TrainResult AdamTrainer::train(Mlp& net, const Dataset& data,
   Gradients v = net.make_gradients();
   std::size_t t = 0;
 
-  auto epoch_fn = [&](const Dataset& train_set) {
+  auto epoch_fn = [&](const Dataset& train_set, BatchScratch& scratch) {
     return minibatch_epoch(
         train_set, options_.batch_size, rng,
         [&](const Matrix& bx, const Matrix& by) {
-          const double loss = net.backward_batch(bx, by, grads);
+          const double loss = net.backward_batch(bx, by, grads, scratch);
           ++t;
           const double bc1 =
               1.0 - std::pow(options_.beta1, static_cast<double>(t));

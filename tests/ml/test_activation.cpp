@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace pt::ml {
 namespace {
@@ -60,12 +65,51 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationGradTest,
                                            Activation::kRelu),
                          [](const auto& param_info) { return to_string(param_info.param); });
 
-TEST(Activation, InplaceAppliesElementwise) {
+TEST(Activation, AddBiasActivateAppliesElementwise) {
   Matrix m = {{-1.0, 0.0, 2.0}};
-  activate_inplace(Activation::kRelu, m);
+  const std::vector<double> bias = {0.5, -0.5, 1.0};
+  add_bias_activate(Activation::kRelu, bias, m);
   EXPECT_DOUBLE_EQ(m(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(m(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m(0, 2), 2.0);
+  EXPECT_DOUBLE_EQ(m(0, 2), 3.0);
+  EXPECT_THROW(add_bias_activate(Activation::kRelu, std::vector<double>(2), m),
+               std::invalid_argument);
+}
+
+// The matrix forms (vectorised sigmoid and its gradient) equal the scalar
+// functions bit for bit, in full vectors and in row remainders.
+TEST_P(ActivationGradTest, MatrixFormsEqualScalarFunctionsExactly) {
+  const Activation act = GetParam();
+  common::Rng rng(3);
+  for (std::size_t cols : {1u, 3u, 4u, 5u, 30u, 33u}) {
+    Matrix z(7, cols);
+    Matrix delta(7, cols);
+    std::vector<double> bias(cols);
+    for (auto& v : z.flat()) v = rng.uniform(-40.0, 40.0);
+    for (auto& v : delta.flat()) v = rng.uniform(-2.0, 2.0);
+    for (auto& v : bias) v = rng.uniform(-1.0, 1.0);
+    z(0, 0) = -0.0;
+    Matrix y = z;
+    add_bias_activate(act, bias, y);
+    Matrix scaled = delta;
+    scale_by_activation_grad(act, y, scaled);
+    for (std::size_t r = 0; r < z.rows(); ++r)
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double want = activate(act, z(r, c) + bias[c]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(y(r, c)),
+                  std::bit_cast<std::uint64_t>(want));
+        const double want_d =
+            delta(r, c) * activate_grad_from_output(act, y(r, c));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scaled(r, c)),
+                  std::bit_cast<std::uint64_t>(want_d));
+      }
+  }
+}
+
+TEST(Activation, TanhGradientIsOneFusedStep) {
+  const double y = 1.0 / 3.0;  // y*y is inexact
+  EXPECT_EQ(activate_grad_from_output(Activation::kTanh, y),
+            std::fma(-y, y, 1.0));
 }
 
 TEST(Activation, ScaleByGradLinearIsNoop) {

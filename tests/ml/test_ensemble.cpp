@@ -81,7 +81,7 @@ TEST(Ensemble, SinglePredictionMatchesBatch) {
   e.fit(train, rng);
   const auto batch = e.predict_batch(train.x);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_NEAR(e.predict(train.x.row(i)), batch[i], 1e-10);
+    EXPECT_EQ(e.predict(train.x.row(i)), batch[i]);  // exact
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hpp"
+#include "training_reference.hpp"
 
 namespace pt::ml {
 namespace {
@@ -124,50 +128,111 @@ TEST(Matmul, TransposedVariantsAgree) {
   EXPECT_DOUBLE_EQ(a_bt(2, 1), 5.0 * 2.0 + 6.0 * 0.5);
 }
 
-// The kernels are cache-blocked/unrolled; check them against a plain
-// triple loop on sizes that straddle the 128-wide block boundary.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Number of elements whose bit patterns differ (shapes must match).
+std::size_t bit_mismatches(const Matrix& got, const Matrix& want) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  if (!got.same_shape(want)) return got.size() + want.size();
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    bad += bits(got.flat()[i]) != bits(want.flat()[i]);
+  return bad;
+}
+
+/// Uniform values in [-2, 2] with about one element in ten a signed zero.
+void fill_with_zeros(Matrix& m, common::Rng& rng) {
+  for (auto& x : m.flat()) {
+    const double u = rng.uniform();
+    x = u < 0.05 ? 0.0 : u < 0.1 ? -0.0 : rng.uniform(-2.0, 2.0);
+  }
+}
+
+// The register-blocked kernels against the element-by-element references
+// (tests/ml/training_reference.cpp), bit for bit, on sizes that straddle
+// every tile and remainder boundary.
 TEST(Matmul, BlockedKernelsMatchNaiveReference) {
   common::Rng rng(77);
-  const std::size_t n = 150, k = 140, p = 130;  // all cross one block edge
+  const std::size_t n = 150, k = 140, p = 130;
   Matrix a(n, k);
   Matrix b(k, p);
-  for (auto& x : a.flat()) x = rng.uniform(-1.0, 1.0);
-  for (auto& x : b.flat()) x = rng.uniform(-1.0, 1.0);
+  fill_with_zeros(a, rng);
+  fill_with_zeros(b, rng);
 
   Matrix out;
   matmul(a, b, out);
-  ASSERT_EQ(out.rows(), n);
-  ASSERT_EQ(out.cols(), p);
-  for (std::size_t i = 0; i < n; i += 37) {
-    for (std::size_t j = 0; j < p; j += 29) {
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += a(i, kk) * b(kk, j);
-      EXPECT_NEAR(out(i, j), acc, 1e-9 * k);
+  EXPECT_EQ(bit_mismatches(out, reference::matmul(a, b)), 0u);
+  matmul_bt(a, a, out);
+  EXPECT_EQ(bit_mismatches(out, reference::matmul_bt(a, a)), 0u);
+  matmul_at(a, a, out);
+  EXPECT_EQ(bit_mismatches(out, reference::matmul_at(a, a)), 0u);
+}
+
+TEST(Matmul, KernelsMatchRoundingReferenceOnAllSmallShapes) {
+  common::Rng rng(91);
+  Matrix out;
+  for (std::size_t width = 1; width <= 33; ++width) {
+    for (std::size_t shared = 1; shared <= 140; ++shared) {
+      const std::size_t rows = 1 + rng.below(9);
+      Matrix a(rows, shared);
+      Matrix b(shared, width);
+      Matrix bt(width, shared);
+      Matrix at(shared, rows);
+      fill_with_zeros(a, rng);
+      fill_with_zeros(b, rng);
+      fill_with_zeros(bt, rng);
+      fill_with_zeros(at, rng);
+      matmul(a, b, out);
+      ASSERT_EQ(bit_mismatches(out, reference::matmul(a, b)), 0u)
+          << "matmul rows=" << rows << " shared=" << shared
+          << " width=" << width;
+      matmul_bt(a, bt, out);
+      ASSERT_EQ(bit_mismatches(out, reference::matmul_bt(a, bt)), 0u)
+          << "matmul_bt rows=" << rows << " shared=" << shared
+          << " width=" << width;
+      matmul_at(at, b, out);
+      ASSERT_EQ(bit_mismatches(out, reference::matmul_at(at, b)), 0u)
+          << "matmul_at rows=" << rows << " shared=" << shared
+          << " width=" << width;
     }
   }
+}
 
-  Matrix bt_out;  // a * a^T via matmul_bt (uses a as both operands)
-  matmul_bt(a, a, bt_out);
-  ASSERT_EQ(bt_out.rows(), n);
-  ASSERT_EQ(bt_out.cols(), n);
-  for (std::size_t i = 0; i < n; i += 41) {
-    for (std::size_t j = 0; j < n; j += 43) {
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += a(i, kk) * a(j, kk);
-      EXPECT_NEAR(bt_out(i, j), acc, 1e-9 * k);
-    }
+// Every chain starts from +0.0, so products that are all -0.0 sum to +0.0
+// (fma(-0, x, +0) = +0), in every tile and remainder lane.
+TEST(Matmul, NegativeZeroProductsSumToPositiveZero) {
+  for (std::size_t shared : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u}) {
+    const Matrix a(5, shared, -0.0);
+    const Matrix b(shared, 30, 1.5);
+    const Matrix bt(30, shared, 1.5);
+    const Matrix ones(5, 30, 1.5);
+    Matrix out;
+    matmul(a, b, out);
+    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
+    matmul_bt(a, bt, out);
+    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
+    matmul_at(a, ones, out);
+    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
+    matmul_at(a, Matrix(5, 1, 1.5), out);  // the 1-wide output layer path
+    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
   }
+}
 
-  Matrix at_out;  // a^T * a via matmul_at
-  matmul_at(a, a, at_out);
-  ASSERT_EQ(at_out.rows(), k);
-  ASSERT_EQ(at_out.cols(), k);
-  for (std::size_t i = 0; i < k; i += 31) {
-    for (std::size_t j = 0; j < k; j += 33) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < n; ++r) acc += a(r, i) * a(r, j);
-      EXPECT_NEAR(at_out(i, j), acc, 1e-9 * n);
-    }
+TEST(Matrix, SquaredErrorSumMatchesRoundingReference) {
+  const Matrix y = {{1.0, 2.0, 3.0}};
+  const Matrix zero(1, 3);
+  EXPECT_EQ(squared_error_sum(y, zero), 14.0);
+  EXPECT_THROW((void)squared_error_sum(y, Matrix(3, 1)), std::invalid_argument);
+  common::Rng rng(5);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    Matrix a(n, 1);
+    Matrix t(n, 1);
+    fill_with_zeros(a, rng);
+    fill_with_zeros(t, rng);
+    EXPECT_EQ(bits(squared_error_sum(a, t)),
+              bits(reference::squared_error_sum(a, t)))
+        << "n=" << n;
   }
 }
 
@@ -182,28 +247,12 @@ TEST(Matrix, ReshapeReusesAllocationAndZeroes) {
   for (double x : m.flat()) EXPECT_DOUBLE_EQ(x, 1.5);
 }
 
-TEST(Matrix, AddRowVector) {
-  Matrix m(2, 3, 1.0);
-  const std::vector<double> bias = {1.0, 2.0, 3.0};
-  add_row_vector(m, bias);
-  EXPECT_DOUBLE_EQ(m(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m(1, 2), 4.0);
-}
-
 TEST(Matrix, ColumnSums) {
   const Matrix m = {{1.0, 2.0}, {3.0, 4.0}};
   std::vector<double> sums(2);
   column_sums(m, sums);
   EXPECT_DOUBLE_EQ(sums[0], 4.0);
   EXPECT_DOUBLE_EQ(sums[1], 6.0);
-}
-
-TEST(Matrix, DotProduct) {
-  const Matrix a = {{1.0, 2.0}};
-  const Matrix b = {{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-  const Matrix c(2, 2);
-  EXPECT_THROW((void)dot(a, c), std::invalid_argument);
 }
 
 }  // namespace

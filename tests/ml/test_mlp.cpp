@@ -53,7 +53,7 @@ TEST(Mlp, ForwardBatchMatchesSingle) {
   const Matrix batch = net.forward_batch(x);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto single = net.forward(x.row(r));
-    EXPECT_NEAR(batch(r, 0), single[0], 1e-12);
+    EXPECT_EQ(batch(r, 0), single[0]);  // exact: same kernels
   }
 }
 
@@ -154,7 +154,7 @@ TEST(Mlp, BackwardReturnsLoss) {
   const Matrix t = {{1.0}, {0.0}};
   Gradients grads = net.make_gradients();
   const double loss = net.backward_batch(x, t, grads);
-  EXPECT_NEAR(loss, net.loss(x, t), 1e-12);
+  EXPECT_EQ(loss, net.loss(x, t));
 }
 
 TEST(Mlp, GradientsScaleAndAccumulate) {

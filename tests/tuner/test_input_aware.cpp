@@ -122,8 +122,8 @@ TEST(InputAwareModel, PredictManyMatchesSingle) {
   const ProblemInstance inst{{256.0}};
   const auto many = model.predict_many_ms(configs, inst);
   ASSERT_EQ(many.size(), 2u);
-  EXPECT_NEAR(many[0], model.predict_ms(configs[0], inst), 1e-9);
-  EXPECT_NEAR(many[1], model.predict_ms(configs[1], inst), 1e-9);
+  EXPECT_EQ(many[0], model.predict_ms(configs[0], inst));
+  EXPECT_EQ(many[1], model.predict_ms(configs[1], inst));
 }
 
 TEST(InputAwareModel, EncodingLayout) {
@@ -151,7 +151,7 @@ TEST(InputAwareModel, PredictRangeMatchesSingle) {
   const auto range = model.predict_range_ms(10, 40, inst);
   ASSERT_EQ(range.size(), 30u);
   for (std::uint64_t i = 10; i < 40; i += 7) {
-    EXPECT_NEAR(range[i - 10], model.predict_ms(space.decode(i), inst), 1e-9);
+    EXPECT_EQ(range[i - 10], model.predict_ms(space.decode(i), inst));
   }
 }
 

@@ -89,7 +89,7 @@ TEST(Model, PredictRangeMatchesSinglePredictions) {
   model.fit(space, samples, rng);
   const auto range = model.predict_range_ms(10, 30);
   for (std::uint64_t i = 10; i < 30; ++i) {
-    EXPECT_NEAR(range[i - 10], model.predict_ms(space.decode(i)), 1e-9);
+    EXPECT_EQ(range[i - 10], model.predict_ms(space.decode(i)));
   }
 }
 
@@ -104,7 +104,7 @@ TEST(Model, PredictManyMatchesSingle) {
   const auto many = model.predict_many_ms(configs);
   ASSERT_EQ(many.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_NEAR(many[i], model.predict_ms(configs[i]), 1e-9);
+    EXPECT_EQ(many[i], model.predict_ms(configs[i]));
   EXPECT_TRUE(model.predict_many_ms({}).empty());
 }
 
@@ -254,7 +254,7 @@ TEST(ModelScan, PredictRangeAgreesWithSingleAcrossChunkBoundaries) {
     std::vector<std::uint64_t> probes = {0, n - 1};
     for (std::uint64_t i = 8191; i < n; i += 8191) probes.push_back(i);
     for (const std::uint64_t i : probes) {
-      EXPECT_NEAR(range[i], model.predict_ms(space.decode(i)), 1e-9)
+      EXPECT_EQ(range[i], model.predict_ms(space.decode(i)))
           << "n=" << n << " i=" << i;
     }
   }
