@@ -81,8 +81,8 @@ class Matrix {
 };
 
 // The fp64 kernels below fix the floating-point operations every output
-// element sees, so training is bit-identical on every SIMD backend and
-// thread count (DESIGN.md "Training path"). fma(x, y, s) is one rounding of
+// element sees, so their results are the same bits on every SIMD backend
+// and thread count (DESIGN.md "Training path"). fma(x, y, s) is one rounding of
 // x*y + s; every other operation rounds on its own.
 
 /// out = a * b: out(i, j) = fma(a(i, k), b(k, j), acc) for k ascending,
