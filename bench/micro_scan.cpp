@@ -7,7 +7,8 @@
 // fp64 one (indices and values), checks determinism across thread counts,
 // reports each approximate path's re-rank bound (certified for fp32,
 // declared for int8) beside its measured worst raw-output error against
-// fp64, and writes BENCH_scan.json. Speedups are always against the
+// fp64, and the rows the pruned fp32 top-M scan never evaluated, and writes
+// BENCH_scan.json. Speedups are always against the
 // same-run fp64 baseline, so columns within one report are directly
 // comparable.
 //
@@ -86,6 +87,7 @@ struct PathRun {
   double measured_max_error = 0.0;  // max |raw - fp64 raw| over the range
   std::uint64_t fp64_reranked = 0;
   std::uint64_t near_ties = 0;
+  std::uint64_t pruned_rows = 0;  // top-M rows proved out of reach (fp32)
   // Against the same-run fp64 baseline (1.0 for the baseline itself).
   double range_speedup = 1.0;
   double top_m_speedup = 1.0;
@@ -142,6 +144,7 @@ PathRun run_path(pt::tuner::AnnPerformanceModel& model,
     run.error_bound = scan.error_bound;
     run.fp64_reranked = scan.fp64_reranked;
     run.near_ties = scan.near_ties;
+    run.pruned_rows = scan.pruned_rows;
     run.top_indices.reserve(scan.top.size());
     for (const auto& c : scan.top) {
       run.top_indices.push_back(c.index);
@@ -256,7 +259,7 @@ int main(int argc, char** argv) {
                   << " cfg/s (x" << path.range_speedup
                   << ", match=" << path.top_m_match << ", err="
                   << path.measured_max_error << "<=" << path.error_bound
-                  << ")";
+                  << ", pruned=" << path.pruned_rows << ")";
       std::cout << "\n" << std::flush;
       report.runs.push_back(std::move(run));
     }
@@ -335,6 +338,7 @@ int main(int argc, char** argv) {
         path_json.set("measured_max_error", p.measured_max_error);
         path_json.set("fp64_reranked", p.fp64_reranked);
         path_json.set("near_ties", p.near_ties);
+        path_json.set("pruned_rows", p.pruned_rows);
         path_json.set("top_m_match", p.top_m_match);
         paths.push(std::move(path_json));
       }

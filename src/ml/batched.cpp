@@ -180,9 +180,10 @@ void forward_row(const float* x, std::size_t in, std::size_t padded,
 }  // namespace
 
 void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
-                                 Scratch& scratch) const {
+                                 Scratch& scratch, const float* bias0) const {
   assert(output_size() == 1 &&
          "forward_column0 requires a single-output network");
+  if (bias0 == nullptr) bias0 = layers_.front().bias.data();
   std::size_t max_panel = 0;
   for (const Layer& layer : layers_)
     if (layer.padded > max_panel) max_panel = layer.padded;
@@ -198,10 +199,11 @@ void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
     for (std::size_t l = 0; l + 1 < nl; ++l) {
       const Layer& layer = layers_[l];
       forward_row(cur, layer.in, layer.padded, layer.act, layer.w.data(),
-                  layer.bias.data(), ping);
+                  l == 0 ? bias0 : layer.bias.data(), ping);
       cur = ping;
       std::swap(ping, pong);
     }
+    const float* last_bias = nl == 1 ? bias0 : last.bias.data();
     if (!last.wcol.empty()) {
       // Hidden activations are a kWidth-multiple panel: vector dot + hsum.
       using simd::VecF;
@@ -210,17 +212,17 @@ void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
       for (std::size_t i = 0; i < prev_padded; i += simd::kWidth)
         acc = simd::fmadd(VecF::load(cur + i), VecF::load(last.wcol.data() + i),
                           acc);
-      out[r] = activate_f32(last.act, last.bias[0] + simd::hsum(acc));
+      out[r] = activate_f32(last.act, last_bias[0] + simd::hsum(acc));
     } else if (last.units == 1) {
       // Degenerate single-layer network: the raw input row has arbitrary
       // width and stride, so stay scalar (std::fma keeps lane semantics).
-      float sum = last.bias[0];
+      float sum = last_bias[0];
       for (std::size_t i = 0; i < last.in; ++i)
         sum = std::fma(cur[i], last.w[i * last.padded], sum);
       out[r] = activate_f32(last.act, sum);
     } else {
       forward_row(cur, last.in, last.padded, last.act, last.w.data(),
-                  last.bias.data(), ping);
+                  last_bias, ping);
       out[r] = ping[0];
     }
   }
@@ -351,13 +353,13 @@ double average_bound(const std::vector<MemberBound>& members, double u,
          magnitude * (1.0 + g) * (inv_k_error + inv_k * u);
 }
 
-/// The packed fp32 member (BatchedMlp) over raw features in the box:
-/// float casts of the folded weights, FMA chains of depth fan-in for the
-/// hidden layers, and for a single-output last layer the kWidth-lane dot
-/// (padded / kWidth FMAs per lane), a horizontal sum (at most kWidth - 1
-/// roundings in any reduction order) and the bias add.
-MemberBound fp32_member_bound(const Mlp& mlp, const StandardScaler* scaler,
-                              const Signal& box) {
+/// The packed fp32 member (BatchedMlp) over raw features: float casts of
+/// the folded weights, FMA chains of depth fan-in for the hidden layers, and
+/// for a single-output last layer the kWidth-lane dot (padded / kWidth FMAs
+/// per lane), a horizontal sum (at most kWidth - 1 roundings in any
+/// reduction order) and the bias add.
+std::vector<BoundLayer> fp32_layers(const Mlp& mlp,
+                                    const StandardScaler* scaler) {
   std::vector<BoundLayer> layers;
   std::size_t prev_padded = 0;
   for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
@@ -384,9 +386,11 @@ MemberBound fp32_member_bound(const Mlp& mlp, const StandardScaler* scaler,
     prev_padded = round_up(f.units);
     layers.push_back(std::move(b));
   }
-  const Arithmetic arith{kU32, simd::kSigmoidAbsError, simd::kTanhAbsError};
-  return propagate(layers, box, arith);
+  return layers;
 }
+
+constexpr Arithmetic kFp32Arith{kU32, simd::kSigmoidAbsError,
+                                simd::kTanhAbsError};
 
 /// The fp64 reference (BaggingEnsemble::predict_batch_into) on the same
 /// rows: standardization (x - m) / s with two roundings per feature, then
@@ -431,6 +435,61 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
   return propagate(layers, x, arith);
 }
 
+/// Node bounds of one fp32 member with exactly one hidden layer and one
+/// output, for k = 0..width free leading features (see the header comment).
+/// Writes b^sel(k) for every k to `bias` (each padded to the vector width)
+/// and the member bound of the network running with it, over `box` with
+/// features < k at [0, 0], to bounds[k].
+///
+/// b^sel(k) = b' + sum_{i<k} sel(w'_ij lo_i, w'_ij hi_i) is summed in double
+/// in ascending i. Its distance to the exact selection bias (exact fold,
+/// exact arithmetic) is at most the reference bias's db, plus
+/// sum_{i<k} A_i dw_ij (min and max are A_i-Lipschitz in the weight,
+/// A_i = max(|lo_i|, |hi_i|)), plus gamma(k + 1) times the magnitude of the
+/// summed terms (one rounding per product and per add on any term's path).
+void member_node_bounds(const Mlp& mlp, const StandardScaler* scaler,
+                        const QuantCalibration& calibration, const Signal& box,
+                        simd::AlignedVectorF& bias,
+                        std::vector<MemberBound>& bounds) {
+  std::vector<BoundLayer> layers = fp32_layers(mlp, scaler);
+  BoundLayer& hidden = layers.front();
+  const std::vector<double>& v = layers.back().w;  // (units, 1)
+  const std::size_t in = hidden.in;
+  const std::size_t units = hidden.units;
+  const std::size_t padded = round_up(units);
+  std::vector<double> sel = hidden.bias;
+  std::vector<double> fold = hidden.db;
+  std::vector<double> magnitude(units);
+  for (std::size_t j = 0; j < units; ++j) magnitude[j] = std::fabs(sel[j]);
+  bias.assign((in + 1) * padded, 0.0f);
+  Signal node = box;
+  for (std::size_t k = 0; k <= in; ++k) {
+    if (k > 0) {
+      const std::size_t i = k - 1;
+      const double lo = calibration.lo[i];
+      const double hi = calibration.hi[i];
+      const double a = std::max(std::fabs(lo), std::fabs(hi));
+      for (std::size_t j = 0; j < units; ++j) {
+        const double w = hidden.w[i * units + j];
+        sel[j] += v[j] >= 0.0 ? std::min(w * lo, w * hi)
+                              : std::max(w * lo, w * hi);
+        magnitude[j] += a * std::fabs(w);
+        fold[j] += a * hidden.dw[i * units + j];
+      }
+      node.lo[i] = node.hi[i] = node.err[i] = 0.0;
+    }
+    for (std::size_t j = 0; j < units; ++j) {
+      const float stored = static_cast<float>(sel[j]);
+      bias[k * padded + j] = stored;
+      hidden.bias[j] = sel[j];
+      hidden.db[j] = std::fabs(static_cast<double>(stored) - sel[j]) +
+                     fold[j] + gamma(k + 1, kU64) * magnitude[j] +
+                     kBoundSlack * magnitude[j];
+    }
+    bounds[k] = propagate(layers, node, kFp32Arith);
+  }
+}
+
 }  // namespace
 
 BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
@@ -471,7 +530,8 @@ BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
   std::vector<MemberBound> fp32(k);
   std::vector<MemberBound> fp64(k);
   for (std::size_t i = 0; i < k; ++i) {
-    fp32[i] = fp32_member_bound(ensemble.member(i), scaler, box);
+    fp32[i] = propagate(fp32_layers(ensemble.member(i), scaler), box,
+                        kFp32Arith);
     fp64[i] = fp64_member_bound(ensemble.member(i), scaler, box);
   }
   const double exact_inv_k = 1.0 / static_cast<double>(k);
@@ -481,17 +541,68 @@ BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
   error_bound_ =
       average_bound(fp32, kU32, static_cast<double>(inv_k_), inv_k_error) +
       average_bound(fp64, kU64, exact_inv_k, kU64 * exact_inv_k);
+
+  for (std::size_t i = 0; i < k; ++i) {
+    const Mlp& member = ensemble.member(i);
+    if (member.layer_count() != 2 || member.output_size() != 1) return;
+  }
+  // nodes[free][member]
+  std::vector<std::vector<MemberBound>> nodes(
+      inputs_ + 1, std::vector<MemberBound>(k));
+  std::vector<MemberBound> column(inputs_ + 1);
+  node_bias_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    member_node_bounds(ensemble.member(i), scaler, calibration_, box,
+                       node_bias_[i], column);
+    for (std::size_t free = 0; free <= inputs_; ++free)
+      nodes[free][i] = column[free];
+  }
+  // The slack covers the scan's double evaluation of L~ - (E + B): two
+  // roundings, each within 2^-53 (|L~| + E + B), |L~| <= the mean member
+  // magnitude.
+  node_error_.resize(inputs_ + 1);
+  for (std::size_t free = 0; free <= inputs_; ++free) {
+    const double e = average_bound(nodes[free], kU32,
+                                   static_cast<double>(inv_k_), inv_k_error);
+    double magnitude = 0.0;
+    for (const MemberBound& m : nodes[free]) magnitude += m.magnitude;
+    magnitude /= static_cast<double>(k);
+    node_error_[free] = e + kBoundSlack * (magnitude + e + error_bound_);
+  }
 }
 
 void BatchedEnsemble::predict_batch_into(const float* x, std::size_t rows,
                                          std::vector<float>& out,
                                          Scratch& scratch) const {
+  average_into(x, rows, out, scratch, inputs_ + 1);
+}
+
+void BatchedEnsemble::node_lower_bounds(const float* x, std::size_t rows,
+                                        std::size_t free,
+                                        std::vector<float>& out,
+                                        Scratch& scratch) const {
+  if (!has_node_bounds())
+    throw std::logic_error("BatchedEnsemble: no node bounds for this ensemble");
+  if (free > inputs_)
+    throw std::out_of_range("BatchedEnsemble: free features exceed the width");
+  average_into(x, rows, out, scratch, free);
+}
+
+void BatchedEnsemble::average_into(const float* x, std::size_t rows,
+                                   std::vector<float>& out, Scratch& scratch,
+                                   std::size_t free) const {
   // Accumulate member sums directly in `out`, in fixed member order, so the
   // result is deterministic and chunking-independent.
   out.assign(rows, 0.0f);
   if (scratch.member.size() < rows) scratch.member.resize(rows);
-  for (const BatchedMlp& member : members_) {
-    member.forward_column0(x, rows, scratch.member.data(), scratch);
+  for (std::size_t m = 0; m < members_.size(); ++m) {
+    const float* bias0 = nullptr;
+    if (free <= inputs_) {
+      const simd::AlignedVectorF& sel = node_bias_[m];
+      bias0 = sel.data() + free * (sel.size() / (inputs_ + 1));
+    }
+    members_[m].forward_column0(x, rows, scratch.member.data(), scratch,
+                                bias0);
     for (std::size_t r = 0; r < rows; ++r) out[r] += scratch.member[r];
   }
   for (std::size_t r = 0; r < rows; ++r) out[r] *= inv_k_;

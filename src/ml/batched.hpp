@@ -44,6 +44,23 @@
 // Interval arithmetic over the box bounds every magnitude. Callers that need
 // fp64-identical *ranking* (tuner/scan.hpp) re-rank every candidate within
 // twice the bound of the fp32 cutoff through the fp64 path.
+//
+// Node bounds (ensembles of one-hidden-layer, single-output members): a node
+// is a sub-box whose first k features are free over their calibration range
+// and whose other features are fixed. Every ml::Activation is
+// non-decreasing, so over the node a member's exact output is at least
+//   c + sum_j v_j * act(z_j^sel),
+//   z_j^sel = b'_j + sum_{i>=k} w'_ij x_i
+//                  + sum_{i<k} (v_j >= 0 ? min : max) of w'_ij x_i on [lo_i, hi_i]
+// (v the output weights, c the output bias). The selection bias
+// b^sel(k) = b' + the free-feature sum is computed in double at pack time
+// for every k and stored as float, so the bound L~ is forward_column0 on the
+// node's row with features < k set to 0 and b^sel(k) as layer 0's bias,
+// averaged like predict_batch_into — the operation sequence of a real row.
+// E(k) certifies |L~ - its exact value| by the same analysis run on that
+// modified network (free features boxed at [0, 0]; b^sel's own double
+// rounding priced into its bias error). Then every row r in the node has
+//   fp32(r) >= exact(r) - B >= exact L~ - B >= L~ - E(k) - B.
 
 #include <cstddef>
 #include <memory>
@@ -81,10 +98,11 @@ class BatchedMlp {
 
   /// Evaluate `rows` samples stored row-major in x (row r starts at
   /// x + r * input_size()) and write the first output column to out[0..rows).
-  /// Requires a single-output network. Safe to call concurrently with
-  /// distinct scratch objects.
+  /// A non-null `bias0` (one float per unit of layer 0, padded to the vector
+  /// width) replaces layer 0's packed bias. Requires a single-output
+  /// network. Safe to call concurrently with distinct scratch objects.
   void forward_column0(const float* x, std::size_t rows, float* out,
-                       Scratch& scratch) const;
+                       Scratch& scratch, const float* bias0 = nullptr) const;
 
  private:
   struct Layer {
@@ -137,12 +155,40 @@ class BatchedEnsemble {
   void predict_batch_into(const float* x, std::size_t rows,
                           std::vector<float>& out, Scratch& scratch) const;
 
+  /// True when node bounds exist: every member has exactly one hidden layer
+  /// and one output (see the header comment).
+  [[nodiscard]] bool has_node_bounds() const noexcept {
+    return !node_error_.empty();
+  }
+  /// E(free): certified bound on |node_lower_bounds - its exact value| for
+  /// nodes whose first `free` features are free (0 <= free <= width). It
+  /// includes the rounding of the double sum L~ - (E(free) + error_bound()).
+  [[nodiscard]] double node_error_bound(std::size_t free) const {
+    return node_error_.at(free);
+  }
+  /// L~ for `rows` node rows whose first `free` features are free: each row
+  /// holds the node's fixed features and 0 in the free ones. Every row of
+  /// the node inside calibration() then predicts at least
+  /// L~ - node_error_bound(free) - error_bound(). Requires has_node_bounds();
+  /// out is resized to `rows`.
+  void node_lower_bounds(const float* x, std::size_t rows, std::size_t free,
+                         std::vector<float>& out, Scratch& scratch) const;
+
  private:
+  /// The member average of predict_batch_into; with free <= width, every
+  /// member runs with its selection bias b^sel(free) as layer 0's bias.
+  void average_into(const float* x, std::size_t rows, std::vector<float>& out,
+                    Scratch& scratch, std::size_t free) const;
+
   std::size_t inputs_;
   float inv_k_;
   QuantCalibration calibration_;
   double error_bound_ = 0.0;
   std::vector<BatchedMlp> members_;
+  // Node bounds: per member, the selection biases b^sel(k) for k = 0..width
+  // back to back, each padded to the vector width; E(k) per k.
+  std::vector<common::simd::AlignedVectorF> node_bias_;
+  std::vector<double> node_error_;
 };
 
 /// Lazily-built, shared reduced-precision engines for model classes that

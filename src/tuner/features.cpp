@@ -57,6 +57,13 @@ RangeEncoder::RangeEncoder(const FeatureCodec& codec, const ParamSpace& space) {
   space_size_ = space.size();
 }
 
+std::vector<std::uint64_t> RangeEncoder::radices() const {
+  std::vector<std::uint64_t> radices;
+  radices.reserve(dims_.size());
+  for (const Dim& dim : dims_) radices.push_back(dim.encoded.size());
+  return radices;
+}
+
 namespace {
 
 // Initialize the mixed-radix digits of `index` (first dimension is the

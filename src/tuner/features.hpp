@@ -63,6 +63,11 @@ class RangeEncoder {
     return dims_.size() + tail_width;
   }
 
+  /// The mixed-radix digit counts of the space (values per dimension,
+  /// fastest-varying first, as ParamSpace::decode walks them); feature d of
+  /// every row encodes digit d.
+  [[nodiscard]] std::vector<std::uint64_t> radices() const;
+
   /// Encode configurations [lo, hi) into the rows of x (reshaped in place to
   /// (hi - lo, width(tail.size()))). Every row ends with a copy of `tail`
   /// (instance features for input-aware models; empty otherwise).

@@ -173,42 +173,12 @@ ScanRowFiller InputAwarePerformanceModel::row_filler(
   };
 }
 
-ScanRowFillerF32 InputAwarePerformanceModel::row_filler_f32(
-    const ProblemInstance& instance) const {
+ScanEngines InputAwarePerformanceModel::scan_engines(
+    const ProblemInstance& instance, ScanInference inference) const {
   const auto inst = instance_features(instance);
-  std::vector<float> inst_f(inst.begin(), inst.end());
-  return [this, inst_f = std::move(inst_f)](
-             std::uint64_t lo, std::uint64_t hi, std::vector<float>& rows) {
-    range_encoder_.fill_f32(lo, hi, rows, inst_f);
-  };
-}
-
-// Builds the BatchedScan for a reduced-precision inference mode. The
-// calibration carries the instance features as degenerate [v, v] tail
-// ranges, so a scan for a different instance repacks the engine (the cache
-// compares calibrations) and the fp32 bound is certified for that instance.
-struct InputAwarePerformanceModel::ScanEngines {
-  std::shared_ptr<const ml::BatchedEnsemble> engine;
-  std::shared_ptr<const ml::QuantizedEnsemble> quant;
-  BatchedScan batched;
-};
-
-InputAwarePerformanceModel::ScanEngines
-InputAwarePerformanceModel::scan_engines(const ProblemInstance& instance,
-                                         ScanInference inference) const {
-  ScanEngines e;
-  const auto inst = instance_features(instance);
-  const std::vector<float> inst_f(inst.begin(), inst.end());
-  const ml::QuantCalibration calibration = range_encoder_.calibration(inst_f);
-  if (inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_, calibration);
-    e.batched.engine = e.engine.get();
-  } else {
-    e.quant = batched_.get_quantized(ensemble_, calibration);
-    e.batched.quant = e.quant.get();
-  }
-  e.batched.fill = row_filler_f32(instance);
-  return e;
+  return make_scan_engines(batched_, ensemble_, range_encoder_,
+                           std::vector<float>(inst.begin(), inst.end()),
+                           inference);
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_range_ms(

@@ -121,12 +121,12 @@ class InputAwarePerformanceModel {
   /// reused for every row of a scan).
   [[nodiscard]] std::vector<double> instance_features(
       const ProblemInstance& instance) const;
-  /// Scan-engine adapters (see AnnPerformanceModel).
+  /// Scan-engine adapters (see AnnPerformanceModel). The reduced-precision
+  /// engines are certified per instance: its features enter the
+  /// calibration as degenerate [v, v] tail ranges, so a scan for another
+  /// instance repacks the cached engine.
   [[nodiscard]] OutputTransform output_transform() const noexcept;
   [[nodiscard]] ScanRowFiller row_filler(const ProblemInstance& instance) const;
-  [[nodiscard]] ScanRowFillerF32 row_filler_f32(
-      const ProblemInstance& instance) const;
-  struct ScanEngines;
   [[nodiscard]] ScanEngines scan_engines(const ProblemInstance& instance,
                                          ScanInference inference) const;
 

@@ -96,36 +96,6 @@ ScanRowFiller AnnPerformanceModel::row_filler() const {
   };
 }
 
-ScanRowFillerF32 AnnPerformanceModel::row_filler_f32() const {
-  return [this](std::uint64_t lo, std::uint64_t hi, std::vector<float>& rows) {
-    range_encoder_.fill_f32(lo, hi, rows);
-  };
-}
-
-// Builds the BatchedScan for a reduced-precision inference mode. The shared
-// pointers keep the packed engine alive for the duration of the scan even
-// if the cache is concurrently reset.
-struct AnnPerformanceModel::ScanEngines {
-  std::shared_ptr<const ml::BatchedEnsemble> engine;
-  std::shared_ptr<const ml::QuantizedEnsemble> quant;
-  BatchedScan batched;
-};
-
-AnnPerformanceModel::ScanEngines AnnPerformanceModel::scan_engines(
-    ScanInference inference) const {
-  ScanEngines e;
-  const ml::QuantCalibration calibration = range_encoder_.calibration();
-  if (inference == ScanInference::kBatchedFp32) {
-    e.engine = batched_.get(ensemble_, calibration);
-    e.batched.engine = e.engine.get();
-  } else {
-    e.quant = batched_.get_quantized(ensemble_, calibration);
-    e.batched.quant = e.quant.get();
-  }
-  e.batched.fill = row_filler_f32();
-  return e;
-}
-
 std::vector<double> AnnPerformanceModel::predict_range_ms(
     std::uint64_t begin, std::uint64_t end, ScanInference inference) const {
   if (!fitted())
@@ -133,7 +103,8 @@ std::vector<double> AnnPerformanceModel::predict_range_ms(
   if (inference == ScanInference::kScalarFp64)
     return scan_predict_range(ensemble_, row_filler(), begin, end,
                               output_transform());
-  const ScanEngines e = scan_engines(inference);
+  const ScanEngines e =
+      make_scan_engines(batched_, ensemble_, range_encoder_, {}, inference);
   ScanOptions options = options_.scan;
   options.inference = inference;
   return scan_predict_range(ensemble_, row_filler(), begin, end,
@@ -148,7 +119,8 @@ TopMScanResult AnnPerformanceModel::predict_scan_top_m(
   if (options_.scan.inference == ScanInference::kScalarFp64)
     return scan_top_m(ensemble_, row_filler(), begin, end, m,
                       output_transform(), filter);
-  const ScanEngines e = scan_engines(options_.scan.inference);
+  const ScanEngines e = make_scan_engines(batched_, ensemble_, range_encoder_,
+                                          {}, options_.scan.inference);
   return scan_top_m(ensemble_, row_filler(), begin, end, m,
                     output_transform(), filter, options_.scan, &e.batched);
 }

@@ -111,14 +111,11 @@ class AnnPerformanceModel {
 
  private:
   [[nodiscard]] double to_time_ms(double network_output) const noexcept;
-  /// Scan-engine adapters: the transform equivalent to to_time_ms and
-  /// fillers that encode a flat-index range into feature rows (via the
+  /// Scan-engine adapters: the transform equivalent to to_time_ms and a
+  /// filler that encodes a flat-index range into feature rows (via the
   /// precomputed RangeEncoder — no per-row decode allocation).
   [[nodiscard]] OutputTransform output_transform() const noexcept;
   [[nodiscard]] ScanRowFiller row_filler() const;
-  [[nodiscard]] ScanRowFillerF32 row_filler_f32() const;
-  struct ScanEngines;
-  [[nodiscard]] ScanEngines scan_engines(ScanInference inference) const;
 
   Options options_;
   ParamSpace space_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -26,6 +27,11 @@ struct ChunkScratch {
   std::vector<float> predsf;
   ml::BatchedEnsemble::Scratch bs;
   ml::QuantizedEnsemble::Scratch qs;
+  // Pruned descent: one node row, a node's children as rows, and the
+  // children's bounds per level (a level's bounds outlive its subtree).
+  std::vector<float> node_row;
+  std::vector<float> node_rows;
+  std::vector<std::vector<float>> node_bounds;
 };
 
 class ScratchPool {
@@ -107,6 +113,14 @@ class RelaxedTopM {
     return c.raw <= heap_.front().raw + slack_;
   }
 
+  /// would_keep rejects every candidate whose raw output exceeds this (+inf
+  /// until the heap is full). It only decreases as candidates stream in.
+  [[nodiscard]] double threshold() const {
+    if (m_ == 0) return -std::numeric_limits<double>::infinity();
+    if (heap_.size() < m_) return std::numeric_limits<double>::infinity();
+    return heap_.front().raw + slack_;
+  }
+
   void offer(const RawCandidate& c) {
     if (!would_keep(c)) return;
     if (heap_.size() < m_) {
@@ -150,6 +164,41 @@ class RelaxedTopM {
 std::uint64_t chunk_count_for(std::uint64_t n) {
   return (n + kScanChunkRows - 1) / kScanChunkRows;
 }
+
+/// The digit boxes the pruned descent walks: a level-k node covers span[k]
+/// consecutive indices, its first k digits free; the root is level
+/// radix.size() and nodes at level `leaf` are evaluated row by row. The
+/// unpruned scan is the single level 0 with the root as its only leaf.
+struct DigitBoxes {
+  std::vector<std::uint64_t> radix;
+  std::vector<std::uint64_t> span;
+  std::size_t leaf = 0;
+
+  static DigitBoxes flat(std::uint64_t end) { return {{}, {end}, 0}; }
+
+  static DigitBoxes of(const std::vector<std::uint64_t>& radices,
+                       std::uint64_t end, std::size_t width) {
+    if (radices.size() > width)
+      throw std::invalid_argument(
+          "scan_top_m: more radices than the engine has features");
+    DigitBoxes boxes{radices, {1}, radices.size()};
+    for (std::size_t k = 0; k < radices.size(); ++k) {
+      const std::uint64_t below = boxes.span.back();
+      if (radices[k] == 0 ||
+          below > std::numeric_limits<std::uint64_t>::max() / radices[k])
+        throw std::invalid_argument("scan_top_m: bad radices");
+      boxes.span.push_back(below * radices[k]);
+      if (boxes.leaf == radices.size() && boxes.span.back() >= kScanLeafRows)
+        boxes.leaf = k + 1;
+    }
+    if (boxes.span.back() < end)
+      throw std::invalid_argument(
+          "scan_top_m: radices do not cover the scanned range");
+    return boxes;
+  }
+
+  [[nodiscard]] std::size_t root() const { return radix.size(); }
+};
 
 std::vector<ScanCandidate> merge_chunks(
     std::vector<std::vector<RawCandidate>>& chunks, std::size_t m,
@@ -364,6 +413,13 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
   std::vector<std::vector<RawCandidate>> chunk_top(chunks);
   std::vector<std::vector<RawCandidate>> chunk_top_unfiltered(chunks);
   std::vector<std::uint64_t> chunk_rejected(chunks, 0);
+  std::vector<std::uint64_t> chunk_pruned(chunks, 0);
+  const bool prune = approx && !quant && !batched->radices.empty() &&
+                     batched->engine->has_node_bounds();
+  const DigitBoxes boxes =
+      prune ? DigitBoxes::of(batched->radices, end,
+                             batched->engine->input_width())
+            : DigitBoxes::flat(end);
 
   ScratchPool pool;
   common::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
@@ -371,32 +427,83 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
     const std::uint64_t lo = begin + c * kScanChunkRows;
     const std::uint64_t hi = std::min<std::uint64_t>(end, lo + kScanChunkRows);
     auto scratch = pool.acquire();
-    const std::size_t rows = static_cast<std::size_t>(hi - lo);
     std::uint64_t rejected = 0;
     if (approx) {
-      batched->fill(lo, hi, scratch->xf);
-      if (quant)
-        batched->quant->predict_batch_into(scratch->xf.data(), rows,
-                                           scratch->predsf, scratch->qs);
-      else
-        batched->engine->predict_batch_into(scratch->xf.data(), rows,
-                                            scratch->predsf, scratch->bs);
       RelaxedTopM unfiltered(m, slack);
       RelaxedTopM filtered(m, slack);
-      for (std::size_t i = 0; i < rows; ++i) {
-        const RawCandidate cand{static_cast<double>(scratch->predsf[i]),
-                                lo + i};
-        unfiltered.offer(cand);
-        if (filter && filtered.would_keep(cand)) {
-          // Lazy filter evaluation: only candidates good enough to be
-          // retained pay for the validity check.
-          if (filter(cand.index)) {
-            filtered.offer(cand);
-          } else {
-            ++rejected;
+      // Evaluate rows [a, b) and offer them in index order.
+      const auto leaf = [&](std::uint64_t a, std::uint64_t b) {
+        const std::size_t rows = static_cast<std::size_t>(b - a);
+        batched->fill(a, b, scratch->xf);
+        if (quant)
+          batched->quant->predict_batch_into(scratch->xf.data(), rows,
+                                             scratch->predsf, scratch->qs);
+        else
+          batched->engine->predict_batch_into(scratch->xf.data(), rows,
+                                              scratch->predsf, scratch->bs);
+        for (std::size_t i = 0; i < rows; ++i) {
+          const RawCandidate cand{static_cast<double>(scratch->predsf[i]),
+                                  a + i};
+          unfiltered.offer(cand);
+          if (filter && filtered.would_keep(cand)) {
+            // Lazy filter evaluation: only candidates good enough to be
+            // retained pay for the validity check.
+            if (filter(cand.index)) {
+              filtered.offer(cand);
+            } else {
+              ++rejected;
+            }
           }
         }
-      }
+      };
+      // A row above both thresholds is one neither heap would keep.
+      const auto threshold = [&] {
+        const double t = unfiltered.threshold();
+        return filter ? std::max(t, filtered.threshold()) : t;
+      };
+      // Offers the rows of the node [node, node + span[level]) inside
+      // [lo, hi) in index order, skipping children proved out of reach.
+      ChunkScratch& s = *scratch;
+      s.node_bounds.resize(std::max(s.node_bounds.size(), boxes.root() + 1));
+      std::uint64_t pruned = 0;
+      const auto visit = [&](const auto& self, std::size_t level,
+                             std::uint64_t node) -> void {
+        if (level == boxes.leaf) {
+          leaf(std::max(node, lo), std::min(node + boxes.span[level], hi));
+          return;
+        }
+        const std::size_t free = level - 1;
+        const std::uint64_t child = boxes.span[free];
+        const std::uint64_t first = node < lo ? (lo - node) / child : 0;
+        const std::uint64_t last =
+            std::min(boxes.radix[free], (hi - node + child - 1) / child);
+        // Each child's node row: its fixed features, zeros in the free ones.
+        const std::size_t width = batched->engine->input_width();
+        s.node_rows.resize(static_cast<std::size_t>(last - first) * width);
+        for (std::uint64_t k = first; k < last; ++k) {
+          const std::uint64_t index = node + k * child;
+          batched->fill(index, index + 1, s.node_row);
+          float* row = s.node_rows.data() + (k - first) * width;
+          std::fill(row, row + free, 0.0f);
+          std::copy_n(s.node_row.begin() + static_cast<std::ptrdiff_t>(free),
+                      width - free, row + free);
+        }
+        std::vector<float>& bounds = s.node_bounds[level];
+        batched->engine->node_lower_bounds(
+            s.node_rows.data(), static_cast<std::size_t>(last - first), free,
+            bounds, s.bs);
+        const double margin =
+            batched->engine->node_error_bound(free) + result.error_bound;
+        for (std::uint64_t k = first; k < last; ++k) {
+          const std::uint64_t index = node + k * child;
+          if (static_cast<double>(bounds[k - first]) - margin > threshold())
+            pruned += std::min(index + child, hi) - std::max(index, lo);
+          else
+            self(self, free, index);
+        }
+      };
+      visit(visit, boxes.root(), 0);
+      chunk_pruned[c] = pruned;
       chunk_top_unfiltered[c] = unfiltered.take();
       if (filter) chunk_top[c] = filtered.take();
     } else {
@@ -425,6 +532,7 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
   });
 
   for (std::uint64_t r : chunk_rejected) result.rejected += r;
+  for (std::uint64_t p : chunk_pruned) result.pruned_rows += p;
   if (approx) {
     // Survivors of the coarse-pass cutoff (per selection set), then one
     // exact fp64 evaluation per unique survivor, then the fp64-ordered
@@ -465,9 +573,34 @@ TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
                                static_cast<double>(result.fp64_reranked));
       common::telemetry::count("tuner.scan.near_ties",
                                static_cast<double>(result.near_ties));
+      common::telemetry::count("tuner.scan.pruned_rows",
+                               static_cast<double>(result.pruned_rows));
     }
   }
   return result;
+}
+
+ScanEngines make_scan_engines(const ml::BatchedEnsembleCache& cache,
+                              const ml::BaggingEnsemble& ensemble,
+                              const RangeEncoder& encoder,
+                              std::vector<float> tail,
+                              ScanInference inference) {
+  ScanEngines e;
+  const ml::QuantCalibration calibration = encoder.calibration(tail);
+  if (inference == ScanInference::kBatchedFp32) {
+    e.engine = cache.get(ensemble, calibration);
+    e.batched.engine = e.engine.get();
+  } else {
+    e.quant = cache.get_quantized(ensemble, calibration);
+    e.batched.quant = e.quant.get();
+  }
+  e.batched.fill = [&encoder, tail = std::move(tail)](
+                       std::uint64_t lo, std::uint64_t hi,
+                       std::vector<float>& rows) {
+    encoder.fill_f32(lo, hi, rows, tail);
+  };
+  e.batched.radices = encoder.radices();
+  return e;
 }
 
 ScanFilter make_static_scan_filter(const ParamSpace& space,

@@ -43,17 +43,34 @@
 //    ScanOptions::quant_error_bound. That bound is hand-set (checked with
 //    2x margin by tests), so int8 is opt-in: its top-M equals the fp64 one
 //    whenever |int8 raw - fp64 raw| stays within it.
+//
+// Pruned top-M (kBatchedFp32 with BatchedScan::radices and an engine that
+// has node bounds): each chunk is walked depth first over the space's
+// mixed-radix digits, nodes in ascending index order, clipped to the chunk.
+// Before descending into a node, the bounds L~ of its children (one digit's
+// radix; ml/batched.hpp) are computed as one batch, and a child is skipped
+// when L~ - E(k) - B exceeds T, the larger of the unfiltered and filtered
+// heap thresholds (cutoff + 2B once a heap is full, +inf before). Every row
+// of a skipped child predicts at least L~ - E(k) - B in fp32, so the heaps
+// would have rejected it when it was offered; such a rejection changes no
+// state, and the filter is consulted only for rows a heap would keep. Leaves
+// (the innermost boxes of at least kScanLeafRows rows) are evaluated and
+// offered in index order as before, so every TopMScanResult field except
+// pruned_rows is the unpruned scan's, at any thread count. Without radices
+// or node bounds each chunk is a single leaf.
 
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "clsim/analyze/checker.hpp"
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
+#include "tuner/features.hpp"
 #include "tuner/param.hpp"
 
 namespace pt::tuner {
@@ -61,6 +78,10 @@ namespace pt::tuner {
 /// Rows per scan chunk. Fixed (not derived from the pool size) so results
 /// are independent of the number of worker threads.
 inline constexpr std::size_t kScanChunkRows = 65536;
+
+/// Smallest leaf of the pruned top-M descent: the innermost digit box with
+/// at least this many rows is evaluated row by row.
+inline constexpr std::uint64_t kScanLeafRows = 8;
 
 /// Maps a raw network output to a predicted time: y * scale + mean, then
 /// exp when `exponentiate` (matches the model's target standardization and
@@ -92,7 +113,8 @@ struct ScanCandidate {
 /// the declared int8 bound), `fp64_reranked` counts candidates sent through
 /// the fp64 reference for exact ranking, `near_ties` the subset that sat
 /// outside the coarse top-m but within the band (i.e. the ones whose fate
-/// fp64 actually decided).
+/// fp64 actually decided). `pruned_rows` counts the rows of `scanned` the
+/// pruned fp32 scan proved out of reach and never evaluated.
 struct TopMScanResult {
   std::vector<ScanCandidate> top;
   std::vector<ScanCandidate> top_unfiltered;
@@ -101,6 +123,7 @@ struct TopMScanResult {
   double error_bound = 0.0;
   std::uint64_t fp64_reranked = 0;
   std::uint64_t near_ties = 0;
+  std::uint64_t pruned_rows = 0;
 };
 
 /// Which inference engine the scan drives.
@@ -132,10 +155,10 @@ struct ScanOptions {
   /// kQuantInt8, in raw (standardized) output units. Candidates within 2x
   /// this bound of the int8 selection cutoff are re-ranked in fp64.
   /// Deliberately loose — int8 error is dominated by the u7 activation
-  /// resolution times the output layer's L1 norm, measured at ~0.06
-  /// worst-case on the paper's default ensemble (k=5, 30 sigmoid hidden);
-  /// tests verify the measured error stays under half this bound so it
-  /// keeps a 2x margin.
+  /// resolution times the output layer's L1 norm; BENCH_scan.json measures
+  /// 0.024–0.037 worst-case on the paper's default ensemble (k = 11,
+  /// 1 x 30 sigmoid) over the three Table-2 spaces. Tests verify the
+  /// measured error stays under half this bound so it keeps a 2x margin.
   double quant_error_bound = 0.15;
 };
 
@@ -181,11 +204,32 @@ using ScanRowFillerF32 = std::function<void(
 /// kBatchedFp32 uses `engine` (certified over the calibration box that
 /// contains every row `fill` produces); kQuantInt8 uses `quant`. The fp64
 /// filler/ensemble are still required — they are the re-ranking reference.
+/// `radices` (RangeEncoder::radices) describe the space the flat indices
+/// address, feature d of every row encoding digit d; with them the fp32
+/// top-M scan prunes (see the header comment). Empty: no pruning.
 struct BatchedScan {
   const ml::BatchedEnsemble* engine = nullptr;
   const ml::QuantizedEnsemble* quant = nullptr;
   ScanRowFillerF32 fill;
+  std::vector<std::uint64_t> radices;
 };
+
+/// A BatchedScan with shared ownership of the engines it points into, so
+/// they outlive the scan even if the cache that built them is reset.
+struct ScanEngines {
+  std::shared_ptr<const ml::BatchedEnsemble> engine;
+  std::shared_ptr<const ml::QuantizedEnsemble> quant;
+  BatchedScan batched;
+};
+
+/// The engine for `inference` (kBatchedFp32 or kQuantInt8) of `ensemble`
+/// from `cache`, certified or calibrated over encoder.calibration(tail),
+/// with encoder.fill_f32 (every row ending in `tail`) as the row filler and
+/// the encoder's radices. `encoder` must outlive the returned engines.
+[[nodiscard]] ScanEngines make_scan_engines(
+    const ml::BatchedEnsembleCache& cache, const ml::BaggingEnsemble& ensemble,
+    const RangeEncoder& encoder, std::vector<float> tail,
+    ScanInference inference);
 
 /// Predicted (transformed) value for every index in [begin, end), in order,
 /// through the fp64 reference.

@@ -401,3 +401,108 @@ TEST(BatchedEnsembleBound, DegenerateCalibrationRanges) {
             at_point.error_bound());
   EXPECT_LE(at_point.error_bound(), batched.error_bound());
 }
+
+// ---- Node bounds ------------------------------------------------------------
+
+namespace {
+
+/// Checks every row of random nodes (first k features free over `calib`,
+/// the rest fixed at random points of it), for every k from 0 to the width:
+/// the row's fp32 prediction is at least L~ - E(k) - B. The free features
+/// take every corner of their box (up to 2^10) and `samples` random points.
+void expect_node_bounds_hold(const ml::BatchedEnsemble& batched,
+                             const ml::QuantCalibration& calib,
+                             std::size_t samples, std::uint64_t seed) {
+  ASSERT_TRUE(batched.has_node_bounds());
+  const std::size_t cols = calib.width();
+  pt::common::Rng rng(seed);
+  const auto draw = [&](std::size_t c) {
+    return static_cast<float>(calib.lo[c] +
+                              rng.uniform() * (calib.hi[c] - calib.lo[c]));
+  };
+  ml::BatchedEnsemble::Scratch scratch;
+  for (std::size_t k = 0; k <= cols; ++k) {
+    for (std::size_t node = 0; node < 4; ++node) {
+      std::vector<float> row(cols, 0.0f);
+      for (std::size_t c = k; c < cols; ++c) row[c] = draw(c);
+      std::vector<float> bound;
+      batched.node_lower_bounds(row.data(), 1, k, bound, scratch);
+      ASSERT_EQ(bound.size(), 1u);
+      const double floor = static_cast<double>(bound[0]) -
+                           batched.node_error_bound(k) - batched.error_bound();
+
+      const std::size_t corners = k <= 10 ? std::size_t{1} << k : 0;
+      const std::size_t rows = corners + samples;
+      std::vector<float> x(rows * cols);
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+          x[r * cols + c] =
+              c >= k      ? row[c]
+              : r < corners ? ((r >> c) & 1U ? calib.hi[c] : calib.lo[c])
+                            : draw(c);
+      std::vector<float> got;
+      batched.predict_batch_into(x.data(), rows, got, scratch);
+      for (std::size_t r = 0; r < rows; ++r)
+        ASSERT_GE(static_cast<double>(got[r]), floor)
+            << "k = " << k << ", node " << node << ", row " << r;
+      if (k == 0) {
+        // No free feature: the bound runs the packed network on the row.
+        EXPECT_EQ(bound[0], got[0]);
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(BatchedEnsembleNodeBound, RowsOfRandomNodesStayAboveTheBound) {
+  // Random one-hidden-layer ensembles over every activation, weights large
+  // enough to saturate, a radix-1 (lo == hi) feature between free ones.
+  const ml::Activation acts[] = {ml::Activation::kSigmoid,
+                                 ml::Activation::kTanh, ml::Activation::kRelu};
+  std::uint64_t seed = 500;
+  for (const auto act : acts) {
+    for (const double gain : {1.0, 4.0}) {
+      SCOPED_TRACE(ml::to_string(act) + (gain > 1.0 ? " saturating" : ""));
+      ml::QuantCalibration calib = box(6, -3.0f, 7.0f);
+      calib.lo[2] = calib.hi[2] = 1.5f;
+      calib.lo[4] = 0.0f;
+      calib.hi[4] = 1.0f;
+      const auto ensemble = random_ensemble(
+          6, {{30, act}}, 5, gain,
+          scaler_of({2.0, 2.0, 1.5, 2.0, 0.5, -1.0},
+                    {2.5, 1.0, 3.0, 0.5, 0.5, 2.0}),
+          seed += 10);
+      const ml::BatchedEnsemble batched(ensemble, calib);
+      expect_node_bounds_hold(batched, calib, 300, seed);
+    }
+  }
+}
+
+TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
+  // Raw features far from the origin against a small spread: the selection
+  // bias sums large terms that nearly cancel.
+  const ml::QuantCalibration calib = box(4, 990.0f, 1010.0f);
+  const auto ensemble = random_ensemble(
+      4, {{20, ml::Activation::kSigmoid}}, 3, 2.0,
+      scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
+  const ml::BatchedEnsemble batched(ensemble, calib);
+  expect_node_bounds_hold(batched, calib, 2000, 9);
+  // Freed features leave the fp32 accumulation for the double-precision
+  // selection bias, so their large cancelling terms stop costing fp32
+  // rounding error.
+  EXPECT_LT(batched.node_error_bound(4), batched.node_error_bound(0));
+}
+
+TEST(BatchedEnsembleNodeBound, OnlyOneHiddenLayerEnsemblesHaveThem) {
+  const auto deep = random_ensemble(
+      3, {{8, ml::Activation::kSigmoid}, {4, ml::Activation::kTanh}}, 2, 1.0,
+      scaler_of({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}), 3);
+  const ml::BatchedEnsemble batched(deep, box(3, -1.0f, 1.0f));
+  EXPECT_FALSE(batched.has_node_bounds());
+  std::vector<float> out;
+  ml::BatchedEnsemble::Scratch scratch;
+  const std::vector<float> row(3, 0.0f);
+  EXPECT_THROW(batched.node_lower_bounds(row.data(), 1, 1, out, scratch),
+               std::logic_error);
+}
