@@ -51,7 +51,7 @@
 // non-decreasing, so over the node a member's exact output is at least
 //   c + sum_j v_j * act(z_j^sel),
 //   z_j^sel = b'_j + sum_{i>=k} w'_ij x_i
-//                  + sum_{i<k} (v_j >= 0 ? min : max) of w'_ij x_i on [lo_i, hi_i]
+//           + sum_{i<k} (v_j >= 0 ? min : max) of w'_ij x_i on [lo_i, hi_i]
 // (v the output weights, c the output bias). The selection bias
 // b^sel(k) = b' + the free-feature sum is computed in double at pack time
 // for every k and stored as float, so the bound L~ is forward_column0 on the
@@ -60,7 +60,7 @@
 // E(k) certifies |L~ - its exact value| by the same analysis run on that
 // modified network (free features boxed at [0, 0]; b^sel's own double
 // rounding priced into its bias error). Then every row r in the node has
-//   fp32(r) >= exact(r) - B >= exact L~ - B >= L~ - E(k) - B.
+//   fp32(r) >= exact(r) - B >= (exact value of L~) - B >= L~ - E(k) - B.
 
 #include <cstddef>
 #include <memory>

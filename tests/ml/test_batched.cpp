@@ -406,11 +406,50 @@ TEST(BatchedEnsembleBound, DegenerateCalibrationRanges) {
 
 namespace {
 
-/// Checks every row of random nodes (first k features free over `calib`,
-/// the rest fixed at random points of it), for every k from 0 to the width:
-/// the row's fp32 prediction is at least L~ - E(k) - B. The free features
-/// take every corner of their box (up to 2^10) and `samples` random points.
-void expect_node_bounds_hold(const ml::BatchedEnsemble& batched,
+/// The node bound's exact value, in long double: each member's hidden unit
+/// j sums its terms at the row's fixed features (i >= k) and, per free
+/// feature, the smallest (v_j >= 0) or largest of its term over the box.
+long double exact_node_value(const ml::BaggingEnsemble& ensemble,
+                             const ml::QuantCalibration& calib,
+                             const std::vector<float>& row, std::size_t k) {
+  const std::vector<double>& mean = ensemble.scaler().means();
+  const std::vector<double>& stddev = ensemble.scaler().stddevs();
+  long double total = 0.0L;
+  for (std::size_t n = 0; n < ensemble.member_count(); ++n) {
+    const ml::Mlp& net = ensemble.member(n);
+    const ml::Matrix& w = net.weights(0);
+    const ml::Matrix& v = net.weights(1);
+    long double out = net.biases(1)[0];
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+      long double z = net.biases(0)[j];
+      for (std::size_t i = 0; i < w.rows(); ++i) {
+        const auto term = [&](float x) {
+          return static_cast<long double>(w(i, j)) *
+                 ((static_cast<long double>(x) - mean[i]) / stddev[i]);
+        };
+        if (i >= k)
+          z += term(row[i]);
+        else if (v(j, 0) >= 0.0)
+          z += std::min(term(calib.lo[i]), term(calib.hi[i]));
+        else
+          z += std::max(term(calib.lo[i]), term(calib.hi[i]));
+      }
+      out += v(j, 0) * ml::activate(net.layers()[0].activation,
+                                    static_cast<double>(z));
+    }
+    total += ml::activate(net.layers()[1].activation,
+                          static_cast<double>(out));
+  }
+  return total / static_cast<long double>(ensemble.member_count());
+}
+
+/// Checks random nodes (first k features free over `calib`, the rest fixed
+/// at random points of it), for every k from 0 to the width: L~ is within
+/// E(k) of its exact value, and every row's fp32 prediction is at least
+/// L~ - E(k) - B. The free features take every corner of their box (up to
+/// 2^10) and `samples` random points.
+void expect_node_bounds_hold(const ml::BaggingEnsemble& ensemble,
+                             const ml::BatchedEnsemble& batched,
                              const ml::QuantCalibration& calib,
                              std::size_t samples, std::uint64_t seed) {
   ASSERT_TRUE(batched.has_node_bounds());
@@ -428,6 +467,10 @@ void expect_node_bounds_hold(const ml::BatchedEnsemble& batched,
       std::vector<float> bound;
       batched.node_lower_bounds(row.data(), 1, k, bound, scratch);
       ASSERT_EQ(bound.size(), 1u);
+      EXPECT_LE(std::fabs(static_cast<long double>(bound[0]) -
+                          exact_node_value(ensemble, calib, row, k)),
+                batched.node_error_bound(k))
+          << "k = " << k << ", node " << node;
       const double floor = static_cast<double>(bound[0]) -
                            batched.node_error_bound(k) - batched.error_bound();
 
@@ -474,7 +517,7 @@ TEST(BatchedEnsembleNodeBound, RowsOfRandomNodesStayAboveTheBound) {
                     {2.5, 1.0, 3.0, 0.5, 0.5, 2.0}),
           seed += 10);
       const ml::BatchedEnsemble batched(ensemble, calib);
-      expect_node_bounds_hold(batched, calib, 300, seed);
+      expect_node_bounds_hold(ensemble, batched, calib, 300, seed);
     }
   }
 }
@@ -487,7 +530,7 @@ TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
       4, {{20, ml::Activation::kSigmoid}}, 3, 2.0,
       scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
   const ml::BatchedEnsemble batched(ensemble, calib);
-  expect_node_bounds_hold(batched, calib, 2000, 9);
+  expect_node_bounds_hold(ensemble, batched, calib, 2000, 9);
   // Freed features leave the fp32 accumulation for the double-precision
   // selection bias, so their large cancelling terms stop costing fp32
   // rounding error.
