@@ -21,6 +21,7 @@
 #include "benchmarks/benchmark.hpp"
 #include "benchmarks/registry.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "common/thread_pool.hpp"
 #include "tuner/model.hpp"
 #include "tuner/scan.hpp"
@@ -227,12 +228,13 @@ TEST_F(ScanPrunedTest, RandomEnsemblesOnSyntheticSpaces) {
     return [](std::uint64_t index) { return (index * 2654435761u) % 7 != 3; };
   };
   const std::uint64_t n = space.size();
-  // Whole space; off-box starts and ends; ranges ending at 65535, 65536 and
-  // 65537 rows; a range across the second chunk seam.
+  // Whole space; off-box starts and ends; ranges of 65535, 65536 and 65537
+  // rows (one row short of a chunk, one chunk, one row into a second); a
+  // range across the second chunk seam; ranges shorter than m.
   const std::vector<ScanCase> ranges = {
-      {0, n, 16},          {13, 65535, 16},      {0, 65536, 1},
-      {5, 5 + 65537, 16},  {65530, 131077, 16},  {100003, n - 17, 1},
-      {40000, 40007, 16},  {70001, 70001 + 250, 300},
+      {0, n, 16},          {0, 65535, 16},       {13, 65535, 16},
+      {0, 65536, 1},       {5, 5 + 65537, 16},   {65530, 131077, 16},
+      {100003, n - 17, 1}, {40000, 40007, 16},   {70001, 70001 + 250, 300},
   };
   std::uint64_t seed = 1;
   for (const ml::Activation act :
@@ -324,7 +326,8 @@ TEST_F(ScanPrunedTest, RadicesThatDoNotDescribeTheRangeThrow) {
 
 TEST_F(ScanPrunedTest, ModelScanPrunesWithTheEncoderRadices) {
   // AnnPerformanceModel passes its RangeEncoder's radices through
-  // make_scan_engines: the default top-M prunes, and stays the fp64 one.
+  // make_scan_engines: the default top-M prunes, counts the skipped rows in
+  // telemetry, and stays the fp64 one.
   const ParamSpace space = synthetic_space();
   common::Rng rng(3);
   std::vector<TrainingSample> samples;
@@ -341,7 +344,14 @@ TEST_F(ScanPrunedTest, ModelScanPrunesWithTheEncoderRadices) {
   opts.ensemble.trainer.common.max_epochs = 100;
   AnnPerformanceModel model(opts);
   model.fit(space, samples, rng);
-  const TopMScanResult fp32 = model.predict_scan_top_m(0, space.size(), 20);
+  common::telemetry::Collector collector;
+  TopMScanResult fp32;
+  {
+    const common::telemetry::ScopedCollector scope(&collector);
+    fp32 = model.predict_scan_top_m(0, space.size(), 20);
+  }
+  EXPECT_EQ(collector.counter("tuner.scan.pruned_rows"),
+            static_cast<double>(fp32.pruned_rows));
   ScanOptions fp64;
   fp64.inference = ScanInference::kScalarFp64;
   model.set_scan_options(fp64);
