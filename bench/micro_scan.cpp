@@ -7,10 +7,9 @@
 // fp64 one (indices and values), checks determinism across thread counts,
 // reports each approximate path's re-rank bound (certified for fp32,
 // declared for int8) beside its measured worst raw-output error against
-// fp64, and the rows the pruned fp32 top-M scan never evaluated, and writes
-// BENCH_scan.json. Speedups are always against the
-// same-run fp64 baseline, so columns within one report are directly
-// comparable.
+// fp64 and the rows the pruned fp32 top-M scan never evaluated, and writes
+// BENCH_scan.json. Speedups are always against the same-run fp64 baseline,
+// so columns within one report are directly comparable.
 //
 // The model is trained on synthetic (strictly positive) times so the bench
 // exercises exactly the prediction path — no device simulation involved.
