@@ -6,6 +6,8 @@
 // BenchmarkEvaluator adapts a (benchmark, device) pair to the tuner's
 // Evaluator interface, turning driver rejections into invalid measurements.
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -86,6 +88,15 @@ class TunableBenchmark {
 [[nodiscard]] clsim::analyze::ConfigVerdict check_config(
     const clsim::analyze::StaticChecker& checker,
     const tuner::Configuration& config);
+
+/// Fill a width x height input image row by row: fill_row(y) for every y in
+/// [0, height). Rows go to the global pool in tasks of at least 2^16 pixels;
+/// an image no larger than one task is filled on the calling thread, so a
+/// small instance never waits behind other work queued on the pool.
+/// fill_row(y) must write only what belongs to row y, which makes the result
+/// independent of the pool size.
+void fill_rows(std::size_t width, std::size_t height,
+               const std::function<void(std::size_t)>& fill_row);
 
 /// Adapts (benchmark, device) to tuner::Evaluator. Measurements run on a
 /// timing-only queue; invalid configurations are caught and reported with

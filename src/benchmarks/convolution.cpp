@@ -238,15 +238,22 @@ clsim::KernelBody make_body(ConvData data, ConvConfig c) {
   };
 }
 
-}  // namespace
-
-float ConvolutionBenchmark::input_value(std::size_t x, std::size_t y) noexcept {
+/// input_value with its column term sin(0.11 x) passed in, so a row fill can
+/// compute it once per column. Only the whole libm result is passed in: the
+/// sum is the same expression, so it rounds (and contracts) the same way.
+float input_value_at(double sin_x, std::size_t x, std::size_t y) noexcept {
   // Deterministic, smooth-ish signal with enough variation to catch
   // indexing bugs in every kernel variant.
   const double fx = static_cast<double>(x);
   const double fy = static_cast<double>(y);
-  return static_cast<float>(0.5 + 0.25 * std::sin(0.11 * fx) +
+  return static_cast<float>(0.5 + 0.25 * sin_x +
                             0.25 * std::cos(0.07 * fy + 0.013 * fx));
+}
+
+}  // namespace
+
+float ConvolutionBenchmark::input_value(std::size_t x, std::size_t y) noexcept {
+  return input_value_at(std::sin(0.11 * static_cast<double>(x)), x, y);
 }
 
 ConvolutionBenchmark::ConvolutionBenchmark(const Geometry& geometry)
@@ -262,33 +269,36 @@ ConvolutionBenchmark::ConvolutionBenchmark(const Geometry& geometry)
       program_("convolution") {
   const std::size_t w = geometry_.width;
   const std::size_t h = geometry_.height;
-  const int r = geometry_.radius;
-
-  auto in = input_.as<float>();
-  for (std::size_t y = 0; y < h; ++y)
-    for (std::size_t x = 0; x < w; ++x)
-      in[y * w + x] = input_value(x, y);
-
-  // Padded copy whose apron replicates the clamped edge, so the padded
-  // path computes the same result as explicit clamping.
-  auto pad = padded_.as<float>();
+  const auto r = static_cast<std::size_t>(geometry_.radius);
   const std::size_t pw = w + 2 * r;
-  const std::size_t ph = h + 2 * r;
-  for (std::size_t y = 0; y < ph; ++y) {
-    for (std::size_t x = 0; x < pw; ++x) {
-      const long sx = std::clamp<long>(static_cast<long>(x) - r, 0,
-                                       static_cast<long>(w) - 1);
-      const long sy = std::clamp<long>(static_cast<long>(y) - r, 0,
-                                       static_cast<long>(h) - 1);
-      pad[y * pw + x] = in[static_cast<std::size_t>(sy) * w +
-                           static_cast<std::size_t>(sx)];
-    }
-  }
+  float* const in = input_.as<float>().data();
+  float* const pad = padded_.as<float>().data();
+  float* const img = image_.data().data();
+  std::vector<double> sin_x(w);
+  for (std::size_t x = 0; x < w; ++x)
+    sin_x[x] = std::sin(0.11 * static_cast<double>(x));
+  fill_rows(w, h, [&](std::size_t y) {
+    float* const row = in + y * w;
+    for (std::size_t x = 0; x < w; ++x)
+      row[x] = input_value_at(sin_x[x], x, y);
+    std::copy_n(row, w, img + y * w);
+    // Padded copy whose apron replicates the clamped edge, so the padded
+    // path computes the same result as explicit clamping. Row y lands in
+    // padded row y + r; the first and last rows also fill the top and
+    // bottom aprons.
+    float* const pad_row = pad + (y + r) * pw;
+    std::fill_n(pad_row, r, row[0]);
+    std::copy_n(row, w, pad_row + r);
+    std::fill_n(pad_row + r + w, r, row[w - 1]);
+    if (y == 0)
+      for (std::size_t a = 0; a < r; ++a)
+        std::copy_n(pad_row, pw, pad + a * pw);
+    if (y == h - 1)
+      for (std::size_t a = 1; a <= r; ++a)
+        std::copy_n(pad_row, pw, pad_row + a * pw);
+  });
 
-  auto img = image_.data();
-  std::copy(in.begin(), in.end(), img.begin());
-
-  const int d = 2 * r + 1;
+  const int d = 2 * geometry_.radius + 1;
   auto coeffs = filter_.as<float>();
   for (auto& cf : coeffs) cf = 1.0f / static_cast<float>(d * d);
 

@@ -10,8 +10,17 @@
 // All configurations are functionally equivalent: boundary handling is
 // clamp-to-edge, implemented either by explicit clamping, by a pre-padded
 // input whose apron replicates the edge, or by the image sampler.
+//
+// The input is built once, at construction, row by row (fill_rows: rows on
+// the global pool for images larger than one task). input_value's sin(0.11 x)
+// is computed once per column, leaving 1 libm call per pixel, and each
+// finished row is copied into the image and, with its apron, into the padded
+// buffer. Only the whole libm result is reused, so every pixel equals the
+// per-pixel input_value bit for bit at any pool size
+// (tests/benchmarks/test_inputs.cpp).
 
 #include <cstddef>
+#include <span>
 
 #include "benchmarks/benchmark.hpp"
 
@@ -61,6 +70,19 @@ class ConvolutionBenchmark final : public TunableBenchmark {
 
   /// The deterministic input signal (exposed for tests).
   [[nodiscard]] static float input_value(std::size_t x, std::size_t y) noexcept;
+
+  /// Read-only views of the generated inputs: the width x height input and
+  /// image (same pixels), and the (width+2R) x (height+2R) padded copy whose
+  /// apron replicates the clamped edge.
+  [[nodiscard]] std::span<const float> input() const {
+    return input_.as<const float>();
+  }
+  [[nodiscard]] std::span<const float> padded() const {
+    return padded_.as<const float>();
+  }
+  [[nodiscard]] std::span<const float> image() const noexcept {
+    return image_.data();
+  }
 
  private:
   void build_space();

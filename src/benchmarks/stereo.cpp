@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace pt::benchkit {
 
@@ -269,6 +270,17 @@ clsim::KernelBody make_body(StereoData data, StereoConfig c) {
   };
 }
 
+/// true_disparity from its two libm terms, sin(0.011 x) and cos(0.017 y), so
+/// a row fill can compute each once per column and once per row. Only whole
+/// libm results are passed in: the arithmetic is the same expression, so it
+/// rounds (and contracts) the same way.
+int disparity_at(double sin_x, double cos_y, int max_disparity) noexcept {
+  // Smooth planted disparity field, capped inside the search range.
+  const double v = 0.5 + 0.5 * sin_x * cos_y;
+  const int d = static_cast<int>(v * (max_disparity - 1));
+  return std::clamp(d, 0, max_disparity - 1);
+}
+
 }  // namespace
 
 float StereoBenchmark::left_value(std::size_t x, std::size_t y) noexcept {
@@ -282,11 +294,8 @@ float StereoBenchmark::left_value(std::size_t x, std::size_t y) noexcept {
 
 int StereoBenchmark::true_disparity(std::size_t x, std::size_t y,
                                     int max_disparity) noexcept {
-  // Smooth planted disparity field, capped inside the search range.
-  const double v = 0.5 + 0.5 * std::sin(0.011 * static_cast<double>(x)) *
-                             std::cos(0.017 * static_cast<double>(y));
-  const int d = static_cast<int>(v * (max_disparity - 1));
-  return std::clamp(d, 0, max_disparity - 1);
+  return disparity_at(std::sin(0.011 * static_cast<double>(x)),
+                      std::cos(0.017 * static_cast<double>(y)), max_disparity);
 }
 
 StereoBenchmark::StereoBenchmark(const Geometry& geometry)
@@ -298,26 +307,29 @@ StereoBenchmark::StereoBenchmark(const Geometry& geometry)
       output_(geometry.width * geometry.height * sizeof(float)),
       program_("stereo") {
   const std::size_t w = geometry_.width;
-  const std::size_t h = geometry_.height;
-  auto l = left_.as<float>();
-  auto r = right_.as<float>();
-  auto li = left_image_.data();
-  auto ri = right_image_.data();
-  for (std::size_t y = 0; y < h; ++y) {
+  const int max_d = geometry_.max_disparity;
+  float* const l = left_.as<float>().data();
+  float* const r = right_.as<float>().data();
+  float* const li = left_image_.data().data();
+  float* const ri = right_image_.data().data();
+  std::vector<double> sin_x(w);
+  for (std::size_t x = 0; x < w; ++x)
+    sin_x[x] = std::sin(0.011 * static_cast<double>(x));
+  fill_rows(w, geometry_.height, [&](std::size_t y) {
+    float* const left_row = l + y * w;
+    float* const right_row = r + y * w;
+    for (std::size_t x = 0; x < w; ++x) left_row[x] = left_value(x, y);
+    // Right image: left_value(x + d, y), clamped at the right edge, is a
+    // pixel of the row just computed.
+    const double cos_y = std::cos(0.017 * static_cast<double>(y));
     for (std::size_t x = 0; x < w; ++x) {
-      const float lv = left_value(x, y);
-      l[y * w + x] = lv;
-      li[y * w + x] = lv;
-      // Right image: left shifted by the planted disparity (clamped).
-      const int d = true_disparity(x, y, geometry_.max_disparity);
-      const std::size_t sx =
-          x + static_cast<std::size_t>(d) < w ? x + static_cast<std::size_t>(d)
-                                              : w - 1;
-      const float rv = left_value(sx, y);
-      r[y * w + x] = rv;
-      ri[y * w + x] = rv;
+      const auto d =
+          static_cast<std::size_t>(disparity_at(sin_x[x], cos_y, max_d));
+      right_row[x] = left_row[std::min(x + d, w - 1)];
     }
-  }
+    std::copy_n(left_row, w, li + y * w);
+    std::copy_n(right_row, w, ri + y * w);
+  });
 
   build_space();
   build_program();

@@ -11,6 +11,17 @@
 // {1,2,4} each. Space size: 8^4 * 2^4 * 4*3*3 = 2,359,296 — the largest of
 // the three benchmarks, and (via the right image's disparity-extended local
 // tile) the one with the most invalid configurations on GPUs.
+//
+// The inputs are built once, at construction, row by row (fill_rows: rows
+// on the global pool for images larger than one task). Each left row costs
+// 3 libm calls per pixel, for left_value; the right row is read off it,
+// because right(x, y) = left_value(x + d, y) with the shift clamped at the
+// right edge; and true_disparity's sin(0.011 x) and cos(0.017 y) are
+// computed once per column and once per row. Only whole libm results are
+// reused, so every pixel equals the per-pixel left_value/true_disparity bit
+// for bit at any pool size (tests/benchmarks/test_inputs.cpp).
+
+#include <span>
 
 #include "benchmarks/benchmark.hpp"
 
@@ -60,6 +71,21 @@ class StereoBenchmark final : public TunableBenchmark {
   [[nodiscard]] static float left_value(std::size_t x, std::size_t y) noexcept;
   [[nodiscard]] static int true_disparity(std::size_t x, std::size_t y,
                                           int max_disparity) noexcept;
+
+  /// Read-only views of the generated inputs, row-major width x height:
+  /// the buffers and the images hold the same pixels.
+  [[nodiscard]] std::span<const float> left() const {
+    return left_.as<const float>();
+  }
+  [[nodiscard]] std::span<const float> right() const {
+    return right_.as<const float>();
+  }
+  [[nodiscard]] std::span<const float> left_image() const noexcept {
+    return left_image_.data();
+  }
+  [[nodiscard]] std::span<const float> right_image() const noexcept {
+    return right_image_.data();
+  }
 
  private:
   void build_space();

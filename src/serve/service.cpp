@@ -227,8 +227,12 @@ TuneResponse TuneService::execute_tune(const TuneRequest& request) {
     if (tel::enabled()) tel::count("serve.cache.misses");
   }
 
+  // Building the evaluator (for the catalog: the benchmark's inputs) is
+  // host time in front of the tune, so it gets its own span.
+  tel::Span evaluator_span("serve.evaluator");
   std::unique_ptr<tuner::Evaluator> evaluator =
       factory_ ? factory_(request.key) : nullptr;
+  evaluator_span.finish();
   if (evaluator == nullptr)
     return make_failure(request, ResponseStatus::kInvalidKey,
                         "unknown key: " + request.key.to_string());

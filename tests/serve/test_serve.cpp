@@ -7,9 +7,11 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/telemetry/telemetry.hpp"
 #include "serve/protocol.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/options.hpp"
@@ -248,6 +250,32 @@ TEST(TuneService, PredictUsesStoredModel) {
   ASSERT_TRUE(entry.has_value());
   ASSERT_NE(entry->model, nullptr);
   EXPECT_DOUBLE_EQ(warm.predicted_ms, entry->model->predict_ms(probe));
+}
+
+TEST(TuneService, EvaluatorSpanOnlyForExecutedTunes) {
+  // Building the evaluator is traced beside serve.tune: one serve.evaluator
+  // span per executed tune, none for a store hit or a predict.
+  common::telemetry::Collector collector;
+  const common::telemetry::ScopedCollector scoped(&collector);
+  const auto spans_named = [&collector](const std::string& name) {
+    std::size_t n = 0;
+    for (const auto& span : collector.spans()) n += span.name == name ? 1 : 0;
+    return n;
+  };
+  RecordingFactory recorder;
+  TuneService service(fast_service_options(), recorder.factory());
+  Session session(service, "tenant-a");
+
+  ASSERT_EQ(session.tune(bowl_key(), 5).status, ResponseStatus::kOk);
+  EXPECT_EQ(spans_named("serve.evaluator"), 1u);
+  EXPECT_EQ(spans_named("serve.tune"), 1u);
+
+  EXPECT_TRUE(session.tune(bowl_key(), 5).from_cache);
+  const TuneResponse predicted =
+      session.predict(bowl_key(), tuner::Configuration{{8, 16, 2}}, 5);
+  ASSERT_EQ(predicted.status, ResponseStatus::kOk);
+  EXPECT_EQ(spans_named("serve.evaluator"), 1u);
+  EXPECT_EQ(recorder.calls().size(), 1u);
 }
 
 TEST(TuneService, ErrorStatuses) {
