@@ -15,7 +15,6 @@
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/mlp.hpp"
-#include "ml/quant.hpp"
 #include "ml/trainer.hpp"
 
 namespace {
@@ -177,9 +176,8 @@ void BM_BatchedMlpForward(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedMlpForward)->Arg(256)->Arg(4096)->Arg(65536);
 
-/// The trained ensemble the batched and quantized benches pack (the paper's
-/// k = 11, same seed for every engine so throughputs compare directly),
-/// with the [-8, 8] box random_floats draws from as its calibration.
+/// The trained ensemble the batched bench packs (the paper's k = 11), with
+/// the [-8, 8] box random_floats draws from as its certification box.
 ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   ml::Dataset data;
   data.x = random_matrix(400, 9, rng);
@@ -192,22 +190,21 @@ ml::BaggingEnsemble bench_ensemble(common::Rng& rng) {
   return ensemble;
 }
 
-ml::QuantCalibration bench_calibration() {
-  ml::QuantCalibration calib;
+ml::CertificationBox bench_calibration() {
+  ml::CertificationBox calib;
   calib.lo.assign(9, -8.0F);
   calib.hi.assign(9, 8.0F);
   return calib;
 }
 
-template <typename Engine>
-void BM_EnsemblePredict(benchmark::State& state) {
+void BM_BatchedEnsemblePredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   common::Rng rng(8);
   const ml::BaggingEnsemble ensemble = bench_ensemble(rng);
-  const Engine engine(ensemble, bench_calibration());
+  const ml::BatchedEnsemble engine(ensemble, bench_calibration());
   const auto x = random_floats(n * 9, rng);
   std::vector<float> out;
-  typename Engine::Scratch scratch;
+  ml::BatchedEnsemble::Scratch scratch;
   for (auto _ : state) {
     engine.predict_batch_into(x.data(), n, out, scratch);
     benchmark::DoNotOptimize(out.data());
@@ -215,16 +212,7 @@ void BM_EnsemblePredict(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-
-void BM_BatchedEnsemblePredict(benchmark::State& state) {
-  BM_EnsemblePredict<ml::BatchedEnsemble>(state);
-}
 BENCHMARK(BM_BatchedEnsemblePredict)->Arg(65536);
-
-void BM_QuantInt8EnsemblePredict(benchmark::State& state) {
-  BM_EnsemblePredict<ml::QuantizedEnsemble>(state);
-}
-BENCHMARK(BM_QuantInt8EnsemblePredict)->Arg(65536);
 
 }  // namespace
 

@@ -1,26 +1,24 @@
 // Microbenchmark for the parallel prediction-scan engine: a configs/sec
 // trajectory over the Table-2 spaces. For every space and thread count it
-// times the dense range scan (predict_range_ms) and the streaming top-M scan
-// (predict_scan_top_m) on ALL inference paths — the scalar fp64 reference,
-// the batched SIMD fp32 engine (the default) and the quantized int8 tier —
-// checks that every approximate path's top-M selection is identical to the
-// fp64 one (indices and values), checks determinism across thread counts,
-// reports each approximate path's re-rank bound (certified for fp32,
-// declared for int8) beside its measured worst raw-output error against
-// fp64 and the rows the pruned fp32 top-M scan never evaluated, and writes
+// times the dense range scan and the streaming top-M scan of the model's
+// tuner::ScanEngine on both inference paths — the fp64 reference
+// (reference_range, reference_top_m) and the certified fp32 engine (range,
+// top_m; its top-M is the one the tuners run) — checks that the fp32 top-M
+// selection is identical to the fp64 one (indices and values), checks
+// determinism across thread counts, reports the fp32 re-rank bound (its
+// certified B) beside its measured worst raw-output error against fp64 and
+// the rows the pruned top-M scan never evaluated, and writes
 // BENCH_scan.json. Speedups are always against the same-run fp64 baseline,
 // so columns within one report are directly comparable.
 //
 // The model is trained on synthetic (strictly positive) times so the bench
 // exercises exactly the prediction path — no device simulation involved.
 //
-// Gates (skipped under --smoke), all at threads=1, on every space:
-//   * batched fp32 must sustain >= 2x the configs/sec of the fp64 baseline
-//     on both entry points (range scan and top-M scan);
-//   * quantized int8 must sustain >= 2x the range-scan configs/sec of the
-//     batched fp32 path (the tier exists to beat fp32, not just fp64).
-// The top-M selection must match fp64 exactly on every path, and the
-// measured fp32 error must stay within its certified bound (both also under
+// Gate (skipped under --smoke), at threads=1, on every space: fp32 must
+// sustain >= 2x the configs/sec of the fp64 baseline on both entry points
+// (range scan and top-M scan). The fp32 top-M selection must match fp64
+// exactly, the measured fp32 error must stay within its certified bound,
+// and the top-M must not depend on the thread count (all three also under
 // --smoke, which ctest runs). Exit code 1 on any violation.
 //
 // Flags:
@@ -77,7 +75,7 @@ double synthetic_time_ms(const pt::tuner::Configuration& config) {
 
 /// One inference path at one thread count.
 struct PathRun {
-  std::string inference;  // "fp64" | "fp32" | "int8"
+  std::string inference;  // "fp64" | "fp32"
   double range_ms = 0.0;
   double range_configs_per_sec = 0.0;
   double top_m_ms = 0.0;
@@ -98,7 +96,7 @@ struct PathRun {
 
 struct Run {
   std::size_t threads = 0;
-  std::vector<PathRun> paths;  // index-aligned with kInferences
+  std::vector<PathRun> paths;  // fp64, then fp32
 };
 
 struct SpaceReport {
@@ -113,31 +111,24 @@ struct SpaceReport {
   bool gate_pass = true;
 };
 
-constexpr pt::tuner::ScanInference kInferences[] = {
-    pt::tuner::ScanInference::kScalarFp64,
-    pt::tuner::ScanInference::kBatchedFp32,
-    pt::tuner::ScanInference::kQuantInt8,
-};
-
-PathRun run_path(pt::tuner::AnnPerformanceModel& model,
-                 pt::tuner::ScanInference inference, std::uint64_t scanned,
-                 std::size_t m) {
-  pt::tuner::ScanOptions options;
-  options.inference = inference;
-  model.set_scan_options(options);
-
+/// Times one path's two entry points: the fp64 reference when `reference`,
+/// else the certified fp32 engine.
+PathRun run_path(const pt::tuner::ScanEngine& engine, bool reference,
+                 std::uint64_t scanned, std::size_t m) {
   PathRun run;
-  run.inference = pt::tuner::scan_inference_name(inference);
+  run.inference = reference ? "fp64" : "fp32";
   {
     const auto start = Clock::now();
-    run.range_values = model.predict_range_ms(0, scanned, inference);
+    run.range_values = reference ? engine.reference_range(0, scanned)
+                                 : engine.range(0, scanned);
     run.range_ms = ms_since(start);
     run.range_configs_per_sec = configs_per_sec(scanned, run.range_ms);
     if (run.range_values.size() != scanned) std::exit(1);  // defensive
   }
   {
     const auto start = Clock::now();
-    const auto scan = model.predict_scan_top_m(0, scanned, m);
+    const auto scan = reference ? engine.reference_top_m(0, scanned, m)
+                                : engine.top_m(0, scanned, m);
     run.top_m_ms = ms_since(start);
     run.top_m_configs_per_sec = configs_per_sec(scanned, run.top_m_ms);
     run.error_bound = scan.error_bound;
@@ -209,17 +200,19 @@ int main(int argc, char** argv) {
       model.fit(space, samples, rng);
       report.fit_ms = ms_since(start);
     }
+    // Packed once here, outside the timed scans.
+    const tuner::ScanEngine engine = model.scan_engine();
 
     for (const std::size_t threads : thread_counts) {
       common::set_global_pool_threads(threads);
       Run run;
       run.threads = threads;
-      for (const auto inference : kInferences)
-        run.paths.push_back(run_path(model, inference, report.scanned, m));
+      for (const bool reference : {true, false})
+        run.paths.push_back(run_path(engine, reference, report.scanned, m));
 
-      // Per-mode speedups against this run's fp64 baseline, and the
-      // accuracy gate: every approximate path must select exactly the
-      // fp64 top-M — same indices, same predicted values.
+      // Speedups against this run's fp64 baseline, and the accuracy gate:
+      // the fp32 path must select exactly the fp64 top-M — same indices,
+      // same predicted values.
       const PathRun& fp64 = run.paths.front();
       for (PathRun& path : run.paths) {
         // Raw outputs from the predicted times: log(t) = raw*scale + mean.
@@ -263,20 +256,14 @@ int main(int argc, char** argv) {
       report.runs.push_back(std::move(run));
     }
 
-    // The threads=1 throughput gates: fp32 >= 2x fp64 on both entry
-    // points, int8 >= 2x fp32 on the range scan.
+    // The threads=1 throughput gate: fp32 >= 2x fp64 on both entry points.
     if (!smoke && !report.runs.empty()) {
-      const Run& single = report.runs.front();
-      const PathRun& fp32 = single.paths[1];
-      const PathRun& int8 = single.paths[2];
+      const PathRun& fp32 = report.runs.front().paths[1];
       if (fp32.range_speedup < 2.0 || fp32.top_m_speedup < 2.0)
-        report.gate_pass = false;
-      if (int8.range_configs_per_sec < 2.0 * fp32.range_configs_per_sec)
         report.gate_pass = false;
     }
     if (!report.top_m_match) {
-      std::cout << "FAIL: " << name
-                << ": an approximate top-M differs from fp64\n";
+      std::cout << "FAIL: " << name << ": the fp32 top-M differs from fp64\n";
       all_match = false;
     }
     if (!report.within_bound) {
@@ -291,8 +278,7 @@ int main(int argc, char** argv) {
     }
     if (!report.gate_pass) {
       std::cout << "FAIL: " << name
-                << ": below a configs/sec gate (fp32 >= 2x fp64, "
-                   "int8 >= 2x fp32)\n";
+                << ": below the configs/sec gate (fp32 >= 2x fp64)\n";
       all_gates = false;
     }
     reports.push_back(std::move(report));
@@ -305,7 +291,6 @@ int main(int argc, char** argv) {
       .set("smoke", smoke)
       .set("simd_backend", std::string(common::simd::backend_name()))
       .set("gate_fp32_required_speedup_vs_fp64", 2.0)
-      .set("gate_int8_required_speedup_vs_fp32", 2.0)
       .set("gate_pass", all_gates)
       .set("top_m_match", all_match);
   common::json::Value benchmarks = common::json::Value::array();

@@ -22,11 +22,11 @@ fi
   --out="$repo_root/BENCH_exec.json"
 
 # BENCH_scan.json — the prediction-scan configs/sec trajectory
-# (bench/micro_scan): fp64 reference vs batched SIMD fp32 (the default
-# top-M engine) vs quantized int8. The binary enforces top-M equality with
-# fp64 for every approximate path, measured fp32 error within its certified
-# bound, plus the configs/sec gates (fp32 >= 2x fp64, int8 >= 2x fp32, both
-# at threads=1).
+# (bench/micro_scan): the scan engine's fp64 reference vs its certified
+# fp32 engine (the tuners' top-M). The binary enforces fp32 top-M equality
+# with fp64, measured fp32 error within its certified bound, the same top-M
+# at every thread count, plus the configs/sec gate (fp32 >= 2x fp64 on both
+# entry points at threads=1).
 if [[ ! -x "$build_dir/bench/micro_scan" ]]; then
   echo "building micro_scan in $build_dir ..."
   cmake --build "$build_dir" --target micro_scan -j

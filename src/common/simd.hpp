@@ -405,78 +405,6 @@ struct VecD {
 #endif
 
 // ---------------------------------------------------------------------------
-// Integer microkernels for the quantized int8 inference engine
-// (ml/quant.hpp). All arithmetic is exact integer arithmetic, so every
-// backend produces identical results by construction; self_test still
-// verifies the vector implementations against the scalar loops.
-//
-// Value contract: activations are unsigned 7-bit (0..127) and weights
-// signed 8-bit (-127..127), so a pair product sum fits s16 under
-// AVX2 maddubs saturation (2 * 127 * 127 = 32258 < 32767) and an s32
-// accumulator is exact for any practical fan-in (< 2^16 input pairs).
-// ---------------------------------------------------------------------------
-
-/// Channels per packed int8 weight block (one 32-byte vector of 8
-/// channels x 4 inputs).
-inline constexpr std::size_t kQuantChannelBlock = 8;
-/// Inputs per packed group within a channel block.
-inline constexpr std::size_t kQuantInputQuad = 4;
-/// Activation buffers feeding dot_u7s8 are zero-padded to this multiple.
-inline constexpr std::size_t kQuantDotAlign = 32;
-
-/// Dense GEMV over a quad-interleaved int8 panel:
-///   out[c] = sum_i a[i] * w_packed[i][c]   for c in [0, channels)
-/// `a` holds `in` u7 activations, `in` a multiple of kQuantInputQuad;
-/// `channels` is a multiple of kQuantChannelBlock. Panel layout: for each
-/// channel block c0 (step 8), for each input quad q (step 4), a 32-byte
-/// group holding bytes w[4q+k][c0+j] at offset 4j+k for j = 0..7,
-/// k = 0..3 — the AVX2 kernel broadcasts one activation dword against it
-/// (maddubs then madd-by-ones accumulates the four products per channel
-/// straight into s32), and the inner loop streams the panel contiguously.
-void gemv_u7s8(const std::uint8_t* a, const std::int8_t* w, std::size_t in,
-               std::size_t channels, std::int32_t* out) noexcept;
-
-/// Plain dot product of `n` u7 activations against s8 weights; n must be a
-/// multiple of kQuantDotAlign (pad both with zeros).
-[[nodiscard]] std::int32_t dot_u7s8(const std::uint8_t* a,
-                                    const std::int8_t* w,
-                                    std::size_t n) noexcept;
-
-/// Quantize `n` fp32 features to u7 activations:
-///   out[i] = clamp(rne((x[i] - lo[i]) * inv_step[i]), 0, 127)
-/// where rne is round-to-nearest-even (lrintf under the default rounding
-/// mode, which is also what the vector cvtps path implements) — one fp32
-/// subtract and multiply, so every backend produces identical bytes.
-void quantize_u7(const float* x, const float* lo, const float* inv_step,
-                 std::size_t n, std::uint8_t* out) noexcept;
-
-/// Requantize + table activation for `n` channels (n a multiple of 8):
-///   out[c] = (u8) lut[ clamp((acc[c] + bias[c]) >> shift[c], 0, size-1) ]
-/// The shift is an arithmetic right shift (floor division by 2^shift —
-/// well-defined for negative values in C++20); shifts must be in [0, 31]
-/// and lut values in [0, 127] so the result is a valid u7 activation.
-void requant_lut_u8(const std::int32_t* acc, const std::int32_t* bias,
-                    const std::int32_t* shift, std::size_t n,
-                    const std::int32_t* lut, std::int32_t size,
-                    std::uint8_t* out) noexcept;
-
-/// Fused single-hidden-layer int8 forward: exactly
-///   gemv_u7s8(a, w, in, channels, acc);
-///   requant_lut_u8(acc, bias, shift, channels, lut, size, act);
-///   return dot_u7s8(act, outw, channels);
-/// but with the intermediate accumulators and activations kept in
-/// registers (no acc/act memory round-trips, one kernel call per member
-/// row instead of three). `channels` must be a multiple of kQuantDotAlign.
-/// Bit-identical to the composition above on every backend — the AVX2
-/// path performs the same integer operation sequence, and the fallback IS
-/// the composition (over fixed 32-channel stack tiles).
-[[nodiscard]] std::int32_t forward1_u7s8(
-    const std::uint8_t* a, const std::int8_t* w, std::size_t in,
-    std::size_t channels, const std::int32_t* bias, const std::int32_t* shift,
-    const std::int32_t* lut, std::int32_t size,
-    const std::int8_t* outw) noexcept;
-
-// ---------------------------------------------------------------------------
 // Vectorized transcendental approximations (backend-independent algorithm;
 // the scalar references in simd.cpp spell out the identical operation
 // sequence with std::fma, which is what self_test compares against).

@@ -448,7 +448,7 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
 /// A_i = max(|lo_i|, |hi_i|)), plus gamma(k + 1) times the magnitude of the
 /// summed terms (one rounding per product and per add on any term's path).
 void member_node_bounds(const Mlp& mlp, const StandardScaler* scaler,
-                        const QuantCalibration& calibration, const Signal& box,
+                        const CertificationBox& calibration, const Signal& box,
                         simd::AlignedVectorF& bias,
                         std::vector<MemberBound>& bounds) {
   std::vector<BoundLayer> layers = fp32_layers(mlp, scaler);
@@ -493,7 +493,7 @@ void member_node_bounds(const Mlp& mlp, const StandardScaler* scaler,
 }  // namespace
 
 BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
-                                 const QuantCalibration& calibration)
+                                 const CertificationBox& calibration)
     : calibration_(calibration) {
   if (!ensemble.fitted())
     throw std::invalid_argument("BatchedEnsemble: ensemble is not fitted");
@@ -612,7 +612,6 @@ BatchedEnsembleCache::BatchedEnsembleCache(
     BatchedEnsembleCache&& other) noexcept {
   const std::scoped_lock lock(other.mutex_);
   engine_ = std::move(other.engine_);
-  int8_engine_ = std::move(other.int8_engine_);
 }
 
 BatchedEnsembleCache& BatchedEnsembleCache::operator=(
@@ -620,34 +619,21 @@ BatchedEnsembleCache& BatchedEnsembleCache::operator=(
   if (this != &other) {
     const std::scoped_lock lock(mutex_, other.mutex_);
     engine_ = std::move(other.engine_);
-    int8_engine_ = std::move(other.int8_engine_);
   }
   return *this;
 }
 
 std::shared_ptr<const BatchedEnsemble> BatchedEnsembleCache::get(
-    const BaggingEnsemble& ensemble,
-    const QuantCalibration& calibration) const {
+    const BaggingEnsemble& ensemble, const CertificationBox& box) const {
   const std::scoped_lock lock(mutex_);
-  if (!engine_ || !(engine_->calibration() == calibration))
-    engine_ = std::make_shared<const BatchedEnsemble>(ensemble, calibration);
+  if (!engine_ || !(engine_->calibration() == box))
+    engine_ = std::make_shared<const BatchedEnsemble>(ensemble, box);
   return engine_;
-}
-
-std::shared_ptr<const QuantizedEnsemble> BatchedEnsembleCache::get_quantized(
-    const BaggingEnsemble& ensemble,
-    const QuantCalibration& calibration) const {
-  const std::scoped_lock lock(mutex_);
-  if (!int8_engine_ || !(int8_engine_->calibration() == calibration))
-    int8_engine_ =
-        std::make_shared<const QuantizedEnsemble>(ensemble, calibration);
-  return int8_engine_;
 }
 
 void BatchedEnsembleCache::reset() noexcept {
   const std::scoped_lock lock(mutex_);
   engine_ = nullptr;
-  int8_engine_ = nullptr;
 }
 
 }  // namespace pt::ml

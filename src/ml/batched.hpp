@@ -1,8 +1,8 @@
 #pragma once
 
-// Batched fp32 inference over the common/simd layer — the prediction-scan
-// fast path (ROADMAP item 3, paper §4: the stage-1 scan evaluates every
-// configuration in spaces of 131k–2.4M points).
+// Batched fp32 inference over the common/simd layer — the certified fp32
+// path of the prediction scan (tuner/scan.hpp; paper §4: the stage-2 scan
+// predicts every configuration in spaces of 131k–2.4M points).
 //
 // A BatchedMlp is built once from a fitted Mlp: each layer's weights are
 // repacked into a SIMD-friendly row-major panel of shape (fan_in, padded)
@@ -23,11 +23,11 @@
 //
 // Certified accuracy: at pack time BatchedEnsemble computes a sound upper
 // bound on |fp32 raw output - fp64 raw output| over every input row inside a
-// calibration box (per-feature [lo, hi] ranges; tuner::RangeEncoder supplies
-// the box of a configuration space, instance-feature tail included). The
-// bound is a forward rounding-error analysis with unit roundoff u = 2^-24
-// (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3, with
-// gamma(n) = n*u / (1 - n*u)), summing:
+// CertificationBox (per-feature [lo, hi] ranges; tuner::RangeEncoder
+// supplies the box of a configuration space, instance-feature tail
+// included). The bound is a forward rounding-error analysis with unit
+// roundoff u = 2^-24 (Higham, "Accuracy and Stability of Numerical
+// Algorithms", ch. 3, with gamma(n) = n*u / (1 - n*u)), summing:
 //   - the casts of inputs, folded weights and biases to float (plus the
 //     double-precision fold's own rounding);
 //   - each unit's accumulation: gamma(depth) * (|b'_j| + sum_i A_i*|w'_ij|),
@@ -71,10 +71,22 @@
 #include "ml/activation.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/mlp.hpp"
-#include "ml/quant.hpp"
 #include "ml/scaler.hpp"
 
 namespace pt::ml {
+
+/// Per-input-feature value ranges: the box the fp32 engine certifies its
+/// error bound over. For scan features these are the min/max of the
+/// encoder's per-dimension value tables (tuner::RangeEncoder::calibration),
+/// so every scanned row is inside its range by construction; a degenerate
+/// range (lo == hi, e.g. a fixed instance-feature tail) is exact.
+struct CertificationBox {
+  std::vector<float> lo;
+  std::vector<float> hi;
+
+  [[nodiscard]] std::size_t width() const noexcept { return lo.size(); }
+  [[nodiscard]] bool operator==(const CertificationBox&) const = default;
+};
 
 class BatchedMlp {
  public:
@@ -135,13 +147,13 @@ class BatchedEnsemble {
   /// verification (simd::ensure_verified runs before the first pack in the
   /// process).
   BatchedEnsemble(const BaggingEnsemble& ensemble,
-                  const QuantCalibration& calibration);
+                  const CertificationBox& calibration);
 
   [[nodiscard]] std::size_t input_width() const noexcept { return inputs_; }
   [[nodiscard]] std::size_t member_count() const noexcept {
     return members_.size();
   }
-  [[nodiscard]] const QuantCalibration& calibration() const noexcept {
+  [[nodiscard]] const CertificationBox& calibration() const noexcept {
     return calibration_;
   }
   /// Certified upper bound on |predict_batch_into - the fp64 ensemble's
@@ -182,7 +194,7 @@ class BatchedEnsemble {
 
   std::size_t inputs_;
   float inv_k_;
-  QuantCalibration calibration_;
+  CertificationBox calibration_;
   double error_bound_ = 0.0;
   std::vector<BatchedMlp> members_;
   // Node bounds: per member, the selection biases b^sel(k) for k = 0..width
@@ -191,9 +203,9 @@ class BatchedEnsemble {
   std::vector<double> node_error_;
 };
 
-/// Lazily-built, shared reduced-precision engines for model classes that
-/// expose several inference paths (tuner/model.hpp). Copying a cache resets
-/// it (the copy re-packs on first use); moving transfers the packed engines.
+/// Lazily-built, shared fp32 engine for the performance models
+/// (tuner/model.hpp, tuner/input_aware.hpp). Copying a cache resets it (the
+/// copy re-packs on first use); moving transfers the packed engine.
 /// Thread-safe.
 class BatchedEnsembleCache {
  public:
@@ -207,28 +219,20 @@ class BatchedEnsembleCache {
   BatchedEnsembleCache& operator=(BatchedEnsembleCache&& other) noexcept;
   ~BatchedEnsembleCache() = default;
 
-  /// The fp32 engine for `ensemble` certified over `calibration`, building
-  /// it on first call. Each slot is keyed by the calibration: asking with a
-  /// different one (e.g. input-aware instance tails changed) repacks and
-  /// replaces the cached engine. The caller must reset() whenever the
-  /// ensemble is refitted or restored.
+  /// The fp32 engine for `ensemble` certified over `box`, building it on
+  /// first call. The slot is keyed by the box: asking with a different one
+  /// (e.g. input-aware instance tails changed) repacks and replaces the
+  /// cached engine. The caller must reset() whenever the ensemble is
+  /// refitted or restored.
   [[nodiscard]] std::shared_ptr<const BatchedEnsemble> get(
-      const BaggingEnsemble& ensemble,
-      const QuantCalibration& calibration) const;
+      const BaggingEnsemble& ensemble, const CertificationBox& box) const;
 
-  /// The int8 engine for `ensemble` quantized over `calibration`; same
-  /// keying and lifetime rules as get().
-  [[nodiscard]] std::shared_ptr<const QuantizedEnsemble> get_quantized(
-      const BaggingEnsemble& ensemble,
-      const QuantCalibration& calibration) const;
-
-  /// Drop the packed engines (outstanding shared_ptrs stay valid).
+  /// Drop the packed engine (outstanding shared_ptrs stay valid).
   void reset() noexcept;
 
  private:
   mutable std::mutex mutex_;
   mutable std::shared_ptr<const BatchedEnsemble> engine_;
-  mutable std::shared_ptr<const QuantizedEnsemble> int8_engine_;
 };
 
 }  // namespace pt::ml

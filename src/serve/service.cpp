@@ -29,18 +29,12 @@ TuneResponse make_failure(const TuneRequest& request, ResponseStatus status,
   return response;
 }
 
-/// The scan's exactness class rides on the store's model version. fp64 and
-/// fp32 select identical top-M candidates by certification, so they share
-/// "+scan-exact"; int8's exactness rests on a declared bound, so a tune
-/// executed under int8 must not validate against an exact entry (or vice
-/// versa) — flipping between classes invalidates the cache the same way a
-/// model-format bump does.
-TunedConfigStore::Options with_scan_mode(TunedConfigStore::Options store,
-                                         const tuner::AutoTunerOptions& tuner) {
-  store.model_version +=
-      tuner.model.scan.inference == tuner::ScanInference::kQuantInt8
-          ? "+scan-int8"
-          : "+scan-exact";
+/// The effective store options: the model version carries "+scan-exact",
+/// the class of the certified scan every tune runs (its top-M is the fp64
+/// reference's), so entries written under another class, such as
+/// "+scan-int8", are stale.
+TunedConfigStore::Options exact_scan_store(TunedConfigStore::Options store) {
+  store.model_version += "+scan-exact";
   return store;
 }
 
@@ -49,7 +43,7 @@ TunedConfigStore::Options with_scan_mode(TunedConfigStore::Options store,
 TuneService::TuneService(TuneServiceOptions options, EvaluatorFactory factory)
     : options_(std::move(options)),
       factory_(std::move(factory)),
-      store_(with_scan_mode(options_.store, options_.tuner)),
+      store_(exact_scan_store(options_.store)),
       tuner_(options_.tuner),
       pool_(options_.workers == 0 ? 1 : options_.workers) {
   if (options_.workers == 0) options_.workers = 1;

@@ -66,9 +66,9 @@ struct TuneServiceOptions {
   /// telemetry unset — served runs are headless.
   tuner::AutoTunerOptions tuner{};
   /// Persistent store configuration (directory, versions; see store.hpp).
-  /// The effective model_version is suffixed with the tuner scan's
-  /// exactness class — "+scan-exact" for fp64 and fp32, "+scan-int8" — so
-  /// cached tunes never validate across a flip between classes.
+  /// The effective model_version is suffixed with the scan's exactness
+  /// class, "+scan-exact" (every tune's top-M is the fp64 reference's), so
+  /// entries written under another class, such as "+scan-int8", are stale.
   TunedConfigStore::Options store{};
 };
 

@@ -249,18 +249,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     for (const auto& sample : result.training_data)
       valid_configs.push_back(sample.config);
     ValidityModel classifier(options_.validity);
-    if (options_.static_checker != nullptr &&
-        options_.validity_oracle_samples != 0) {
-      // Free ground truth: augment the measured labels with analyzer-certain
-      // samples before fitting (kUnknown draws are dropped).
-      classifier.fit_with_oracle(space, std::move(valid_configs),
-                                 result.invalid_training_configs,
-                                 *options_.static_checker,
-                                 options_.validity_oracle_samples, rng);
-    } else {
-      classifier.fit(space, valid_configs, result.invalid_training_configs,
-                     rng);
-    }
+    classifier.fit(space, valid_configs, result.invalid_training_configs, rng);
     if (classifier.fitted()) result.validity_model = std::move(classifier);
   }
 

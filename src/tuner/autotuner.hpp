@@ -46,11 +46,6 @@ struct AutoTunerOptions : TunerOptions {
   /// Sound pruning only removes configurations that would measure invalid,
   /// so it never changes which valid configuration wins — it just avoids
   /// wasting candidate slots and measurements on proven rejects.
-  /// With validity_filter and static_checker set: augment the classifier's
-  /// training set with this many analyzer-certain labels (free — zero
-  /// launches) via ValidityModel::fit_with_oracle. Draws from the run RNG,
-  /// so enabling it changes downstream sampling streams.
-  std::size_t validity_oracle_samples = 0;
   /// Graceful degradation: when every one of the M second-stage candidates
   /// fails or comes back invalid, keep streaming further candidates from
   /// the prediction ranking (in predicted order, unfiltered) until a valid

@@ -129,9 +129,9 @@ void RangeEncoder::fill_f32(std::uint64_t lo, std::uint64_t hi,
   }
 }
 
-ml::QuantCalibration RangeEncoder::calibration(
+ml::CertificationBox RangeEncoder::calibration(
     std::span<const float> tail) const {
-  ml::QuantCalibration calib;
+  ml::CertificationBox calib;
   calib.lo.reserve(dims_.size() + tail.size());
   calib.hi.reserve(dims_.size() + tail.size());
   for (const Dim& dim : dims_) {

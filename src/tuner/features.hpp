@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "ml/batched.hpp"
 #include "ml/matrix.hpp"
-#include "ml/quant.hpp"
 #include "tuner/param.hpp"
 
 namespace pt::tuner {
@@ -79,12 +79,12 @@ class RangeEncoder {
   void fill_f32(std::uint64_t lo, std::uint64_t hi, std::vector<float>& out,
                 std::span<const float> tail = {}) const;
 
-  /// Per-feature quantization ranges for int8 scan inference: [min, max] of
-  /// each dimension's encoded value table, plus a degenerate [v, v] range
-  /// per `tail` element (the fixed instance features of input-aware scans).
-  /// Every row fill_f32 produces with the same tail lies inside these
-  /// ranges by construction, so quantization clamping never loses range.
-  [[nodiscard]] ml::QuantCalibration calibration(
+  /// The box the fp32 scan engine is certified over: [min, max] of each
+  /// dimension's encoded value table, plus a degenerate [v, v] range per
+  /// `tail` element (the fixed instance features of input-aware scans).
+  /// Every row fill_f32 produces with the same tail lies inside it by
+  /// construction.
+  [[nodiscard]] ml::CertificationBox calibration(
       std::span<const float> tail = {}) const;
 
  private:

@@ -10,7 +10,9 @@
 namespace pt::tuner {
 
 InputAwarePerformanceModel::InputAwarePerformanceModel(Options options)
-    : options_(std::move(options)), ensemble_(options_.ensemble) {}
+    : options_(std::move(options)),
+      ensemble_(
+          std::make_shared<const ml::BaggingEnsemble>(options_.ensemble)) {}
 
 std::vector<double> InputAwarePerformanceModel::instance_features(
     const ProblemInstance& instance) const {
@@ -110,13 +112,14 @@ void InputAwarePerformanceModel::do_fit(
       data.y(i, 0) = (data.y(i, 0) - target_mean_) / target_scale_;
   }
 
-  ensemble_ = ml::BaggingEnsemble(options_.ensemble);
-  ensemble_.fit(data, rng);
+  auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
+  ensemble->fit(data, rng);
+  ensemble_ = std::move(ensemble);
   stage.finish();
   // Replay per-member training curves in deterministic (member, epoch)
   // order (see tuner/observer.hpp).
   if (run.observer != nullptr) {
-    const auto& curves = ensemble_.train_results();
+    const auto& curves = ensemble_->train_results();
     for (std::size_t member = 0; member < curves.size(); ++member) {
       const ml::TrainResult& tr = curves[member];
       for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
@@ -131,7 +134,7 @@ double InputAwarePerformanceModel::predict_ms(
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
   const double raw =
-      ensemble_.predict(encode(config, instance)) * target_scale_ +
+      ensemble_->predict(encode(config, instance)) * target_scale_ +
       target_mean_;
   return options_.log_targets ? ml::LogTargetTransform::inverse(raw) : raw;
 }
@@ -150,7 +153,7 @@ std::vector<double> InputAwarePerformanceModel::predict_many_ms(
     codec_.encode_into(configs[i], row.subspan(0, dims));
     std::copy(inst.begin(), inst.end(), row.begin() + dims);
   }
-  auto preds = ensemble_.predict_batch(x);
+  auto preds = ensemble_->predict_batch(x);
   for (auto& p : preds) {
     p = p * target_scale_ + target_mean_;
     if (options_.log_targets) p = ml::LogTargetTransform::inverse(p);
@@ -158,55 +161,30 @@ std::vector<double> InputAwarePerformanceModel::predict_many_ms(
   return preds;
 }
 
-OutputTransform InputAwarePerformanceModel::output_transform()
-    const noexcept {
-  return OutputTransform{target_scale_, target_mean_, options_.log_targets};
-}
-
-ScanRowFiller InputAwarePerformanceModel::row_filler(
+ScanEngine InputAwarePerformanceModel::scan_engine(
     const ProblemInstance& instance) const {
-  // The instance features are fixed across the scan: validate and transform
-  // them once, then the range encoder copies them into every row tail.
-  return [this, inst = instance_features(instance)](
-             std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
-    range_encoder_.fill(lo, hi, x, inst);
-  };
-}
-
-ScanEngines InputAwarePerformanceModel::scan_engines(
-    const ProblemInstance& instance, ScanInference inference) const {
-  const auto inst = instance_features(instance);
-  return make_scan_engines(batched_, ensemble_, range_encoder_,
-                           std::vector<float>(inst.begin(), inst.end()),
-                           inference);
+  if (!fitted())
+    throw std::logic_error("InputAwarePerformanceModel: predict before fit");
+  std::vector<double> tail = instance_features(instance);
+  const std::vector<float> tail_f(tail.begin(), tail.end());
+  const ml::CertificationBox box = range_encoder_.calibration(tail_f);
+  return ScanEngine(ensemble_, batched_.get(*ensemble_, box), range_encoder_,
+                    std::move(tail),
+                    OutputTransform{target_scale_, target_mean_,
+                                    options_.log_targets},
+                    range_encoder_.radices());
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_range_ms(
-    std::uint64_t begin, std::uint64_t end, const ProblemInstance& instance,
-    ScanInference inference) const {
-  if (!fitted())
-    throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (inference == ScanInference::kScalarFp64)
-    return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                              output_transform());
-  const ScanEngines e = scan_engines(instance, inference);
-  ScanOptions options = options_.scan;
-  options.inference = inference;
-  return scan_predict_range(ensemble_, row_filler(instance), begin, end,
-                            output_transform(), options, &e.batched);
+    std::uint64_t begin, std::uint64_t end,
+    const ProblemInstance& instance) const {
+  return scan_engine(instance).reference_range(begin, end);
 }
 
 TopMScanResult InputAwarePerformanceModel::predict_scan_top_m(
     std::uint64_t begin, std::uint64_t end, std::size_t m,
     const ProblemInstance& instance, const ScanFilter& filter) const {
-  if (!fitted())
-    throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  if (options_.scan.inference == ScanInference::kScalarFp64)
-    return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                      output_transform(), filter);
-  const ScanEngines e = scan_engines(instance, options_.scan.inference);
-  return scan_top_m(ensemble_, row_filler(instance), begin, end, m,
-                    output_transform(), filter, options_.scan, &e.batched);
+  return scan_engine(instance).top_m(begin, end, m, filter);
 }
 
 }  // namespace pt::tuner

@@ -11,6 +11,7 @@
 // sizes never measured.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,8 +46,6 @@ class InputAwarePerformanceModel {
     FeatureEncoding encoding = FeatureEncoding::kLog2;
     /// Apply log2 to problem parameters as well (sizes are scale-natured).
     bool log2_problem_parameters = true;
-    /// Scan engine knobs (see AnnPerformanceModel::Options::scan).
-    ScanOptions scan{};
     /// Per-run wiring: observer (on_stage_*/on_epoch), telemetry, seed,
     /// threads (see tuner/observer.hpp). The default context is inert.
     TunerRunContext run{};
@@ -74,14 +73,7 @@ class InputAwarePerformanceModel {
            std::vector<std::string> problem_parameter_names,
            const std::vector<InputAwareSample>& samples);
 
-  [[nodiscard]] bool fitted() const noexcept { return ensemble_.fitted(); }
-  /// Switch the top-m scan engine on a fitted model.
-  void set_scan_options(const ScanOptions& scan) noexcept {
-    options_.scan = scan;
-  }
-  [[nodiscard]] const ScanOptions& scan_options() const noexcept {
-    return options_.scan;
-  }
+  [[nodiscard]] bool fitted() const noexcept { return ensemble_->fitted(); }
   [[nodiscard]] const std::vector<std::string>& problem_parameter_names()
       const noexcept {
     return problem_names_;
@@ -96,17 +88,23 @@ class InputAwarePerformanceModel {
       const ProblemInstance& instance) const;
 
   /// Predicted times for the flat-index range [begin, end) of the space at
-  /// one instance — the parallel chunked scan (see
-  /// AnnPerformanceModel::predict_range_ms for the `inference` semantics).
+  /// one instance — the parallel chunked scan through the fp64 reference
+  /// (see AnnPerformanceModel::predict_range_ms).
   [[nodiscard]] std::vector<double> predict_range_ms(
-      std::uint64_t begin, std::uint64_t end, const ProblemInstance& instance,
-      ScanInference inference = ScanInference::kScalarFp64) const;
+      std::uint64_t begin, std::uint64_t end,
+      const ProblemInstance& instance) const;
 
   /// Streaming top-m selection over [begin, end) at one instance (see
   /// AnnPerformanceModel::predict_scan_top_m for semantics).
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ProblemInstance& instance, const ScanFilter& filter = {}) const;
+
+  /// The scan engine for one instance (see
+  /// AnnPerformanceModel::scan_engine). The fp32 engine is certified per
+  /// instance: its features enter the certification box as degenerate
+  /// [v, v] tail ranges, so an engine for another instance repacks.
+  [[nodiscard]] ScanEngine scan_engine(const ProblemInstance& instance) const;
 
   /// Feature vector (configuration features then instance features).
   [[nodiscard]] std::vector<double> encode(
@@ -121,14 +119,6 @@ class InputAwarePerformanceModel {
   /// reused for every row of a scan).
   [[nodiscard]] std::vector<double> instance_features(
       const ProblemInstance& instance) const;
-  /// Scan-engine adapters (see AnnPerformanceModel). The reduced-precision
-  /// engines are certified per instance: its features enter the
-  /// calibration as degenerate [v, v] tail ranges, so a scan for another
-  /// instance repacks the cached engine.
-  [[nodiscard]] OutputTransform output_transform() const noexcept;
-  [[nodiscard]] ScanRowFiller row_filler(const ProblemInstance& instance) const;
-  [[nodiscard]] ScanEngines scan_engines(const ProblemInstance& instance,
-                                         ScanInference inference) const;
 
   Options options_;
   ParamSpace space_;
@@ -137,7 +127,8 @@ class InputAwarePerformanceModel {
   std::vector<std::string> problem_names_;
   double target_mean_ = 0.0;
   double target_scale_ = 1.0;
-  ml::BaggingEnsemble ensemble_;
+  // Shared with scan engines; copy/move rules as in AnnPerformanceModel.
+  std::shared_ptr<const ml::BaggingEnsemble> ensemble_;
   ml::BatchedEnsembleCache batched_;
 };
 

@@ -10,7 +10,9 @@
 namespace pt::tuner {
 
 AnnPerformanceModel::AnnPerformanceModel(Options options)
-    : options_(std::move(options)), ensemble_(options_.ensemble) {}
+    : options_(std::move(options)),
+      ensemble_(
+          std::make_shared<const ml::BaggingEnsemble>(options_.ensemble)) {}
 
 std::vector<double> AnnPerformanceModel::encode_features(
     const Configuration& config) const {
@@ -51,8 +53,9 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
       data.y(i, 0) = (data.y(i, 0) - target_mean_) / target_scale_;
   }
 
-  ensemble_ = ml::BaggingEnsemble(options_.ensemble);
-  ensemble_.fit(data, rng);
+  auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
+  ensemble->fit(data, rng);
+  ensemble_ = std::move(ensemble);
 }
 
 AnnPerformanceModel AnnPerformanceModel::restore(
@@ -70,8 +73,8 @@ AnnPerformanceModel AnnPerformanceModel::restore(
   model.space_ = std::move(space);
   model.target_mean_ = target_mean;
   model.target_scale_ = target_scale;
-  model.ensemble_ = std::move(ensemble);
-  model.batched_.reset();
+  model.ensemble_ =
+      std::make_shared<const ml::BaggingEnsemble>(std::move(ensemble));
   return model;
 }
 
@@ -83,46 +86,29 @@ double AnnPerformanceModel::to_time_ms(double network_output) const noexcept {
 double AnnPerformanceModel::predict_ms(const Configuration& config) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  return to_time_ms(ensemble_.predict(encode_features(config)));
+  return to_time_ms(ensemble_->predict(encode_features(config)));
 }
 
-OutputTransform AnnPerformanceModel::output_transform() const noexcept {
-  return OutputTransform{target_scale_, target_mean_, options_.log_targets};
-}
-
-ScanRowFiller AnnPerformanceModel::row_filler() const {
-  return [this](std::uint64_t lo, std::uint64_t hi, ml::Matrix& x) {
-    range_encoder_.fill(lo, hi, x);
-  };
+ScanEngine AnnPerformanceModel::scan_engine() const {
+  if (!fitted())
+    throw std::logic_error("AnnPerformanceModel: predict before fit");
+  return ScanEngine(ensemble_,
+                    batched_.get(*ensemble_, range_encoder_.calibration()),
+                    range_encoder_, {},
+                    OutputTransform{target_scale_, target_mean_,
+                                    options_.log_targets},
+                    range_encoder_.radices());
 }
 
 std::vector<double> AnnPerformanceModel::predict_range_ms(
-    std::uint64_t begin, std::uint64_t end, ScanInference inference) const {
-  if (!fitted())
-    throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (inference == ScanInference::kScalarFp64)
-    return scan_predict_range(ensemble_, row_filler(), begin, end,
-                              output_transform());
-  const ScanEngines e =
-      make_scan_engines(batched_, ensemble_, range_encoder_, {}, inference);
-  ScanOptions options = options_.scan;
-  options.inference = inference;
-  return scan_predict_range(ensemble_, row_filler(), begin, end,
-                            output_transform(), options, &e.batched);
+    std::uint64_t begin, std::uint64_t end) const {
+  return scan_engine().reference_range(begin, end);
 }
 
 TopMScanResult AnnPerformanceModel::predict_scan_top_m(
     std::uint64_t begin, std::uint64_t end, std::size_t m,
     const ScanFilter& filter) const {
-  if (!fitted())
-    throw std::logic_error("AnnPerformanceModel: predict before fit");
-  if (options_.scan.inference == ScanInference::kScalarFp64)
-    return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                      output_transform(), filter);
-  const ScanEngines e = make_scan_engines(batched_, ensemble_, range_encoder_,
-                                          {}, options_.scan.inference);
-  return scan_top_m(ensemble_, row_filler(), begin, end, m,
-                    output_transform(), filter, options_.scan, &e.batched);
+  return scan_engine().top_m(begin, end, m, filter);
 }
 
 std::vector<double> AnnPerformanceModel::predict_many_ms(
@@ -133,7 +119,7 @@ std::vector<double> AnnPerformanceModel::predict_many_ms(
   ml::Matrix x(configs.size(), space_.dimension_count());
   for (std::size_t i = 0; i < configs.size(); ++i)
     codec_.encode_into(configs[i], x.row(i));
-  auto preds = ensemble_.predict_batch(x);
+  auto preds = ensemble_->predict_batch(x);
   for (auto& p : preds) p = to_time_ms(p);
   return preds;
 }

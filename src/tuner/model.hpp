@@ -12,6 +12,7 @@
 // the ablation bench compares both.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,9 +37,6 @@ class AnnPerformanceModel {
     /// Train on log(time) so squared error means relative error (paper 5.2).
     bool log_targets = true;
     FeatureEncoding encoding = FeatureEncoding::kLog2;
-    /// Top-m scan engine; the default batched fp32 engine selects exactly
-    /// the fp64 reference's top-m (certified, see tuner/scan.hpp).
-    ScanOptions scan{};
   };
 
   AnnPerformanceModel() : AnnPerformanceModel(Options{}) {}
@@ -50,43 +48,39 @@ class AnnPerformanceModel {
   void fit(const ParamSpace& space, const std::vector<TrainingSample>& samples,
            common::Rng& rng);
 
-  [[nodiscard]] bool fitted() const noexcept { return ensemble_.fitted(); }
+  [[nodiscard]] bool fitted() const noexcept { return ensemble_->fitted(); }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  /// Switch the top-m scan engine on a fitted model (e.g. benches comparing
-  /// fp64 vs batched fp32 on the same ensemble).
-  void set_scan_options(const ScanOptions& scan) noexcept {
-    options_.scan = scan;
-  }
-  [[nodiscard]] const ScanOptions& scan_options() const noexcept {
-    return options_.scan;
-  }
   [[nodiscard]] const ml::BaggingEnsemble& ensemble() const noexcept {
-    return ensemble_;
+    return *ensemble_;
   }
 
   /// Predicted execution time (ms) for one configuration.
   [[nodiscard]] double predict_ms(const Configuration& config) const;
 
   /// Predicted times for a contiguous flat-index range [begin, end) of the
-  /// space — the dense bulk path. Chunks of kScanChunkRows rows are
+  /// space — the dense bulk path, through the fp64 reference
+  /// (ScanEngine::reference_range). Chunks of kScanChunkRows rows are
   /// dispatched on the global thread pool; results are bit-identical for
-  /// every pool size. Runs the fp64 reference unless `inference` asks for a
-  /// reduced-precision engine, whose values are then only within its error
-  /// bound of the reference (scan options do not apply here).
-  [[nodiscard]] std::vector<double> predict_range_ms(
-      std::uint64_t begin, std::uint64_t end,
-      ScanInference inference = ScanInference::kScalarFp64) const;
+  /// every pool size.
+  [[nodiscard]] std::vector<double> predict_range_ms(std::uint64_t begin,
+                                                     std::uint64_t end) const;
 
   /// Streaming top-m selection over [begin, end): the m configurations with
   /// the lowest predicted time (ascending), found in O(n log m) time and
-  /// O(workers * m) memory — no full prediction vector — on the engine in
-  /// scan_options(). The optional filter (e.g. a validity model; must be
+  /// O(workers * m) memory — no full prediction vector — by the certified
+  /// fp32 scan (ScanEngine::top_m), whose selection is the fp64
+  /// reference's. The optional filter (e.g. a validity model; must be
   /// thread-safe) is applied during the scan, lazily, and the result also
   /// carries the unfiltered top-m so callers can top up after heavy
   /// filtering.
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;
+
+  /// The scan engine behind predict_range_ms and predict_scan_top_m. The
+  /// first call after fit/restore packs the fp32 engine; later calls share
+  /// it. Throws std::logic_error before fit.
+  [[nodiscard]] ScanEngine scan_engine() const;
 
   /// Predicted times for an explicit list of configurations.
   [[nodiscard]] std::vector<double> predict_many_ms(
@@ -111,11 +105,6 @@ class AnnPerformanceModel {
 
  private:
   [[nodiscard]] double to_time_ms(double network_output) const noexcept;
-  /// Scan-engine adapters: the transform equivalent to to_time_ms and a
-  /// filler that encodes a flat-index range into feature rows (via the
-  /// precomputed RangeEncoder — no per-row decode allocation).
-  [[nodiscard]] OutputTransform output_transform() const noexcept;
-  [[nodiscard]] ScanRowFiller row_filler() const;
 
   Options options_;
   ParamSpace space_;
@@ -126,10 +115,12 @@ class AnnPerformanceModel {
   // output scale and Rprop converges in far fewer epochs.
   double target_mean_ = 0.0;
   double target_scale_ = 1.0;
-  ml::BaggingEnsemble ensemble_;
-  // Packed reduced-precision engines (fp32 and int8), built lazily on the
-  // first scan in each mode and dropped whenever the ensemble changes
-  // (fit/restore).
+  // Shared with the scan engines built from it, which must stay valid after
+  // the model is moved or refitted; fit/restore replace it, never mutate it.
+  std::shared_ptr<const ml::BaggingEnsemble> ensemble_;
+  // The packed fp32 engine, built on the first scan and dropped whenever
+  // the ensemble changes (fit/restore). Copying the model resets it; moving
+  // transfers it.
   ml::BatchedEnsembleCache batched_;
 };
 

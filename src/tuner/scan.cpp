@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -17,7 +18,7 @@ namespace {
 
 /// Per-chunk working set: the feature matrix, the ensemble's prediction
 /// scratch, and the raw-output vector — plus the fp32 equivalents for the
-/// batched path. Pooled so each worker reuses one across all the chunks it
+/// packed engine. Pooled so each worker reuses one across all the chunks it
 /// executes.
 struct ChunkScratch {
   ml::Matrix x;
@@ -26,7 +27,6 @@ struct ChunkScratch {
   std::vector<float> xf;
   std::vector<float> predsf;
   ml::BatchedEnsemble::Scratch bs;
-  ml::QuantizedEnsemble::Scratch qs;
   // Pruned descent: one node row, a node's children as rows, and the
   // children's bounds per level (a level's bounds outlive its subtree).
   std::vector<float> node_row;
@@ -95,14 +95,15 @@ class BoundedTopM {
   std::vector<RawCandidate> heap_;
 };
 
-/// Relaxed selection for the reduced-precision paths: the best-m heap plus
-/// an overflow list of every candidate within `slack` (= 2x the engine's
-/// error bound) of the heap cutoff. The heap cutoff only improves as the chunk
-/// streams, so pruning the overflow against the current cutoff never drops
-/// a candidate that the final cutoff would have kept.
+/// Relaxed selection for the fp32 path: the best-m heap plus an overflow
+/// list of every candidate within `slack` (= 2x the engine's error bound)
+/// of the heap cutoff. The heap cutoff only improves as the chunk streams,
+/// so pruning the overflow against the current cutoff never drops a
+/// candidate that the final cutoff would have kept.
 class RelaxedTopM {
  public:
-  RelaxedTopM(std::size_t m, double slack) : m_(m), slack_(slack) {
+  RelaxedTopM(std::size_t m, double slack)
+      : m_(m), slack_(slack), prune_at_(min_prune_at()) {
     heap_.reserve(m);
   }
 
@@ -139,11 +140,13 @@ class RelaxedTopM {
     } else {
       overflow_.push_back(c);
     }
-    const std::size_t cap = std::max<std::size_t>(4 * m_, 1024);
-    if (overflow_.size() > cap) {
+    if (overflow_.size() > prune_at_) {
       const double bound = heap_.front().raw + slack_;
       std::erase_if(overflow_,
                     [bound](const RawCandidate& o) { return o.raw > bound; });
+      // A band wider than the minimum keeps most of the list: wait until
+      // it doubles, so the pruning passes stay linear in the chunk's rows.
+      prune_at_ = std::max(min_prune_at(), 2 * overflow_.size());
     }
   }
 
@@ -155,11 +158,26 @@ class RelaxedTopM {
   }
 
  private:
+  [[nodiscard]] std::size_t min_prune_at() const {
+    return std::max<std::size_t>(4 * m_, 1024);
+  }
+
   std::size_t m_;
   double slack_;
+  std::size_t prune_at_;  // overflow size that triggers the next pruning
   std::vector<RawCandidate> heap_;
   std::vector<RawCandidate> overflow_;
 };
+
+/// What one chunk of a top-M scan hands to the merge.
+struct ChunkTop {
+  std::vector<RawCandidate> top;  // filtered; empty without a filter
+  std::vector<RawCandidate> top_unfiltered;
+  std::uint64_t rejected = 0;
+  std::uint64_t pruned = 0;
+};
+
+using ChunkList = std::vector<RawCandidate> ChunkTop::*;
 
 std::uint64_t chunk_count_for(std::uint64_t n) {
   return (n + kScanChunkRows - 1) / kScanChunkRows;
@@ -180,32 +198,40 @@ struct DigitBoxes {
                        std::uint64_t end, std::size_t width) {
     if (radices.size() > width)
       throw std::invalid_argument(
-          "scan_top_m: more radices than the engine has features");
+          "ScanEngine::top_m: more radices than the engine has features");
     DigitBoxes boxes{radices, {1}, radices.size()};
     for (std::size_t k = 0; k < radices.size(); ++k) {
       const std::uint64_t below = boxes.span.back();
       if (radices[k] == 0 ||
           below > std::numeric_limits<std::uint64_t>::max() / radices[k])
-        throw std::invalid_argument("scan_top_m: bad radices");
+        throw std::invalid_argument("ScanEngine::top_m: bad radices");
       boxes.span.push_back(below * radices[k]);
       if (boxes.leaf == radices.size() && boxes.span.back() >= kScanLeafRows)
         boxes.leaf = k + 1;
     }
     if (boxes.span.back() < end)
       throw std::invalid_argument(
-          "scan_top_m: radices do not cover the scanned range");
+          "ScanEngine::top_m: radices do not cover the scanned range");
     return boxes;
   }
 
   [[nodiscard]] std::size_t root() const { return radix.size(); }
 };
 
-std::vector<ScanCandidate> merge_chunks(
-    std::vector<std::vector<RawCandidate>>& chunks, std::size_t m,
-    const OutputTransform& transform) {
+/// Every chunk's `list`, best first.
+std::vector<RawCandidate> sorted_union(std::vector<ChunkTop>& chunks,
+                                       ChunkList list) {
   std::vector<RawCandidate> all;
-  for (auto& v : chunks) all.insert(all.end(), v.begin(), v.end());
+  for (ChunkTop& c : chunks)
+    all.insert(all.end(), (c.*list).begin(), (c.*list).end());
   std::sort(all.begin(), all.end(), better);
+  return all;
+}
+
+/// The best m of `all` (sorted best first) as predicted times.
+std::vector<ScanCandidate> best_m(std::vector<RawCandidate>& all,
+                                  std::size_t m,
+                                  const OutputTransform& transform) {
   if (all.size() > m) all.resize(m);
   std::vector<ScanCandidate> out;
   out.reserve(all.size());
@@ -214,25 +240,21 @@ std::vector<ScanCandidate> merge_chunks(
   return out;
 }
 
-void require_batched(const ScanOptions& options, const BatchedScan* batched,
-                     const char* where) {
-  const bool ok =
-      options.inference == ScanInference::kScalarFp64 ||
-      (batched && batched->fill &&
-       (options.inference == ScanInference::kBatchedFp32
-            ? batched->engine != nullptr
-            : batched->quant != nullptr));
-  if (!ok)
-    throw std::invalid_argument(
-        std::string(where) + ": " + scan_inference_name(options.inference) +
-        " inference requested without its engine and fp32 row filler");
-}
-
-/// The fp64 reference, the options every engine-less overload runs with.
-ScanOptions fp64_options() {
-  ScanOptions options;
-  options.inference = ScanInference::kScalarFp64;
-  return options;
+/// Survivors of the global fp32 cutoff: every candidate within `slack` of
+/// the m-th best fp32 output (all of them when fewer than m exist). These
+/// are exactly the candidates whose fp64 rank can still reach the top m.
+std::vector<RawCandidate> fp32_survivors(std::vector<ChunkTop>& chunks,
+                                         ChunkList list, std::size_t m,
+                                         double slack) {
+  std::vector<RawCandidate> all = sorted_union(chunks, list);
+  if (all.size() > m) {
+    const double bound = all[m - 1].raw + slack;
+    const auto first_out = std::find_if(
+        all.begin() + static_cast<std::ptrdiff_t>(m), all.end(),
+        [bound](const RawCandidate& c) { return c.raw > bound; });
+    all.erase(first_out, all.end());
+  }
+  return all;
 }
 
 void gauge_configs_per_sec(std::uint64_t n,
@@ -246,17 +268,84 @@ void gauge_configs_per_sec(std::uint64_t n,
                              static_cast<double>(n) / seconds);
 }
 
+/// Runs `chunk(c, lo, hi, scratch)` on the pool for every kScanChunkRows
+/// piece [lo, hi) of [begin, end), numbered c from 0.
+template <typename Chunk>
+void for_each_chunk(std::uint64_t begin, std::uint64_t end,
+                    const Chunk& chunk) {
+  ScratchPool pool;
+  common::global_pool().parallel_for(
+      0, static_cast<std::size_t>(chunk_count_for(end - begin)),
+      [&](std::size_t c) {
+        const common::telemetry::Span span("scan.chunk");
+        const std::uint64_t lo = begin + c * kScanChunkRows;
+        const std::uint64_t hi =
+            std::min<std::uint64_t>(end, lo + kScanChunkRows);
+        auto scratch = pool.acquire();
+        chunk(c, lo, hi, *scratch);
+        pool.release(std::move(scratch));
+      });
+}
+
+/// Runs `eval(lo, hi, scratch, out)` over the chunks of [begin, end); each
+/// call writes the hi - lo predicted values of its chunk to `out`.
+template <typename Eval>
+std::vector<double> dense_scan(std::uint64_t begin, std::uint64_t end,
+                               const Eval& eval) {
+  if (begin > end) throw std::invalid_argument("ScanEngine: bad range");
+  const std::uint64_t n = end - begin;
+  std::vector<double> out(static_cast<std::size_t>(n));
+  if (n == 0) return out;
+  const auto start = std::chrono::steady_clock::now();
+  for_each_chunk(begin, end,
+                 [&](std::size_t, std::uint64_t lo, std::uint64_t hi,
+                     ChunkScratch& s) {
+                   eval(lo, hi, s, out.data() + (lo - begin));
+                 });
+  gauge_configs_per_sec(n, start);
+  return out;
+}
+
+/// A top-M request's result before the scan: arguments checked, `scanned`
+/// set.
+TopMScanResult start_top_m(std::uint64_t begin, std::uint64_t end,
+                           const OutputTransform& transform) {
+  if (begin > end) throw std::invalid_argument("ScanEngine::top_m: bad range");
+  if (!(transform.scale > 0.0))
+    throw std::invalid_argument(
+        "ScanEngine::top_m: non-positive transform scale");
+  TopMScanResult result;
+  result.scanned = end - begin;
+  return result;
+}
+
+void count_top_m(const TopMScanResult& result, bool certified,
+                 std::chrono::steady_clock::time_point start) {
+  gauge_configs_per_sec(result.scanned, start);
+  if (!common::telemetry::enabled()) return;
+  common::telemetry::count("scan.candidates_scanned",
+                           static_cast<double>(result.scanned));
+  common::telemetry::count("scan.candidates_filtered",
+                           static_cast<double>(result.rejected));
+  if (certified) {
+    common::telemetry::count("tuner.scan.fp64_rerank",
+                             static_cast<double>(result.fp64_reranked));
+    common::telemetry::count("tuner.scan.near_ties",
+                             static_cast<double>(result.near_ties));
+    common::telemetry::count("tuner.scan.pruned_rows",
+                             static_cast<double>(result.pruned_rows));
+  }
+}
+
 /// Exact fp64 raw outputs for a set of flat indices: rows are gathered one
-/// unit-range fill at a time (the filler only takes contiguous ranges) into
-/// per-chunk matrices and sent through batched fp64 predicts on the pool.
-/// Bit-identical to what the chunked fp64 scan computes for the same
-/// indices, whatever the gathered row count: every kernel under
-/// predict_batch_into accumulates per output element in a row-count
-/// independent order. Batching matters on the quantized paths, whose wide
-/// re-rank bands can hold thousands of survivors.
+/// unit-range fill at a time into per-chunk matrices and sent through
+/// batched fp64 predicts on the pool. Bit-identical to what the chunked
+/// fp64 scan computes for the same indices, whatever the gathered row
+/// count: every kernel under predict_batch_into accumulates per output
+/// element in a row-count independent order.
 std::unordered_map<std::uint64_t, double> rerank_fp64(
-    const ml::BaggingEnsemble& ensemble, const ScanRowFiller& fill,
-    std::vector<std::uint64_t> indices) {
+    const ml::BaggingEnsemble& ensemble, const RangeEncoder& encoder,
+    std::span<const double> tail, std::vector<std::uint64_t> indices) {
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
   std::unordered_map<std::uint64_t, double> raw64;
@@ -270,10 +359,10 @@ std::unordered_map<std::uint64_t, double> rerank_fp64(
     auto scratch = pool.acquire();
     const std::size_t lo = c * kScanChunkRows;
     const std::size_t hi = std::min(indices.size(), lo + kScanChunkRows);
-    fill(indices[lo], indices[lo] + 1, scratch->x);
+    encoder.fill(indices[lo], indices[lo] + 1, scratch->x, tail);
     ml::Matrix batch(hi - lo, scratch->x.cols());
     for (std::size_t r = lo; r < hi; ++r) {
-      if (r != lo) fill(indices[r], indices[r] + 1, scratch->x);
+      if (r != lo) encoder.fill(indices[r], indices[r] + 1, scratch->x, tail);
       const auto src = scratch->x.row(0);
       auto dst = batch.row(r - lo);
       for (std::size_t j = 0; j < src.size(); ++j) dst[j] = src[j];
@@ -287,25 +376,6 @@ std::unordered_map<std::uint64_t, double> rerank_fp64(
   return raw64;
 }
 
-/// Survivors of the global fp32 cutoff: every candidate within `slack` of
-/// the m-th best fp32 output (all of them when fewer than m exist). These
-/// are exactly the candidates whose fp64 rank can still reach the top m.
-std::vector<RawCandidate> fp32_survivors(
-    std::vector<std::vector<RawCandidate>>& chunks, std::size_t m,
-    double slack) {
-  std::vector<RawCandidate> all;
-  for (auto& v : chunks) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(), better);
-  if (all.size() > m) {
-    const double bound = all[m - 1].raw + slack;
-    const auto first_out = std::find_if(
-        all.begin() + static_cast<std::ptrdiff_t>(m), all.end(),
-        [bound](const RawCandidate& c) { return c.raw > bound; });
-    all.erase(first_out, all.end());
-  }
-  return all;
-}
-
 /// Re-rank survivors by their exact fp64 outputs and emit the final top-m.
 std::vector<ScanCandidate> finish_fp64(
     std::vector<RawCandidate>& survivors,
@@ -313,294 +383,217 @@ std::vector<ScanCandidate> finish_fp64(
     const OutputTransform& transform) {
   for (RawCandidate& c : survivors) c.raw = raw64.at(c.index);
   std::sort(survivors.begin(), survivors.end(), better);
-  if (survivors.size() > m) survivors.resize(m);
-  std::vector<ScanCandidate> out;
-  out.reserve(survivors.size());
-  for (const auto& c : survivors)
-    out.push_back(ScanCandidate{c.index, transform(c.raw)});
-  return out;
+  return best_m(survivors, m, transform);
 }
 
 }  // namespace
 
-std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
-                                       const ScanRowFiller& fill,
-                                       std::uint64_t begin, std::uint64_t end,
-                                       const OutputTransform& transform) {
-  return scan_predict_range(ensemble, fill, begin, end, transform,
-                            fp64_options(), nullptr);
+ScanEngine::ScanEngine(std::shared_ptr<const ml::BaggingEnsemble> ensemble,
+                       std::shared_ptr<const ml::BatchedEnsemble> batched,
+                       RangeEncoder encoder, std::vector<double> tail,
+                       OutputTransform transform,
+                       std::vector<std::uint64_t> radices)
+    : ensemble_(std::move(ensemble)),
+      batched_(std::move(batched)),
+      encoder_(std::move(encoder)),
+      tail_(std::move(tail)),
+      tail_f_(tail_.begin(), tail_.end()),
+      transform_(transform),
+      radices_(std::move(radices)) {
+  if (!ensemble_ || !ensemble_->fitted())
+    throw std::invalid_argument("ScanEngine: unfitted ensemble");
+  if (!batched_ || !(batched_->calibration() == encoder_.calibration(tail_f_)))
+    throw std::invalid_argument(
+        "ScanEngine: the fp32 engine is not certified over the scanned box");
 }
 
-std::vector<double> scan_predict_range(const ml::BaggingEnsemble& ensemble,
-                                       const ScanRowFiller& fill,
-                                       std::uint64_t begin, std::uint64_t end,
-                                       const OutputTransform& transform,
-                                       const ScanOptions& options,
-                                       const BatchedScan* batched) {
-  if (begin > end) throw std::invalid_argument("scan_predict_range: bad range");
-  require_batched(options, batched, "scan_predict_range");
-  const std::uint64_t n = end - begin;
-  std::vector<double> out(static_cast<std::size_t>(n));
-  if (n == 0) return out;
-  const bool quant = options.inference == ScanInference::kQuantInt8;
-  const bool approx = options.inference != ScanInference::kScalarFp64;
+std::vector<double> ScanEngine::range(std::uint64_t begin,
+                                      std::uint64_t end) const {
+  return dense_scan(begin, end, [this](std::uint64_t lo, std::uint64_t hi,
+                                       ChunkScratch& s, double* out) {
+    const auto rows = static_cast<std::size_t>(hi - lo);
+    encoder_.fill_f32(lo, hi, s.xf, tail_f_);
+    batched_->predict_batch_into(s.xf.data(), rows, s.predsf, s.bs);
+    for (std::size_t i = 0; i < rows; ++i)
+      out[i] = transform_(static_cast<double>(s.predsf[i]));
+  });
+}
+
+std::vector<double> ScanEngine::reference_range(std::uint64_t begin,
+                                                std::uint64_t end) const {
+  return dense_scan(begin, end, [this](std::uint64_t lo, std::uint64_t hi,
+                                       ChunkScratch& s, double* out) {
+    encoder_.fill(lo, hi, s.x, tail_);
+    ensemble_->predict_batch_into(s.x, s.preds, s.ps);
+    for (std::size_t i = 0; i < s.preds.size(); ++i)
+      out[i] = transform_(s.preds[i]);
+  });
+}
+
+TopMScanResult ScanEngine::reference_top_m(std::uint64_t begin,
+                                           std::uint64_t end, std::size_t m,
+                                           const ScanFilter& filter) const {
+  TopMScanResult result = start_top_m(begin, end, transform_);
+  if (result.scanned == 0 || m == 0) return result;
   const auto start = std::chrono::steady_clock::now();
-
-  ScratchPool pool;
-  common::global_pool().parallel_for(
-      0, static_cast<std::size_t>(chunk_count_for(n)), [&](std::size_t c) {
-        const common::telemetry::Span span("scan.chunk");
-        const std::uint64_t lo = begin + c * kScanChunkRows;
-        const std::uint64_t hi = std::min<std::uint64_t>(end, lo + kScanChunkRows);
-        auto scratch = pool.acquire();
-        const std::size_t offset = static_cast<std::size_t>(lo - begin);
-        const std::size_t rows = static_cast<std::size_t>(hi - lo);
-        if (approx) {
-          batched->fill(lo, hi, scratch->xf);
-          if (quant)
-            batched->quant->predict_batch_into(scratch->xf.data(), rows,
-                                               scratch->predsf, scratch->qs);
-          else
-            batched->engine->predict_batch_into(scratch->xf.data(), rows,
-                                                scratch->predsf, scratch->bs);
-          for (std::size_t i = 0; i < rows; ++i)
-            out[offset + i] =
-                transform(static_cast<double>(scratch->predsf[i]));
-        } else {
-          fill(lo, hi, scratch->x);
-          ensemble.predict_batch_into(scratch->x, scratch->preds, scratch->ps);
-          for (std::size_t i = 0; i < scratch->preds.size(); ++i)
-            out[offset + i] = transform(scratch->preds[i]);
-        }
-        pool.release(std::move(scratch));
-      });
-  gauge_configs_per_sec(n, start);
-  return out;
-}
-
-TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
-                          const ScanRowFiller& fill, std::uint64_t begin,
-                          std::uint64_t end, std::size_t m,
-                          const OutputTransform& transform,
-                          const ScanFilter& filter) {
-  return scan_top_m(ensemble, fill, begin, end, m, transform, filter,
-                    fp64_options(), nullptr);
-}
-
-TopMScanResult scan_top_m(const ml::BaggingEnsemble& ensemble,
-                          const ScanRowFiller& fill, std::uint64_t begin,
-                          std::uint64_t end, std::size_t m,
-                          const OutputTransform& transform,
-                          const ScanFilter& filter, const ScanOptions& options,
-                          const BatchedScan* batched) {
-  if (begin > end) throw std::invalid_argument("scan_top_m: bad range");
-  if (!(transform.scale > 0.0))
-    throw std::invalid_argument("scan_top_m: non-positive transform scale");
-  require_batched(options, batched, "scan_top_m");
-  TopMScanResult result;
-  const std::uint64_t n = end - begin;
-  result.scanned = n;
-  if (n == 0 || m == 0) return result;
-  const bool quant = options.inference == ScanInference::kQuantInt8;
-  const bool approx = options.inference != ScanInference::kScalarFp64;
-  if (approx)
-    result.error_bound = quant ? options.quant_error_bound
-                               : batched->engine->error_bound();
-  const double slack = 2.0 * result.error_bound;
-  const auto start = std::chrono::steady_clock::now();
-
-  const std::size_t chunks = static_cast<std::size_t>(chunk_count_for(n));
-  std::vector<std::vector<RawCandidate>> chunk_top(chunks);
-  std::vector<std::vector<RawCandidate>> chunk_top_unfiltered(chunks);
-  std::vector<std::uint64_t> chunk_rejected(chunks, 0);
-  std::vector<std::uint64_t> chunk_pruned(chunks, 0);
-  const bool prune = approx && !quant && !batched->radices.empty() &&
-                     batched->engine->has_node_bounds();
-  const DigitBoxes boxes =
-      prune ? DigitBoxes::of(batched->radices, end,
-                             batched->engine->input_width())
-            : DigitBoxes::flat(end);
-
-  ScratchPool pool;
-  common::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
-    const common::telemetry::Span span("scan.chunk");
-    const std::uint64_t lo = begin + c * kScanChunkRows;
-    const std::uint64_t hi = std::min<std::uint64_t>(end, lo + kScanChunkRows);
-    auto scratch = pool.acquire();
-    std::uint64_t rejected = 0;
-    if (approx) {
-      RelaxedTopM unfiltered(m, slack);
-      RelaxedTopM filtered(m, slack);
-      // Evaluate rows [a, b) and offer them in index order.
-      const auto leaf = [&](std::uint64_t a, std::uint64_t b) {
-        const std::size_t rows = static_cast<std::size_t>(b - a);
-        batched->fill(a, b, scratch->xf);
-        if (quant)
-          batched->quant->predict_batch_into(scratch->xf.data(), rows,
-                                             scratch->predsf, scratch->qs);
-        else
-          batched->engine->predict_batch_into(scratch->xf.data(), rows,
-                                              scratch->predsf, scratch->bs);
-        for (std::size_t i = 0; i < rows; ++i) {
-          const RawCandidate cand{static_cast<double>(scratch->predsf[i]),
-                                  a + i};
-          unfiltered.offer(cand);
-          if (filter && filtered.would_keep(cand)) {
-            // Lazy filter evaluation: only candidates good enough to be
-            // retained pay for the validity check.
+  std::vector<ChunkTop> chunks(
+      static_cast<std::size_t>(chunk_count_for(result.scanned)));
+  for_each_chunk(
+      begin, end,
+      [&](std::size_t c, std::uint64_t lo, std::uint64_t hi, ChunkScratch& s) {
+        ChunkTop& out = chunks[c];
+        encoder_.fill(lo, hi, s.x, tail_);
+        ensemble_->predict_batch_into(s.x, s.preds, s.ps);
+        BoundedTopM unfiltered(m);
+        BoundedTopM filtered(m);
+        for (std::size_t i = 0; i < s.preds.size(); ++i) {
+          const RawCandidate cand{s.preds[i], lo + i};
+          if (unfiltered.would_enter(cand)) unfiltered.push(cand);
+          if (filter && filtered.would_enter(cand)) {
+            // Lazy filter evaluation: only candidates good enough to enter
+            // the chunk heap pay for the validity check.
             if (filter(cand.index)) {
-              filtered.offer(cand);
+              filtered.push(cand);
             } else {
-              ++rejected;
+              ++out.rejected;
             }
           }
         }
-      };
-      // A row above both thresholds is one neither heap would keep.
-      const auto threshold = [&] {
-        const double t = unfiltered.threshold();
-        return filter ? std::max(t, filtered.threshold()) : t;
-      };
-      // Offers the rows of the node [node, node + span[level]) inside
-      // [lo, hi) in index order, skipping children proved out of reach.
-      ChunkScratch& s = *scratch;
-      s.node_bounds.resize(std::max(s.node_bounds.size(), boxes.root() + 1));
-      std::uint64_t pruned = 0;
-      const auto visit = [&](const auto& self, std::size_t level,
-                             std::uint64_t node) -> void {
-        if (level == boxes.leaf) {
-          leaf(std::max(node, lo), std::min(node + boxes.span[level], hi));
-          return;
-        }
-        const std::size_t free = level - 1;
-        const std::uint64_t child = boxes.span[free];
-        const std::uint64_t first = node < lo ? (lo - node) / child : 0;
-        const std::uint64_t last =
-            std::min(boxes.radix[free], (hi - node + child - 1) / child);
-        // Each child's node row: its fixed features, zeros in the free ones.
-        const std::size_t width = batched->engine->input_width();
-        s.node_rows.resize(static_cast<std::size_t>(last - first) * width);
-        for (std::uint64_t k = first; k < last; ++k) {
-          const std::uint64_t index = node + k * child;
-          batched->fill(index, index + 1, s.node_row);
-          float* row = s.node_rows.data() + (k - first) * width;
-          std::fill(row, row + free, 0.0f);
-          std::copy_n(s.node_row.begin() + static_cast<std::ptrdiff_t>(free),
-                      width - free, row + free);
-        }
-        std::vector<float>& bounds = s.node_bounds[level];
-        batched->engine->node_lower_bounds(
-            s.node_rows.data(), static_cast<std::size_t>(last - first), free,
-            bounds, s.bs);
-        const double margin =
-            batched->engine->node_error_bound(free) + result.error_bound;
-        for (std::uint64_t k = first; k < last; ++k) {
-          const std::uint64_t index = node + k * child;
-          if (static_cast<double>(bounds[k - first]) - margin > threshold())
-            pruned += std::min(index + child, hi) - std::max(index, lo);
-          else
-            self(self, free, index);
-        }
-      };
-      visit(visit, boxes.root(), 0);
-      chunk_pruned[c] = pruned;
-      chunk_top_unfiltered[c] = unfiltered.take();
-      if (filter) chunk_top[c] = filtered.take();
-    } else {
-      fill(lo, hi, scratch->x);
-      ensemble.predict_batch_into(scratch->x, scratch->preds, scratch->ps);
-      BoundedTopM unfiltered(m);
-      BoundedTopM filtered(m);
-      for (std::size_t i = 0; i < scratch->preds.size(); ++i) {
-        const RawCandidate cand{scratch->preds[i], lo + i};
-        if (unfiltered.would_enter(cand)) unfiltered.push(cand);
-        if (filter && filtered.would_enter(cand)) {
-          // Lazy filter evaluation: only candidates good enough to enter the
-          // chunk heap pay for the validity check.
-          if (filter(cand.index)) {
-            filtered.push(cand);
-          } else {
-            ++rejected;
-          }
-        }
-      }
-      chunk_top_unfiltered[c] = unfiltered.take();
-      if (filter) chunk_top[c] = filtered.take();
-    }
-    chunk_rejected[c] = rejected;
-    pool.release(std::move(scratch));
-  });
-
-  for (std::uint64_t r : chunk_rejected) result.rejected += r;
-  for (std::uint64_t p : chunk_pruned) result.pruned_rows += p;
-  if (approx) {
-    // Survivors of the coarse-pass cutoff (per selection set), then one
-    // exact fp64 evaluation per unique survivor, then the fp64-ordered
-    // truncation. The result matches the fp64 path exactly whenever the
-    // coarse-pass error stays within error_bound.
-    std::vector<RawCandidate> unfiltered_survivors =
-        fp32_survivors(chunk_top_unfiltered, m, slack);
-    std::vector<RawCandidate> filtered_survivors =
-        filter ? fp32_survivors(chunk_top, m, slack)
-               : std::vector<RawCandidate>{};
-    result.near_ties +=
-        unfiltered_survivors.size() -
-        std::min<std::size_t>(m, unfiltered_survivors.size());
-    result.near_ties += filtered_survivors.size() -
-                        std::min<std::size_t>(m, filtered_survivors.size());
-    std::vector<std::uint64_t> indices;
-    indices.reserve(unfiltered_survivors.size() + filtered_survivors.size());
-    for (const auto& c : unfiltered_survivors) indices.push_back(c.index);
-    for (const auto& c : filtered_survivors) indices.push_back(c.index);
-    const auto raw64 = rerank_fp64(ensemble, fill, std::move(indices));
-    result.fp64_reranked = raw64.size();
-    result.top_unfiltered = finish_fp64(unfiltered_survivors, raw64, m, transform);
-    result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform)
-                        : result.top_unfiltered;
+        out.top_unfiltered = unfiltered.take();
+        if (filter) out.top = filtered.take();
+      });
+  for (const ChunkTop& c : chunks) result.rejected += c.rejected;
+  std::vector<RawCandidate> unfiltered =
+      sorted_union(chunks, &ChunkTop::top_unfiltered);
+  result.top_unfiltered = best_m(unfiltered, m, transform_);
+  if (filter) {
+    std::vector<RawCandidate> filtered = sorted_union(chunks, &ChunkTop::top);
+    result.top = best_m(filtered, m, transform_);
   } else {
-    result.top_unfiltered = merge_chunks(chunk_top_unfiltered, m, transform);
-    result.top =
-        filter ? merge_chunks(chunk_top, m, transform) : result.top_unfiltered;
+    result.top = result.top_unfiltered;
   }
-  gauge_configs_per_sec(n, start);
-  if (common::telemetry::enabled()) {
-    common::telemetry::count("scan.candidates_scanned",
-                             static_cast<double>(result.scanned));
-    common::telemetry::count("scan.candidates_filtered",
-                             static_cast<double>(result.rejected));
-    if (approx) {
-      common::telemetry::count("tuner.scan.fp64_rerank",
-                               static_cast<double>(result.fp64_reranked));
-      common::telemetry::count("tuner.scan.near_ties",
-                               static_cast<double>(result.near_ties));
-      common::telemetry::count("tuner.scan.pruned_rows",
-                               static_cast<double>(result.pruned_rows));
-    }
-  }
+  count_top_m(result, false, start);
   return result;
 }
 
-ScanEngines make_scan_engines(const ml::BatchedEnsembleCache& cache,
-                              const ml::BaggingEnsemble& ensemble,
-                              const RangeEncoder& encoder,
-                              std::vector<float> tail,
-                              ScanInference inference) {
-  ScanEngines e;
-  const ml::QuantCalibration calibration = encoder.calibration(tail);
-  if (inference == ScanInference::kBatchedFp32) {
-    e.engine = cache.get(ensemble, calibration);
-    e.batched.engine = e.engine.get();
-  } else {
-    e.quant = cache.get_quantized(ensemble, calibration);
-    e.batched.quant = e.quant.get();
+TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
+                                 std::size_t m,
+                                 const ScanFilter& filter) const {
+  TopMScanResult result = start_top_m(begin, end, transform_);
+  if (result.scanned == 0 || m == 0) return result;
+  result.error_bound = batched_->error_bound();
+  const double slack = 2.0 * result.error_bound;
+  const auto start = std::chrono::steady_clock::now();
+  const std::size_t width = batched_->input_width();
+  const DigitBoxes boxes =
+      !radices_.empty() && batched_->has_node_bounds()
+          ? DigitBoxes::of(radices_, end, width)
+          : DigitBoxes::flat(end);
+
+  std::vector<ChunkTop> chunks(
+      static_cast<std::size_t>(chunk_count_for(result.scanned)));
+  for_each_chunk(
+      begin, end,
+      [&](std::size_t c, std::uint64_t lo, std::uint64_t hi, ChunkScratch& s) {
+        ChunkTop& out = chunks[c];
+        RelaxedTopM unfiltered(m, slack);
+        RelaxedTopM filtered(m, slack);
+        // Evaluate rows [a, b) and offer them in index order.
+        const auto leaf = [&](std::uint64_t a, std::uint64_t b) {
+          const auto rows = static_cast<std::size_t>(b - a);
+          encoder_.fill_f32(a, b, s.xf, tail_f_);
+          batched_->predict_batch_into(s.xf.data(), rows, s.predsf, s.bs);
+          for (std::size_t i = 0; i < rows; ++i) {
+            const RawCandidate cand{static_cast<double>(s.predsf[i]), a + i};
+            unfiltered.offer(cand);
+            if (filter && filtered.would_keep(cand)) {
+              // Lazy filter evaluation: only candidates good enough to be
+              // retained pay for the validity check.
+              if (filter(cand.index)) {
+                filtered.offer(cand);
+              } else {
+                ++out.rejected;
+              }
+            }
+          }
+        };
+        // A row above both thresholds is one neither heap would keep.
+        const auto threshold = [&] {
+          const double t = unfiltered.threshold();
+          return filter ? std::max(t, filtered.threshold()) : t;
+        };
+        // Offers the rows of the node [node, node + span[level]) inside
+        // [lo, hi) in index order, skipping children proved out of reach.
+        s.node_bounds.resize(std::max(s.node_bounds.size(), boxes.root() + 1));
+        const auto visit = [&](const auto& self, std::size_t level,
+                               std::uint64_t node) -> void {
+          if (level == boxes.leaf) {
+            leaf(std::max(node, lo), std::min(node + boxes.span[level], hi));
+            return;
+          }
+          const std::size_t free = level - 1;
+          const std::uint64_t child = boxes.span[free];
+          const std::uint64_t first = node < lo ? (lo - node) / child : 0;
+          const std::uint64_t last =
+              std::min(boxes.radix[free], (hi - node + child - 1) / child);
+          // Each child's node row: its fixed features, zeros in the free
+          // ones.
+          s.node_rows.resize(static_cast<std::size_t>(last - first) * width);
+          for (std::uint64_t k = first; k < last; ++k) {
+            const std::uint64_t index = node + k * child;
+            encoder_.fill_f32(index, index + 1, s.node_row, tail_f_);
+            float* row = s.node_rows.data() + (k - first) * width;
+            std::fill(row, row + free, 0.0f);
+            std::copy_n(s.node_row.begin() + static_cast<std::ptrdiff_t>(free),
+                        width - free, row + free);
+          }
+          std::vector<float>& bounds = s.node_bounds[level];
+          batched_->node_lower_bounds(s.node_rows.data(),
+                                      static_cast<std::size_t>(last - first),
+                                      free, bounds, s.bs);
+          const double margin =
+              batched_->node_error_bound(free) + result.error_bound;
+          for (std::uint64_t k = first; k < last; ++k) {
+            const std::uint64_t index = node + k * child;
+            if (static_cast<double>(bounds[k - first]) - margin > threshold())
+              out.pruned += std::min(index + child, hi) - std::max(index, lo);
+            else
+              self(self, free, index);
+          }
+        };
+        visit(visit, boxes.root(), 0);
+        out.top_unfiltered = unfiltered.take();
+        if (filter) out.top = filtered.take();
+      });
+
+  for (const ChunkTop& c : chunks) {
+    result.rejected += c.rejected;
+    result.pruned_rows += c.pruned;
   }
-  e.batched.fill = [&encoder, tail = std::move(tail)](
-                       std::uint64_t lo, std::uint64_t hi,
-                       std::vector<float>& rows) {
-    encoder.fill_f32(lo, hi, rows, tail);
-  };
-  e.batched.radices = encoder.radices();
-  return e;
+  // Survivors of the fp32 cutoff (per selection set), then one exact fp64
+  // evaluation per unique survivor, then the fp64-ordered truncation.
+  std::vector<RawCandidate> unfiltered_survivors =
+      fp32_survivors(chunks, &ChunkTop::top_unfiltered, m, slack);
+  std::vector<RawCandidate> filtered_survivors =
+      filter ? fp32_survivors(chunks, &ChunkTop::top, m, slack)
+             : std::vector<RawCandidate>{};
+  result.near_ties += unfiltered_survivors.size() -
+                      std::min<std::size_t>(m, unfiltered_survivors.size());
+  result.near_ties += filtered_survivors.size() -
+                      std::min<std::size_t>(m, filtered_survivors.size());
+  std::vector<std::uint64_t> indices;
+  indices.reserve(unfiltered_survivors.size() + filtered_survivors.size());
+  for (const auto& c : unfiltered_survivors) indices.push_back(c.index);
+  for (const auto& c : filtered_survivors) indices.push_back(c.index);
+  const auto raw64 =
+      rerank_fp64(*ensemble_, encoder_, tail_, std::move(indices));
+  result.fp64_reranked = raw64.size();
+  result.top_unfiltered =
+      finish_fp64(unfiltered_survivors, raw64, m, transform_);
+  result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform_)
+                      : result.top_unfiltered;
+  count_top_m(result, true, start);
+  return result;
 }
 
 ScanFilter make_static_scan_filter(const ParamSpace& space,

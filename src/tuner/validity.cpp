@@ -50,31 +50,6 @@ void ValidityModel::fit(const ParamSpace& space,
   net_ = std::move(net);
 }
 
-void ValidityModel::fit_with_oracle(const ParamSpace& space,
-                                    std::vector<Configuration> valid,
-                                    std::vector<Configuration> invalid,
-                                    const clsim::analyze::StaticChecker& checker,
-                                    std::size_t oracle_samples,
-                                    common::Rng& rng) {
-  const std::uint64_t total = space.size();
-  for (std::size_t i = 0; i < oracle_samples && total != 0; ++i) {
-    Configuration config = space.decode(rng.below(total));
-    const clsim::analyze::ConfigVerdict verdict =
-        checker.check(std::span<const int>(config.values));
-    switch (verdict.verdict) {
-      case clsim::analyze::Verdict::kProvedValid:
-        valid.push_back(std::move(config));
-        break;
-      case clsim::analyze::Verdict::kProvedInvalid:
-        invalid.push_back(std::move(config));
-        break;
-      case clsim::analyze::Verdict::kUnknown:
-        break;  // uncertain: not a training label
-    }
-  }
-  fit(space, valid, invalid, rng);
-}
-
 double ValidityModel::score(const Configuration& config) const {
   if (!fitted()) return 1.0;
   std::vector<double> features(codec_.width());

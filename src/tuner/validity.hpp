@@ -17,7 +17,6 @@
 
 #include "ml/scaler.hpp"
 
-#include "clsim/analyze/checker.hpp"
 #include "common/rng.hpp"
 #include "ml/mlp.hpp"
 #include "tuner/features.hpp"
@@ -43,18 +42,6 @@ class ValidityModel {
   /// score() reports everything valid — a no-op filter).
   void fit(const ParamSpace& space, const std::vector<Configuration>& valid,
            const std::vector<Configuration>& invalid, common::Rng& rng);
-
-  /// fit() after augmenting the labelled sets with free clstat samples:
-  /// draws `oracle_samples` uniform configurations, asks the analyzer, and
-  /// appends kProvedValid / kProvedInvalid points to the respective class.
-  /// kUnknown points are dropped — the classifier only trains on
-  /// analyzer-certain labels, which cost zero launches (the measured labels
-  /// passed in keep covering whatever the analyzer cannot decide).
-  void fit_with_oracle(const ParamSpace& space,
-                       std::vector<Configuration> valid,
-                       std::vector<Configuration> invalid,
-                       const clsim::analyze::StaticChecker& checker,
-                       std::size_t oracle_samples, common::Rng& rng);
 
   [[nodiscard]] bool fitted() const noexcept { return net_ != nullptr; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }

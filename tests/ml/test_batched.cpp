@@ -39,8 +39,8 @@ std::vector<float> random_rows(std::size_t rows, std::size_t cols,
   return x;
 }
 
-ml::QuantCalibration box(std::size_t width, float lo, float hi) {
-  ml::QuantCalibration calib;
+ml::CertificationBox box(std::size_t width, float lo, float hi) {
+  ml::CertificationBox calib;
   calib.lo.assign(width, lo);
   calib.hi.assign(width, hi);
   return calib;
@@ -227,14 +227,14 @@ TEST(BatchedEnsemble, BadCalibrationThrows) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(23);
   EXPECT_THROW(ml::BatchedEnsemble(ensemble, box(2, 0.0f, 1.0f)),
                std::invalid_argument);
-  ml::QuantCalibration inverted = box(3, 0.0f, 1.0f);
+  ml::CertificationBox inverted = box(3, 0.0f, 1.0f);
   inverted.lo[1] = 2.0f;
   EXPECT_THROW(ml::BatchedEnsemble(ensemble, inverted), std::invalid_argument);
 }
 
 TEST(BatchedEnsembleCache, BuildsOnceAndResets) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(17);
-  const ml::QuantCalibration calib = box(3, 0.0f, 10.0f);
+  const ml::CertificationBox calib = box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
   const auto a = cache.get(ensemble, calib);
   const auto b = cache.get(ensemble, calib);
@@ -252,7 +252,7 @@ TEST(BatchedEnsembleCache, BuildsOnceAndResets) {
 
 TEST(BatchedEnsembleCache, CopyResetsMoveTransfers) {
   const ml::BaggingEnsemble ensemble = fitted_ensemble(19);
-  const ml::QuantCalibration calib = box(3, 0.0f, 10.0f);
+  const ml::CertificationBox calib = box(3, 0.0f, 10.0f);
   ml::BatchedEnsembleCache cache;
   const auto original = cache.get(ensemble, calib);
 
@@ -271,7 +271,7 @@ namespace {
 /// corner of the box first, then uniform samples), in raw output units.
 double measured_error(const ml::BaggingEnsemble& ensemble,
                       const ml::BatchedEnsemble& batched,
-                      const ml::QuantCalibration& calib, std::size_t samples,
+                      const ml::CertificationBox& calib, std::size_t samples,
                       std::uint64_t seed) {
   const std::size_t cols = calib.width();
   const std::size_t corners = cols <= 10 ? std::size_t{1} << cols : 0;
@@ -345,7 +345,7 @@ TEST(BatchedEnsembleBound, MeasuredWithinCertifiedOnRandomNetworks) {
       for (const bool deep : {false, true}) {
         std::vector<ml::LayerSpec> hidden = {{30, act}};
         if (deep) hidden.push_back({9, ml::Activation::kSigmoid});
-        const ml::QuantCalibration calib = box(5, -3.0f, 7.0f);
+        const ml::CertificationBox calib = box(5, -3.0f, 7.0f);
         const auto ensemble = random_ensemble(
             5, hidden, 5, gain,
             scaler_of({2.0, 2.0, 2.0, 2.0, 2.0}, {2.5, 1.0, 3.0, 0.5, 2.0}),
@@ -365,7 +365,7 @@ TEST(BatchedEnsembleBound, CoversCancellationHeavyScalerFolds) {
   // b' = b - sum m*W/s nearly cancels the x*W' terms, so fp32 accumulates
   // large terms into a small result. The bound must price that in (it
   // grows with the raw magnitudes) and still hold.
-  const ml::QuantCalibration calib = box(4, 990.0f, 1010.0f);
+  const ml::CertificationBox calib = box(4, 990.0f, 1010.0f);
   const auto ensemble = random_ensemble(
       4, {{20, ml::Activation::kSigmoid}}, 3, 1.0,
       scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
@@ -387,13 +387,13 @@ TEST(BatchedEnsembleBound, DegenerateCalibrationRanges) {
   const auto ensemble = random_ensemble(
       3, {{12, ml::Activation::kTanh}}, 4, 2.0,
       scaler_of({1.0, -2.0, 8.0}, {1.5, 0.75, 2.0}), 31);
-  ml::QuantCalibration calib = box(3, -1.0f, 3.0f);
+  ml::CertificationBox calib = box(3, -1.0f, 3.0f);
   calib.lo[2] = calib.hi[2] = 9.5f;
   const ml::BatchedEnsemble batched(ensemble, calib);
   EXPECT_LE(measured_error(ensemble, batched, calib, 1000, 3),
             batched.error_bound());
 
-  ml::QuantCalibration point = calib;
+  ml::CertificationBox point = calib;
   point.hi[0] = point.lo[0] = 0.5f;
   point.hi[1] = point.lo[1] = 2.25f;
   const ml::BatchedEnsemble at_point(ensemble, point);
@@ -410,7 +410,7 @@ namespace {
 /// j sums its terms at the row's fixed features (i >= k) and, per free
 /// feature, the smallest (v_j >= 0) or largest of its term over the box.
 long double exact_node_value(const ml::BaggingEnsemble& ensemble,
-                             const ml::QuantCalibration& calib,
+                             const ml::CertificationBox& calib,
                              const std::vector<float>& row, std::size_t k) {
   const std::vector<double>& mean = ensemble.scaler().means();
   const std::vector<double>& stddev = ensemble.scaler().stddevs();
@@ -450,7 +450,7 @@ long double exact_node_value(const ml::BaggingEnsemble& ensemble,
 /// 2^10) and `samples` random points.
 void expect_node_bounds_hold(const ml::BaggingEnsemble& ensemble,
                              const ml::BatchedEnsemble& batched,
-                             const ml::QuantCalibration& calib,
+                             const ml::CertificationBox& calib,
                              std::size_t samples, std::uint64_t seed) {
   ASSERT_TRUE(batched.has_node_bounds());
   const std::size_t cols = calib.width();
@@ -507,7 +507,7 @@ TEST(BatchedEnsembleNodeBound, RowsOfRandomNodesStayAboveTheBound) {
   for (const auto act : acts) {
     for (const double gain : {1.0, 4.0}) {
       SCOPED_TRACE(ml::to_string(act) + (gain > 1.0 ? " saturating" : ""));
-      ml::QuantCalibration calib = box(6, -3.0f, 7.0f);
+      ml::CertificationBox calib = box(6, -3.0f, 7.0f);
       calib.lo[2] = calib.hi[2] = 1.5f;
       calib.lo[4] = 0.0f;
       calib.hi[4] = 1.0f;
@@ -525,7 +525,7 @@ TEST(BatchedEnsembleNodeBound, RowsOfRandomNodesStayAboveTheBound) {
 TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
   // Raw features far from the origin against a small spread: the selection
   // bias sums large terms that nearly cancel.
-  const ml::QuantCalibration calib = box(4, 990.0f, 1010.0f);
+  const ml::CertificationBox calib = box(4, 990.0f, 1010.0f);
   const auto ensemble = random_ensemble(
       4, {{20, ml::Activation::kSigmoid}}, 3, 2.0,
       scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);

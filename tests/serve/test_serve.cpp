@@ -7,6 +7,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,58 +175,45 @@ TEST(TuneService, RepeatRequestServedFromStoreAndIdentical) {
   EXPECT_EQ(stats.tunes_executed, 1u);
 }
 
-TEST(TuneService, ScanModeFlipInvalidatesCachedTunes) {
-  // The store's model version carries the scan's exactness class: fp64 and
-  // fp32 select identical top-M candidates by certification and share
-  // "+scan-exact", so flipping between them keeps cache hits; int8 rests on
-  // a declared bound ("+scan-int8"), so a tune cached under an exact mode
-  // must not answer an int8 service — and vice versa.
+TEST(TuneService, StoreVersionMarksTheExactScan) {
+  // Every served tune runs the certified scan, whose top-M is the fp64
+  // reference's, and the store's model version says so ("+scan-exact"): an
+  // entry the service wrote answers a fresh service over the same
+  // directory, while the same entry written under "+scan-int8", as a
+  // service running the former int8 tier stored it, is stale.
   const auto dir = std::filesystem::temp_directory_path() /
-                   "pt_serve_test_scan_mode_flip";
+                   "pt_serve_test_store_version";
   std::filesystem::remove_all(dir);
 
   RecordingFactory recorder;
-  TuneServiceOptions fp64_opts = fast_service_options(1);
-  fp64_opts.store.directory = dir.string();
-  fp64_opts.tuner.model.scan.inference = tuner::ScanInference::kScalarFp64;
+  TuneServiceOptions opts = fast_service_options(1);
+  opts.store.directory = dir.string();
+  std::optional<TunedConfigStore::Entry> written;
   {
-    TuneService service(fp64_opts, recorder.factory());
+    TuneService service(opts, recorder.factory());
     EXPECT_EQ(service.store().options().model_version, "v1+scan-exact");
     const TuneResponse first = Session(service, "t").tune(bowl_key(), 7);
     ASSERT_EQ(first.status, ResponseStatus::kOk);
     EXPECT_FALSE(first.from_cache);
-    EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
+    written = service.store().lookup(bowl_key(), 7);
+    ASSERT_TRUE(written.has_value());
   }
-
-  // Same store directory, scan flipped to fp32: same exactness class, so
-  // the fp64 entry still answers.
-  TuneServiceOptions fp32_opts = fp64_opts;
-  fp32_opts.tuner.model.scan.inference = tuner::ScanInference::kBatchedFp32;
   {
-    TuneService service(fp32_opts, recorder.factory());
-    EXPECT_EQ(service.store().options().model_version, "v1+scan-exact");
+    TuneService service(opts, recorder.factory());
     EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
   }
   EXPECT_EQ(recorder.calls().size(), 1u);
 
-  // Scan flipped to int8: the exact entry is stale, the tune re-executes
-  // and caches under the new version.
-  TuneServiceOptions int8_opts = fp64_opts;
-  int8_opts.tuner.model.scan.inference = tuner::ScanInference::kQuantInt8;
+  TunedConfigStore::Options int8_store = opts.store;
+  int8_store.model_version = "v1+scan-int8";
+  TunedConfigStore(int8_store).put(*written);
   {
-    TuneService service(int8_opts, recorder.factory());
-    EXPECT_EQ(service.store().options().model_version, "v1+scan-int8");
-    const TuneResponse flipped = Session(service, "t").tune(bowl_key(), 7);
-    ASSERT_EQ(flipped.status, ResponseStatus::kOk);
-    EXPECT_FALSE(flipped.from_cache);
+    TuneService service(opts, recorder.factory());
+    const TuneResponse retuned = Session(service, "t").tune(bowl_key(), 7);
+    ASSERT_EQ(retuned.status, ResponseStatus::kOk);
+    EXPECT_FALSE(retuned.from_cache);
   }
-  EXPECT_EQ(recorder.calls().size(), 2u);  // one executed tune per class
-
-  // A fresh int8 service over the same directory starts warm again.
-  {
-    TuneService service(int8_opts, recorder.factory());
-    EXPECT_TRUE(Session(service, "t").tune(bowl_key(), 7).from_cache);
-  }
+  EXPECT_EQ(recorder.calls().size(), 2u);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,10 +1,16 @@
 #pragma once
 
-// Synthetic evaluators with analytically known optima, for tuner unit tests
-// that should not depend on the benchmark suite or the timing model.
+// Synthetic evaluators with analytically known optima, and random
+// ensembles over a space, for tuner unit tests that should not depend on
+// the benchmark suite or the timing model.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "ml/ensemble.hpp"
 #include "tuner/evaluator.hpp"
 
 namespace pt::tuner::testing {
@@ -90,5 +96,43 @@ class TrapEvaluator final : public Evaluator {
  private:
   ParamSpace space_;
 };
+
+/// `k` random networks with the given hidden layers and one linear output
+/// (Xavier init scaled by `gain`), standardizing the space's raw features.
+inline ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
+                                           std::vector<ml::LayerSpec> hidden,
+                                           std::size_t k, double gain,
+                                           std::uint64_t seed) {
+  const std::size_t inputs = space.dimension_count();
+  std::vector<ml::LayerSpec> layers = hidden;
+  layers.push_back({1, ml::Activation::kLinear});
+  common::Rng rng(seed);
+  std::vector<ml::Mlp> members;
+  for (std::size_t i = 0; i < k; ++i) {
+    ml::Mlp net(inputs, layers);
+    net.init_weights(rng);
+    for (std::size_t l = 0; l < net.layer_count(); ++l) {
+      for (auto& w : net.weights(l).flat()) w *= gain;
+      for (auto& b : net.biases(l)) b = gain * (rng.uniform() - 0.5);
+    }
+    members.push_back(std::move(net));
+  }
+  std::vector<double> means;
+  std::vector<double> stddevs;
+  for (std::size_t d = 0; d < inputs; ++d) {
+    const auto& values = space.parameter(d).values;
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    means.push_back(0.5 * (*lo + *hi) + 0.25);
+    stddevs.push_back(0.5 * (*hi - *lo) + 0.75);
+  }
+  ml::StandardScaler scaler;
+  scaler.restore(std::move(means), std::move(stddevs));
+  ml::BaggingEnsemble::Options opts;
+  opts.k = k;
+  opts.hidden_layers = std::move(hidden);
+  ml::BaggingEnsemble ensemble(opts);
+  ensemble.restore(opts, std::move(scaler), std::move(members));
+  return ensemble;
+}
 
 }  // namespace pt::tuner::testing

@@ -1,17 +1,20 @@
-// Tests for the batched fp32 scan path, the tuner's default top-M engine
-// (tuner/scan.hpp + tuner/model.hpp): top-M selection must be identical to
-// the fp64 reference — indices and predicted values — at every thread
-// count, with and without a validity filter; the measured fp32 error must
-// stay within the engine's certified bound (also for the paper's default
-// ensemble on every benchmark x device); the default AutoTuner,
-// IterativeTuner and input-aware scans must reproduce explicit-fp64 results
-// bit for bit; and the engine-less scan overloads must stay fp64.
+// Tests for the scan engine's certified fp32 path, the tuners' top-M engine
+// (tuner/scan.hpp + tuner/model.hpp): its top-M selection must be identical
+// to the fp64 reference's — indices and predicted values — at every thread
+// count, with and without a validity filter, also when the re-rank band
+// holds crowds of near-ties; the measured fp32 error must stay within the
+// engine's certified bound (also for the paper's default ensemble on every
+// benchmark x device); the AutoTuner's stage-2 candidates and the
+// input-aware scans must be the fp64 reference's bit for bit; and copied
+// and moved models must scan the same.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +24,6 @@
 #include "common/thread_pool.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/input_aware.hpp"
-#include "tuner/iterative.hpp"
 #include "tuner/model.hpp"
 #include "tuner/scan.hpp"
 #include "test_helpers.hpp"
@@ -89,31 +91,57 @@ AnnPerformanceModel trained_model(const ParamSpace& space) {
   return model;
 }
 
-ScanOptions options_for(ScanInference inference) {
-  ScanOptions scan;
-  scan.inference = inference;
-  return scan;
+void expect_same_candidates(const std::vector<ScanCandidate>& a,
+                            const std::vector<ScanCandidate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].index, b[i].index) << "rank " << i;
+    // The fp32 path re-ranks through the fp64 reference, so predicted values
+    // of the selection are bit-identical, not merely close.
+    EXPECT_EQ(a[i].predicted_ms, b[i].predicted_ms) << "rank " << i;
+  }
 }
-
-ScanOptions fp64_options() { return options_for(ScanInference::kScalarFp64); }
-ScanOptions fp32_options() { return options_for(ScanInference::kBatchedFp32); }
 
 void expect_same_selection(const TopMScanResult& fp64,
                            const TopMScanResult& fp32) {
-  ASSERT_EQ(fp64.top.size(), fp32.top.size());
-  for (std::size_t i = 0; i < fp64.top.size(); ++i) {
-    EXPECT_EQ(fp64.top[i].index, fp32.top[i].index) << "rank " << i;
-    // The fp32 path re-ranks through the fp64 reference, so predicted values
-    // of the selection are bit-identical, not merely close.
-    EXPECT_EQ(fp64.top[i].predicted_ms, fp32.top[i].predicted_ms)
-        << "rank " << i;
+  expect_same_candidates(fp64.top, fp32.top);
+  expect_same_candidates(fp64.top_unfiltered, fp32.top_unfiltered);
+}
+
+void expect_same_result(const TopMScanResult& a, const TopMScanResult& b) {
+  expect_same_selection(a, b);
+  EXPECT_EQ(a.scanned, b.scanned);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.error_bound, b.error_bound);
+  EXPECT_EQ(a.fp64_reranked, b.fp64_reranked);
+  EXPECT_EQ(a.near_ties, b.near_ties);
+  EXPECT_EQ(a.pruned_rows, b.pruned_rows);
+}
+
+/// An input-aware model over testing::small_space() with one "size"
+/// problem parameter.
+InputAwarePerformanceModel trained_input_aware_model() {
+  const ParamSpace space = testing::small_space();
+  InputAwarePerformanceModel::Options opts;
+  opts.ensemble.k = 3;
+  opts.ensemble.hidden_layers = {ml::LayerSpec{16, ml::Activation::kSigmoid}};
+  opts.ensemble.trainer.common.max_epochs = 200;
+  InputAwarePerformanceModel model(opts);
+  common::Rng rng(7);
+  const std::vector<double> sizes = {64.0, 256.0, 1024.0};
+  std::vector<InputAwareSample> samples;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const Configuration c = space.random(rng);
+    const double size =
+        sizes[static_cast<std::size_t>(rng.below(sizes.size()))];
+    const double a = std::log2(static_cast<double>(c.values[0]));
+    const double b = std::log2(static_cast<double>(c.values[1]));
+    const double shape =
+        1.0 + (a - 3.0) * (a - 3.0) + 0.5 * (b - 4.0) * (b - 4.0);
+    samples.push_back({c, ProblemInstance{{size}}, shape * size / 256.0});
   }
-  ASSERT_EQ(fp64.top_unfiltered.size(), fp32.top_unfiltered.size());
-  for (std::size_t i = 0; i < fp64.top_unfiltered.size(); ++i) {
-    EXPECT_EQ(fp64.top_unfiltered[i].index, fp32.top_unfiltered[i].index);
-    EXPECT_EQ(fp64.top_unfiltered[i].predicted_ms,
-              fp32.top_unfiltered[i].predicted_ms);
-  }
+  model.fit(space, {"size"}, samples, rng);
+  return model;
 }
 
 class ScanBatchedTest : public ::testing::Test {
@@ -121,25 +149,16 @@ class ScanBatchedTest : public ::testing::Test {
   void TearDown() override { common::set_global_pool_threads(0); }
 };
 
-TEST_F(ScanBatchedTest, Fp32IsTheDefaultTopMEngine) {
-  EXPECT_EQ(ScanOptions{}.inference, ScanInference::kBatchedFp32);
-  EXPECT_EQ(AnnPerformanceModel::Options{}.scan.inference,
-            ScanInference::kBatchedFp32);
-  EXPECT_EQ(InputAwarePerformanceModel::Options{}.scan.inference,
-            ScanInference::kBatchedFp32);
-}
-
 TEST_F(ScanBatchedTest, TopMMatchesFp64AtOneAndFourThreads) {
   const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
+  const AnnPerformanceModel model = trained_model(space);
+  const ScanEngine engine = model.scan_engine();
 
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
-    model.set_scan_options(fp64_options());
-    const auto fp64 = model.predict_scan_top_m(0, space.size(), 25);
+    const auto fp64 = engine.reference_top_m(0, space.size(), 25);
     EXPECT_EQ(fp64.error_bound, 0.0);
     EXPECT_EQ(fp64.fp64_reranked, 0u);
-    model.set_scan_options(fp32_options());
     const auto fp32 = model.predict_scan_top_m(0, space.size(), 25);
     EXPECT_EQ(fp32.scanned, space.size());
     EXPECT_GT(fp32.error_bound, 0.0);
@@ -150,13 +169,12 @@ TEST_F(ScanBatchedTest, TopMMatchesFp64AtOneAndFourThreads) {
 
 TEST_F(ScanBatchedTest, TopMMatchesFp64WithValidityFilter) {
   const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
+  const AnnPerformanceModel model = trained_model(space);
   // Reject every third index: exercises the filtered heap + re-rank path.
   const ScanFilter filter = [](std::uint64_t idx) { return idx % 3 != 0; };
 
-  model.set_scan_options(fp64_options());
-  const auto fp64 = model.predict_scan_top_m(0, space.size(), 20, filter);
-  model.set_scan_options(fp32_options());
+  const auto fp64 =
+      model.scan_engine().reference_top_m(0, space.size(), 20, filter);
   const auto fp32 = model.predict_scan_top_m(0, space.size(), 20, filter);
   expect_same_selection(fp64, fp32);
   for (const auto& c : fp32.top) EXPECT_NE(c.index % 3, 0u);
@@ -164,35 +182,25 @@ TEST_F(ScanBatchedTest, TopMMatchesFp64WithValidityFilter) {
 
 TEST_F(ScanBatchedTest, Fp32PathIsDeterministicAcrossThreadCounts) {
   const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(fp32_options());
+  const AnnPerformanceModel model = trained_model(space);
 
   common::set_global_pool_threads(1);
   const auto one = model.predict_scan_top_m(0, space.size(), 30);
   common::set_global_pool_threads(4);
   const auto four = model.predict_scan_top_m(0, space.size(), 30);
-  ASSERT_EQ(one.top.size(), four.top.size());
-  for (std::size_t i = 0; i < one.top.size(); ++i) {
-    EXPECT_EQ(one.top[i].index, four.top[i].index);
-    EXPECT_EQ(one.top[i].predicted_ms, four.top[i].predicted_ms);
-  }
-  EXPECT_EQ(one.error_bound, four.error_bound);
-  EXPECT_EQ(one.fp64_reranked, four.fp64_reranked);
-  EXPECT_EQ(one.near_ties, four.near_ties);
+  expect_same_result(one, four);
 }
 
-TEST_F(ScanBatchedTest, DenseRangeDefaultsToFp64) {
-  // predict_range_ms returns fp64 values unless a fast engine is named;
-  // the scan options only pick the top-M engine.
+TEST_F(ScanBatchedTest, PredictRangeIsTheFp64Reference) {
+  // predict_range_ms returns the fp64 reference's values; the engine's
+  // dense fp32 range stays within its bound of them.
   const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(fp32_options());
+  const AnnPerformanceModel model = trained_model(space);
+  const ScanEngine engine = model.scan_engine();
   const auto dense = model.predict_range_ms(60000, 70000);  // chunk seam
-  model.set_scan_options(fp64_options());
-  EXPECT_EQ(dense, model.predict_range_ms(60000, 70000));
+  EXPECT_EQ(dense, engine.reference_range(60000, 70000));
 
-  const auto fp32 =
-      model.predict_range_ms(60000, 70000, ScanInference::kBatchedFp32);
+  const auto fp32 = engine.range(60000, 70000);
   ASSERT_EQ(dense.size(), fp32.size());
   bool any_differs = false;
   for (std::size_t i = 0; i < dense.size(); ++i) {
@@ -209,13 +217,14 @@ TEST_F(ScanBatchedTest, MeasuredFp32ErrorIsWithinTheCertifiedBound) {
   // certified bound; check it over the whole space, comparing raw outputs
   // via the log of the predicted times.
   const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  const double bound = model.predict_scan_top_m(0, 1, 1).error_bound;
+  const AnnPerformanceModel model = trained_model(space);
+  const ScanEngine engine = model.scan_engine();
+  const double bound = engine.error_bound();
+  EXPECT_EQ(bound, model.predict_scan_top_m(0, 1, 1).error_bound);
   const double scale = model.target_scale();
 
-  const auto fp64 = model.predict_range_ms(0, space.size());
-  const auto fp32 =
-      model.predict_range_ms(0, space.size(), ScanInference::kBatchedFp32);
+  const auto fp64 = engine.reference_range(0, space.size());
+  const auto fp32 = engine.range(0, space.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < fp64.size(); ++i)
     worst = std::max(worst,
@@ -282,58 +291,86 @@ TEST_F(ScanBatchedTest, DefaultEnsembleBoundOnEveryBenchmarkAndDevice) {
   }
 }
 
-TEST_F(ScanBatchedTest, EngineLessOverloadsRunFp64) {
-  // scan_top_m / scan_predict_range without options or engines are the
-  // fp64 reference, whatever the ScanOptions default is.
-  const ParamSpace space = big_space();
-  AnnPerformanceModel model = trained_model(space);
-  const RangeEncoder encoder(
-      FeatureCodec::build(space, model.options().encoding), space);
-  const ScanRowFiller fill = [&encoder](std::uint64_t lo, std::uint64_t hi,
-                                        ml::Matrix& x) {
-    encoder.fill(lo, hi, x);
-  };
-  const OutputTransform transform{model.target_scale(), model.target_mean(),
-                                  model.options().log_targets};
+TEST_F(ScanBatchedTest, AdversarialNearTieBandStillMatchesFp64Exactly) {
+  // Raw-encoded values far from the origin relative to their spread: the
+  // folded scaler cancels large terms, so the certified bound B is wide by
+  // construction (about 0.4 here) and the re-rank band around the cutoff
+  // holds every row of the space. fp32 rounding reorders rows across the
+  // m-th place, so the selection is exactly the fp64 one only if the band
+  // is re-ranked, not truncated to the fp32 top m.
+  ParamSpace space;  // 10*8*7*6*5*4 = 67200 configurations: two chunks
+  const std::vector<int> radices = {10, 8, 7, 6, 5, 4};
+  for (std::size_t d = 0; d < radices.size(); ++d) {
+    std::vector<int> values;
+    for (int v = 0; v < radices[d]; ++v) values.push_back((1 << 20) + v);
+    space.add(std::string(1, static_cast<char>('a' + d)), values);
+  }
+  const RangeEncoder encoder(FeatureCodec::build(space, FeatureEncoding::kRaw),
+                             space);
+  const ml::BaggingEnsemble ensemble = testing::random_ensemble(
+      space, {{16, ml::Activation::kSigmoid}}, 3, 1.0, 11);
+  const ScanEngine engine(
+      std::make_shared<const ml::BaggingEnsemble>(ensemble),
+      std::make_shared<const ml::BatchedEnsemble>(ensemble,
+                                                  encoder.calibration()),
+      encoder, {}, OutputTransform{}, encoder.radices());
+  const ScanFilter filter = [](std::uint64_t idx) { return idx % 3 != 0; };
+  constexpr std::size_t m = 15;
 
-  const auto top = scan_top_m(model.ensemble(), fill, 0, space.size(), 12,
-                              transform);
-  EXPECT_EQ(top.error_bound, 0.0);
-  EXPECT_EQ(top.fp64_reranked, 0u);
-  const auto reference = scan_top_m(model.ensemble(), fill, 0, space.size(),
-                                    12, transform, {}, fp64_options(),
-                                    nullptr);
-  expect_same_selection(reference, top);
-  model.set_scan_options(fp64_options());
-  expect_same_selection(model.predict_scan_top_m(0, space.size(), 12), top);
-
-  EXPECT_EQ(scan_predict_range(model.ensemble(), fill, 100, 900, transform),
-            model.predict_range_ms(100, 900));
+  for (const std::size_t threads : {1u, 4u}) {
+    common::set_global_pool_threads(threads);
+    for (const bool filtered : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (filtered ? " filtered" : ""));
+      const ScanFilter f = filtered ? filter : ScanFilter{};
+      const auto fp64 = engine.reference_top_m(0, space.size(), m, f);
+      const auto fp32 = engine.top_m(0, space.size(), m, f);
+      expect_same_selection(fp64, fp32);
+      EXPECT_GT(fp32.near_ties, 0u);
+      if (filtered) {
+        // near_ties counts the band of each selection set, fp64_reranked
+        // their union, which is at least the larger band.
+        EXPECT_GE(2 * fp32.fp64_reranked, 2 * m + fp32.near_ties);
+      } else {
+        EXPECT_GE(fp32.fp64_reranked, m + fp32.near_ties);
+      }
+    }
+  }
 }
 
-TEST_F(ScanBatchedTest, BatchedWithoutEngineThrows) {
-  const ml::BaggingEnsemble unused;
-  const ScanRowFiller fill = [](std::uint64_t, std::uint64_t, ml::Matrix&) {};
-  const ScanOptions opts = fp32_options();
-  EXPECT_THROW((void)scan_top_m(unused, fill, 0, 10, 3, OutputTransform{}, {},
-                                opts, nullptr),
+TEST_F(ScanBatchedTest, EngineRejectsAnUncertifiedBox) {
+  // The top-M is exact only if B covers every scanned row: an fp32 engine
+  // certified over a smaller box than the rows', or a missing ensemble, is
+  // refused at construction.
+  const ParamSpace space = big_space();
+  const AnnPerformanceModel model = trained_model(space);
+  const RangeEncoder encoder(
+      FeatureCodec::build(space, model.options().encoding), space);
+  ml::CertificationBox narrow = encoder.calibration();
+  narrow.hi[0] = narrow.lo[0];
+  const auto fp64 =
+      std::make_shared<const ml::BaggingEnsemble>(model.ensemble());
+  const auto packed =
+      std::make_shared<const ml::BatchedEnsemble>(model.ensemble(), narrow);
+  EXPECT_THROW(ScanEngine(fp64, packed, encoder, {}, OutputTransform{}, {}),
                std::invalid_argument);
-  const BatchedScan no_engine{};
-  EXPECT_THROW((void)scan_top_m(unused, fill, 0, 10, 3, OutputTransform{}, {},
-                                opts, &no_engine),
+  const auto certified = std::make_shared<const ml::BatchedEnsemble>(
+      model.ensemble(), encoder.calibration());
+  EXPECT_THROW(ScanEngine(nullptr, certified, encoder, {}, OutputTransform{},
+                          {}),
                std::invalid_argument);
-  EXPECT_THROW((void)scan_predict_range(unused, fill, 0, 10, OutputTransform{},
-                                        opts, nullptr),
+  EXPECT_THROW(ScanEngine(std::make_shared<const ml::BaggingEnsemble>(),
+                          certified, encoder, {}, OutputTransform{}, {}),
                std::invalid_argument);
 }
 
 TEST_F(ScanBatchedTest, RefitRebuildsTheBatchedEngine) {
   // After a refit the packed weights must follow the new ensemble, not the
-  // stale one: predictions on both paths have to agree again.
+  // stale one: the new engine's top-M equals its fp64 reference again, and
+  // an engine taken before the refit keeps scanning the old ensemble.
   const ParamSpace space = big_space();
   AnnPerformanceModel model = trained_model(space);
-  model.set_scan_options(fp32_options());
-  (void)model.predict_scan_top_m(0, 1000, 5);  // builds the engine
+  const ScanEngine before = model.scan_engine();
 
   common::Rng rng(123);
   std::vector<TrainingSample> samples;
@@ -345,90 +382,103 @@ TEST_F(ScanBatchedTest, RefitRebuildsTheBatchedEngine) {
   }
   model.fit(space, samples, rng);
 
-  const auto fp32 = model.predict_scan_top_m(0, 2000, 10);
-  model.set_scan_options(fp64_options());
-  const auto fp64 = model.predict_scan_top_m(0, 2000, 10);
-  expect_same_selection(fp64, fp32);
+  const ScanEngine after = model.scan_engine();
+  EXPECT_NE(&before.batched(), &after.batched());
+  expect_same_selection(after.reference_top_m(0, 2000, 10),
+                        model.predict_scan_top_m(0, 2000, 10));
+  expect_same_selection(before.reference_top_m(0, 2000, 10),
+                        before.top_m(0, 2000, 10));
 }
 
-// ---- Default tuners vs explicit fp64 ---------------------------------------
+TEST_F(ScanBatchedTest, CopiedAndMovedModelsScanTheSame) {
+  // AutoTuner moves its fitted model into the result and the service moves
+  // it again into the store: a copy re-packs, a move carries the packed
+  // engine, and no engine may point into the model left behind (it is
+  // destroyed here before the moved-to copy scans).
+  const ParamSpace space = big_space();
+  std::optional<AnnPerformanceModel> original(trained_model(space));
+  const TopMScanResult first =
+      original->predict_scan_top_m(0, space.size(), 25);
+  const ml::BatchedEnsemble* packed = &original->scan_engine().batched();
 
-TEST_F(ScanBatchedTest, DefaultAutoTunerMatchesExplicitFp64) {
-  AutoTunerOptions fast;
-  fast.training_samples = 200;
-  fast.second_stage_size = 20;
-  AutoTunerOptions fp64 = fast;
-  fp64.model.scan = fp64_options();
+  const AnnPerformanceModel copy = *original;
+  std::optional<AnnPerformanceModel> moved(std::move(*original));
+  original.reset();
+  const auto stored =
+      std::make_shared<const AnnPerformanceModel>(std::move(*moved));
+  moved.reset();
+  EXPECT_NE(&copy.scan_engine().batched(), packed);
+  EXPECT_EQ(&stored->scan_engine().batched(), packed);
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
-    SyntheticEvaluator e1;
-    SyntheticEvaluator e2;
-    const auto a = AutoTuner(fast).tune(e1, TuneRun::with_seed(3));
-    const auto b = AutoTuner(fp64).tune(e2, TuneRun::with_seed(3));
-    ASSERT_TRUE(a.success);
-    EXPECT_EQ(a.best_config.values, b.best_config.values);
-    EXPECT_EQ(a.best_time_ms, b.best_time_ms);
-    EXPECT_EQ(a.stage2_measured, b.stage2_measured);
-    EXPECT_EQ(a.data_gathering_cost_ms, b.data_gathering_cost_ms);
+    expect_same_result(first, copy.predict_scan_top_m(0, space.size(), 25));
+    expect_same_result(first,
+                       stored->predict_scan_top_m(0, space.size(), 25));
+  }
+
+  // Input-aware: one fp32 engine per instance; copies and moves scan each
+  // instance as the original did.
+  std::optional<InputAwarePerformanceModel> aware(trained_input_aware_model());
+  const std::uint64_t n = testing::small_space().size();
+  const ProblemInstance small{{64.0}};
+  const ProblemInstance large{{1024.0}};
+  const TopMScanResult small_first = aware->predict_scan_top_m(0, n, 10, small);
+  const TopMScanResult large_first = aware->predict_scan_top_m(0, n, 10, large);
+  const InputAwarePerformanceModel aware_copy = *aware;
+  const InputAwarePerformanceModel aware_moved = std::move(*aware);
+  aware.reset();
+  for (const InputAwarePerformanceModel* m : {&aware_copy, &aware_moved}) {
+    expect_same_result(small_first, m->predict_scan_top_m(0, n, 10, small));
+    expect_same_result(large_first, m->predict_scan_top_m(0, n, 10, large));
   }
 }
 
-TEST_F(ScanBatchedTest, DefaultIterativeTunerMatchesExplicitFp64) {
-  IterativeTunerOptions fast;
-  fast.measurement_budget = 300;
-  fast.initial_samples = 100;
-  fast.batch_size = 50;
-  fast.model.ensemble.k = 5;
-  IterativeTunerOptions fp64 = fast;
-  fp64.model.scan = fp64_options();
+// ---- Tuners vs the fp64 reference ------------------------------------------
+
+/// Records the stage-2 candidates a tuner measures, in order.
+class CandidateRecorder final : public TunerObserver {
+ public:
+  void on_candidate(std::uint64_t index, double predicted_ms) override {
+    candidates.push_back({index, predicted_ms});
+  }
+  std::vector<ScanCandidate> candidates;
+};
+
+TEST_F(ScanBatchedTest, DefaultAutoTunerMatchesExplicitFp64) {
+  // The AutoTuner's stage-2 candidates are the fp64 reference's top-M of
+  // its own fitted model, indices and predicted times alike.
+  AutoTunerOptions options;
+  options.training_samples = 200;
+  options.second_stage_size = 20;
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
-    SyntheticEvaluator e1;
-    SyntheticEvaluator e2;
-    const auto a = IterativeTuner(fast).tune(e1, TuneRun::with_seed(4));
-    const auto b = IterativeTuner(fp64).tune(e2, TuneRun::with_seed(4));
-    ASSERT_TRUE(a.success);
-    EXPECT_EQ(a.best_config.values, b.best_config.values);
-    EXPECT_EQ(a.best_time_ms, b.best_time_ms);
-    EXPECT_EQ(a.measurements, b.measurements);
-    EXPECT_EQ(a.incumbent_trace, b.incumbent_trace);
+    SyntheticEvaluator eval;
+    CandidateRecorder recorder;
+    TuneRun run = TuneRun::with_seed(3);
+    run.context->observer = &recorder;
+    const AutoTuneResult result = AutoTuner(options).tune(eval, run);
+    ASSERT_TRUE(result.success);
+    ASSERT_TRUE(result.model.has_value());
+    const TopMScanResult reference =
+        result.model->scan_engine().reference_top_m(
+            0, eval.space().size(), options.second_stage_size);
+    expect_same_candidates(reference.top, recorder.candidates);
   }
 }
 
 TEST_F(ScanBatchedTest, DefaultInputAwareScanMatchesExplicitFp64) {
-  // Instance features become degenerate calibration ranges; each instance
-  // gets its own certified engine.
-  const ParamSpace space = testing::small_space();
-  InputAwarePerformanceModel::Options opts;
-  opts.ensemble.k = 3;
-  opts.ensemble.hidden_layers = {ml::LayerSpec{16, ml::Activation::kSigmoid}};
-  opts.ensemble.trainer.common.max_epochs = 200;
-  InputAwarePerformanceModel model(opts);
-  common::Rng rng(7);
-  const std::vector<double> sizes = {64.0, 256.0, 1024.0};
-  std::vector<InputAwareSample> samples;
-  for (std::size_t i = 0; i < 400; ++i) {
-    const Configuration c = space.random(rng);
-    const double size =
-        sizes[static_cast<std::size_t>(rng.below(sizes.size()))];
-    const double a = std::log2(static_cast<double>(c.values[0]));
-    const double b = std::log2(static_cast<double>(c.values[1]));
-    const double shape =
-        1.0 + (a - 3.0) * (a - 3.0) + 0.5 * (b - 4.0) * (b - 4.0);
-    samples.push_back({c, ProblemInstance{{size}}, shape * size / 256.0});
-  }
-  model.fit(space, {"size"}, samples, rng);
+  // Instance features become degenerate certification ranges; each
+  // instance gets its own certified engine.
+  const InputAwarePerformanceModel model = trained_input_aware_model();
+  const std::uint64_t n = testing::small_space().size();
 
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
     for (const double size : {64.0, 1024.0}) {
       const ProblemInstance instance{{size}};
-      model.set_scan_options(ScanOptions{});
-      const auto fp32 =
-          model.predict_scan_top_m(0, space.size(), 10, instance);
-      model.set_scan_options(fp64_options());
+      const auto fp32 = model.predict_scan_top_m(0, n, 10, instance);
       const auto fp64 =
-          model.predict_scan_top_m(0, space.size(), 10, instance);
+          model.scan_engine(instance).reference_top_m(0, n, 10);
       expect_same_selection(fp64, fp32);
       EXPECT_GT(fp32.error_bound, 0.0);
       EXPECT_GT(fp32.fp64_reranked, 0u);

@@ -1,12 +1,12 @@
 // Tests for the pruned fp32 top-M scan (tuner/scan.hpp, "Pruned top-M"):
-// given the space's radices, scan_top_m skips digit boxes whose certified
-// lower bound cannot reach the re-rank band. Every TopMScanResult field but
-// pruned_rows must equal the same scan given no radices, the static
-// pre-filter's counters included, and `top` must equal the fp64 scan's —
-// on the paper's default ensembles, on random one-hidden-layer ensembles
-// over synthetic mixed-radix spaces, on ranges that start or end off digit
-// boxes and chunk seams, at 1 and 4 threads. Ensembles without node bounds
-// take the unpruned path.
+// given the space's radices, ScanEngine::top_m skips digit boxes whose
+// certified lower bound cannot reach the re-rank band. Every
+// TopMScanResult field but pruned_rows must equal the same scan given no
+// radices, the static pre-filter's counters included, and `top` must
+// equal the fp64 scan's — on the paper's default ensembles, on random
+// one-hidden-layer ensembles over synthetic mixed-radix spaces, on ranges
+// that start or end off digit boxes and chunk seams, at 1 and 4 threads.
+// Ensembles without node bounds take the unpruned path.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,12 @@
 #include "common/thread_pool.hpp"
 #include "tuner/model.hpp"
 #include "tuner/scan.hpp"
+#include "test_helpers.hpp"
 
 namespace pt::tuner {
 namespace {
+
+using testing::random_ensemble;
 
 /// Builds a fresh filter (and resets its tallies) for one scan.
 using FilterFactory = std::function<ScanFilter(StaticPruneCounters&)>;
@@ -56,6 +60,19 @@ void expect_same_counters(const StaticPruneCounters& a,
   EXPECT_EQ(a.unknown.load(), b.unknown.load());
 }
 
+/// Engines over `ensemble` and `encoder`'s rows sharing one packed fp32
+/// engine, walking `radices`.
+ScanEngine engine_for(const ml::BaggingEnsemble& ensemble,
+                      const RangeEncoder& encoder,
+                      const OutputTransform& transform,
+                      std::vector<std::uint64_t> radices) {
+  return ScanEngine(
+      std::make_shared<const ml::BaggingEnsemble>(ensemble),
+      std::make_shared<const ml::BatchedEnsemble>(ensemble,
+                                                  encoder.calibration()),
+      encoder, {}, transform, std::move(radices));
+}
+
 /// Scans `c` three ways — fp32 with the encoder's radices, fp32 without,
 /// and fp64 — checks that the pruned scan equals the unpruned one field for
 /// field (pruned_rows aside) and that its top-M is the fp64 one, and
@@ -65,31 +82,21 @@ TopMScanResult expect_pruned_scan_exact(const ml::BaggingEnsemble& ensemble,
                                         const OutputTransform& transform,
                                         const ScanCase& c,
                                         const FilterFactory& make_filter) {
-  const ml::BatchedEnsembleCache cache;
-  const ScanEngines pruned = make_scan_engines(
-      cache, ensemble, encoder, {}, ScanInference::kBatchedFp32);
-  BatchedScan flat = pruned.batched;
-  flat.radices.clear();
-  const ScanRowFiller fill = [&encoder](std::uint64_t lo, std::uint64_t hi,
-                                        ml::Matrix& x) {
-    encoder.fill(lo, hi, x);
-  };
+  const ScanEngine pruned =
+      engine_for(ensemble, encoder, transform, encoder.radices());
+  const ScanEngine flat = engine_for(ensemble, encoder, transform, {});
   StaticPruneCounters pruned_counters;
   StaticPruneCounters flat_counters;
   StaticPruneCounters fp64_counters;
   const auto filter_for = [&](StaticPruneCounters& counters) {
     return make_filter ? make_filter(counters) : ScanFilter{};
   };
-  const ScanOptions fp32;
   const TopMScanResult a =
-      scan_top_m(ensemble, fill, c.begin, c.end, c.m, transform,
-                 filter_for(pruned_counters), fp32, &pruned.batched);
-  const TopMScanResult b = scan_top_m(ensemble, fill, c.begin, c.end, c.m,
-                                      transform, filter_for(flat_counters),
-                                      fp32, &flat);
+      pruned.top_m(c.begin, c.end, c.m, filter_for(pruned_counters));
+  const TopMScanResult b =
+      flat.top_m(c.begin, c.end, c.m, filter_for(flat_counters));
   const TopMScanResult fp64 =
-      scan_top_m(ensemble, fill, c.begin, c.end, c.m, transform,
-                 filter_for(fp64_counters));
+      pruned.reference_top_m(c.begin, c.end, c.m, filter_for(fp64_counters));
 
   expect_same_candidates(a.top, b.top, "top");
   expect_same_candidates(a.top_unfiltered, b.top_unfiltered,
@@ -181,44 +188,6 @@ ParamSpace synthetic_space() {
   return space;
 }
 
-/// `k` random one-hidden-layer networks (Xavier init scaled by `gain`),
-/// standardizing the space's raw features.
-ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
-                                    std::vector<ml::LayerSpec> hidden,
-                                    std::size_t k, double gain,
-                                    std::uint64_t seed) {
-  const std::size_t inputs = space.dimension_count();
-  std::vector<ml::LayerSpec> layers = hidden;
-  layers.push_back({1, ml::Activation::kLinear});
-  common::Rng rng(seed);
-  std::vector<ml::Mlp> members;
-  for (std::size_t i = 0; i < k; ++i) {
-    ml::Mlp net(inputs, layers);
-    net.init_weights(rng);
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      for (auto& w : net.weights(l).flat()) w *= gain;
-      for (auto& b : net.biases(l)) b = gain * (rng.uniform() - 0.5);
-    }
-    members.push_back(std::move(net));
-  }
-  std::vector<double> means;
-  std::vector<double> stddevs;
-  for (std::size_t d = 0; d < inputs; ++d) {
-    const auto& values = space.parameter(d).values;
-    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
-    means.push_back(0.5 * (*lo + *hi) + 0.25);
-    stddevs.push_back(0.5 * (*hi - *lo) + 0.75);
-  }
-  ml::StandardScaler scaler;
-  scaler.restore(std::move(means), std::move(stddevs));
-  ml::BaggingEnsemble::Options opts;
-  opts.k = k;
-  opts.hidden_layers = std::move(hidden);
-  ml::BaggingEnsemble ensemble(opts);
-  ensemble.restore(opts, std::move(scaler), std::move(members));
-  return ensemble;
-}
-
 TEST_F(ScanPrunedTest, RandomEnsemblesOnSyntheticSpaces) {
   const ParamSpace space = synthetic_space();
   const RangeEncoder encoder(FeatureCodec::build(space, FeatureEncoding::kRaw),
@@ -303,31 +272,25 @@ TEST_F(ScanPrunedTest, RadicesThatDoNotDescribeTheRangeThrow) {
                              space);
   const ml::BaggingEnsemble ensemble = random_ensemble(
       space, {{8, ml::Activation::kSigmoid}}, 2, 1.0, 5);
-  const ml::BatchedEnsembleCache cache;
-  ScanEngines engines = make_scan_engines(cache, ensemble, encoder, {},
-                                          ScanInference::kBatchedFp32);
-  const ScanRowFiller fill = [&encoder](std::uint64_t lo, std::uint64_t hi,
-                                        ml::Matrix& x) {
-    encoder.fill(lo, hi, x);
+  const auto scan = [&](std::vector<std::uint64_t> radices) {
+    return engine_for(ensemble, encoder, OutputTransform{}, std::move(radices))
+        .top_m(0, space.size(), 4);
   };
-  const auto scan = [&] {
-    return scan_top_m(ensemble, fill, 0, space.size(), 4, OutputTransform{},
-                      {}, ScanOptions{}, &engines.batched);
-  };
-  engines.batched.radices.pop_back();  // covers a third of the space
-  EXPECT_THROW((void)scan(), std::invalid_argument);
-  engines.batched.radices = encoder.radices();
-  engines.batched.radices.push_back(2);  // more digits than features
-  EXPECT_THROW((void)scan(), std::invalid_argument);
-  engines.batched.radices = encoder.radices();
-  engines.batched.radices[3] = 0;
-  EXPECT_THROW((void)scan(), std::invalid_argument);
+  std::vector<std::uint64_t> radices = encoder.radices();
+  radices.pop_back();  // covers a third of the space
+  EXPECT_THROW((void)scan(radices), std::invalid_argument);
+  radices = encoder.radices();
+  radices.push_back(2);  // more digits than features
+  EXPECT_THROW((void)scan(radices), std::invalid_argument);
+  radices = encoder.radices();
+  radices[3] = 0;
+  EXPECT_THROW((void)scan(radices), std::invalid_argument);
 }
 
 TEST_F(ScanPrunedTest, ModelScanPrunesWithTheEncoderRadices) {
-  // AnnPerformanceModel passes its RangeEncoder's radices through
-  // make_scan_engines: the default top-M prunes, counts the skipped rows in
-  // telemetry, and stays the fp64 one.
+  // AnnPerformanceModel builds its engine with its RangeEncoder's radices:
+  // its top-M prunes, counts the skipped rows in telemetry, and stays the
+  // fp64 one.
   const ParamSpace space = synthetic_space();
   common::Rng rng(3);
   std::vector<TrainingSample> samples;
@@ -352,11 +315,8 @@ TEST_F(ScanPrunedTest, ModelScanPrunesWithTheEncoderRadices) {
   }
   EXPECT_EQ(collector.counter("tuner.scan.pruned_rows"),
             static_cast<double>(fp32.pruned_rows));
-  ScanOptions fp64;
-  fp64.inference = ScanInference::kScalarFp64;
-  model.set_scan_options(fp64);
   const TopMScanResult reference =
-      model.predict_scan_top_m(0, space.size(), 20);
+      model.scan_engine().reference_top_m(0, space.size(), 20);
   EXPECT_GT(fp32.pruned_rows, 0u);
   EXPECT_EQ(reference.pruned_rows, 0u);
   expect_same_candidates(fp32.top, reference.top, "model top");

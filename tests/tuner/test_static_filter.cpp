@@ -1,8 +1,7 @@
 // Static pre-filter tests: the clstat scan filter must prune exactly the
 // proven-invalid configurations (with tallied verdicts and filter
-// composition), leave AutoTuner selections bit-identical when stage 2
-// covers the scanned range, and feed the validity classifier free labels
-// through fit_with_oracle.
+// composition), and leave AutoTuner selections bit-identical when stage 2
+// covers the scanned range.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "tuner/autotuner.hpp"
 #include "tuner/iterative.hpp"
 #include "tuner/scan.hpp"
-#include "tuner/validity.hpp"
 
 namespace pt::tuner {
 namespace {
@@ -178,39 +176,6 @@ TEST(StaticScanFilter, IterativeTunerPrunesAndStaysSound) {
   EXPECT_EQ(result.static_checked,
             result.static_pruned + result.static_proved_valid +
                 result.static_unknown);
-}
-
-TEST(ValidityModel, FitWithOracleLearnsFromFreeLabels) {
-  const ParamSpace space = small_space();
-  const auto checker = bowl_checker();
-  ValidityModel model;
-  common::Rng rng(3);
-  // No measured labels at all: the oracle sample alone must train the
-  // classifier on the A=128 rule.
-  model.fit_with_oracle(space, {}, {}, *checker, /*oracle_samples=*/400, rng);
-  ASSERT_TRUE(model.fitted());
-
-  std::vector<Configuration> valid;
-  std::vector<Configuration> invalid;
-  for (std::uint64_t i = 0; i < space.size(); ++i) {
-    const Configuration config = space.decode(i);
-    (config.values[0] == 128 ? invalid : valid).push_back(config);
-  }
-  const ValidityModel::Confusion confusion = model.confusion(valid, invalid);
-  EXPECT_EQ(confusion.total(), space.size());
-  EXPECT_GT(confusion.accuracy(), 0.8);
-}
-
-TEST(ValidityModel, OracleSamplesZeroFallsBackToPlainFit) {
-  const ParamSpace space = small_space();
-  const auto checker = bowl_checker();
-  ValidityModel model;
-  common::Rng rng(4);
-  // Zero oracle samples and single-class measured labels: stays unfitted,
-  // exactly like fit().
-  model.fit_with_oracle(space, {Configuration{{8, 16, 2}}}, {}, *checker,
-                        /*oracle_samples=*/0, rng);
-  EXPECT_FALSE(model.fitted());
 }
 
 }  // namespace
