@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
         tuner::AutoTunerOptions opts;
         opts.training_samples = budget - 100;
         opts.second_stage_size = 100;
-        opts.run.seed = 300 + r;
-        const auto result = tuner::AutoTuner(opts).tune(eval);
+        const auto result = tuner::AutoTuner(opts).tune(
+            eval, tuner::TuneRun::with_seed(300 + r));
         if (result.success) {
           ++one_shot_ok;
           one_shot.add(result.best_time_ms / optimum);
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
         opts.measurement_budget = budget;
         opts.initial_samples = budget / 3;
         opts.batch_size = budget / 6;
-        opts.run.seed = 300 + r;
-        const auto result = tuner::IterativeTuner(opts).tune(eval);
+        const auto result = tuner::IterativeTuner(opts).tune(
+            eval, tuner::TuneRun::with_seed(300 + r));
         if (result.success) {
           ++iterative_ok;
           iterative.add(result.best_time_ms / optimum);

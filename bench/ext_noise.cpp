@@ -131,9 +131,8 @@ int main(int argc, char** argv) {
         opts.training_samples = training;
         opts.second_stage_size = second_stage;
         opts.stage2_stream_limit = 10 * second_stage;  // graceful degradation
-        opts.run.seed = run_seed;
-        const tuner::AutoTuneResult result =
-            tuner::AutoTuner(opts).tune(stack);
+        const tuner::AutoTuneResult result = tuner::AutoTuner(opts).tune(
+            stack, tuner::TuneRun::with_seed(run_seed));
 
         cell.transient_faults += result.transient_faults;
         cell.stage2_streamed += result.stage2_streamed;

@@ -1,8 +1,8 @@
 // Extension bench: telemetry + observer demo. Runs the one-shot two-stage
-// auto-tuner and the iterative tuner on one benchmark with the full
-// TunerRunContext wired up — a console observer printing the live stage tree
-// and a telemetry collector recording spans/counters for both runs — then
-// writes the uniform metrics report plus a Chrome trace.
+// auto-tuner and the iterative tuner on one benchmark with a fully wired
+// TuneRun — a console observer printing the live stage tree and a telemetry
+// collector recording spans/counters for both runs — then writes the uniform
+// metrics report plus a Chrome trace.
 //
 // This is the smallest end-to-end example of the observability surface:
 //   - TunerObserver callbacks (stage tree, sample/epoch/candidate tallies),
@@ -128,6 +128,8 @@ int main(int argc, char** argv) {
   std::cout << "evaluator stack: " << stack.description() << "\n";
 
   common::telemetry::Collector collector;
+  tuner::TuneRun request = tuner::TuneRun::with_seed(seed);
+  request.telemetry = &collector;
 
   // One-shot two-stage tuner, fully observed.
   ConsoleObserver one_shot_obs;
@@ -136,11 +138,9 @@ int main(int argc, char** argv) {
     tuner::AutoTunerOptions opts;
     opts.training_samples = training;
     opts.second_stage_size = second_stage;
-    opts.run.observer = &one_shot_obs;
-    opts.run.telemetry = &collector;
-    opts.run.seed = seed;
+    request.observer = &one_shot_obs;
     std::cout << "one-shot auto-tuner stages:\n";
-    one_shot = tuner::AutoTuner(opts).tune(stack);
+    one_shot = tuner::AutoTuner(opts).tune(stack, request);
   }
   std::cout << "one-shot: "
             << (one_shot.success
@@ -159,11 +159,9 @@ int main(int argc, char** argv) {
     opts.measurement_budget = budget;
     opts.initial_samples = budget / 3;
     opts.batch_size = budget / 6;
-    opts.run.observer = &iterative_obs;
-    opts.run.telemetry = &collector;
-    opts.run.seed = seed;
+    request.observer = &iterative_obs;
     std::cout << "iterative tuner stages:\n";
-    iterative = tuner::IterativeTuner(opts).tune(stack);
+    iterative = tuner::IterativeTuner(opts).tune(stack, request);
   }
   std::cout << "iterative: "
             << (iterative.success

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::optional<common::telemetry::Collector> collector;
   if (!trace_prefix.empty()) {
     collector.emplace();
-    opts.run.telemetry = &*collector;
+    opts.telemetry = &*collector;
   }
 
   const clsim::Platform platform = archsim::default_platform();

@@ -263,8 +263,9 @@ int main(int argc, char** argv) {
     options.training_samples =
         static_cast<std::size_t>(args.get("training", 80L));
     options.second_stage_size = 10;
-    options.run.seed = static_cast<std::uint64_t>(args.get("seed", 2L));
-    const auto result = tuner::AutoTuner(options).tune(evaluator);
+    const auto seed = static_cast<std::uint64_t>(args.get("seed", 2L));
+    const auto result = tuner::AutoTuner(options).tune(
+        evaluator, tuner::TuneRun::with_seed(seed));
     table.add_row({device_name,
                    result.success
                        ? benchmark.space().to_string(result.best_config)

@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
   tuner::Configuration best_config;
   double best_time = 0.0;
   bool found = false;
-  options.run.seed = static_cast<std::uint64_t>(args.get("seed", 6L));
+  const auto seed = static_cast<std::uint64_t>(args.get("seed", 6L));
   for (const auto& device : platform.devices()) {
     benchkit::BenchmarkEvaluator evaluator(*benchmark, device);
-    const auto result = tuner::AutoTuner(options).tune(evaluator);
+    const auto result = tuner::AutoTuner(options).tune(
+        evaluator, tuner::TuneRun::with_seed(seed));
     if (!result.success) {
       table.add_row({device.name(), "no prediction", "-", "-"});
       continue;

@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
   options.training_samples =
       static_cast<std::size_t>(args.get("training", 1500L));
   options.second_stage_size = 100;
-  options.run.seed = static_cast<std::uint64_t>(args.get("seed", 4L));
-  const auto result = tuner::AutoTuner(options).tune(evaluator);
+  const auto seed = static_cast<std::uint64_t>(args.get("seed", 4L));
+  const auto result = tuner::AutoTuner(options).tune(
+      evaluator, tuner::TuneRun::with_seed(seed));
   if (!result.success || !result.model) {
     std::cout << "tuning failed\n";
     return 1;

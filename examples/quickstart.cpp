@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
   options.training_samples =
       static_cast<std::size_t>(args.get("training", 1000L));
   options.second_stage_size = static_cast<std::size_t>(args.get("m", 100L));
-  options.run.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
+  const auto seed = static_cast<std::uint64_t>(args.get("seed", 1L));
 
   const tuner::AutoTuner autotuner(options);
-  const tuner::AutoTuneResult result = autotuner.tune(evaluator);
+  const tuner::AutoTuneResult result =
+      autotuner.tune(evaluator, tuner::TuneRun::with_seed(seed));
 
   // 4. Report.
   if (!result.success) {

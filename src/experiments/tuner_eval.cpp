@@ -34,10 +34,10 @@ SlowdownGrid autotuner_slowdown_grid(tuner::Evaluator& evaluator,
         topt.training_samples = n;
         topt.second_stage_size = m;
         topt.model = options.model;
-        topt.run = options.run;
-        const tuner::AutoTuner tuner(topt);
+        tuner::TuneRun request = tuner::TuneRun::with_rng(rng);
+        request.telemetry = options.telemetry;
         const tuner::AutoTuneResult result =
-            tuner.tune(evaluator, tuner::TuneRun::with_rng(rng));
+            tuner::AutoTuner(topt).tune(evaluator, request);
         if (!result.success) continue;
         ++cell.successes;
         stats.add(result.best_time_ms / grid.optimum_ms);
@@ -75,10 +75,8 @@ LargeSpaceResult large_space_eval(tuner::Evaluator& evaluator,
     topt.training_samples = options.training_size;
     topt.second_stage_size = options.second_stage_size;
     topt.model = options.model;
-    topt.run = options.run;
-    const tuner::AutoTuner tuner(topt);
     const tuner::AutoTuneResult run =
-        tuner.tune(evaluator, tuner::TuneRun::with_rng(rng));
+        tuner::AutoTuner(topt).tune(evaluator, tuner::TuneRun::with_rng(rng));
     if (!run.success) {
       // The paper's stereo-on-GPU failure: say which rejections caused it.
       common::log_info("large-space eval[", result.label,

@@ -6,11 +6,15 @@
 //    relative to the exhaustively known global optimum (convolution).
 //  - Fig 14: for spaces too large to exhaust, slowdown relative to the best
 //    of 50K random configurations (raycasting, stereo).
+//
+// Each harness threads one Rng, seeded from its options, through all of its
+// tuner runs (TuneRun::with_rng), so its repeats draw different samples.
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/telemetry/telemetry.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/evaluator.hpp"
 
@@ -22,11 +26,9 @@ struct SlowdownGridOptions {
   std::vector<std::size_t> second_stage_sizes = {10, 50, 100, 150, 200};
   std::size_t repeats = 3;  // independent tuner runs per cell
   tuner::AnnPerformanceModel::Options model{};
-  std::uint64_t seed = 7;
-  /// Observer/telemetry context forwarded to every tuner run. The grid keeps
-  /// one Rng across repeats, so `run.seed` is ignored here; `seed` above is
-  /// authoritative.
-  tuner::TunerRunContext run{};
+  std::uint64_t seed = 7;  // of the one Rng every tuner run draws from
+  /// Telemetry collector installed for every tuner run (nullptr = none).
+  common::telemetry::Collector* telemetry = nullptr;
 };
 
 struct SlowdownCell {
@@ -57,9 +59,6 @@ struct LargeSpaceOptions {
   std::size_t repeats = 3;
   tuner::AnnPerformanceModel::Options model{};
   std::uint64_t seed = 9;
-  /// Observer/telemetry context forwarded to every tuner run (seed ignored;
-  /// see SlowdownGridOptions::run).
-  tuner::TunerRunContext run{};
 };
 
 struct LargeSpaceResult {

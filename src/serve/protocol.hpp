@@ -104,7 +104,7 @@ enum class ResponseStatus : std::uint8_t {
 struct TuneRequest {
   RequestKind kind = RequestKind::kTune;
   TuneKey key;
-  /// Client-supplied tuner seed. Served tunes run the canonical
+  /// Client-supplied tuner seed. Served tunes run
   /// AutoTuner::tune(evaluator, TuneRun::with_seed(seed)), so equal
   /// (key, seed) requests have bit-identical answers.
   std::uint64_t seed = 1;

@@ -18,7 +18,7 @@
 //     repeat requests are answered from it (marked `from_cache`) without
 //     touching the tuner.
 //
-// Determinism: a served tune runs the canonical
+// Determinism: a served tune runs
 // AutoTuner::tune(evaluator, TuneRun::with_seed(request.seed)) on a fresh
 // evaluator from the service's factory, with no observer or per-run
 // telemetry collector. Results are therefore bit-identical to a direct
@@ -61,9 +61,9 @@ struct TuneServiceOptions {
   std::size_t workers = 2;
   /// Bounded per-tenant queue depth; admission control rejects beyond it.
   std::size_t queue_capacity = 64;
-  /// Tuner configuration used for every served tune. The run context's
-  /// seed is always overridden by the request's seed; leave observer and
-  /// telemetry unset — served runs are headless.
+  /// Tuner configuration used for every served tune. The seed comes from
+  /// each request; options carry no observer or collector, so served runs
+  /// are headless.
   tuner::AutoTunerOptions tuner{};
   /// Persistent store configuration (directory, versions; see store.hpp).
   /// The effective model_version is suffixed with the scan's exactness

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <string>
 #include <unordered_set>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
+#include "tuner/run_hooks.hpp"
 
 namespace pt::tuner {
 
@@ -22,14 +22,6 @@ double host_ms_since(
       .count();
 }
 
-/// Per-status rejection counters ("tuner.rejections.CL_...").
-void count_rejections(const RejectionCounts& rejections) {
-  if (!tel::enabled()) return;
-  for (const auto& [status, n] : rejections.sorted())
-    tel::count(std::string("tuner.rejections.") + clsim::to_string(status),
-               static_cast<double>(n));
-}
-
 }  // namespace
 
 AutoTuner::AutoTuner(AutoTunerOptions options) : options_(std::move(options)) {
@@ -41,116 +33,26 @@ AutoTuner::AutoTuner(AutoTunerOptions options) : options_(std::move(options)) {
 
 AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
                                const TuneRun& request) const {
-  const TunerRunContext& run = request.effective_context(options_.run);
+  common::Rng seeded(request.seed);
+  common::Rng& rng = request.rng != nullptr ? *request.rng : seeded;
   const RandomSampler default_sampler;
   const Sampler& sampler =
       request.sampler != nullptr ? *request.sampler : default_sampler;
-  const std::size_t stream_limit =
-      request.stage2_stream_limit.value_or(options_.stage2_stream_limit);
-  if (request.rng != nullptr)
-    return run_tune(evaluator, sampler, *request.rng, run, stream_limit);
-  common::Rng rng = run.make_rng();
-  return run_tune(evaluator, sampler, rng, run, stream_limit);
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator) const {
-  return tune(evaluator, TuneRun{});
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
-                               const Sampler& sampler) const {
-  TuneRun request;
-  request.sampler = &sampler;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator, common::Rng& rng) const {
-  TuneRun request;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::tune(Evaluator& evaluator, const Sampler& sampler,
-                               common::Rng& rng) const {
-  TuneRun request;
-  request.sampler = &sampler;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
-                                   common::Rng& rng,
-                                   const TunerRunContext& run,
-                                   std::size_t stream_limit) const {
-  const ScopedRunContext scoped(run);
-  StageScope whole(run, "autotuner", "autotuner.tune");
+  TunerObserver* const observer = request.observer;
+  const tel::ScopedCollector install(
+      request.telemetry != nullptr ? request.telemetry : tel::collector());
+  StageScope whole(observer, "autotuner", "autotuner.tune");
 
   AutoTuneResult result;
   const ParamSpace& space = evaluator.space();
-
-  // Cache hit/miss deltas: snapshot any CachingEvaluator in the stack now,
-  // report the difference when the run ends.
-  CachingEvaluator* cache = find_layer<CachingEvaluator>(&evaluator);
-  const std::size_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
-  const std::size_t cache_misses_before =
-      cache != nullptr ? cache->misses() : 0;
-
+  const CacheSnapshot cache(evaluator);
   // clstat pre-filter tallies (bumped by scan workers during stage 2).
   StaticPruneCounters static_counters;
 
   auto finalize = [&] {
-    if (cache != nullptr) {
-      result.cache_hits = cache->hits() - cache_hits_before;
-      result.cache_misses = cache->misses() - cache_misses_before;
-      const std::size_t lookups = result.cache_hits + result.cache_misses;
-      common::log_info("autotuner[", evaluator.name(), "]: cache ",
-                       result.cache_hits, " hits / ", result.cache_misses,
-                       " misses (hit rate ",
-                       lookups != 0 ? 100.0 * static_cast<double>(
-                                                  result.cache_hits) /
-                                          static_cast<double>(lookups)
-                                    : 0.0,
-                       "%)");
-      if (tel::enabled() && lookups != 0)
-        tel::gauge("tuner.cache.hit_rate",
-                   static_cast<double>(result.cache_hits) /
-                       static_cast<double>(lookups));
-    }
-    if (options_.static_checker != nullptr) {
-      result.static_checked =
-          static_cast<std::size_t>(static_counters.checked.load());
-      result.static_pruned =
-          static_cast<std::size_t>(static_counters.pruned.load());
-      result.static_proved_valid =
-          static_cast<std::size_t>(static_counters.proved_valid.load());
-      result.static_unknown =
-          static_cast<std::size_t>(static_counters.unknown.load());
-      common::log_info(
-          "autotuner[", evaluator.name(), "]: static filter pruned ",
-          result.static_pruned, " of ", result.static_checked,
-          " checked (pruned fraction ",
-          result.static_checked != 0
-              ? 100.0 * static_cast<double>(result.static_pruned) /
-                    static_cast<double>(result.static_checked)
-              : 0.0,
-          "%; verdicts: ", result.static_proved_valid, " proved valid, ",
-          result.static_pruned, " proved invalid, ", result.static_unknown,
-          " unknown)");
-      if (tel::enabled()) {
-        tel::count("tuner.scan.static_checked",
-                   static_cast<double>(result.static_checked));
-        tel::count("tuner.scan.static_pruned",
-                   static_cast<double>(result.static_pruned));
-        tel::count("tuner.scan.static_proved_valid",
-                   static_cast<double>(result.static_proved_valid));
-        tel::count("tuner.scan.static_unknown",
-                   static_cast<double>(result.static_unknown));
-        if (result.static_checked != 0)
-          tel::gauge("tuner.scan.static_pruned_fraction",
-                     static_cast<double>(result.static_pruned) /
-                         static_cast<double>(result.static_checked));
-      }
-    }
+    cache.report("autotuner", evaluator, result);
+    if (options_.static_checker != nullptr)
+      report_static_prune("autotuner", evaluator, static_counters, result);
     if (tel::enabled()) {
       tel::count("tuner.stage1.measured",
                  static_cast<double>(result.stage1_measured));
@@ -181,7 +83,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
 
   // --- Stage 1: sample, measure, train. ---
   {
-    StageScope stage(run, "autotuner", "autotuner.stage1.measure");
+    StageScope stage(observer, "autotuner", "autotuner.stage1.measure");
     const auto samples =
         sampler.sample(space, options_.training_samples, rng);
     result.stage1_measured = samples.size();
@@ -196,9 +98,9 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
         result.invalid_training_configs.push_back(config);
         result.stage1_rejections.note(m.status);
       }
-      if (run.observer != nullptr) {
-        run.observer->on_measurement("stage1", config, m);
-        run.observer->on_sample("stage1", config, m);
+      if (observer != nullptr) {
+        observer->on_measurement("stage1", config, m);
+        observer->on_sample("stage1", config, m);
       }
     }
   }
@@ -220,30 +122,19 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
   }
 
   {
-    StageScope stage(run, "autotuner", "autotuner.model.fit");
+    StageScope stage(observer, "autotuner", "autotuner.model.fit");
     const auto start = std::chrono::steady_clock::now();
     AnnPerformanceModel model(options_.model);
     model.fit(space, result.training_data, rng);
     result.model_training_host_ms = host_ms_since(start);
     result.model = std::move(model);
   }
-  // Replay per-member training curves in (member, epoch) order — the
-  // members trained concurrently, but the stored curves make the observer
-  // sequence deterministic.
-  if (run.observer != nullptr) {
-    const auto& curves = result.model->ensemble().train_results();
-    for (std::size_t member = 0; member < curves.size(); ++member) {
-      const ml::TrainResult& tr = curves[member];
-      for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-        run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                               tr.monitored_loss[epoch]);
-    }
-  }
+  replay_epochs(observer, result.model->ensemble());
 
   // Optional validity classifier (future-work extension): learn from the
   // free valid/invalid labels of stage 1.
   if (options_.validity_filter) {
-    StageScope stage(run, "autotuner", "autotuner.validity.fit");
+    StageScope stage(observer, "autotuner", "autotuner.validity.fit");
     std::vector<Configuration> valid_configs;
     valid_configs.reserve(result.training_data.size());
     for (const auto& sample : result.training_data)
@@ -258,13 +149,9 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
   // full-space prediction vector, with the validity filter (if any) applied
   // lazily to heap-entering candidates only.
   const auto scan_start = std::chrono::steady_clock::now();
-  std::uint64_t scan_end = space.size();
-  if (options_.prediction_scan_limit != 0)
-    scan_end = std::min<std::uint64_t>(scan_end,
-                                       options_.prediction_scan_limit);
   std::vector<ScanCandidate> candidates;
   {
-    StageScope stage(run, "autotuner", "autotuner.stage2.scan");
+    StageScope stage(observer, "autotuner", "autotuner.stage2.scan");
     ScanFilter filter;
     if (result.validity_model) {
       const ValidityModel& validity = *result.validity_model;
@@ -276,7 +163,7 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
       filter = make_static_scan_filter(space, *options_.static_checker,
                                        static_counters, std::move(filter));
     const TopMScanResult scan = result.model->predict_scan_top_m(
-        0, scan_end, options_.second_stage_size, filter);
+        0, space.size(), options_.second_stage_size, filter);
     candidates.reserve(options_.second_stage_size);
     for (const auto& c : scan.top) candidates.push_back(c);
     if (result.validity_model) {
@@ -299,16 +186,16 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
   bool found = false;
   Configuration best_config;
   auto try_candidate = [&](const ScanCandidate& candidate) {
-    if (run.observer != nullptr)
-      run.observer->on_candidate(candidate.index, candidate.predicted_ms);
+    if (observer != nullptr)
+      observer->on_candidate(candidate.index, candidate.predicted_ms);
     const Configuration config = space.decode(candidate.index);
     const Measurement m = evaluator.measure(config);
     result.data_gathering_cost_ms += m.cost_ms;
     result.measure_attempts += m.attempts;
     result.transient_faults += m.transient_faults;
     ++result.stage2_measured;
-    if (run.observer != nullptr)
-      run.observer->on_measurement("stage2", config, m);
+    if (observer != nullptr)
+      observer->on_measurement("stage2", config, m);
     if (!m.valid) {
       ++result.stage2_invalid;
       result.stage2_rejections.note(m.status);
@@ -321,17 +208,17 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     }
   };
   {
-    StageScope stage(run, "autotuner", "autotuner.stage2.measure");
+    StageScope stage(observer, "autotuner", "autotuner.stage2.measure");
     for (const ScanCandidate& candidate : candidates) try_candidate(candidate);
   }
 
-  if (!found && stream_limit > result.stage2_measured) {
+  if (!found && options_.stage2_stream_limit > result.stage2_measured) {
     // Graceful degradation: every primary candidate failed, so instead of
     // giving no prediction, walk further down the predicted ranking
     // (unfiltered — in this situation the validity filter is as suspect as
     // the candidates it passed) until something measures valid, the limit
-    // is reached, or the scanned range is exhausted.
-    StageScope stage(run, "autotuner", "autotuner.stage2.stream");
+    // is reached, or the space is exhausted.
+    StageScope stage(observer, "autotuner", "autotuner.stage2.stream");
     common::log_warn("autotuner[", evaluator.name(), "]: all ",
                      result.stage2_measured,
                      " primary second-stage configurations invalid (",
@@ -340,21 +227,21 @@ AutoTuneResult AutoTuner::run_tune(Evaluator& evaluator, const Sampler& sampler,
     std::unordered_set<std::uint64_t> tried;
     for (const ScanCandidate& candidate : candidates)
       tried.insert(candidate.index);
-    std::uint64_t request = candidates.size();
-    while (!found && result.stage2_measured < stream_limit &&
-           tried.size() < scan_end) {
-      request = std::min<std::uint64_t>(
-          scan_end, std::max<std::uint64_t>(request * 2, 16));
+    std::uint64_t ranked = candidates.size();
+    while (!found && result.stage2_measured < options_.stage2_stream_limit &&
+           tried.size() < space.size()) {
+      ranked = std::min<std::uint64_t>(
+          space.size(), std::max<std::uint64_t>(ranked * 2, 16));
       const TopMScanResult more = result.model->predict_scan_top_m(
-          0, scan_end, static_cast<std::size_t>(request));
+          0, space.size(), static_cast<std::size_t>(ranked));
       for (const auto& c : more.top) {
-        if (found || result.stage2_measured >= stream_limit)
+        if (found || result.stage2_measured >= options_.stage2_stream_limit)
           break;
         if (!tried.insert(c.index).second) continue;
         ++result.stage2_streamed;
         try_candidate(c);
       }
-      if (request >= scan_end) break;  // ranking fully consumed
+      if (ranked >= space.size()) break;  // ranking fully consumed
     }
     if (found)
       common::log_info("autotuner[", evaluator.name(),

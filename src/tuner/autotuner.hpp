@@ -28,14 +28,10 @@
 
 namespace pt::tuner {
 
-/// The shared fields (model, static_checker, run) live in TunerOptions;
-/// their names are unchanged (`options.model`, `options.run`, ...).
+/// The shared fields (model, static_checker) live in TunerOptions.
 struct AutoTunerOptions : TunerOptions {
   std::size_t training_samples = 2000;  // N, stage-1 sample count
   std::size_t second_stage_size = 100;  // M, stage-2 candidate count
-  /// Optional guard for enormous spaces: scan at most this many predictions
-  /// in stage 2 (0 = scan the whole space, the paper's behaviour).
-  std::uint64_t prediction_scan_limit = 0;
   /// Extension (the paper's future work): train a validity classifier on
   /// stage 1's valid/invalid labels and exclude predicted-invalid
   /// configurations from the second stage.
@@ -54,7 +50,7 @@ struct AutoTunerOptions : TunerOptions {
   /// default so results are bit-identical to the streaming-free tuner
   /// unless a caller opts in. Set it to at least the space size to
   /// guarantee a prediction whenever any valid configuration exists in the
-  /// scanned range. A TuneRun may override it per request.
+  /// space.
   std::size_t stage2_stream_limit = 0;
 };
 
@@ -126,33 +122,14 @@ class AutoTuner {
     return options_;
   }
 
-  /// Canonical entry point: run both stages against the evaluator as the
-  /// request describes. A default-constructed TuneRun reproduces
-  /// `tune(evaluator)` exactly — context (and so the seed) from
-  /// options().run, the paper's uniform random sampler, the options'
-  /// degradation knobs. All other overloads are thin shims over this one
-  /// and bit-identical to the requests they construct.
+  /// Run both stages against the evaluator as the request describes: its
+  /// generator (request.rng, else one seeded with request.seed), its
+  /// stage-1 sampler (default: the paper's uniform RandomSampler), its
+  /// observer and telemetry collector.
   [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    const TuneRun& request) const;
-
-  /// Shims (the pre-TuneRun API). The rng-taking forms are for callers
-  /// that thread their own generator; they ignore run.seed but honour the
-  /// rest of the context.
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    const Sampler& sampler) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator,
-                                    common::Rng& rng) const;
-  [[nodiscard]] AutoTuneResult tune(Evaluator& evaluator, const Sampler& sampler,
-                                    common::Rng& rng) const;
+                                    const TuneRun& request = {}) const;
 
  private:
-  [[nodiscard]] AutoTuneResult run_tune(Evaluator& evaluator,
-                                        const Sampler& sampler,
-                                        common::Rng& rng,
-                                        const TunerRunContext& run,
-                                        std::size_t stream_limit) const;
-
   AutoTunerOptions options_;
 };
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/stats.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "ml/scaler.hpp"
 
 namespace pt::tuner {
@@ -45,39 +46,10 @@ std::vector<double> InputAwarePerformanceModel::encode(
 
 void InputAwarePerformanceModel::fit(
     const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples, const TuneRun& request) {
-  const TunerRunContext& run = request.effective_context(options_.run);
-  if (request.rng != nullptr) {
-    do_fit(space, std::move(problem_parameter_names), samples, *request.rng,
-           run);
-    return;
-  }
-  common::Rng rng = run.make_rng();
-  do_fit(space, std::move(problem_parameter_names), samples, rng, run);
-}
-
-void InputAwarePerformanceModel::fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples) {
-  fit(space, std::move(problem_parameter_names), samples, TuneRun{});
-}
-
-void InputAwarePerformanceModel::fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
     const std::vector<InputAwareSample>& samples, common::Rng& rng) {
-  TuneRun request;
-  request.rng = &rng;
-  fit(space, std::move(problem_parameter_names), samples, request);
-}
-
-void InputAwarePerformanceModel::do_fit(
-    const ParamSpace& space, std::vector<std::string> problem_parameter_names,
-    const std::vector<InputAwareSample>& samples, common::Rng& rng,
-    const TunerRunContext& run) {
   if (samples.empty())
     throw std::invalid_argument("InputAwarePerformanceModel::fit: no samples");
-  const ScopedRunContext scoped(run);
-  StageScope stage(run, "input_aware", "input_aware.fit");
+  const common::telemetry::Span span("input_aware.fit");
   space_ = space;
   codec_ = FeatureCodec::build(space, options_.encoding);
   range_encoder_ = RangeEncoder(codec_, space_);
@@ -106,37 +78,22 @@ void InputAwarePerformanceModel::do_fit(
   {
     common::RunningStats stats;
     for (std::size_t i = 0; i < samples.size(); ++i) stats.add(data.y(i, 0));
-    target_mean_ = stats.mean();
-    target_scale_ = stats.stddev() > 1e-9 ? stats.stddev() : 1.0;
+    output_ = OutputTransform{stats.stddev() > 1e-9 ? stats.stddev() : 1.0,
+                              stats.mean(), options_.log_targets};
     for (std::size_t i = 0; i < samples.size(); ++i)
-      data.y(i, 0) = (data.y(i, 0) - target_mean_) / target_scale_;
+      data.y(i, 0) = (data.y(i, 0) - output_.mean) / output_.scale;
   }
 
   auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
   ensemble->fit(data, rng);
   ensemble_ = std::move(ensemble);
-  stage.finish();
-  // Replay per-member training curves in deterministic (member, epoch)
-  // order (see tuner/observer.hpp).
-  if (run.observer != nullptr) {
-    const auto& curves = ensemble_->train_results();
-    for (std::size_t member = 0; member < curves.size(); ++member) {
-      const ml::TrainResult& tr = curves[member];
-      for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-        run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                               tr.monitored_loss[epoch]);
-    }
-  }
 }
 
 double InputAwarePerformanceModel::predict_ms(
     const Configuration& config, const ProblemInstance& instance) const {
   if (!fitted())
     throw std::logic_error("InputAwarePerformanceModel: predict before fit");
-  const double raw =
-      ensemble_->predict(encode(config, instance)) * target_scale_ +
-      target_mean_;
-  return options_.log_targets ? ml::LogTargetTransform::inverse(raw) : raw;
+  return output_(ensemble_->predict(encode(config, instance)));
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_many_ms(
@@ -154,10 +111,7 @@ std::vector<double> InputAwarePerformanceModel::predict_many_ms(
     std::copy(inst.begin(), inst.end(), row.begin() + dims);
   }
   auto preds = ensemble_->predict_batch(x);
-  for (auto& p : preds) {
-    p = p * target_scale_ + target_mean_;
-    if (options_.log_targets) p = ml::LogTargetTransform::inverse(p);
-  }
+  for (auto& p : preds) p = output_(p);
   return preds;
 }
 
@@ -169,10 +123,7 @@ ScanEngine InputAwarePerformanceModel::scan_engine(
   const std::vector<float> tail_f(tail.begin(), tail.end());
   const ml::CertificationBox box = range_encoder_.calibration(tail_f);
   return ScanEngine(ensemble_, batched_.get(*ensemble_, box), range_encoder_,
-                    std::move(tail),
-                    OutputTransform{target_scale_, target_mean_,
-                                    options_.log_targets},
-                    range_encoder_.radices());
+                    std::move(tail), output_, range_encoder_.radices());
 }
 
 std::vector<double> InputAwarePerformanceModel::predict_range_ms(

@@ -19,8 +19,6 @@
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
 #include "tuner/features.hpp"
-#include "tuner/observer.hpp"
-#include "tuner/options.hpp"
 #include "tuner/param.hpp"
 #include "tuner/scan.hpp"
 
@@ -46,32 +44,19 @@ class InputAwarePerformanceModel {
     FeatureEncoding encoding = FeatureEncoding::kLog2;
     /// Apply log2 to problem parameters as well (sizes are scale-natured).
     bool log2_problem_parameters = true;
-    /// Per-run wiring: observer (on_stage_*/on_epoch), telemetry, seed,
-    /// threads (see tuner/observer.hpp). The default context is inert.
-    TunerRunContext run{};
   };
 
   InputAwarePerformanceModel() : InputAwarePerformanceModel(Options{}) {}
   explicit InputAwarePerformanceModel(Options options);
 
-  /// Canonical entry point (see tuner/options.hpp): fit as the request
-  /// describes. `problem_parameter_names` fixes the instance layout (and
-  /// the feature order); every sample's instance must have that many
-  /// values. request.sampler and the degradation knobs are ignored.
-  void fit(const ParamSpace& space,
-           std::vector<std::string> problem_parameter_names,
-           const std::vector<InputAwareSample>& samples,
-           const TuneRun& request);
-
-  /// Shims (the pre-TuneRun API). The rng-free form draws the RNG from
-  /// options().run.seed; the rng-taking form ignores run.seed but honours
-  /// the rest of the context.
+  /// Fit on (configuration, instance, time) observations, as
+  /// AnnPerformanceModel::fit does. `problem_parameter_names` fixes the
+  /// instance layout (and the feature order); every sample's instance must
+  /// have that many values. Throws std::invalid_argument on an empty sample
+  /// set, a non-positive time or a bad instance.
   void fit(const ParamSpace& space,
            std::vector<std::string> problem_parameter_names,
            const std::vector<InputAwareSample>& samples, common::Rng& rng);
-  void fit(const ParamSpace& space,
-           std::vector<std::string> problem_parameter_names,
-           const std::vector<InputAwareSample>& samples);
 
   [[nodiscard]] bool fitted() const noexcept { return ensemble_->fitted(); }
   [[nodiscard]] const std::vector<std::string>& problem_parameter_names()
@@ -111,10 +96,6 @@ class InputAwarePerformanceModel {
       const Configuration& config, const ProblemInstance& instance) const;
 
  private:
-  void do_fit(const ParamSpace& space,
-              std::vector<std::string> problem_parameter_names,
-              const std::vector<InputAwareSample>& samples, common::Rng& rng,
-              const TunerRunContext& run);
   /// Instance features with the optional log2 applied (validated once, then
   /// reused for every row of a scan).
   [[nodiscard]] std::vector<double> instance_features(
@@ -125,8 +106,8 @@ class InputAwarePerformanceModel {
   FeatureCodec codec_;
   RangeEncoder range_encoder_;
   std::vector<std::string> problem_names_;
-  double target_mean_ = 0.0;
-  double target_scale_ = 1.0;
+  // Target standardization and log transform (see AnnPerformanceModel).
+  OutputTransform output_;
   // Shared with scan engines; copy/move rules as in AnnPerformanceModel.
   std::shared_ptr<const ml::BaggingEnsemble> ensemble_;
   ml::BatchedEnsembleCache batched_;

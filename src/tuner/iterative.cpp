@@ -2,34 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <unordered_set>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
+#include "tuner/run_hooks.hpp"
 
 namespace pt::tuner {
 
 namespace tel = common::telemetry;
-
-namespace {
-
-/// Deliver the per-member training curves of a fitted model in (member,
-/// epoch) order — concurrent training, deterministic callback sequence.
-void replay_epochs(const TunerRunContext& run,
-                   const AnnPerformanceModel& model) {
-  if (run.observer == nullptr) return;
-  const auto& curves = model.ensemble().train_results();
-  for (std::size_t member = 0; member < curves.size(); ++member) {
-    const ml::TrainResult& tr = curves[member];
-    for (std::size_t epoch = 0; epoch < tr.train_loss.size(); ++epoch)
-      run.observer->on_epoch(member, epoch, tr.train_loss[epoch],
-                             tr.monitored_loss[epoch]);
-  }
-}
-
-}  // namespace
 
 IterativeTuner::IterativeTuner(IterativeTunerOptions options)
     : options_(std::move(options)) {
@@ -46,41 +28,16 @@ IterativeTuner::IterativeTuner(IterativeTunerOptions options)
 
 IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
                                          const TuneRun& request) const {
-  const TunerRunContext& run = request.effective_context(options_.run);
-  const bool explore_until_valid =
-      request.explore_until_valid.value_or(options_.explore_until_valid);
-  if (request.rng != nullptr)
-    return run_tune(evaluator, *request.rng, run, explore_until_valid);
-  common::Rng rng = run.make_rng();
-  return run_tune(evaluator, rng, run, explore_until_valid);
-}
-
-IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator) const {
-  return tune(evaluator, TuneRun{});
-}
-
-IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
-                                         common::Rng& rng) const {
-  TuneRun request;
-  request.rng = &rng;
-  return tune(evaluator, request);
-}
-
-IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
-                                             common::Rng& rng,
-                                             const TunerRunContext& run,
-                                             bool explore_until_valid) const {
-  const ScopedRunContext scoped(run);
-  StageScope whole(run, "iterative", "iterative.tune");
+  common::Rng seeded(request.seed);
+  common::Rng& rng = request.rng != nullptr ? *request.rng : seeded;
+  TunerObserver* const observer = request.observer;
+  const tel::ScopedCollector install(
+      request.telemetry != nullptr ? request.telemetry : tel::collector());
+  StageScope whole(observer, "iterative", "iterative.tune");
 
   const ParamSpace& space = evaluator.space();
   IterativeTuneResult result;
-
-  CachingEvaluator* cache = find_layer<CachingEvaluator>(&evaluator);
-  const std::size_t cache_hits_before = cache != nullptr ? cache->hits() : 0;
-  const std::size_t cache_misses_before =
-      cache != nullptr ? cache->misses() : 0;
-
+  const CacheSnapshot cache(evaluator);
   // clstat pre-filter tallies (bumped by scan workers during exploit scans).
   StaticPruneCounters static_counters;
 
@@ -103,9 +60,9 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
     result.data_gathering_cost_ms += m.cost_ms;
     result.measure_attempts += m.attempts;
     result.transient_faults += m.transient_faults;
-    if (run.observer != nullptr) {
-      run.observer->on_measurement(measure_stage, config, m);
-      run.observer->on_sample(measure_stage, config, m);
+    if (observer != nullptr) {
+      observer->on_measurement(measure_stage, config, m);
+      observer->on_sample(measure_stage, config, m);
     }
     if (!m.valid) {
       ++result.invalid_measurements;
@@ -122,7 +79,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
 
   // Round 0: random seed sample.
   {
-    StageScope stage(run, "iterative", "iterative.round0");
+    StageScope stage(observer, "iterative", "iterative.round0");
     const std::size_t n = std::min(options_.initial_samples,
                                    options_.measurement_budget);
     for (const std::size_t index : rng.sample_without_replacement(
@@ -139,10 +96,10 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
   // train on. Instead of giving up, keep exploring at random — any valid
   // measurement un-blocks the model-guided loop below.
   measure_stage = "resample";
-  while (explore_until_valid && data.empty() &&
+  while (options_.explore_until_valid && data.empty() &&
          result.measurements < options_.measurement_budget &&
          measured.size() < space.size()) {
-    StageScope stage(run, "iterative", "iterative.resample");
+    StageScope stage(observer, "iterative", "iterative.resample");
     for (std::size_t e = 0;
          e < options_.batch_size &&
          result.measurements < options_.measurement_budget;
@@ -159,22 +116,20 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
                        result.rejections.to_string(), "); exploring further");
   }
 
-  std::size_t rounds_without_improvement = 0;
   // The measured-set guard matters when the budget exceeds the space: once
   // every configuration is measured no round can add data, and waiting for
   // the budget to fill would loop forever.
   while (result.measurements < options_.measurement_budget && !data.empty() &&
          measured.size() < space.size()) {
-    StageScope round_stage(run, "iterative", "iterative.round");
-    const double before = have_best ? best_time : 0.0;
+    StageScope round_stage(observer, "iterative", "iterative.round");
 
     // Train on everything measured so far.
     AnnPerformanceModel model(options_.model);
     {
-      StageScope stage(run, "iterative", "iterative.model.fit");
+      StageScope stage(observer, "iterative", "iterative.model.fit");
       model.fit(space, data, rng);
     }
-    replay_epochs(run, model);
+    replay_epochs(observer, model.ensemble());
 
     // Exploitation: best predictions not yet measured.
     const std::size_t batch =
@@ -188,7 +143,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
       // Streaming top-m scan with a "not yet measured" filter: no full
       // prediction vector, and the selection is exactly the exploit best
       // unmeasured configurations.
-      StageScope stage(run, "iterative", "iterative.exploit");
+      StageScope stage(observer, "iterative", "iterative.exploit");
       measure_stage = "exploit";
       ScanFilter filter = [&measured](std::uint64_t index) {
         return measured.count(index) == 0;
@@ -199,14 +154,14 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
       const auto scan =
           model.predict_scan_top_m(0, space.size(), exploit, filter);
       for (const auto& candidate : scan.top) {
-        if (run.observer != nullptr)
-          run.observer->on_candidate(candidate.index, candidate.predicted_ms);
+        if (observer != nullptr)
+          observer->on_candidate(candidate.index, candidate.predicted_ms);
         measure_index(candidate.index);
       }
     }
     // Exploration: fresh random configurations.
     {
-      StageScope stage(run, "iterative", "iterative.explore");
+      StageScope stage(observer, "iterative", "iterative.explore");
       measure_stage = "explore";
       for (std::size_t e = 0; e < explore; ++e) {
         measure_index(rng.below(space.size()));
@@ -218,23 +173,14 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
     common::log_info("iterative[", evaluator.name(), "]: round ",
                      result.rounds, " best=", have_best ? best_time : -1.0,
                      " measured=", result.measurements);
-
-    if (have_best && before > 0.0 && best_time >= before) {
-      ++rounds_without_improvement;
-      if (options_.patience_rounds > 0 &&
-          rounds_without_improvement >= options_.patience_rounds)
-        break;
-    } else {
-      rounds_without_improvement = 0;
-    }
   }
 
   if (!data.empty()) {
-    StageScope stage(run, "iterative", "iterative.model.fit");
+    StageScope stage(observer, "iterative", "iterative.model.fit");
     AnnPerformanceModel model(options_.model);
     model.fit(space, data, rng);
     stage.finish();
-    replay_epochs(run, model);
+    replay_epochs(observer, model.ensemble());
     result.model = std::move(model);
   }
   result.success = have_best;
@@ -248,58 +194,9 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
                      "); no prediction");
   }
 
-  if (cache != nullptr) {
-    result.cache_hits = cache->hits() - cache_hits_before;
-    result.cache_misses = cache->misses() - cache_misses_before;
-    const std::size_t lookups = result.cache_hits + result.cache_misses;
-    common::log_info("iterative[", evaluator.name(), "]: cache ",
-                     result.cache_hits, " hits / ", result.cache_misses,
-                     " misses (hit rate ",
-                     lookups != 0 ? 100.0 * static_cast<double>(
-                                                result.cache_hits) /
-                                        static_cast<double>(lookups)
-                                  : 0.0,
-                     "%)");
-    if (tel::enabled() && lookups != 0)
-      tel::gauge("tuner.cache.hit_rate",
-                 static_cast<double>(result.cache_hits) /
-                     static_cast<double>(lookups));
-  }
-  if (options_.static_checker != nullptr) {
-    result.static_checked =
-        static_cast<std::size_t>(static_counters.checked.load());
-    result.static_pruned =
-        static_cast<std::size_t>(static_counters.pruned.load());
-    result.static_proved_valid =
-        static_cast<std::size_t>(static_counters.proved_valid.load());
-    result.static_unknown =
-        static_cast<std::size_t>(static_counters.unknown.load());
-    common::log_info(
-        "iterative[", evaluator.name(), "]: static filter pruned ",
-        result.static_pruned, " of ", result.static_checked,
-        " checked (pruned fraction ",
-        result.static_checked != 0
-            ? 100.0 * static_cast<double>(result.static_pruned) /
-                  static_cast<double>(result.static_checked)
-            : 0.0,
-        "%; verdicts: ", result.static_proved_valid, " proved valid, ",
-        result.static_pruned, " proved invalid, ", result.static_unknown,
-        " unknown)");
-    if (tel::enabled()) {
-      tel::count("tuner.scan.static_checked",
-                 static_cast<double>(result.static_checked));
-      tel::count("tuner.scan.static_pruned",
-                 static_cast<double>(result.static_pruned));
-      tel::count("tuner.scan.static_proved_valid",
-                 static_cast<double>(result.static_proved_valid));
-      tel::count("tuner.scan.static_unknown",
-                 static_cast<double>(result.static_unknown));
-      if (result.static_checked != 0)
-        tel::gauge("tuner.scan.static_pruned_fraction",
-                   static_cast<double>(result.static_pruned) /
-                       static_cast<double>(result.static_checked));
-    }
-  }
+  cache.report("iterative", evaluator, result);
+  if (options_.static_checker != nullptr)
+    report_static_prune("iterative", evaluator, static_counters, result);
   if (tel::enabled()) {
     tel::count("tuner.iterative.measurements",
                static_cast<double>(result.measurements));
@@ -314,9 +211,7 @@ IterativeTuneResult IterativeTuner::run_tune(Evaluator& evaluator,
     tel::count("tuner.measure.transient_faults",
                static_cast<double>(result.transient_faults));
     tel::gauge("tuner.data_gathering_cost_ms", result.data_gathering_cost_ms);
-    for (const auto& [status, n] : result.rejections.sorted())
-      tel::count(std::string("tuner.rejections.") + clsim::to_string(status),
-                 static_cast<double>(n));
+    count_rejections(result.rejections);
   }
   return result;
 }

@@ -12,11 +12,11 @@
 //           -> measure a mixed batch: the most promising configurations
 //              (exploitation) plus fresh random ones (exploration)
 //
-// until the measurement budget is exhausted or the incumbent stops
-// improving. All measurements (including earlier rounds' winners) feed the
-// next round's model, so the model sharpens exactly where the tuner is
-// searching. The exploration share guards against the invalid-region trap
-// that breaks the one-shot tuner on stereo/GPU.
+// until the measurement budget (or the space) is exhausted. All
+// measurements (including earlier rounds' winners) feed the next round's
+// model, so the model sharpens exactly where the tuner is searching. The
+// exploration share guards against the invalid-region trap that breaks the
+// one-shot tuner on stereo/GPU.
 
 #include <cstddef>
 #include <memory>
@@ -31,23 +31,18 @@
 
 namespace pt::tuner {
 
-/// The shared fields (model, static_checker, run) live in TunerOptions;
-/// their names are unchanged (`options.model`, `options.run`, ...).
+/// The shared fields (model, static_checker) live in TunerOptions.
 struct IterativeTunerOptions : TunerOptions {
   std::size_t measurement_budget = 2000;  // total configurations measured
   std::size_t initial_samples = 400;      // round-0 random sample
   std::size_t batch_size = 200;           // measurements per later round
   /// Fraction of each later batch drawn at random (exploration).
   double exploration_fraction = 0.25;
-  /// Stop early after this many rounds without improving the incumbent
-  /// (0 = never stop early).
-  std::size_t patience_rounds = 0;
   /// Graceful degradation: when the initial sample yields no valid
   /// measurement (so there is nothing to train on), keep drawing fresh
   /// random batches until one measures valid or the budget/space runs out,
   /// instead of giving up after round 0. Off by default so results are
   /// bit-identical to the pre-degradation tuner unless a caller opts in.
-  /// A TuneRun may override it per request.
   bool explore_until_valid = false;
   /// The inherited static_checker pre-filters the exploitation scan:
   /// proven-invalid configurations never enter a round's exploit batch, so
@@ -101,24 +96,13 @@ class IterativeTuner {
     return options_;
   }
 
-  /// Canonical entry point (see tuner/options.hpp). A default-constructed
-  /// TuneRun reproduces `tune(evaluator)` exactly; request.sampler is
-  /// ignored (this tuner draws its own exploration samples).
+  /// Run the rounds against the evaluator as the request describes (see
+  /// tuner/options.hpp). request.sampler is ignored: this tuner draws its
+  /// own exploration samples.
   [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator,
-                                         const TuneRun& request) const;
-
-  /// Shims (the pre-TuneRun API). The rng-taking form ignores run.seed but
-  /// honours the rest of the context.
-  [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator) const;
-  [[nodiscard]] IterativeTuneResult tune(Evaluator& evaluator,
-                                         common::Rng& rng) const;
+                                         const TuneRun& request = {}) const;
 
  private:
-  [[nodiscard]] IterativeTuneResult run_tune(Evaluator& evaluator,
-                                             common::Rng& rng,
-                                             const TunerRunContext& run,
-                                             bool explore_until_valid) const;
-
   IterativeTunerOptions options_;
 };
 

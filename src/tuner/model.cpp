@@ -43,14 +43,14 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
   }
 
   // Standardize the (transformed) targets so the network trains at unit
-  // scale; predictions are mapped back in to_time_ms().
+  // scale; predictions are mapped back through output_.
   {
     common::RunningStats stats;
     for (std::size_t i = 0; i < samples.size(); ++i) stats.add(data.y(i, 0));
-    target_mean_ = stats.mean();
-    target_scale_ = stats.stddev() > 1e-9 ? stats.stddev() : 1.0;
+    output_ = OutputTransform{stats.stddev() > 1e-9 ? stats.stddev() : 1.0,
+                              stats.mean(), options_.log_targets};
     for (std::size_t i = 0; i < samples.size(); ++i)
-      data.y(i, 0) = (data.y(i, 0) - target_mean_) / target_scale_;
+      data.y(i, 0) = (data.y(i, 0) - output_.mean) / output_.scale;
   }
 
   auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
@@ -67,26 +67,25 @@ AnnPerformanceModel AnnPerformanceModel::restore(
   if (ensemble.scaler().width() != space.dimension_count())
     throw std::invalid_argument(
         "AnnPerformanceModel::restore: space/ensemble width mismatch");
+  if (!std::isfinite(target_mean) || !std::isfinite(target_scale) ||
+      target_scale <= 0.0)
+    throw std::invalid_argument(
+        "AnnPerformanceModel::restore: bad target transform");
   AnnPerformanceModel model(std::move(options));
   model.codec_ = FeatureCodec::build(space, model.options_.encoding);
   model.range_encoder_ = RangeEncoder(model.codec_, space);
   model.space_ = std::move(space);
-  model.target_mean_ = target_mean;
-  model.target_scale_ = target_scale;
+  model.output_ = OutputTransform{target_scale, target_mean,
+                                  model.options_.log_targets};
   model.ensemble_ =
       std::make_shared<const ml::BaggingEnsemble>(std::move(ensemble));
   return model;
 }
 
-double AnnPerformanceModel::to_time_ms(double network_output) const noexcept {
-  const double raw = network_output * target_scale_ + target_mean_;
-  return options_.log_targets ? ml::LogTargetTransform::inverse(raw) : raw;
-}
-
 double AnnPerformanceModel::predict_ms(const Configuration& config) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  return to_time_ms(ensemble_->predict(encode_features(config)));
+  return output_(ensemble_->predict(encode_features(config)));
 }
 
 ScanEngine AnnPerformanceModel::scan_engine() const {
@@ -94,10 +93,7 @@ ScanEngine AnnPerformanceModel::scan_engine() const {
     throw std::logic_error("AnnPerformanceModel: predict before fit");
   return ScanEngine(ensemble_,
                     batched_.get(*ensemble_, range_encoder_.calibration()),
-                    range_encoder_, {},
-                    OutputTransform{target_scale_, target_mean_,
-                                    options_.log_targets},
-                    range_encoder_.radices());
+                    range_encoder_, {}, output_, range_encoder_.radices());
 }
 
 std::vector<double> AnnPerformanceModel::predict_range_ms(
@@ -120,7 +116,7 @@ std::vector<double> AnnPerformanceModel::predict_many_ms(
   for (std::size_t i = 0; i < configs.size(); ++i)
     codec_.encode_into(configs[i], x.row(i));
   auto preds = ensemble_->predict_batch(x);
-  for (auto& p : preds) p = to_time_ms(p);
+  for (auto& p : preds) p = output_(p);
   return preds;
 }
 

@@ -93,10 +93,14 @@ class AnnPerformanceModel {
   /// The space the model was fitted on (empty before fit).
   [[nodiscard]] const ParamSpace& space() const noexcept { return space_; }
   /// Target standardization parameters (see persist.hpp).
-  [[nodiscard]] double target_mean() const noexcept { return target_mean_; }
-  [[nodiscard]] double target_scale() const noexcept { return target_scale_; }
+  [[nodiscard]] double target_mean() const noexcept { return output_.mean; }
+  [[nodiscard]] double target_scale() const noexcept { return output_.scale; }
 
   /// Rebuild a fitted model from persisted state (see tuner/persist.hpp).
+  /// Throws std::invalid_argument on an unfitted ensemble, a width that
+  /// does not match the space, a non-finite target mean, or a target scale
+  /// that is not finite and > 0 (fit never produces one, and the scans
+  /// need scale > 0).
   [[nodiscard]] static AnnPerformanceModel restore(Options options,
                                                    ParamSpace space,
                                                    double target_mean,
@@ -104,17 +108,15 @@ class AnnPerformanceModel {
                                                    ml::BaggingEnsemble ensemble);
 
  private:
-  [[nodiscard]] double to_time_ms(double network_output) const noexcept;
-
   Options options_;
   ParamSpace space_;
   FeatureCodec codec_;
   RangeEncoder range_encoder_;
   // Targets are standardized (zero mean, unit variance, after the optional
   // log transform) before training: the network then starts near the right
-  // output scale and Rprop converges in far fewer epochs.
-  double target_mean_ = 0.0;
-  double target_scale_ = 1.0;
+  // output scale and Rprop converges in far fewer epochs. This maps a
+  // network output back to a predicted time, in every predict and scan.
+  OutputTransform output_;
   // Shared with the scan engines built from it, which must stay valid after
   // the model is moved or refitted; fit/restore replace it, never mutate it.
   std::shared_ptr<const ml::BaggingEnsemble> ensemble_;

@@ -1,31 +1,32 @@
 #pragma once
 
-// TunerOptions + TuneRun — the shared configuration base and the canonical
+// TunerOptions + TuneRun — the shared configuration base and the one
 // per-run request struct of the tuning stack.
 //
-// TunerOptions collects the fields every tuner used to duplicate (the
-// performance-model configuration, the opt-in clstat static pre-filter and
-// the per-run wiring context); AutoTunerOptions and IterativeTunerOptions
-// inherit it, so existing field names (`options.model`, `options.run`,
-// `options.static_checker`) keep working unchanged and a service can
-// configure both tuners through one type.
+// TunerOptions collects the fields every tuner shares (the performance-model
+// configuration and the opt-in clstat static pre-filter);
+// AutoTunerOptions and IterativeTunerOptions inherit it, so a service can
+// configure both tuners through one type. No options struct carries
+// per-run state.
 //
-// TuneRun is the canonical request: one struct carrying everything that may
-// vary per tune() call — the run context (seed, observer, telemetry,
-// threads, check mode), an optional external RNG, an optional sampler, and
-// per-request degradation overrides. Every tuner exposes exactly one
-// canonical entry point taking it (`tune(Evaluator&, const TuneRun&)`,
-// `fit(..., const TuneRun&)`); the historic overload matrix
-// (`tune(eval)` / `tune(eval, rng)` / `tune(eval, sampler, rng)`) survives
-// as thin delegating shims, bit-identical to the canonical calls they
-// forward to. The serve layer (src/serve) only ever issues TuneRuns.
+// TuneRun is the request: everything that may vary per tune() call — the
+// seed (or an external RNG), the stage-1 sampler, the observer and the
+// telemetry collector. Each tuner has exactly one entry point,
+// `tune(Evaluator&, const TuneRun& = {})`; a default TuneRun is
+// `TuneRun::with_seed(1)`. The serve layer (src/serve) only issues
+// with_seed requests.
+//
+// The worker-pool size is not part of a run: the pool is process-global and
+// shared by every concurrent tune, so a run cannot resize it under the
+// others. Results do not depend on it. A caller that wants a pool size calls
+// common::set_global_pool_threads before the run (the CLIs' --threads).
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <optional>
 
 #include "clsim/analyze/checker.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "tuner/model.hpp"
 #include "tuner/observer.hpp"
 
@@ -36,56 +37,43 @@ class Sampler;
 /// Configuration shared by every tuner. Derived option structs add their
 /// stage budgets and tuner-specific knobs on top.
 struct TunerOptions {
-  /// Performance-model configuration (ensemble topology, encoding, scan
-  /// engine knobs).
+  /// Performance-model configuration (ensemble topology, target transform,
+  /// feature encoding).
   AnnPerformanceModel::Options model{};
   /// Opt-in clstat static pre-filter for prediction scans. Must be built
   /// over the evaluated space (same dimension order) and the target device.
   /// See the derived options for each tuner's pruning semantics.
   std::shared_ptr<const clsim::analyze::StaticChecker> static_checker;
-  /// Per-run wiring: observer, telemetry, seed, threads, check mode (see
-  /// tuner/observer.hpp). The default context is inert — results are
-  /// bit-identical to a context-free run. A TuneRun's context, when set,
-  /// takes precedence for that run.
-  TunerRunContext run{};
 };
 
-/// One tune request. Default-constructed it reproduces `tune(evaluator)`
-/// exactly: context and knobs fall back to the tuner's options.
+/// One tune request. Observer and telemetry never change a result: a run
+/// with them set is bit-identical to the same run without them.
 struct TuneRun {
-  /// Per-run wiring override; when absent the tuner's options().run
-  /// applies (including its seed).
-  std::optional<TunerRunContext> context;
+  /// Seed of the run's generator; ignored when `rng` is set.
+  std::uint64_t seed = 1;
   /// External generator for callers that thread one RNG through several
-  /// runs (the pre-context API). When set, the context/options seed is
-  /// ignored; the rest of the effective context still applies.
+  /// runs (the harness idiom).
   common::Rng* rng = nullptr;
-  /// Stage-1 sampler override (AutoTuner only; others ignore it).
+  /// Stage-1 sampler (AutoTuner only; IterativeTuner ignores it).
   /// nullptr = the paper's uniform RandomSampler.
   const Sampler* sampler = nullptr;
-  /// Per-request graceful-degradation overrides (nullopt = the value in the
-  /// tuner's options). stage2_stream_limit applies to AutoTuner,
-  /// explore_until_valid to IterativeTuner.
-  std::optional<std::size_t> stage2_stream_limit;
-  std::optional<bool> explore_until_valid;
+  /// Callback sink (nullptr = no callbacks).
+  TunerObserver* observer = nullptr;
+  /// Telemetry collector installed process-globally for the duration of the
+  /// run (see common/telemetry). nullptr leaves the ambient collector —
+  /// including "none" — untouched, so a run never *disables* telemetry an
+  /// outer scope enabled.
+  common::telemetry::Collector* telemetry = nullptr;
 
-  /// The effective run context given a tuner's options.
-  [[nodiscard]] const TunerRunContext& effective_context(
-      const TunerRunContext& fallback) const noexcept {
-    return context ? *context : fallback;
-  }
-
-  /// Convenience: a request that only overrides the seed (what a served
-  /// tune uses — client-supplied seed, otherwise inert context).
+  /// A request that only sets the seed (what a served tune uses).
   [[nodiscard]] static TuneRun with_seed(std::uint64_t seed) {
     TuneRun request;
-    request.context = TunerRunContext{};
-    request.context->seed = seed;
+    request.seed = seed;
     return request;
   }
 
-  /// Convenience: a request threading an external generator (the harness
-  /// idiom: one RNG across several runs).
+  /// A request threading an external generator (one RNG across several
+  /// runs).
   [[nodiscard]] static TuneRun with_rng(common::Rng& rng) {
     TuneRun request;
     request.rng = &rng;

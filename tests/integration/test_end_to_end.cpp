@@ -47,7 +47,7 @@ TEST_P(DeviceEndToEndTest, TunerBeatsMedianRandomConfigOnConvolution) {
   const double median = common::quantile(random_times, 0.5);
 
   const tuner::AutoTuner tuner_engine(fast_tuner(400, 40));
-  const auto result = tuner_engine.tune(eval, rng);
+  const auto result = tuner_engine.tune(eval, tuner::TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success) << GetParam();
   EXPECT_LT(result.best_time_ms, median * 0.5) << GetParam();
 }
@@ -79,7 +79,7 @@ TEST(EndToEnd, StaticPreFilterPrunesOnARealBenchmark) {
 
   common::Rng rng(29);
   const tuner::AutoTuner tuner_engine(options);
-  const auto result = tuner_engine.tune(eval, rng);
+  const auto result = tuner_engine.tune(eval, tuner::TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.static_checked, 0u);
   EXPECT_GT(result.static_pruned, 0u);

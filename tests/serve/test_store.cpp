@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
 
+#include "serve/service.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/options.hpp"
 
@@ -190,6 +194,55 @@ TEST(TunedConfigStore, CorruptFileIsAMissNotACrash) {
     os << "not a tuned entry\n";
   }
   EXPECT_FALSE(store.lookup(key, 3).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TunedConfigStore, BadTargetScaleIsAMissAndTheTuneRunsAgain) {
+  // A model whose target scale is not > 0 would predict a constant (0) or
+  // reversed (-1) order; restore rejects it, so the entry is a miss.
+  const std::string dir = fresh_dir("bad_scale");
+  TuneServiceOptions options;
+  options.workers = 1;
+  options.tuner.training_samples = 60;
+  options.tuner.second_stage_size = 10;
+  options.tuner.model.ensemble.k = 3;
+  options.tuner.model.ensemble.hidden_layers = {
+      ml::LayerSpec{12, ml::Activation::kSigmoid}};
+  options.tuner.model.ensemble.trainer.common.max_epochs = 200;
+  options.store.directory = dir;
+  std::atomic<std::size_t> tunes{0};
+  const EvaluatorFactory factory = [&tunes](const TuneKey& /*key*/) {
+    ++tunes;
+    return std::make_unique<BowlEvaluator>();
+  };
+  const TuneKey key{"bowl", "dev0", "small"};
+  const auto path =
+      std::filesystem::path(dir) / TunedConfigStore::entry_filename(key, 7);
+  {
+    TuneService service(options, factory);
+    ASSERT_EQ(Session(service, "t").tune(key, 7).status, ResponseStatus::kOk);
+  }
+  for (const char* scale : {"0", "-1"}) {
+    std::string text;
+    {
+      std::ifstream is(path);
+      std::stringstream buffer;
+      buffer << is.rdbuf();
+      text = buffer.str();
+    }
+    const std::size_t line = text.find("\ntarget ");
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t scale_at = text.find(' ', line + 8) + 1;
+    text.replace(scale_at, text.find('\n', scale_at) - scale_at, scale);
+    std::ofstream(path) << text;
+
+    TuneService service(options, factory);
+    EXPECT_FALSE(service.store().lookup(key, 7).has_value()) << scale;
+    const TuneResponse retuned = Session(service, "t").tune(key, 7);
+    ASSERT_EQ(retuned.status, ResponseStatus::kOk);
+    EXPECT_FALSE(retuned.from_cache) << scale;
+  }
+  EXPECT_EQ(tunes.load(), 3u);
   std::filesystem::remove_all(dir);
 }
 

@@ -44,7 +44,8 @@ TEST(IterativeTuner, TerminatesWhenBudgetExceedsSpace) {
   IterativeTunerOptions opts = fast_options();
   opts.measurement_budget = 400;  // space is 256
   common::Rng rng(12);
-  const IterativeTuneResult result = IterativeTuner(opts).tune(eval, rng);
+  const IterativeTuneResult result =
+      IterativeTuner(opts).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_LE(result.measurements, eval.space().size());
   EXPECT_DOUBLE_EQ(result.best_time_ms, BowlEvaluator::optimum_time());
@@ -54,7 +55,7 @@ TEST(IterativeTuner, FindsNearOptimum) {
   BowlEvaluator eval;
   common::Rng rng(1);
   const IterativeTuner tuner(fast_options());
-  const IterativeTuneResult result = tuner.tune(eval, rng);
+  const IterativeTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_LE(result.best_time_ms, BowlEvaluator::optimum_time() * 1.1);
   EXPECT_TRUE(result.model.has_value());
@@ -64,7 +65,7 @@ TEST(IterativeTuner, RespectsBudget) {
   BowlEvaluator eval;
   common::Rng rng(2);
   const IterativeTuner tuner(fast_options());
-  const IterativeTuneResult result = tuner.tune(eval, rng);
+  const IterativeTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   EXPECT_LE(result.measurements, tuner.options().measurement_budget);
   EXPECT_EQ(eval.calls(), result.measurements);  // never re-measures
 }
@@ -73,7 +74,7 @@ TEST(IterativeTuner, IncumbentTraceMonotone) {
   BowlEvaluator eval;
   common::Rng rng(3);
   const IterativeTuneResult result =
-      IterativeTuner(fast_options()).tune(eval, rng);
+      IterativeTuner(fast_options()).tune(eval, TuneRun::with_rng(rng));
   ASSERT_GE(result.incumbent_trace.size(), 2u);
   for (std::size_t i = 1; i < result.incumbent_trace.size(); ++i)
     EXPECT_LE(result.incumbent_trace[i], result.incumbent_trace[i - 1]);
@@ -84,23 +85,10 @@ TEST(IterativeTuner, HandlesInvalidRegions) {
   BowlEvaluator eval(/*with_invalid=*/true);
   common::Rng rng(4);
   const IterativeTuneResult result =
-      IterativeTuner(fast_options()).tune(eval, rng);
+      IterativeTuner(fast_options()).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.invalid_measurements, 0u);
   EXPECT_NE(result.best_config.values[0], 128);
-}
-
-TEST(IterativeTuner, PatienceStopsEarly) {
-  BowlEvaluator eval;
-  common::Rng rng(5);
-  IterativeTunerOptions opts = fast_options();
-  opts.measurement_budget = 256;  // the whole space
-  opts.patience_rounds = 1;
-  const IterativeTuneResult result = IterativeTuner(opts).tune(eval, rng);
-  ASSERT_TRUE(result.success);
-  // With patience 1, the tuner stops as soon as a round fails to improve —
-  // before exhausting the budget (the bowl is found almost immediately).
-  EXPECT_LT(result.measurements, 256u);
 }
 
 TEST(IterativeTuner, BeatsOneShotRandomAtEqualBudget) {
@@ -109,7 +97,8 @@ TEST(IterativeTuner, BeatsOneShotRandomAtEqualBudget) {
   BowlEvaluator eval;
   common::Rng rng(6);
   IterativeTunerOptions opts = fast_options();
-  const IterativeTuneResult result = IterativeTuner(opts).tune(eval, rng);
+  const IterativeTuneResult result =
+      IterativeTuner(opts).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_LE(result.best_time_ms, result.incumbent_trace.front());
 }
@@ -120,8 +109,8 @@ TEST(IterativeTuner, DeterministicGivenSeed) {
   BowlEvaluator e2;
   common::Rng r1(42);
   common::Rng r2(42);
-  const auto a = tuner.tune(e1, r1);
-  const auto b = tuner.tune(e2, r2);
+  const auto a = tuner.tune(e1, TuneRun::with_rng(r1));
+  const auto b = tuner.tune(e2, TuneRun::with_rng(r2));
   EXPECT_EQ(a.best_config, b.best_config);
   EXPECT_EQ(a.measurements, b.measurements);
 }

@@ -128,36 +128,82 @@ void expect_same_iterative(const IterativeTuneResult& a,
   EXPECT_EQ(a.incumbent_trace, b.incumbent_trace);
 }
 
-TEST(TunerRunContext, SeedOverloadMatchesRngOverload) {
+TEST(TuneRun, DefaultRequestIsSeedOne) {
+  // The service and bench/e2e rely on tune(eval) being
+  // tune(eval, TuneRun::with_seed(1)).
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    common::set_global_pool_threads(threads);
+    const AutoTuner autotuner(fast_auto(80, 15));
+    BowlEvaluator auto_default;
+    BowlEvaluator auto_seeded;
+    expect_same_auto(autotuner.tune(auto_default),
+                     autotuner.tune(auto_seeded, TuneRun::with_seed(1)));
+    EXPECT_EQ(auto_default.calls(), auto_seeded.calls());
+
+    const IterativeTuner iterative(fast_iterative());
+    BowlEvaluator iterative_default;
+    BowlEvaluator iterative_seeded;
+    expect_same_iterative(
+        iterative.tune(iterative_default),
+        iterative.tune(iterative_seeded, TuneRun::with_seed(1)));
+    EXPECT_EQ(iterative_default.calls(), iterative_seeded.calls());
+  }
+  common::set_global_pool_threads(0);
+}
+
+TEST(TuneRun, SeedMatchesRngOfThatSeed) {
   const AutoTuner tuner(fast_auto(80, 15));
   BowlEvaluator eval_rng;
   common::Rng rng(5);
-  const AutoTuneResult via_rng = tuner.tune(eval_rng, rng);
+  const AutoTuneResult via_rng = tuner.tune(eval_rng, TuneRun::with_rng(rng));
+  BowlEvaluator eval_seed;
+  const AutoTuneResult via_seed = tuner.tune(eval_seed, TuneRun::with_seed(5));
 
-  AutoTunerOptions opts = fast_auto(80, 15);
-  opts.run.seed = 5;
-  BowlEvaluator eval_ctx;
-  const AutoTuneResult via_ctx = AutoTuner(opts).tune(eval_ctx);
-
-  expect_same_auto(via_rng, via_ctx);
-  EXPECT_EQ(eval_rng.calls(), eval_ctx.calls());
+  expect_same_auto(via_rng, via_seed);
+  EXPECT_EQ(eval_rng.calls(), eval_seed.calls());
 }
 
-TEST(TunerRunContext, ObserverAndTelemetryDoNotPerturbAutoTuner) {
-  AutoTunerOptions base = fast_auto(80, 15);
-  base.run.seed = 11;
+TEST(TuneRun, ObservedRngRequestMatchesBareRngRequest) {
+  // What exp::autotuner_slowdown_grid does: one external Rng, plus a
+  // collector (and here an observer) on the request.
+  const AutoTuner tuner(fast_auto(80, 15));
+  BowlEvaluator eval_bare;
+  common::Rng rng_bare(13);
+  const AutoTuneResult bare =
+      tuner.tune(eval_bare, TuneRun::with_rng(rng_bare));
+
+  RecordingObserver obs;
+  common::telemetry::Collector collector;
+  BowlEvaluator eval_observed;
+  common::Rng rng_observed(13);
+  TuneRun request = TuneRun::with_rng(rng_observed);
+  request.observer = &obs;
+  request.telemetry = &collector;
+  const AutoTuneResult observed = tuner.tune(eval_observed, request);
+
+  expect_same_auto(bare, observed);
+  EXPECT_EQ(eval_bare.calls(), eval_observed.calls());
+  EXPECT_EQ(rng_bare(), rng_observed());  // both runs drew alike
+  EXPECT_TRUE(obs.balanced());
+  EXPECT_GT(obs.epochs, 0u);
+  EXPECT_FALSE(collector.spans().empty());
+  EXPECT_FALSE(common::telemetry::enabled());  // nothing leaked
+}
+
+TEST(TuneRun, ObserverAndTelemetryDoNotPerturbAutoTuner) {
+  const AutoTuner tuner(fast_auto(80, 15));
   BowlEvaluator eval_off;
-  const AutoTuneResult off = AutoTuner(base).tune(eval_off);
+  const AutoTuneResult off = tuner.tune(eval_off, TuneRun::with_seed(11));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    common::set_global_pool_threads(threads);
     RecordingObserver obs;
     common::telemetry::Collector collector;
-    AutoTunerOptions on_opts = base;
-    on_opts.run.observer = &obs;
-    on_opts.run.telemetry = &collector;
-    on_opts.run.threads = threads;
+    TuneRun request = TuneRun::with_seed(11);
+    request.observer = &obs;
+    request.telemetry = &collector;
     BowlEvaluator eval_on;
-    const AutoTuneResult on = AutoTuner(on_opts).tune(eval_on);
+    const AutoTuneResult on = tuner.tune(eval_on, request);
 
     expect_same_auto(off, on);
     EXPECT_EQ(eval_off.calls(), eval_on.calls());
@@ -168,21 +214,20 @@ TEST(TunerRunContext, ObserverAndTelemetryDoNotPerturbAutoTuner) {
   EXPECT_FALSE(common::telemetry::enabled());  // nothing leaked
 }
 
-TEST(TunerRunContext, ObserverAndTelemetryDoNotPerturbIterativeTuner) {
-  IterativeTunerOptions base = fast_iterative();
-  base.run.seed = 21;
+TEST(TuneRun, ObserverAndTelemetryDoNotPerturbIterativeTuner) {
+  const IterativeTuner tuner(fast_iterative());
   BowlEvaluator eval_off;
-  const IterativeTuneResult off = IterativeTuner(base).tune(eval_off);
+  const IterativeTuneResult off = tuner.tune(eval_off, TuneRun::with_seed(21));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    common::set_global_pool_threads(threads);
     RecordingObserver obs;
     common::telemetry::Collector collector;
-    IterativeTunerOptions on_opts = base;
-    on_opts.run.observer = &obs;
-    on_opts.run.telemetry = &collector;
-    on_opts.run.threads = threads;
+    TuneRun request = TuneRun::with_seed(21);
+    request.observer = &obs;
+    request.telemetry = &collector;
     BowlEvaluator eval_on;
-    const IterativeTuneResult on = IterativeTuner(on_opts).tune(eval_on);
+    const IterativeTuneResult on = tuner.tune(eval_on, request);
 
     expect_same_iterative(off, on);
     EXPECT_EQ(eval_off.calls(), eval_on.calls());
@@ -198,12 +243,12 @@ TEST(TunerRunContext, ObserverAndTelemetryDoNotPerturbIterativeTuner) {
 TEST(TunerObserver, AutoTunerCallbacksAreConsistentWithResult) {
   RecordingObserver obs;
   common::telemetry::Collector collector;
-  AutoTunerOptions opts = fast_auto(80, 15);
-  opts.run.seed = 3;
-  opts.run.observer = &obs;
-  opts.run.telemetry = &collector;
+  TuneRun request = TuneRun::with_seed(3);
+  request.observer = &obs;
+  request.telemetry = &collector;
   BowlEvaluator eval;
-  const AutoTuneResult result = AutoTuner(opts).tune(eval);
+  const AutoTuneResult result =
+      AutoTuner(fast_auto(80, 15)).tune(eval, request);
   ASSERT_TRUE(result.success);
 
   EXPECT_TRUE(obs.balanced());
@@ -234,9 +279,8 @@ TEST(TunerObserver, AutoTunerCallbacksAreConsistentWithResult) {
 TEST(TunerObserver, CacheCountersSurfaceInResult) {
   BowlEvaluator base;
   CachingEvaluator cache(base);
-  AutoTunerOptions opts = fast_auto(80, 15);
-  opts.run.seed = 9;
-  const AutoTuneResult result = AutoTuner(opts).tune(cache);
+  const AutoTuneResult result =
+      AutoTuner(fast_auto(80, 15)).tune(cache, TuneRun::with_seed(9));
   ASSERT_TRUE(result.success);
   EXPECT_EQ(result.cache_hits, cache.hits());
   EXPECT_EQ(result.cache_misses, cache.misses());

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "test_helpers.hpp"
 
@@ -141,6 +143,48 @@ TEST(Persist, RejectsTruncatedStream) {
   text.resize(text.size() / 3);
   std::stringstream truncated(text);
   EXPECT_THROW((void)load_model(truncated), std::runtime_error);
+}
+
+/// A saved model's text with the scale on its "target <mean> <scale>" line
+/// replaced.
+std::string with_target_scale(const AnnPerformanceModel& model,
+                              const std::string& scale) {
+  std::stringstream ss;
+  save_model(model, ss);
+  std::string text = ss.str();
+  const std::size_t line = text.find("\ntarget ");
+  const std::size_t scale_at = text.find(' ', line + 8) + 1;
+  const std::size_t end = text.find('\n', scale_at);
+  text.replace(scale_at, end - scale_at, scale);
+  return text;
+}
+
+TEST(Persist, RestoreRejectsBadTargetTransform) {
+  const AnnPerformanceModel model = trained_model(6);
+  const auto restore = [&](double mean, double scale) {
+    return AnnPerformanceModel::restore(model.options(), model.space(), mean,
+                                        scale, model.ensemble());
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double scale : {0.0, -1.0, inf, -inf, nan})
+    EXPECT_THROW((void)restore(0.5, scale), std::invalid_argument) << scale;
+  for (const double mean : {inf, -inf, nan})
+    EXPECT_THROW((void)restore(mean, 2.0), std::invalid_argument) << mean;
+  const AnnPerformanceModel restored = restore(-0.5, 2.0);
+  EXPECT_EQ(restored.target_mean(), -0.5);
+  EXPECT_EQ(restored.target_scale(), 2.0);
+}
+
+TEST(Persist, LoadRejectsNonPositiveTargetScale) {
+  const AnnPerformanceModel model = trained_model(7);
+  std::stringstream intact(with_target_scale(
+      model, std::to_string(model.target_scale())));
+  EXPECT_NO_THROW((void)load_model(intact));
+  for (const char* scale : {"0", "-1"}) {
+    std::stringstream edited(with_target_scale(model, scale));
+    EXPECT_THROW((void)load_model(edited), std::invalid_argument) << scale;
+  }
 }
 
 TEST(Persist, RestoreValidatesWidths) {

@@ -369,7 +369,7 @@ TEST(AutoTunerDegradation, StreamsPastAnAllInvalidSecondStage) {
   AutoTunerOptions opts = small_tuner_options(100, 5);
   opts.stage2_stream_limit = static_cast<std::size_t>(eval.space().size());
   const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(eval, rng);
+  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_LT(result.best_config.values[0], 16);  // necessarily valid
   EXPECT_GE(result.best_time_ms, TrapEvaluator::best_valid_time());
@@ -386,7 +386,7 @@ TEST(AutoTunerDegradation, SurvivesSpuriousInvalidVerdicts) {
   AutoTunerOptions opts = small_tuner_options(120, 5);
   opts.stage2_stream_limit = static_cast<std::size_t>(inner.space().size());
   const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(faults, rng);
+  const AutoTuneResult result = tuner.tune(faults, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.stage2_rejections.count(
                 clsim::Status::kInvalidWorkGroupSize),
@@ -403,8 +403,8 @@ TEST(AutoTunerDegradation, DisabledStreamingIsBitIdentical) {
   BowlEvaluator e2;
   common::Rng rng1(99);
   common::Rng rng2(99);
-  const AutoTuneResult r1 = AutoTuner(off).tune(e1, rng1);
-  const AutoTuneResult r2 = AutoTuner(on).tune(e2, rng2);
+  const AutoTuneResult r1 = AutoTuner(off).tune(e1, TuneRun::with_rng(rng1));
+  const AutoTuneResult r2 = AutoTuner(on).tune(e2, TuneRun::with_rng(rng2));
   ASSERT_TRUE(r1.success);
   ASSERT_TRUE(r2.success);
   EXPECT_EQ(r1.best_config, r2.best_config);
@@ -420,7 +420,7 @@ TEST(AutoTunerDegradation, CountersFlowThroughRobustStack) {
   RobustEvaluator robust(faults, {.repeats = 2, .max_retries = 6});
   common::Rng rng(8);
   const AutoTuner tuner(small_tuner_options(80, 10));
-  const AutoTuneResult result = tuner.tune(robust, rng);
+  const AutoTuneResult result = tuner.tune(robust, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   // 90 measurements, >= 2 raw attempts each, plus one per absorbed fault.
   EXPECT_EQ(result.measure_attempts, robust.total_attempts());
@@ -467,14 +467,16 @@ TEST(IterativeTunerDegradation, ExploresUntilFirstValidMeasurement) {
 
   RareValidEvaluator off_eval;
   common::Rng off_rng(17);
-  const IterativeTuneResult off = IterativeTuner(opts).tune(off_eval, off_rng);
+  const IterativeTuneResult off =
+      IterativeTuner(opts).tune(off_eval, TuneRun::with_rng(off_rng));
   ASSERT_FALSE(off.success);  // round 0 misses all 4 valid configs, gives up
   EXPECT_EQ(off.rejections.total(), off.invalid_measurements);
 
   opts.explore_until_valid = true;
   RareValidEvaluator on_eval;
   common::Rng on_rng(17);
-  const IterativeTuneResult on = IterativeTuner(opts).tune(on_eval, on_rng);
+  const IterativeTuneResult on =
+      IterativeTuner(opts).tune(on_eval, TuneRun::with_rng(on_rng));
   ASSERT_TRUE(on.success);
   EXPECT_GT(on.resample_rounds, 0u);
   EXPECT_EQ(on.best_config.values[0], 8);
@@ -495,7 +497,7 @@ TEST(RobustDeterminism, FullTunerRunIdenticalAcrossThreadCounts) {
     common::Rng rng(55);
     AutoTunerOptions opts = small_tuner_options(80, 10);
     opts.stage2_stream_limit = static_cast<std::size_t>(inner.space().size());
-    return AutoTuner(opts).tune(robust, rng);
+    return AutoTuner(opts).tune(robust, TuneRun::with_rng(rng));
   };
 
   common::set_global_pool_threads(1);

@@ -455,7 +455,7 @@ TEST_F(ScanBatchedTest, DefaultAutoTunerMatchesExplicitFp64) {
     SyntheticEvaluator eval;
     CandidateRecorder recorder;
     TuneRun run = TuneRun::with_seed(3);
-    run.context->observer = &recorder;
+    run.observer = &recorder;
     const AutoTuneResult result = AutoTuner(options).tune(eval, run);
     ASSERT_TRUE(result.success);
     ASSERT_TRUE(result.model.has_value());

@@ -130,12 +130,12 @@ TEST(StaticScanFilter, AutoTunerSelectionBitIdenticalWithCoveringStage2) {
   BowlEvaluator eval_plain(/*with_invalid=*/true);
   common::Rng rng_plain(21);
   const AutoTuneResult without =
-      AutoTuner(plain).tune(eval_plain, rng_plain);
+      AutoTuner(plain).tune(eval_plain, TuneRun::with_rng(rng_plain));
 
   BowlEvaluator eval_filtered(/*with_invalid=*/true);
   common::Rng rng_filtered(21);
   const AutoTuneResult with =
-      AutoTuner(filtered).tune(eval_filtered, rng_filtered);
+      AutoTuner(filtered).tune(eval_filtered, TuneRun::with_rng(rng_filtered));
 
   ASSERT_TRUE(without.success);
   ASSERT_TRUE(with.success);
@@ -169,7 +169,8 @@ TEST(StaticScanFilter, IterativeTunerPrunesAndStaysSound) {
 
   BowlEvaluator eval(/*with_invalid=*/true);
   common::Rng rng(5);
-  const IterativeTuneResult result = IterativeTuner(options).tune(eval, rng);
+  const IterativeTuneResult result =
+      IterativeTuner(options).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_NE(result.best_config.values[0], 128);
   EXPECT_GT(result.static_checked, 0u);

@@ -137,14 +137,16 @@ TEST(ValidityFilter, RescuesTheTrapLandscape) {
     {
       TrapEvaluator eval;
       common::Rng rng(seed);
-      if (!AutoTuner(base).tune(eval, rng).success) ++baseline_failures;
+      if (!AutoTuner(base).tune(eval, TuneRun::with_rng(rng)).success)
+        ++baseline_failures;
     }
     {
       AutoTunerOptions with_filter = base;
       with_filter.validity_filter = true;
       TrapEvaluator eval;
       common::Rng rng(seed);
-      const auto result = AutoTuner(with_filter).tune(eval, rng);
+      const auto result =
+          AutoTuner(with_filter).tune(eval, TuneRun::with_rng(rng));
       if (!result.success) ++filtered_failures;
       if (result.success) {
         EXPECT_LT(result.best_config.values[0], 16);
@@ -168,7 +170,7 @@ TEST(ValidityFilter, NoOpWhenEverythingIsValid) {
   opts.model.ensemble.k = 3;
   opts.model.ensemble.trainer.common.max_epochs = 250;
   common::Rng rng(9);
-  const auto result = AutoTuner(opts).tune(eval, rng);
+  const auto result = AutoTuner(opts).tune(eval, TuneRun::with_rng(rng));
   ASSERT_TRUE(result.success);
   EXPECT_FALSE(result.validity_model.has_value());  // single class only
   EXPECT_EQ(result.stage2_filtered, 0u);
