@@ -6,7 +6,7 @@
 // "auto"): AVX2+FMA on x86, NEON on arm64, or a portable scalar fallback.
 // `VecF` is a fixed-width vector of kWidth floats with the handful of
 // operations batched inference needs: arithmetic, fused multiply-add,
-// horizontal reduction, and vectorized exp/sigmoid/tanh approximations.
+// horizontal reduction, and vectorized exp/sigmoid approximations.
 //
 // Accuracy contract (see DESIGN.md "Inference paths"):
 //  - exp:     same Cephes-style polynomial on every backend; relative error
@@ -14,16 +14,12 @@
 //             clamped domain [-87.34, 88.38] (inputs outside are clamped,
 //             matching the saturation behaviour batched activations need).
 //  - sigmoid: 1/(1+exp(-x)); at most 8 ULP relative error.
-//  - tanh:    2*sigmoid(2x)-1; at most 16 ULP relative error for |x| >= 2^-3
-//             and at most 2^-21 absolute error everywhere (the subtraction
-//             cancels for tiny x, where the absolute bound is what matters).
-// The absolute forms of the sigmoid/tanh bounds (kSigmoidAbsError,
-// kTanhAbsError) are what the certified fp32 scan bound of ml/batched.hpp
-// builds on; tests/common/test_simd.cpp checks them on a dense sweep of
-// every binade.
+// The absolute form of the sigmoid bound (kSigmoidAbsError) is what the
+// certified fp32 scan bound of ml/batched.hpp builds on;
+// tests/common/test_simd.cpp checks it on a dense sweep of every binade.
 //
 // Every backend is *runtime-verified* against the scalar reference
-// implementations (exp_ref/sigmoid_ref/tanh_ref, which spell out the same
+// implementations (exp_ref/sigmoid_ref, which spell out the same
 // algorithm with std::fma): self_test() requires bit-equality lane by lane,
 // and ensure_verified() runs it once per process before the first batched
 // scan, so a miscompiled or mismatched backend fails loudly instead of
@@ -449,22 +445,15 @@ inline constexpr float kExpP5 = 5.0000001201e-1f;
   return mul(y, pow2i(fx));
 }
 
-/// Absolute error of sigmoid / tanh against the exact functions, for every
-/// finite fp32 input: 8 ULP of a result below 1 is at most 8 * 2^-24.
+/// Absolute error of sigmoid against the exact function, for every finite
+/// fp32 input: 8 ULP of a result below 1 is at most 8 * 2^-24.
 inline constexpr double kSigmoidAbsError = 0x1p-21;
-inline constexpr double kTanhAbsError = 0x1p-21;
 
 /// 1 / (1 + exp(-x)).
 [[nodiscard]] inline VecF sigmoid(VecF x) noexcept {
   const VecF one = VecF::broadcast(1.0f);
   const VecF e = exp(sub(VecF::zero(), x));
   return div(one, add(one, e));
-}
-
-/// 2*sigmoid(2x) - 1.
-[[nodiscard]] inline VecF tanh(VecF x) noexcept {
-  const VecF s = sigmoid(add(x, x));
-  return sub(add(s, s), VecF::broadcast(1.0f));
 }
 
 // ---------------------------------------------------------------------------
@@ -475,13 +464,12 @@ inline constexpr double kTanhAbsError = 0x1p-21;
 
 [[nodiscard]] float exp_ref(float x) noexcept;
 [[nodiscard]] float sigmoid_ref(float x) noexcept;
-[[nodiscard]] float tanh_ref(float x) noexcept;
 
 /// The configure-time backend ("avx2", "neon" or "scalar").
 [[nodiscard]] const char* backend_name() noexcept;
 
 /// Verify the active backend against the scalar references on a
-/// deterministic input sweep (bit-equality for exp/sigmoid/tanh/fmadd,
+/// deterministic input sweep (bit-equality for exp/sigmoid/fmadd,
 /// tolerance for the horizontal sum). False on mismatch, with a diagnostic
 /// in *error when given.
 [[nodiscard]] bool self_test(std::string* error = nullptr);

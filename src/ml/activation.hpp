@@ -1,8 +1,8 @@
 #pragma once
 
 // Activation functions for the MLP. The paper's network uses sigmoid hidden
-// units and a linear output; the others are provided for the ablation study
-// and for general use of the library.
+// units and a linear output; the validity classifier's output is a sigmoid
+// too. Those two are all the library has.
 
 #include <span>
 #include <string>
@@ -11,14 +11,13 @@
 
 namespace pt::ml {
 
-enum class Activation { kLinear, kSigmoid, kTanh, kRelu };
+enum class Activation { kLinear, kSigmoid };
 
 /// Value of the activation at x.
 [[nodiscard]] double activate(Activation act, double x) noexcept;
 
-/// Derivative expressed in terms of the *activated* value y = f(x). All four
-/// supported activations admit this form, which lets the backward pass reuse
-/// the forward buffers.
+/// Derivative expressed in terms of the *activated* value y = f(x) (1 and
+/// y * (1 - y)), which lets the backward pass reuse the forward buffers.
 [[nodiscard]] double activate_grad_from_output(Activation act,
                                                double y) noexcept;
 
@@ -34,6 +33,7 @@ void scale_by_activation_grad(Activation act, const Matrix& y,
                               Matrix& delta) noexcept;
 
 [[nodiscard]] std::string to_string(Activation act);
+/// Inverse of to_string; throws std::invalid_argument for any other name.
 [[nodiscard]] Activation activation_from_string(const std::string& name);
 
 }  // namespace pt::ml

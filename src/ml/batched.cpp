@@ -1,7 +1,6 @@
 #include "ml/batched.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -16,24 +15,6 @@ std::size_t round_up(std::size_t n) {
   return (n + simd::kWidth - 1) / simd::kWidth * simd::kWidth;
 }
 
-float activate_f32(Activation act, float y) {
-  switch (act) {
-    case Activation::kLinear:
-      return y;
-    case Activation::kSigmoid:
-      return simd::sigmoid_ref(y);
-    case Activation::kTanh:
-      return simd::tanh_ref(y);
-    case Activation::kRelu:
-      return y > 0.0f ? y : 0.0f;
-  }
-  return y;
-}
-
-}  // namespace
-
-namespace {
-
 /// Layer l of `mlp` in double with the standardization (x - mean) / stddev
 /// folded into layer 0:
 ///   W'[i][j] = W[i][j] / s[i];  b'[j] = b[j] - sum_i m[i]*W[i][j]/s[i].
@@ -43,7 +24,6 @@ namespace {
 struct FoldedLayer {
   std::size_t in = 0;
   std::size_t units = 0;
-  Activation act = Activation::kLinear;
   std::vector<double> w;  // (in, units) row-major
   std::vector<double> bias;
   std::vector<double> w_err;
@@ -64,7 +44,6 @@ FoldedLayer fold_layer(const Mlp& mlp, std::size_t l,
   FoldedLayer f;
   f.in = w.rows();
   f.units = w.cols();
-  f.act = mlp.layers()[l].activation;
   f.w.assign(f.in * f.units, 0.0);
   f.bias.assign(f.units, 0.0);
   f.w_err.assign(f.in * f.units, 0.0);
@@ -101,49 +80,38 @@ FoldedLayer fold_layer(const Mlp& mlp, std::size_t l,
 
 BatchedMlp::BatchedMlp(const Mlp& mlp, const StandardScaler* scaler)
     : inputs_(mlp.input_size()) {
+  if (!is_member_shape(mlp.layers()))
+    throw std::invalid_argument(
+        "BatchedMlp: needs one sigmoid hidden layer and one linear output");
   if (scaler && scaler->width() != inputs_)
     throw std::invalid_argument(
         "BatchedMlp: scaler width does not match network input width");
-  layers_.reserve(mlp.layer_count());
-  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
-    // Folds are computed in double, so the only fp32 rounding at pack time
-    // is the final cast of each weight and bias.
-    const FoldedLayer f = fold_layer(mlp, l, scaler);
-    Layer layer;
-    layer.in = f.in;
-    layer.units = f.units;
-    layer.padded = round_up(layer.units);
-    layer.act = f.act;
-    layer.w.assign(layer.in * layer.padded, 0.0f);
-    layer.bias.assign(layer.padded, 0.0f);
-    for (std::size_t j = 0; j < layer.units; ++j)
-      layer.bias[j] = static_cast<float>(f.bias[j]);
-    for (std::size_t i = 0; i < layer.in; ++i)
-      for (std::size_t j = 0; j < layer.units; ++j)
-        layer.w[i * layer.padded + j] =
-            static_cast<float>(f.w[i * layer.units + j]);
-    // Single-output layer fed by a padded activation panel: repack the one
-    // weight column contiguously (pads zero) so the forward pass can run it
-    // as a vector dot + horizontal sum. The previous layer's pad lanes hold
-    // act(0) — harmless, their wcol entries are zero.
-    if (layer.units == 1 && l > 0) {
-      const std::size_t prev_padded = layers_[l - 1].padded;
-      layer.wcol.assign(prev_padded, 0.0f);
-      for (std::size_t i = 0; i < layer.in; ++i)
-        layer.wcol[i] = layer.w[i * layer.padded];
-    }
-    layers_.push_back(std::move(layer));
+  // Folds are computed in double, so the only fp32 rounding at pack time
+  // is the final cast of each weight and bias.
+  const FoldedLayer hidden = fold_layer(mlp, 0, scaler);
+  const FoldedLayer output = fold_layer(mlp, 1, nullptr);
+  const std::size_t units = hidden.units;
+  padded_ = round_up(units);
+  w_.assign(inputs_ * padded_, 0.0f);
+  bias_.assign(padded_, 0.0f);
+  wcol_.assign(padded_, 0.0f);
+  for (std::size_t j = 0; j < units; ++j) {
+    bias_[j] = static_cast<float>(hidden.bias[j]);
+    wcol_[j] = static_cast<float>(output.w[j]);
   }
+  for (std::size_t i = 0; i < inputs_; ++i)
+    for (std::size_t j = 0; j < units; ++j)
+      w_[i * padded_ + j] = static_cast<float>(hidden.w[i * units + j]);
+  out_bias_ = static_cast<float>(output.bias[0]);
 }
 
 namespace {
 
-// One row through one layer: out[0..padded) = act(x · W + b). The padded
-// unit panel is covered by up to kTile vector accumulators at a time, each
-// seeded from the bias; every input then broadcasts into them via FMA.
+// One row through the hidden layer: out[0..padded) = sigmoid(x · W + b). The
+// padded unit panel is covered by up to kTile vector accumulators at a time,
+// each seeded from the bias; every input then broadcasts into them via FMA.
 void forward_row(const float* x, std::size_t in, std::size_t padded,
-                 Activation act, const float* w, const float* bias,
-                 float* out) {
+                 const float* w, const float* bias, float* out) {
   using simd::VecF;
   constexpr std::size_t kTile = 4;
   for (std::size_t j0 = 0; j0 < padded; j0 += kTile * simd::kWidth) {
@@ -158,22 +126,8 @@ void forward_row(const float* x, std::size_t in, std::size_t padded,
       for (std::size_t t = 0; t < tiles; ++t)
         acc[t] = simd::fmadd(xi, VecF::load(wrow + t * simd::kWidth), acc[t]);
     }
-    switch (act) {
-      case Activation::kLinear:
-        break;
-      case Activation::kSigmoid:
-        for (std::size_t t = 0; t < tiles; ++t) acc[t] = simd::sigmoid(acc[t]);
-        break;
-      case Activation::kTanh:
-        for (std::size_t t = 0; t < tiles; ++t) acc[t] = simd::tanh(acc[t]);
-        break;
-      case Activation::kRelu:
-        for (std::size_t t = 0; t < tiles; ++t)
-          acc[t] = simd::max(acc[t], VecF::zero());
-        break;
-    }
     for (std::size_t t = 0; t < tiles; ++t)
-      acc[t].store(out + j0 + t * simd::kWidth);
+      simd::sigmoid(acc[t]).store(out + j0 + t * simd::kWidth);
   }
 }
 
@@ -181,50 +135,18 @@ void forward_row(const float* x, std::size_t in, std::size_t padded,
 
 void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
                                  Scratch& scratch, const float* bias0) const {
-  assert(output_size() == 1 &&
-         "forward_column0 requires a single-output network");
-  if (bias0 == nullptr) bias0 = layers_.front().bias.data();
-  std::size_t max_panel = 0;
-  for (const Layer& layer : layers_)
-    if (layer.padded > max_panel) max_panel = layer.padded;
-  if (scratch.a.size() < max_panel) scratch.a.assign(max_panel, 0.0f);
-  if (scratch.b.size() < max_panel) scratch.b.assign(max_panel, 0.0f);
-
-  const std::size_t nl = layers_.size();
-  const Layer& last = layers_.back();
+  using simd::VecF;
+  if (bias0 == nullptr) bias0 = bias_.data();
+  if (scratch.hidden.size() < padded_) scratch.hidden.assign(padded_, 0.0f);
+  float* const hidden = scratch.hidden.data();
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* cur = x + r * inputs_;
-    float* ping = scratch.a.data();
-    float* pong = scratch.b.data();
-    for (std::size_t l = 0; l + 1 < nl; ++l) {
-      const Layer& layer = layers_[l];
-      forward_row(cur, layer.in, layer.padded, layer.act, layer.w.data(),
-                  l == 0 ? bias0 : layer.bias.data(), ping);
-      cur = ping;
-      std::swap(ping, pong);
-    }
-    const float* last_bias = nl == 1 ? bias0 : last.bias.data();
-    if (!last.wcol.empty()) {
-      // Hidden activations are a kWidth-multiple panel: vector dot + hsum.
-      using simd::VecF;
-      const std::size_t prev_padded = layers_[nl - 2].padded;
-      VecF acc = VecF::zero();
-      for (std::size_t i = 0; i < prev_padded; i += simd::kWidth)
-        acc = simd::fmadd(VecF::load(cur + i), VecF::load(last.wcol.data() + i),
-                          acc);
-      out[r] = activate_f32(last.act, last_bias[0] + simd::hsum(acc));
-    } else if (last.units == 1) {
-      // Degenerate single-layer network: the raw input row has arbitrary
-      // width and stride, so stay scalar (std::fma keeps lane semantics).
-      float sum = last_bias[0];
-      for (std::size_t i = 0; i < last.in; ++i)
-        sum = std::fma(cur[i], last.w[i * last.padded], sum);
-      out[r] = activate_f32(last.act, sum);
-    } else {
-      forward_row(cur, last.in, last.padded, last.act, last.w.data(),
-                  last_bias, ping);
-      out[r] = ping[0];
-    }
+    forward_row(x + r * inputs_, inputs_, padded_, w_.data(), bias0, hidden);
+    // The pad lanes hold sigmoid(0); their wcol entries are zero.
+    VecF acc = VecF::zero();
+    for (std::size_t i = 0; i < padded_; i += simd::kWidth)
+      acc = simd::fmadd(VecF::load(hidden + i), VecF::load(wcol_.data() + i),
+                        acc);
+    out[r] = out_bias_ + simd::hsum(acc);
   }
 }
 
@@ -249,7 +171,6 @@ constexpr double kBoundSlack = 1e-12;
 struct BoundLayer {
   std::size_t in = 0;
   std::size_t units = 0;
-  Activation act = Activation::kLinear;
   std::vector<double> w;  // (in, units) row-major
   std::vector<double> dw;
   std::vector<double> bias;
@@ -258,11 +179,10 @@ struct BoundLayer {
 };
 
 /// The rounding model of one engine: unit roundoff and the absolute error
-/// of its sigmoid/tanh at a computed argument.
+/// of its sigmoid at a computed argument.
 struct Arithmetic {
   double u = 0.0;
   double sigmoid_error = 0.0;
-  double tanh_error = 0.0;
 };
 
 /// A layer's input: every exact value lies in [lo_i, hi_i], and the engine's
@@ -279,9 +199,11 @@ struct MemberBound {
   double magnitude = 0.0;
 };
 
+/// The member's layers in order: sigmoid hidden, then the linear output.
 MemberBound propagate(const std::vector<BoundLayer>& layers, Signal x,
                       const Arithmetic& arith) {
   for (const BoundLayer& layer : layers) {
+    const bool sigmoid = &layer != &layers.back();
     Signal y;
     y.lo.resize(layer.units);
     y.hi.resize(layer.units);
@@ -305,29 +227,14 @@ MemberBound propagate(const std::vector<BoundLayer>& layers, Signal x,
       }
       z_err += gamma(layer.depth, arith.u) * sum + kBoundSlack * sum;
       radius += kBoundSlack * sum;
-      const double z_lo = center - radius;
-      const double z_hi = center + radius;
-      switch (layer.act) {
-        case Activation::kLinear:
-          y.lo[j] = z_lo;
-          y.hi[j] = z_hi;
-          y.err[j] = z_err;
-          break;
-        case Activation::kSigmoid:
-          y.lo[j] = 0.0;
-          y.hi[j] = 1.0;
-          y.err[j] = arith.sigmoid_error + 0.25 * z_err;
-          break;
-        case Activation::kTanh:
-          y.lo[j] = -1.0;
-          y.hi[j] = 1.0;
-          y.err[j] = arith.tanh_error + z_err;
-          break;
-        case Activation::kRelu:
-          y.lo[j] = std::max(0.0, z_lo);
-          y.hi[j] = std::max(0.0, z_hi);
-          y.err[j] = z_err;
-          break;
+      if (sigmoid) {
+        y.lo[j] = 0.0;
+        y.hi[j] = 1.0;
+        y.err[j] = arith.sigmoid_error + 0.25 * z_err;
+      } else {
+        y.lo[j] = center - radius;
+        y.hi[j] = center + radius;
+        y.err[j] = z_err;
       }
     }
     x = std::move(y);
@@ -354,20 +261,18 @@ double average_bound(const std::vector<MemberBound>& members, double u,
 }
 
 /// The packed fp32 member (BatchedMlp) over raw features: float casts of
-/// the folded weights, FMA chains of depth fan-in for the hidden layers, and
-/// for a single-output last layer the kWidth-lane dot (padded / kWidth FMAs
-/// per lane), a horizontal sum (at most kWidth - 1 roundings in any
-/// reduction order) and the bias add.
+/// the folded weights, FMA chains of depth fan-in for the hidden layer, and
+/// for the output the kWidth-lane dot (padded / kWidth FMAs per lane), a
+/// horizontal sum (at most kWidth - 1 roundings in any reduction order) and
+/// the bias add.
 std::vector<BoundLayer> fp32_layers(const Mlp& mlp,
                                     const StandardScaler* scaler) {
   std::vector<BoundLayer> layers;
-  std::size_t prev_padded = 0;
   for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
     const FoldedLayer f = fold_layer(mlp, l, scaler);
     BoundLayer b;
     b.in = f.in;
     b.units = f.units;
-    b.act = f.act;
     b.w = f.w;
     b.bias = f.bias;
     b.dw.resize(f.w.size());
@@ -381,23 +286,20 @@ std::vector<BoundLayer> fp32_layers(const Mlp& mlp,
           std::fabs(static_cast<double>(static_cast<float>(f.bias[j])) -
                     f.bias[j]) +
           f.b_err[j];
-    const bool dot = l > 0 && l + 1 == mlp.layer_count() && f.units == 1;
-    b.depth = dot ? prev_padded / simd::kWidth + simd::kWidth : f.in;
-    prev_padded = round_up(f.units);
+    b.depth = l == 0 ? f.in : round_up(f.in) / simd::kWidth + simd::kWidth;
     layers.push_back(std::move(b));
   }
   return layers;
 }
 
-constexpr Arithmetic kFp32Arith{kU32, simd::kSigmoidAbsError,
-                                simd::kTanhAbsError};
+constexpr Arithmetic kFp32Arith{kU32, simd::kSigmoidAbsError};
 
 /// The fp64 reference (BaggingEnsemble::predict_batch_into) on the same
 /// rows: standardization (x - m) / s with two roundings per feature, then
 /// per layer a matmul (a rounded product and a sum of fan-in terms) and a
-/// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + std::exp(-x)) and
-/// its tanh std::tanh; the activation error assumes the platform libm's exp
-/// and tanh are within 2 ULP (glibc's documented maxima) and allows 8 u.
+/// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + std::exp(-x));
+/// the activation error assumes the platform libm's exp is within 2 ULP
+/// (glibc's documented maximum) and allows 8 u.
 MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
                               const Signal& box) {
   Signal x = box;
@@ -423,7 +325,6 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
     BoundLayer b;
     b.in = w.rows();
     b.units = w.cols();
-    b.act = mlp.layers()[l].activation;
     b.w.assign(w.flat().begin(), w.flat().end());
     b.dw.assign(b.w.size(), 0.0);
     b.bias = mlp.biases(l);
@@ -431,12 +332,12 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
     b.depth = b.in + 1;
     layers.push_back(std::move(b));
   }
-  const Arithmetic arith{kU64, 8.0 * kU64, 8.0 * kU64};
+  const Arithmetic arith{kU64, 8.0 * kU64};
   return propagate(layers, x, arith);
 }
 
-/// Node bounds of one fp32 member with exactly one hidden layer and one
-/// output, for k = 0..width free leading features (see the header comment).
+/// Node bounds of one fp32 member for k = 0..width free leading features
+/// (see the header comment).
 /// Writes b^sel(k) for every k to `bias` (each padded to the vector width)
 /// and the member bound of the network running with it, over `box` with
 /// features < k at [0, 0], to bounds[k].
@@ -542,10 +443,6 @@ BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
       average_bound(fp32, kU32, static_cast<double>(inv_k_), inv_k_error) +
       average_bound(fp64, kU64, exact_inv_k, kU64 * exact_inv_k);
 
-  for (std::size_t i = 0; i < k; ++i) {
-    const Mlp& member = ensemble.member(i);
-    if (member.layer_count() != 2 || member.output_size() != 1) return;
-  }
   // nodes[free][member]
   std::vector<std::vector<MemberBound>> nodes(
       inputs_ + 1, std::vector<MemberBound>(k));
@@ -581,8 +478,6 @@ void BatchedEnsemble::node_lower_bounds(const float* x, std::size_t rows,
                                         std::size_t free,
                                         std::vector<float>& out,
                                         Scratch& scratch) const {
-  if (!has_node_bounds())
-    throw std::logic_error("BatchedEnsemble: no node bounds for this ensemble");
   if (free > inputs_)
     throw std::out_of_range("BatchedEnsemble: free features exceed the width");
   average_into(x, rows, out, scratch, free);

@@ -4,22 +4,25 @@
 // path of the prediction scan (tuner/scan.hpp; paper §4: the stage-2 scan
 // predicts every configuration in spaces of 131k–2.4M points).
 //
-// A BatchedMlp is built once from a fitted Mlp: each layer's weights are
-// repacked into a SIMD-friendly row-major panel of shape (fan_in, padded)
-// where `padded` rounds the unit count up to the vector width (pad weights
-// and biases are zero). The ensemble's StandardScaler is folded into layer 0
-// at pack time —
+// A BatchedMlp is built once from a fitted member of the ensemble's shape
+// (one sigmoid hidden layer, one linear output; ml/ensemble.hpp). The hidden
+// weights are repacked into a SIMD-friendly row-major panel of shape
+// (fan_in, padded), where `padded` rounds the unit count up to the vector
+// width (pad weights and biases are zero), and the output weights into one
+// contiguous column of that padded width. The ensemble's StandardScaler is
+// folded into the hidden layer at pack time —
 //   W'[i][j] = W[i][j] / stddev[i]
 //   b'[j]    = b[j] - sum_i mean[i] * W[i][j] / stddev[i]
 // (computed in double, then cast) — so the forward pass consumes raw,
 // unscaled fp32 features and the per-row standardization disappears from the
 // hot loop entirely.
 //
-// The forward pass walks rows of the chunk; per row, each layer broadcasts
-// one input at a time and accumulates FMA products into up to four vector
-// registers spanning the padded unit panel, then applies the vectorized
-// activation (simd::sigmoid / simd::tanh, with the documented ULP bounds).
-// The final single-output layer reduces with a dot-product + horizontal sum.
+// The forward pass walks rows of the chunk. Per row, the hidden layer
+// broadcasts one input at a time and accumulates FMA products into up to
+// four vector registers spanning the padded unit panel, then applies
+// simd::sigmoid (with its documented error bound). The output is a vector
+// dot of the panel with the output column, a horizontal sum and the bias
+// add.
 //
 // Certified accuracy: at pack time BatchedEnsemble computes a sound upper
 // bound on |fp32 raw output - fp64 raw output| over every input row inside a
@@ -31,31 +34,31 @@
 //   - the casts of inputs, folded weights and biases to float (plus the
 //     double-precision fold's own rounding);
 //   - each unit's accumulation: gamma(depth) * (|b'_j| + sum_i A_i*|w'_ij|),
-//     depth = the roundings on one term's path (fan-in for the FMA chains,
-//     lanes + horizontal sum + bias add for the output dot) and A_i the
-//     largest input magnitude in the box. The raw-feature magnitudes, not
-//     the standardized ones, are what the folded layer 0 accumulates, so
-//     the term prices the cancellation the scaler fold introduces;
-//   - the activation error: the simd sigmoid/tanh absolute error bounds
-//     (common/simd.hpp) plus the activation's Lipschitz constant times the
-//     pre-activation error, carried layer by layer through |W|;
+//     depth = the roundings on one term's path (fan-in for the hidden FMA
+//     chains, lanes + horizontal sum + bias add for the output dot) and A_i
+//     the largest input magnitude in the box. The raw-feature magnitudes,
+//     not the standardized ones, are what the folded hidden layer
+//     accumulates, so the term prices the cancellation the scaler fold
+//     introduces;
+//   - the sigmoid's error: the simd absolute error bound (common/simd.hpp)
+//     plus its Lipschitz constant 1/4 times the pre-activation error,
+//     carried into the output through |v|;
 //   - the float member average and the rounding of 1/k;
 //   - the same analysis at u = 2^-53 for the fp64 reference itself.
 // Interval arithmetic over the box bounds every magnitude. Callers that need
 // fp64-identical *ranking* (tuner/scan.hpp) re-rank every candidate within
 // twice the bound of the fp32 cutoff through the fp64 path.
 //
-// Node bounds (ensembles of one-hidden-layer, single-output members): a node
-// is a sub-box whose first k features are free over their calibration range
-// and whose other features are fixed. Every ml::Activation is
-// non-decreasing, so over the node a member's exact output is at least
-//   c + sum_j v_j * act(z_j^sel),
+// Node bounds: a node is a sub-box whose first k features are free over
+// their calibration range and whose other features are fixed. The sigmoid
+// is non-decreasing, so over the node a member's exact output is at least
+//   c + sum_j v_j * sigmoid(z_j^sel),
 //   z_j^sel = b'_j + sum_{i>=k} w'_ij x_i
 //           + sum_{i<k} (v_j >= 0 ? min : max) of w'_ij x_i on [lo_i, hi_i]
 // (v the output weights, c the output bias). The selection bias
 // b^sel(k) = b' + the free-feature sum is computed in double at pack time
 // for every k and stored as float, so the bound L~ is forward_column0 on the
-// node's row with features < k set to 0 and b^sel(k) as layer 0's bias,
+// node's row with features < k set to 0 and b^sel(k) as the hidden bias,
 // averaged like predict_batch_into — the operation sequence of a real row.
 // E(k) certifies |L~ - its exact value| by the same analysis run on that
 // modified network (free features boxed at [0, 0]; b^sel's own double
@@ -68,7 +71,6 @@
 #include <vector>
 
 #include "common/simd.hpp"
-#include "ml/activation.hpp"
 #include "ml/ensemble.hpp"
 #include "ml/mlp.hpp"
 #include "ml/scaler.hpp"
@@ -90,48 +92,36 @@ struct CertificationBox {
 
 class BatchedMlp {
  public:
-  /// Pack a fitted network, optionally folding a feature scaler into layer 0
-  /// (scaler width must match the network input width). The Mlp may be
-  /// destroyed afterwards; the panels are self-contained.
+  /// Pack a fitted member of the ensemble's shape, optionally folding a
+  /// feature scaler into the hidden layer (scaler width must match the
+  /// network input width). Throws std::invalid_argument for any other shape.
+  /// The Mlp may be destroyed afterwards; the panels are self-contained.
   explicit BatchedMlp(const Mlp& mlp, const StandardScaler* scaler = nullptr);
 
   [[nodiscard]] std::size_t input_size() const noexcept { return inputs_; }
-  [[nodiscard]] std::size_t output_size() const noexcept {
-    return layers_.back().units;
-  }
 
-  /// Reusable buffers: two activation panels (ping-pong between layers) and
-  /// a per-member output column for ensemble averaging.
+  /// Reusable buffers: the hidden activation panel and a per-member output
+  /// column for ensemble averaging.
   struct Scratch {
-    common::simd::AlignedVectorF a;
-    common::simd::AlignedVectorF b;
+    common::simd::AlignedVectorF hidden;
     std::vector<float> member;
   };
 
   /// Evaluate `rows` samples stored row-major in x (row r starts at
-  /// x + r * input_size()) and write the first output column to out[0..rows).
-  /// A non-null `bias0` (one float per unit of layer 0, padded to the vector
-  /// width) replaces layer 0's packed bias. Requires a single-output
-  /// network. Safe to call concurrently with distinct scratch objects.
+  /// x + r * input_size()) and write the output to out[0..rows). A non-null
+  /// `bias0` (one float per hidden unit, padded to the vector width)
+  /// replaces the packed hidden bias. Safe to call concurrently with
+  /// distinct scratch objects.
   void forward_column0(const float* x, std::size_t rows, float* out,
                        Scratch& scratch, const float* bias0 = nullptr) const;
 
  private:
-  struct Layer {
-    std::size_t in;      // fan-in
-    std::size_t units;   // real unit count
-    std::size_t padded;  // units rounded up to simd::kWidth
-    Activation act;
-    common::simd::AlignedVectorF w;     // (in, padded) row-major, pads zero
-    common::simd::AlignedVectorF bias;  // (padded), pads zero
-    // Single-output layers fed by a padded panel additionally keep their one
-    // weight column contiguously (length = previous layer's padded width,
-    // pads zero) for the dot-product fast path.
-    common::simd::AlignedVectorF wcol;
-  };
-
   std::size_t inputs_;
-  std::vector<Layer> layers_;
+  std::size_t padded_;                 // hidden units rounded up to kWidth
+  common::simd::AlignedVectorF w_;     // (inputs, padded) row-major, pads 0
+  common::simd::AlignedVectorF bias_;  // (padded), pads 0
+  common::simd::AlignedVectorF wcol_;  // output weights (padded), pads 0
+  float out_bias_ = 0.0f;
 };
 
 /// Batched fp32 counterpart of BaggingEnsemble::predict_batch_into: packs
@@ -167,11 +157,6 @@ class BatchedEnsemble {
   void predict_batch_into(const float* x, std::size_t rows,
                           std::vector<float>& out, Scratch& scratch) const;
 
-  /// True when node bounds exist: every member has exactly one hidden layer
-  /// and one output (see the header comment).
-  [[nodiscard]] bool has_node_bounds() const noexcept {
-    return !node_error_.empty();
-  }
   /// E(free): certified bound on |node_lower_bounds - its exact value| for
   /// nodes whose first `free` features are free (0 <= free <= width). It
   /// includes the rounding of the double sum L~ - (E(free) + error_bound()).
@@ -181,14 +166,13 @@ class BatchedEnsemble {
   /// L~ for `rows` node rows whose first `free` features are free: each row
   /// holds the node's fixed features and 0 in the free ones. Every row of
   /// the node inside calibration() then predicts at least
-  /// L~ - node_error_bound(free) - error_bound(). Requires has_node_bounds();
-  /// out is resized to `rows`.
+  /// L~ - node_error_bound(free) - error_bound(). out is resized to `rows`.
   void node_lower_bounds(const float* x, std::size_t rows, std::size_t free,
                          std::vector<float>& out, Scratch& scratch) const;
 
  private:
   /// The member average of predict_batch_into; with free <= width, every
-  /// member runs with its selection bias b^sel(free) as layer 0's bias.
+  /// member runs with its selection bias b^sel(free) as the hidden bias.
   void average_into(const float* x, std::size_t rows, std::vector<float>& out,
                     Scratch& scratch, std::size_t free) const;
 

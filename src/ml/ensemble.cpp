@@ -10,11 +10,32 @@
 
 namespace pt::ml {
 
+bool is_member_shape(const std::vector<LayerSpec>& layers) noexcept {
+  return layers.size() == 2 && layers[0].units > 0 &&
+         layers[0].activation == Activation::kSigmoid &&
+         layers[1].units == 1 && layers[1].activation == Activation::kLinear;
+}
+
+namespace {
+
+std::vector<LayerSpec> member_layers(const BaggingEnsemble::Options& options) {
+  std::vector<LayerSpec> layers = options.hidden_layers;
+  layers.push_back(LayerSpec{1, Activation::kLinear});
+  return layers;
+}
+
+void check_options(const BaggingEnsemble::Options& options) {
+  if (options.k == 0) throw std::invalid_argument("BaggingEnsemble: k == 0");
+  if (!is_member_shape(member_layers(options)))
+    throw std::invalid_argument(
+        "BaggingEnsemble: needs exactly one sigmoid hidden layer");
+}
+
+}  // namespace
+
 BaggingEnsemble::BaggingEnsemble(Options options)
     : options_(std::move(options)) {
-  if (options_.k == 0) throw std::invalid_argument("BaggingEnsemble: k == 0");
-  if (options_.hidden_layers.empty())
-    throw std::invalid_argument("BaggingEnsemble: no hidden layers");
+  check_options(options_);
 }
 
 void BaggingEnsemble::fit(const Dataset& data, common::Rng& rng) {
@@ -32,8 +53,7 @@ void BaggingEnsemble::fit(const Dataset& data, common::Rng& rng) {
   members_.clear();
   members_.reserve(k);
 
-  std::vector<LayerSpec> layers = options_.hidden_layers;
-  layers.push_back(LayerSpec{1, Activation::kLinear});
+  const std::vector<LayerSpec> layers = member_layers(options_);
 
   // The fold split and one forked RNG per member are drawn from the parent
   // RNG *before* dispatch, in member order, so training is deterministic and
@@ -115,12 +135,14 @@ std::vector<double> BaggingEnsemble::member_predictions(
 
 void BaggingEnsemble::restore(Options options, StandardScaler scaler,
                               std::vector<Mlp> members) {
+  check_options(options);
   if (members.empty())
     throw std::invalid_argument("BaggingEnsemble::restore: no members");
   for (const auto& net : members) {
-    if (net.output_size() != 1)
+    if (!is_member_shape(net.layers()))
       throw std::invalid_argument(
-          "BaggingEnsemble::restore: member is not single-output");
+          "BaggingEnsemble::restore: member is not one sigmoid hidden layer "
+          "and one linear output");
     if (net.input_size() != scaler.width())
       throw std::invalid_argument(
           "BaggingEnsemble::restore: scaler/member width mismatch");

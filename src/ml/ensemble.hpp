@@ -5,6 +5,10 @@
 // all the data except one part; the prediction is the mean of the k outputs.
 // The paper uses k = 11.
 //
+// Every member has the paper's shape: one sigmoid hidden layer (of any
+// width) and one linear output. The constructor and restore() throw
+// std::invalid_argument for any other shape.
+//
 // Feature standardization is owned by the ensemble (fitted on the full
 // training set); target transforms (the paper's log trick) are applied by the
 // caller so they can be ablated independently.
@@ -21,12 +25,18 @@
 
 namespace pt::ml {
 
+/// The members' shape: one sigmoid hidden layer of any width, then one
+/// linear output.
+[[nodiscard]] bool is_member_shape(const std::vector<LayerSpec>& layers) noexcept;
+
 class BaggingEnsemble {
  public:
   struct Options {
-    std::size_t k = 11;                      // paper's value
-    std::vector<LayerSpec> hidden_layers =  // paper: 1 x 30 sigmoid
-        {LayerSpec{30, Activation::kSigmoid}};
+    std::size_t k = 11;  // paper's value
+    /// Exactly one sigmoid layer (paper: 30 units). A vector because
+    /// existing callers set it as one.
+    std::vector<LayerSpec> hidden_layers = {
+        LayerSpec{30, Activation::kSigmoid}};
     RpropTrainer::Options trainer{};
   };
 
@@ -86,6 +96,8 @@ class BaggingEnsemble {
   [[nodiscard]] double predictive_spread(std::span<const double> x) const;
 
   /// Rebuild a fitted ensemble from persisted state (see ml/serialize.hpp).
+  /// Throws std::invalid_argument unless every member has the ensemble's
+  /// shape and the scaler's input width.
   void restore(Options options, StandardScaler scaler,
                std::vector<Mlp> members);
 

@@ -7,22 +7,6 @@
 
 namespace pt::ml {
 
-void Gradients::scale(double factor) noexcept {
-  for (auto& w : weights) w *= factor;
-  for (auto& b : biases)
-    for (auto& x : b) x *= factor;
-}
-
-void Gradients::accumulate(const Gradients& other) {
-  if (weights.size() != other.weights.size())
-    throw std::invalid_argument("Gradients::accumulate: layer mismatch");
-  for (std::size_t l = 0; l < weights.size(); ++l) {
-    weights[l] += other.weights[l];
-    for (std::size_t i = 0; i < biases[l].size(); ++i)
-      biases[l][i] += other.biases[l][i];
-  }
-}
-
 Mlp::Mlp(std::size_t inputs, std::vector<LayerSpec> layers)
     : inputs_(inputs), layers_(std::move(layers)) {
   if (inputs_ == 0) throw std::invalid_argument("Mlp: zero inputs");

@@ -3,8 +3,10 @@
 // Feed-forward fully-connected network (multi-layer perceptron).
 //
 // The paper's performance model is an MLP with a single hidden layer of 30
-// sigmoid units and a linear output trained on log execution times; this
-// class supports arbitrary depth so the ablation benches can vary topology.
+// sigmoid units and a linear output trained on log execution times
+// (ml/ensemble.hpp holds its members to that shape). The class keeps a layer
+// list because the validity classifier (tuner/validity.hpp) is a second
+// shape: a sigmoid hidden layer and a sigmoid output.
 
 #include <cstddef>
 #include <span>
@@ -26,9 +28,6 @@ struct LayerSpec {
 struct Gradients {
   std::vector<Matrix> weights;             // same shapes as Mlp weights
   std::vector<std::vector<double>> biases; // same shapes as Mlp biases
-
-  void scale(double factor) noexcept;
-  void accumulate(const Gradients& other);
 };
 
 /// Buffers that backward_batch and loss reuse across calls, so a training

@@ -1,5 +1,6 @@
 #include "ml/serialize.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -30,6 +31,14 @@ std::size_t read_size(std::istream& is) {
   long long v = 0;
   if (!(is >> v) || v < 0) throw std::runtime_error("model load: bad size");
   return static_cast<std::size_t>(v);
+}
+
+/// `count` doubles, read one at a time: a corrupt count costs no more memory
+/// than the values that are really there.
+std::vector<double> read_doubles(std::istream& is, std::size_t count) {
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < count; ++i) xs.push_back(read_double(is));
+  return xs;
 }
 
 void write_doubles(std::ostream& os, std::span<const double> xs) {
@@ -63,22 +72,36 @@ Mlp load_mlp(std::istream& is) {
   expect_token(is, "layers");
   const std::size_t depth = read_size(is);
   std::vector<LayerSpec> layers;
-  layers.reserve(depth);
   for (std::size_t l = 0; l < depth; ++l) {
     expect_token(is, "layer");
     const std::size_t units = read_size(is);
     std::string act;
-    if (!(is >> act)) throw std::runtime_error("model load: bad activation");
+    if (!(is >> act) || (act != to_string(Activation::kLinear) &&
+                         act != to_string(Activation::kSigmoid)))
+      throw std::runtime_error("model load: bad activation '" + act + "'");
     layers.push_back(LayerSpec{units, activation_from_string(act)});
+  }
+  // Read every parameter before the network allocates its own.
+  std::vector<std::vector<double>> weights;
+  std::vector<std::vector<double>> biases;
+  std::size_t fan_in = inputs;
+  for (std::size_t l = 0; l < depth; ++l) {
+    const std::size_t units = layers[l].units;
+    if (units != 0 && fan_in > std::numeric_limits<std::size_t>::max() / units)
+      throw std::runtime_error("model load: layer too large");
+    expect_token(is, "weights");
+    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
+    weights.push_back(read_doubles(is, fan_in * units));
+    expect_token(is, "biases");
+    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
+    biases.push_back(read_doubles(is, units));
+    fan_in = units;
   }
   Mlp net(inputs, layers);
   for (std::size_t l = 0; l < depth; ++l) {
-    expect_token(is, "weights");
-    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
-    for (auto& w : net.weights(l).flat()) w = read_double(is);
-    expect_token(is, "biases");
-    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
-    for (auto& b : net.biases(l)) b = read_double(is);
+    std::copy(weights[l].begin(), weights[l].end(),
+              net.weights(l).flat().begin());
+    net.biases(l) = std::move(biases[l]);
   }
   return net;
 }
@@ -105,15 +128,12 @@ BaggingEnsemble load_ensemble(std::istream& is) {
   const std::size_t members = read_size(is);
   expect_token(is, "scaler");
   const std::size_t width = read_size(is);
-  std::vector<double> means(width);
-  std::vector<double> stddevs(width);
-  for (auto& m : means) m = read_double(is);
-  for (auto& s : stddevs) s = read_double(is);
+  std::vector<double> means = read_doubles(is, width);
+  std::vector<double> stddevs = read_doubles(is, width);
   StandardScaler scaler;
   scaler.restore(std::move(means), std::move(stddevs));
 
   std::vector<Mlp> nets;
-  nets.reserve(members);
   for (std::size_t i = 0; i < members; ++i) nets.push_back(load_mlp(is));
   if (!nets.empty()) {
     // Recover the hidden topology from the first member for the options

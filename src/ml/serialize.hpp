@@ -15,13 +15,17 @@ namespace pt::ml {
 void save_mlp(const Mlp& net, std::ostream& os);
 
 /// Read a network written by save_mlp. Throws std::runtime_error on a
-/// malformed stream.
+/// malformed stream, an activation other than linear and sigmoid included.
+/// Memory grows only with the values actually read, whatever counts the
+/// stream claims.
 [[nodiscard]] Mlp load_mlp(std::istream& is);
 
 /// Write a fitted ensemble (options, scaler, members).
 void save_ensemble(const BaggingEnsemble& ensemble, std::ostream& os);
 
-/// Read an ensemble written by save_ensemble.
+/// Read an ensemble written by save_ensemble. Throws std::runtime_error on
+/// a malformed stream and std::invalid_argument when the members are not
+/// the ensemble's shape (ml/ensemble.hpp).
 [[nodiscard]] BaggingEnsemble load_ensemble(std::istream& is);
 
 }  // namespace pt::ml

@@ -1,9 +1,7 @@
 #include "ml/trainer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/telemetry/telemetry.hpp"
@@ -12,10 +10,10 @@ namespace pt::ml {
 
 namespace {
 
-/// Shared epoch-loop scaffolding: validation split, early stopping, best-
-/// weight snapshot/restore. `epoch_fn(train_set, scratch)` performs one
-/// training epoch and returns the epoch's training loss; the scratch
-/// buffers (shared with the validation loss) live across epochs.
+/// The epoch loop around the Rprop update: validation split, early
+/// stopping, best-weight snapshot/restore. `epoch_fn(train_set, scratch)`
+/// performs one training epoch and returns the epoch's training loss; the
+/// scratch buffers (shared with the validation loss) live across epochs.
 template <typename EpochFn>
 TrainResult run_epochs(Mlp& net, const Dataset& data,
                        const TrainOptions& options, common::Rng& rng,
@@ -98,26 +96,6 @@ TrainResult run_epochs(Mlp& net, const Dataset& data,
   return result;
 }
 
-/// Iterate mini-batches of a shuffled permutation, calling step(x, y).
-template <typename StepFn>
-double minibatch_epoch(const Dataset& train_set, std::size_t batch_size,
-                       common::Rng& rng, StepFn&& step) {
-  std::vector<std::size_t> perm(train_set.size());
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  rng.shuffle(perm);
-  double loss_sum = 0.0;
-  std::size_t batches = 0;
-  for (std::size_t start = 0; start < perm.size(); start += batch_size) {
-    const std::size_t len = std::min(batch_size, perm.size() - start);
-    const std::span<const std::size_t> idx(perm.data() + start, len);
-    const Matrix bx = train_set.x.gather_rows(idx);
-    const Matrix by = train_set.y.gather_rows(idx);
-    loss_sum += step(bx, by);
-    ++batches;
-  }
-  return batches ? loss_sum / static_cast<double>(batches) : 0.0;
-}
-
 }  // namespace
 
 TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
@@ -167,89 +145,6 @@ TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
         update_param(bias[i], gb[i], sb[i], pb[i]);
     }
     return loss;
-  };
-  return run_epochs(net, data, options_.common, rng, epoch_fn);
-}
-
-TrainResult SgdTrainer::train(Mlp& net, const Dataset& data,
-                              common::Rng& rng) const {
-  if (options_.batch_size == 0)
-    throw std::invalid_argument("SgdTrainer: zero batch size");
-  Gradients grads = net.make_gradients();
-  Gradients velocity = net.make_gradients();
-
-  auto epoch_fn = [&](const Dataset& train_set, BatchScratch& scratch) {
-    return minibatch_epoch(
-        train_set, options_.batch_size, rng,
-        [&](const Matrix& bx, const Matrix& by) {
-          const double loss = net.backward_batch(bx, by, grads, scratch);
-          for (std::size_t l = 0; l < net.layer_count(); ++l) {
-            auto wf = net.weights(l).flat();
-            auto gf = grads.weights[l].flat();
-            auto vf = velocity.weights[l].flat();
-            for (std::size_t i = 0; i < wf.size(); ++i) {
-              vf[i] = options_.momentum * vf[i] -
-                      options_.learning_rate * gf[i];
-              wf[i] += vf[i];
-            }
-            auto& bias = net.biases(l);
-            auto& gb = grads.biases[l];
-            auto& vb = velocity.biases[l];
-            for (std::size_t i = 0; i < bias.size(); ++i) {
-              vb[i] = options_.momentum * vb[i] -
-                      options_.learning_rate * gb[i];
-              bias[i] += vb[i];
-            }
-          }
-          return loss;
-        });
-  };
-  return run_epochs(net, data, options_.common, rng, epoch_fn);
-}
-
-TrainResult AdamTrainer::train(Mlp& net, const Dataset& data,
-                               common::Rng& rng) const {
-  if (options_.batch_size == 0)
-    throw std::invalid_argument("AdamTrainer: zero batch size");
-  Gradients grads = net.make_gradients();
-  Gradients m = net.make_gradients();
-  Gradients v = net.make_gradients();
-  std::size_t t = 0;
-
-  auto epoch_fn = [&](const Dataset& train_set, BatchScratch& scratch) {
-    return minibatch_epoch(
-        train_set, options_.batch_size, rng,
-        [&](const Matrix& bx, const Matrix& by) {
-          const double loss = net.backward_batch(bx, by, grads, scratch);
-          ++t;
-          const double bc1 =
-              1.0 - std::pow(options_.beta1, static_cast<double>(t));
-          const double bc2 =
-              1.0 - std::pow(options_.beta2, static_cast<double>(t));
-          auto step = [&](double& param, double grad, double& mi, double& vi) {
-            mi = options_.beta1 * mi + (1.0 - options_.beta1) * grad;
-            vi = options_.beta2 * vi + (1.0 - options_.beta2) * grad * grad;
-            const double mhat = mi / bc1;
-            const double vhat = vi / bc2;
-            param -= options_.learning_rate * mhat /
-                     (std::sqrt(vhat) + options_.epsilon);
-          };
-          for (std::size_t l = 0; l < net.layer_count(); ++l) {
-            auto wf = net.weights(l).flat();
-            auto gf = grads.weights[l].flat();
-            auto mf = m.weights[l].flat();
-            auto vf = v.weights[l].flat();
-            for (std::size_t i = 0; i < wf.size(); ++i)
-              step(wf[i], gf[i], mf[i], vf[i]);
-            auto& bias = net.biases(l);
-            auto& gb = grads.biases[l];
-            auto& mb = m.biases[l];
-            auto& vb = v.biases[l];
-            for (std::size_t i = 0; i < bias.size(); ++i)
-              step(bias[i], gb[i], mb[i], vb[i]);
-          }
-          return loss;
-        });
   };
   return run_epochs(net, data, options_.common, rng, epoch_fn);
 }

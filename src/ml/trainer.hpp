@@ -1,18 +1,12 @@
 #pragma once
 
-// Training algorithms for the MLP.
-//
-// The default for the auto-tuner is iRprop- (resilient backpropagation
-// without weight-backtracking): full-batch, step-size adaptive, and robust to
+// The MLP's trainer: iRprop- (resilient backpropagation without
+// weight-backtracking). It is full-batch, step-size adaptive, and robust to
 // the wide dynamic range of log-time targets — well suited to the paper's
-// small networks (tens of hidden units, a few thousand samples). SGD with
-// momentum and Adam are provided for the ablation benches and general use.
-//
-// All trainers support early stopping on a held-out validation slice and
-// restore the best weights seen.
+// small networks (tens of hidden units, a few thousand samples). It stops
+// early on a held-out validation slice and restores the best weights seen.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,16 +34,8 @@ struct TrainResult {
   bool early_stopped = false;
 };
 
-/// Interface of all trainers: fit `net` on `data` in place.
-class Trainer {
- public:
-  virtual ~Trainer() = default;
-  virtual TrainResult train(Mlp& net, const Dataset& data,
-                            common::Rng& rng) const = 0;
-};
-
 /// iRprop- : per-parameter adaptive step sizes, full-batch gradients.
-class RpropTrainer final : public Trainer {
+class RpropTrainer {
  public:
   struct Options {
     TrainOptions common;
@@ -63,50 +49,8 @@ class RpropTrainer final : public Trainer {
   RpropTrainer() = default;
   explicit RpropTrainer(Options options) : options_(options) {}
 
-  TrainResult train(Mlp& net, const Dataset& data,
-                    common::Rng& rng) const override;
-
- private:
-  Options options_{};
-};
-
-/// Mini-batch stochastic gradient descent with classical momentum.
-class SgdTrainer final : public Trainer {
- public:
-  struct Options {
-    TrainOptions common;
-    double learning_rate = 0.05;
-    double momentum = 0.9;
-    std::size_t batch_size = 32;
-  };
-
-  SgdTrainer() = default;
-  explicit SgdTrainer(Options options) : options_(options) {}
-
-  TrainResult train(Mlp& net, const Dataset& data,
-                    common::Rng& rng) const override;
-
- private:
-  Options options_{};
-};
-
-/// Adam (Kingma & Ba) with mini-batches.
-class AdamTrainer final : public Trainer {
- public:
-  struct Options {
-    TrainOptions common;
-    double learning_rate = 0.01;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double epsilon = 1e-8;
-    std::size_t batch_size = 32;
-  };
-
-  AdamTrainer() = default;
-  explicit AdamTrainer(Options options) : options_(options) {}
-
-  TrainResult train(Mlp& net, const Dataset& data,
-                    common::Rng& rng) const override;
+  /// Fit `net` on `data` in place.
+  TrainResult train(Mlp& net, const Dataset& data, common::Rng& rng) const;
 
  private:
   Options options_{};

@@ -1,5 +1,6 @@
 #include "serve/store.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -36,9 +37,17 @@ std::string read_string(std::istream& is) {
   if (!(is >> len)) throw std::runtime_error("tuned entry load: bad length");
   if (is.get() != ' ')
     throw std::runtime_error("tuned entry load: missing separator");
-  std::string s(len, '\0');
-  if (len != 0 && !is.read(s.data(), static_cast<std::streamsize>(len)))
-    throw std::runtime_error("tuned entry load: truncated string");
+  // Read in bounded pieces: a corrupt length costs no more memory than the
+  // bytes that are really there.
+  constexpr std::size_t kPiece = 4096;
+  std::string s;
+  char piece[kPiece];
+  while (s.size() < len) {
+    const std::size_t n = std::min(kPiece, len - s.size());
+    if (!is.read(piece, static_cast<std::streamsize>(n)))
+      throw std::runtime_error("tuned entry load: truncated string");
+    s.append(piece, n);
+  }
   return s;
 }
 
@@ -160,7 +169,6 @@ TunedConfigStore::Entry TunedConfigStore::load_entry(std::istream& is) {
 
   expect_token(is, "config");
   const std::uint64_t n = read_u64(is);
-  entry.best_config.values.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     int v = 0;
     if (!(is >> v)) throw std::runtime_error("tuned entry load: bad value");

@@ -162,21 +162,26 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
     if (options_.static_checker != nullptr)
       filter = make_static_scan_filter(space, *options_.static_checker,
                                        static_counters, std::move(filter));
-    const TopMScanResult scan = result.model->predict_scan_top_m(
-        0, space.size(), options_.second_stage_size, filter);
-    candidates.reserve(options_.second_stage_size);
+    const std::size_t m = options_.second_stage_size;
+    const TopMScanResult scan =
+        result.model->predict_scan_top_m(0, space.size(), m, filter);
+    candidates.reserve(m);
     for (const auto& c : scan.top) candidates.push_back(c);
     if (result.validity_model) {
       result.stage2_filtered = static_cast<std::size_t>(scan.rejected);
-      // If the filter was too aggressive, top up with the best remaining
-      // configurations from the unfiltered ranking.
-      for (const auto& c : scan.top_unfiltered) {
-        if (candidates.size() >= options_.second_stage_size) break;
-        if (std::find_if(candidates.begin(), candidates.end(),
-                         [&c](const ScanCandidate& have) {
-                           return have.index == c.index;
-                         }) == candidates.end())
-          candidates.push_back(c);
+      // If the filter passed fewer than M configurations, top up with the
+      // best remaining ones of the unfiltered ranking.
+      if (candidates.size() < m) {
+        const TopMScanResult unfiltered =
+            result.model->predict_scan_top_m(0, space.size(), m);
+        for (const auto& c : unfiltered.top) {
+          if (candidates.size() >= m) break;
+          if (std::find_if(candidates.begin(), candidates.end(),
+                           [&c](const ScanCandidate& have) {
+                             return have.index == c.index;
+                           }) == candidates.end())
+            candidates.push_back(c);
+        }
       }
     }
   }

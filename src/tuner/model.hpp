@@ -70,9 +70,9 @@ class AnnPerformanceModel {
   /// O(workers * m) memory — no full prediction vector — by the certified
   /// fp32 scan (ScanEngine::top_m), whose selection is the fp64
   /// reference's. The optional filter (e.g. a validity model; must be
-  /// thread-safe) is applied during the scan, lazily, and the result also
-  /// carries the unfiltered top-m so callers can top up after heavy
-  /// filtering.
+  /// thread-safe) is applied during the scan, lazily, and the selection
+  /// holds only configurations it passes; a caller that also wants the
+  /// unfiltered ranking scans again without it.
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;

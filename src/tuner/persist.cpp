@@ -97,10 +97,16 @@ AnnPerformanceModel load_model(std::istream& is) {
     const std::string name = read_word(is);
     const long long count = read_int(is);
     if (count <= 0) throw std::runtime_error("model load: bad value count");
+    // Grown one value at a time: a corrupt count costs no more memory than
+    // the values that are really there.
     std::vector<int> values;
-    values.reserve(static_cast<std::size_t>(count));
-    for (long long i = 0; i < count; ++i)
-      values.push_back(static_cast<int>(read_int(is)));
+    for (long long i = 0; i < count; ++i) {
+      const long long v = read_int(is);
+      if (v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max())
+        throw std::runtime_error("model load: parameter value out of range");
+      values.push_back(static_cast<int>(v));
+    }
     space.add(name, std::move(values));
   }
 

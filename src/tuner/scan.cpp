@@ -171,13 +171,10 @@ class RelaxedTopM {
 
 /// What one chunk of a top-M scan hands to the merge.
 struct ChunkTop {
-  std::vector<RawCandidate> top;  // filtered; empty without a filter
-  std::vector<RawCandidate> top_unfiltered;
+  std::vector<RawCandidate> top;
   std::uint64_t rejected = 0;
   std::uint64_t pruned = 0;
 };
-
-using ChunkList = std::vector<RawCandidate> ChunkTop::*;
 
 std::uint64_t chunk_count_for(std::uint64_t n) {
   return (n + kScanChunkRows - 1) / kScanChunkRows;
@@ -218,12 +215,11 @@ struct DigitBoxes {
   [[nodiscard]] std::size_t root() const { return radix.size(); }
 };
 
-/// Every chunk's `list`, best first.
-std::vector<RawCandidate> sorted_union(std::vector<ChunkTop>& chunks,
-                                       ChunkList list) {
+/// Every chunk's candidates, best first.
+std::vector<RawCandidate> sorted_union(const std::vector<ChunkTop>& chunks) {
   std::vector<RawCandidate> all;
-  for (ChunkTop& c : chunks)
-    all.insert(all.end(), (c.*list).begin(), (c.*list).end());
+  for (const ChunkTop& c : chunks)
+    all.insert(all.end(), c.top.begin(), c.top.end());
   std::sort(all.begin(), all.end(), better);
   return all;
 }
@@ -243,10 +239,9 @@ std::vector<ScanCandidate> best_m(std::vector<RawCandidate>& all,
 /// Survivors of the global fp32 cutoff: every candidate within `slack` of
 /// the m-th best fp32 output (all of them when fewer than m exist). These
 /// are exactly the candidates whose fp64 rank can still reach the top m.
-std::vector<RawCandidate> fp32_survivors(std::vector<ChunkTop>& chunks,
-                                         ChunkList list, std::size_t m,
-                                         double slack) {
-  std::vector<RawCandidate> all = sorted_union(chunks, list);
+std::vector<RawCandidate> fp32_survivors(const std::vector<ChunkTop>& chunks,
+                                         std::size_t m, double slack) {
+  std::vector<RawCandidate> all = sorted_union(chunks);
   if (all.size() > m) {
     const double bound = all[m - 1].raw + slack;
     const auto first_out = std::find_if(
@@ -444,34 +439,23 @@ TopMScanResult ScanEngine::reference_top_m(std::uint64_t begin,
         ChunkTop& out = chunks[c];
         encoder_.fill(lo, hi, s.x, tail_);
         ensemble_->predict_batch_into(s.x, s.preds, s.ps);
-        BoundedTopM unfiltered(m);
-        BoundedTopM filtered(m);
+        BoundedTopM heap(m);
         for (std::size_t i = 0; i < s.preds.size(); ++i) {
           const RawCandidate cand{s.preds[i], lo + i};
-          if (unfiltered.would_enter(cand)) unfiltered.push(cand);
-          if (filter && filtered.would_enter(cand)) {
-            // Lazy filter evaluation: only candidates good enough to enter
-            // the chunk heap pay for the validity check.
-            if (filter(cand.index)) {
-              filtered.push(cand);
-            } else {
-              ++out.rejected;
-            }
+          if (!heap.would_enter(cand)) continue;
+          // Lazy filter evaluation: only candidates good enough to enter
+          // the chunk heap pay for the validity check.
+          if (filter && !filter(cand.index)) {
+            ++out.rejected;
+            continue;
           }
+          heap.push(cand);
         }
-        out.top_unfiltered = unfiltered.take();
-        if (filter) out.top = filtered.take();
+        out.top = heap.take();
       });
   for (const ChunkTop& c : chunks) result.rejected += c.rejected;
-  std::vector<RawCandidate> unfiltered =
-      sorted_union(chunks, &ChunkTop::top_unfiltered);
-  result.top_unfiltered = best_m(unfiltered, m, transform_);
-  if (filter) {
-    std::vector<RawCandidate> filtered = sorted_union(chunks, &ChunkTop::top);
-    result.top = best_m(filtered, m, transform_);
-  } else {
-    result.top = result.top_unfiltered;
-  }
+  std::vector<RawCandidate> all = sorted_union(chunks);
+  result.top = best_m(all, m, transform_);
   count_top_m(result, false, start);
   return result;
 }
@@ -485,10 +469,9 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
   const double slack = 2.0 * result.error_bound;
   const auto start = std::chrono::steady_clock::now();
   const std::size_t width = batched_->input_width();
-  const DigitBoxes boxes =
-      !radices_.empty() && batched_->has_node_bounds()
-          ? DigitBoxes::of(radices_, end, width)
-          : DigitBoxes::flat(end);
+  const DigitBoxes boxes = radices_.empty()
+                               ? DigitBoxes::flat(end)
+                               : DigitBoxes::of(radices_, end, width);
 
   std::vector<ChunkTop> chunks(
       static_cast<std::size_t>(chunk_count_for(result.scanned)));
@@ -496,8 +479,7 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
       begin, end,
       [&](std::size_t c, std::uint64_t lo, std::uint64_t hi, ChunkScratch& s) {
         ChunkTop& out = chunks[c];
-        RelaxedTopM unfiltered(m, slack);
-        RelaxedTopM filtered(m, slack);
+        RelaxedTopM heap(m, slack);
         // Evaluate rows [a, b) and offer them in index order.
         const auto leaf = [&](std::uint64_t a, std::uint64_t b) {
           const auto rows = static_cast<std::size_t>(b - a);
@@ -505,22 +487,15 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
           batched_->predict_batch_into(s.xf.data(), rows, s.predsf, s.bs);
           for (std::size_t i = 0; i < rows; ++i) {
             const RawCandidate cand{static_cast<double>(s.predsf[i]), a + i};
-            unfiltered.offer(cand);
-            if (filter && filtered.would_keep(cand)) {
-              // Lazy filter evaluation: only candidates good enough to be
-              // retained pay for the validity check.
-              if (filter(cand.index)) {
-                filtered.offer(cand);
-              } else {
-                ++out.rejected;
-              }
+            if (!heap.would_keep(cand)) continue;
+            // Lazy filter evaluation: only candidates good enough to be
+            // retained pay for the validity check.
+            if (filter && !filter(cand.index)) {
+              ++out.rejected;
+              continue;
             }
+            heap.offer(cand);
           }
-        };
-        // A row above both thresholds is one neither heap would keep.
-        const auto threshold = [&] {
-          const double t = unfiltered.threshold();
-          return filter ? std::max(t, filtered.threshold()) : t;
         };
         // Offers the rows of the node [node, node + span[level]) inside
         // [lo, hi) in index order, skipping children proved out of reach.
@@ -555,43 +530,33 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
               batched_->node_error_bound(free) + result.error_bound;
           for (std::uint64_t k = first; k < last; ++k) {
             const std::uint64_t index = node + k * child;
-            if (static_cast<double>(bounds[k - first]) - margin > threshold())
+            if (static_cast<double>(bounds[k - first]) - margin >
+                heap.threshold())
               out.pruned += std::min(index + child, hi) - std::max(index, lo);
             else
               self(self, free, index);
           }
         };
         visit(visit, boxes.root(), 0);
-        out.top_unfiltered = unfiltered.take();
-        if (filter) out.top = filtered.take();
+        out.top = heap.take();
       });
 
   for (const ChunkTop& c : chunks) {
     result.rejected += c.rejected;
     result.pruned_rows += c.pruned;
   }
-  // Survivors of the fp32 cutoff (per selection set), then one exact fp64
-  // evaluation per unique survivor, then the fp64-ordered truncation.
-  std::vector<RawCandidate> unfiltered_survivors =
-      fp32_survivors(chunks, &ChunkTop::top_unfiltered, m, slack);
-  std::vector<RawCandidate> filtered_survivors =
-      filter ? fp32_survivors(chunks, &ChunkTop::top, m, slack)
-             : std::vector<RawCandidate>{};
-  result.near_ties += unfiltered_survivors.size() -
-                      std::min<std::size_t>(m, unfiltered_survivors.size());
-  result.near_ties += filtered_survivors.size() -
-                      std::min<std::size_t>(m, filtered_survivors.size());
+  // Survivors of the fp32 cutoff, then one exact fp64 evaluation per
+  // survivor, then the fp64-ordered truncation.
+  std::vector<RawCandidate> survivors = fp32_survivors(chunks, m, slack);
+  result.near_ties =
+      survivors.size() - std::min<std::size_t>(m, survivors.size());
   std::vector<std::uint64_t> indices;
-  indices.reserve(unfiltered_survivors.size() + filtered_survivors.size());
-  for (const auto& c : unfiltered_survivors) indices.push_back(c.index);
-  for (const auto& c : filtered_survivors) indices.push_back(c.index);
+  indices.reserve(survivors.size());
+  for (const auto& c : survivors) indices.push_back(c.index);
   const auto raw64 =
       rerank_fp64(*ensemble_, encoder_, tail_, std::move(indices));
   result.fp64_reranked = raw64.size();
-  result.top_unfiltered =
-      finish_fp64(unfiltered_survivors, raw64, m, transform_);
-  result.top = filter ? finish_fp64(filtered_survivors, raw64, m, transform_)
-                      : result.top_unfiltered;
+  result.top = finish_fp64(survivors, raw64, m, transform_);
   count_top_m(result, true, start);
   return result;
 }

@@ -14,8 +14,9 @@
 //    worst-on-top heap of the best m candidates (O(workers * m) memory,
 //    O(n log m) time) instead of materializing |space| predictions. An
 //    optional validity filter is evaluated lazily — only for candidates that
-//    would enter the heap — and a parallel unfiltered top list is kept so
-//    callers can top up when the filter rejects too much.
+//    would enter the heap — and the heap keeps only the candidates it
+//    passes. A caller that wants the unfiltered ranking too runs a second
+//    scan without the filter.
 //
 // Candidates are ordered by (raw network output, index): the output
 // transform (affine with positive scale, optionally exp) is strictly
@@ -40,20 +41,19 @@
 //    returned top-M is the one the fp64 scan would return, candidate for
 //    candidate, predicted values included — by proof, not by assumption.
 //
-// Pruned top-M (radices given and an ensemble with node bounds): each chunk
-// is walked depth first over the space's mixed-radix digits, nodes in
-// ascending index order, clipped to the chunk. Before descending into a
-// node, the bounds L~ of its children (one digit's radix; ml/batched.hpp)
-// are computed as one batch, and a child is skipped when L~ - E(k) - B
-// exceeds T, the larger of the unfiltered and filtered heap thresholds
-// (cutoff + 2B once a heap is full, +inf before). Every row of a skipped
-// child predicts at least L~ - E(k) - B in fp32, so the heaps would have
-// rejected it when it was offered; such a rejection changes no state, and
-// the filter is consulted only for rows a heap would keep. Leaves (the
-// innermost boxes of at least kScanLeafRows rows) are evaluated and offered
-// in index order as before, so every TopMScanResult field except
-// pruned_rows is the unpruned scan's, at any thread count. Without radices
-// or node bounds each chunk is a single leaf.
+// Pruned top-M (radices given): each chunk is walked depth first over the
+// space's mixed-radix digits, nodes in ascending index order, clipped to the
+// chunk. Before descending into a node, the bounds L~ of its children (one
+// digit's radix; ml/batched.hpp) are computed as one batch, and a child is
+// skipped when L~ - E(k) - B exceeds T, the heap threshold (cutoff + 2B once
+// the heap is full, +inf before). Every row of a skipped child predicts at
+// least L~ - E(k) - B in fp32, so the heap would have rejected it when it
+// was offered; such a rejection changes no state, and the filter is
+// consulted only for rows the heap would keep. Leaves (the innermost boxes
+// of at least kScanLeafRows rows) are evaluated and offered in index order
+// as before, so every TopMScanResult field except pruned_rows is the
+// unpruned scan's, at any thread count. Without radices each chunk is a
+// single leaf.
 
 #include <atomic>
 #include <cmath>
@@ -100,10 +100,10 @@ struct ScanCandidate {
   double predicted_ms = 0.0;
 };
 
-/// Result of a top-M scan. `top` is the best-first filtered selection (equal
-/// to `top_unfiltered` when no filter was given); `rejected` counts filter
-/// rejections, which only happen for candidates good enough to enter a
-/// chunk heap at the moment they were scanned. The last four fields are
+/// Result of a top-M scan. `top` is the best-first selection among the rows
+/// the filter passes (all rows when no filter was given); `rejected` counts
+/// filter rejections, which only happen for candidates good enough to enter
+/// a chunk heap at the moment they were scanned. The last four fields are
 /// zero on the fp64 reference: `error_bound` is the half-width B of the
 /// re-rank band (the fp32 engine's certified bound), `fp64_reranked` counts
 /// candidates sent through the fp64 reference for exact ranking,
@@ -113,7 +113,6 @@ struct ScanCandidate {
 /// never evaluated.
 struct TopMScanResult {
   std::vector<ScanCandidate> top;
-  std::vector<ScanCandidate> top_unfiltered;
   std::uint64_t scanned = 0;
   std::uint64_t rejected = 0;
   double error_bound = 0.0;
@@ -140,7 +139,7 @@ class ScanEngine {
   /// std::invalid_argument when the ensemble is missing or unfitted or the
   /// box differs. `radices` (RangeEncoder::radices) describe the space the
   /// flat indices address, feature d of every row encoding digit d; with
-  /// them, and node bounds in `batched`, top_m prunes. Empty: no pruning.
+  /// them top_m prunes. Empty: no pruning.
   ScanEngine(std::shared_ptr<const ml::BaggingEnsemble> ensemble,
              std::shared_ptr<const ml::BatchedEnsemble> batched,
              RangeEncoder encoder, std::vector<double> tail,

@@ -1,7 +1,7 @@
 // Tests for the batched fp32 inference engine (ml/batched.hpp): parity with
-// the per-row fp64 forward pass across topologies and activations, scaler
-// folding, ensemble averaging, determinism, cache semantics, and the
-// certified error bound (measured <= certified on random networks,
+// the per-row fp64 forward pass across hidden widths, the one packable
+// shape, scaler folding, ensemble averaging, determinism, cache semantics,
+// and the certified error bound (measured <= certified on random networks,
 // cancellation-heavy scaler folds and degenerate calibration ranges).
 
 #include "ml/batched.hpp"
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -77,50 +78,21 @@ TEST(BatchedMlp, MatchesFp64ForwardAcrossTopologies) {
   }
 }
 
-TEST(BatchedMlp, MatchesFp64ForwardAcrossActivations) {
-  const ml::Activation acts[] = {ml::Activation::kSigmoid,
-                                 ml::Activation::kTanh, ml::Activation::kRelu,
-                                 ml::Activation::kLinear};
-  for (const auto act : acts) {
-    const ml::Mlp net =
-        make_net(4, {{12, act}, {1, ml::Activation::kLinear}}, 42);
-    const ml::BatchedMlp batched(net);
-    const std::size_t rows = 32;
-    const auto x = random_rows(rows, 4, 99);
-    std::vector<float> out(rows);
-    ml::BatchedMlp::Scratch scratch;
-    batched.forward_column0(x.data(), rows, out.data(), scratch);
-    for (std::size_t r = 0; r < rows; ++r)
-      EXPECT_NEAR(out[r], reference_forward(net, x.data() + r * 4, 4), 1e-4);
-  }
-}
-
-TEST(BatchedMlp, MatchesFp64WithTwoHiddenLayers) {
-  const ml::Mlp net = make_net(6,
-                               {{20, ml::Activation::kSigmoid},
-                                {10, ml::Activation::kTanh},
-                                {1, ml::Activation::kLinear}},
-                               7);
-  const ml::BatchedMlp batched(net);
-  const std::size_t rows = 48;
-  const auto x = random_rows(rows, 6, 5);
-  std::vector<float> out(rows);
-  ml::BatchedMlp::Scratch scratch;
-  batched.forward_column0(x.data(), rows, out.data(), scratch);
-  for (std::size_t r = 0; r < rows; ++r)
-    EXPECT_NEAR(out[r], reference_forward(net, x.data() + r * 6, 6), 1e-4);
-}
-
-TEST(BatchedMlp, SingleLayerNetwork) {
-  // Degenerate input -> output network exercises the scalar fallback path.
-  const ml::Mlp net = make_net(3, {{1, ml::Activation::kLinear}}, 21);
-  const ml::BatchedMlp batched(net);
-  const auto x = random_rows(16, 3, 3);
-  std::vector<float> out(16);
-  ml::BatchedMlp::Scratch scratch;
-  batched.forward_column0(x.data(), 16, out.data(), scratch);
-  for (std::size_t r = 0; r < 16; ++r)
-    EXPECT_NEAR(out[r], reference_forward(net, x.data() + r * 3, 3), 1e-5);
+TEST(BatchedMlp, RejectsOtherShapes) {
+  // Only the ensemble's member shape packs: one sigmoid hidden layer and
+  // one linear output.
+  const std::vector<std::vector<ml::LayerSpec>> shapes = {
+      {{1, ml::Activation::kLinear}},
+      {{8, ml::Activation::kSigmoid},
+       {4, ml::Activation::kSigmoid},
+       {1, ml::Activation::kLinear}},
+      {{8, ml::Activation::kLinear}, {1, ml::Activation::kLinear}},
+      {{8, ml::Activation::kSigmoid}, {1, ml::Activation::kSigmoid}},
+      {{8, ml::Activation::kSigmoid}, {2, ml::Activation::kLinear}},
+  };
+  for (const auto& layers : shapes)
+    EXPECT_THROW(ml::BatchedMlp(make_net(3, layers, 5)), std::invalid_argument)
+        << layers.size() << " layers";
 }
 
 TEST(BatchedMlp, ScalerFoldingMatchesExplicitStandardization) {
@@ -298,15 +270,15 @@ double measured_error(const ml::BaggingEnsemble& ensemble,
   return worst;
 }
 
-/// An ensemble of `k` random networks (Xavier init, then weights scaled by
-/// `gain` so hidden units leave the linear region) behind `scaler`.
-ml::BaggingEnsemble random_ensemble(std::size_t inputs,
-                                    const std::vector<ml::LayerSpec>& hidden,
+/// An ensemble of `k` random networks of `units` sigmoid units (Xavier
+/// init, then weights scaled by `gain` so hidden units leave the linear
+/// region) behind `scaler`.
+ml::BaggingEnsemble random_ensemble(std::size_t inputs, std::size_t units,
                                     std::size_t k, double gain,
                                     ml::StandardScaler scaler,
                                     std::uint64_t seed) {
-  std::vector<ml::LayerSpec> layers = hidden;
-  layers.push_back({1, ml::Activation::kLinear});
+  const std::vector<ml::LayerSpec> layers = {
+      {units, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}};
   std::vector<ml::Mlp> members;
   for (std::size_t i = 0; i < k; ++i) {
     ml::Mlp net = make_net(inputs, layers, seed + i);
@@ -318,7 +290,7 @@ ml::BaggingEnsemble random_ensemble(std::size_t inputs,
   }
   ml::BaggingEnsemble::Options opts;
   opts.k = k;
-  opts.hidden_layers = hidden;
+  opts.hidden_layers = {layers.front()};
   ml::BaggingEnsemble ensemble(opts);
   ensemble.restore(opts, std::move(scaler), std::move(members));
   return ensemble;
@@ -334,29 +306,23 @@ ml::StandardScaler scaler_of(std::vector<double> means,
 }  // namespace
 
 TEST(BatchedEnsembleBound, MeasuredWithinCertifiedOnRandomNetworks) {
-  // 1- and 2-hidden-layer networks over every activation, with weights
-  // large enough to saturate: the measured fp32-vs-fp64 error may never
-  // exceed the bound certified for the box the rows come from.
-  const ml::Activation acts[] = {ml::Activation::kSigmoid,
-                                 ml::Activation::kTanh, ml::Activation::kRelu};
+  // Random hidden widths, with weights large enough to saturate: the
+  // measured fp32-vs-fp64 error may never exceed the bound certified for the
+  // box the rows come from.
+  pt::common::Rng widths(100);
   std::uint64_t seed = 100;
-  for (const auto act : acts) {
-    for (const double gain : {1.0, 4.0}) {
-      for (const bool deep : {false, true}) {
-        std::vector<ml::LayerSpec> hidden = {{30, act}};
-        if (deep) hidden.push_back({9, ml::Activation::kSigmoid});
-        const ml::CertificationBox calib = box(5, -3.0f, 7.0f);
-        const auto ensemble = random_ensemble(
-            5, hidden, 5, gain,
-            scaler_of({2.0, 2.0, 2.0, 2.0, 2.0}, {2.5, 1.0, 3.0, 0.5, 2.0}),
-            seed += 10);
-        const ml::BatchedEnsemble batched(ensemble, calib);
-        const double err = measured_error(ensemble, batched, calib, 2000, seed);
-        EXPECT_LE(err, batched.error_bound())
-            << ml::to_string(act) << " gain " << gain << " deep " << deep;
-        EXPECT_GT(batched.error_bound(), 0.0);
-      }
-    }
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t units = 1 + widths.below(40);
+    const double gain = trial % 2 == 0 ? 1.0 : 4.0;
+    const ml::CertificationBox calib = box(5, -3.0f, 7.0f);
+    const auto ensemble = random_ensemble(
+        5, units, 5, gain,
+        scaler_of({2.0, 2.0, 2.0, 2.0, 2.0}, {2.5, 1.0, 3.0, 0.5, 2.0}),
+        seed += 10);
+    const ml::BatchedEnsemble batched(ensemble, calib);
+    const double err = measured_error(ensemble, batched, calib, 2000, seed);
+    EXPECT_LE(err, batched.error_bound()) << units << " units, gain " << gain;
+    EXPECT_GT(batched.error_bound(), 0.0);
   }
 }
 
@@ -367,14 +333,14 @@ TEST(BatchedEnsembleBound, CoversCancellationHeavyScalerFolds) {
   // grows with the raw magnitudes) and still hold.
   const ml::CertificationBox calib = box(4, 990.0f, 1010.0f);
   const auto ensemble = random_ensemble(
-      4, {{20, ml::Activation::kSigmoid}}, 3, 1.0,
+      4, 20, 3, 1.0,
       scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
   const ml::BatchedEnsemble batched(ensemble, calib);
   const double err = measured_error(ensemble, batched, calib, 4000, 9);
   EXPECT_LE(err, batched.error_bound());
   // The same network over a box at the origin certifies a far tighter bound.
   const auto centered = random_ensemble(
-      4, {{20, ml::Activation::kSigmoid}}, 3, 1.0,
+      4, 20, 3, 1.0,
       scaler_of({0.0, 0.0, 0.0, 0.0}, {5.0, 5.0, 5.0, 5.0}), 7);
   const ml::BatchedEnsemble tight(centered, box(4, -10.0f, 10.0f));
   EXPECT_LT(10.0 * tight.error_bound(), batched.error_bound());
@@ -385,7 +351,7 @@ TEST(BatchedEnsembleBound, DegenerateCalibrationRanges) {
   // that is a single point: still sound, and a point box certifies no more
   // than the full box it sits in.
   const auto ensemble = random_ensemble(
-      3, {{12, ml::Activation::kTanh}}, 4, 2.0,
+      3, 12, 4, 2.0,
       scaler_of({1.0, -2.0, 8.0}, {1.5, 0.75, 2.0}), 31);
   ml::CertificationBox calib = box(3, -1.0f, 3.0f);
   calib.lo[2] = calib.hi[2] = 9.5f;
@@ -452,7 +418,6 @@ void expect_node_bounds_hold(const ml::BaggingEnsemble& ensemble,
                              const ml::BatchedEnsemble& batched,
                              const ml::CertificationBox& calib,
                              std::size_t samples, std::uint64_t seed) {
-  ASSERT_TRUE(batched.has_node_bounds());
   const std::size_t cols = calib.width();
   pt::common::Rng rng(seed);
   const auto draw = [&](std::size_t c) {
@@ -499,26 +464,26 @@ void expect_node_bounds_hold(const ml::BaggingEnsemble& ensemble,
 }  // namespace
 
 TEST(BatchedEnsembleNodeBound, RowsOfRandomNodesStayAboveTheBound) {
-  // Random one-hidden-layer ensembles over every activation, weights large
-  // enough to saturate, a radix-1 (lo == hi) feature between free ones.
-  const ml::Activation acts[] = {ml::Activation::kSigmoid,
-                                 ml::Activation::kTanh, ml::Activation::kRelu};
+  // Random hidden widths, weights large enough to saturate, a radix-1
+  // (lo == hi) feature between free ones.
+  pt::common::Rng widths(500);
   std::uint64_t seed = 500;
-  for (const auto act : acts) {
-    for (const double gain : {1.0, 4.0}) {
-      SCOPED_TRACE(ml::to_string(act) + (gain > 1.0 ? " saturating" : ""));
-      ml::CertificationBox calib = box(6, -3.0f, 7.0f);
-      calib.lo[2] = calib.hi[2] = 1.5f;
-      calib.lo[4] = 0.0f;
-      calib.hi[4] = 1.0f;
-      const auto ensemble = random_ensemble(
-          6, {{30, act}}, 5, gain,
-          scaler_of({2.0, 2.0, 1.5, 2.0, 0.5, -1.0},
-                    {2.5, 1.0, 3.0, 0.5, 0.5, 2.0}),
-          seed += 10);
-      const ml::BatchedEnsemble batched(ensemble, calib);
-      expect_node_bounds_hold(ensemble, batched, calib, 300, seed);
-    }
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t units = 1 + widths.below(40);
+    const double gain = trial % 2 == 0 ? 1.0 : 4.0;
+    SCOPED_TRACE(std::to_string(units) + " units" +
+                 (gain > 1.0 ? ", saturating" : ""));
+    ml::CertificationBox calib = box(6, -3.0f, 7.0f);
+    calib.lo[2] = calib.hi[2] = 1.5f;
+    calib.lo[4] = 0.0f;
+    calib.hi[4] = 1.0f;
+    const auto ensemble = random_ensemble(
+        6, units, 5, gain,
+        scaler_of({2.0, 2.0, 1.5, 2.0, 0.5, -1.0},
+                  {2.5, 1.0, 3.0, 0.5, 0.5, 2.0}),
+        seed += 10);
+    const ml::BatchedEnsemble batched(ensemble, calib);
+    expect_node_bounds_hold(ensemble, batched, calib, 300, seed);
   }
 }
 
@@ -527,7 +492,7 @@ TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
   // bias sums large terms that nearly cancel.
   const ml::CertificationBox calib = box(4, 990.0f, 1010.0f);
   const auto ensemble = random_ensemble(
-      4, {{20, ml::Activation::kSigmoid}}, 3, 2.0,
+      4, 20, 3, 2.0,
       scaler_of({1000.0, 1000.0, 1000.0, 1000.0}, {5.0, 5.0, 5.0, 5.0}), 7);
   const ml::BatchedEnsemble batched(ensemble, calib);
   expect_node_bounds_hold(ensemble, batched, calib, 2000, 9);
@@ -535,17 +500,4 @@ TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
   // selection bias, so their large cancelling terms stop costing fp32
   // rounding error.
   EXPECT_LT(batched.node_error_bound(4), batched.node_error_bound(0));
-}
-
-TEST(BatchedEnsembleNodeBound, OnlyOneHiddenLayerEnsemblesHaveThem) {
-  const auto deep = random_ensemble(
-      3, {{8, ml::Activation::kSigmoid}, {4, ml::Activation::kTanh}}, 2, 1.0,
-      scaler_of({0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}), 3);
-  const ml::BatchedEnsemble batched(deep, box(3, -1.0f, 1.0f));
-  EXPECT_FALSE(batched.has_node_bounds());
-  std::vector<float> out;
-  ml::BatchedEnsemble::Scratch scratch;
-  const std::vector<float> row(3, 0.0f);
-  EXPECT_THROW(batched.node_lower_bounds(row.data(), 1, 1, out, scratch),
-               std::logic_error);
 }

@@ -44,6 +44,33 @@ TEST(Ensemble, ConstructionValidation) {
   EXPECT_THROW(BaggingEnsemble{o2}, std::invalid_argument);
 }
 
+TEST(Ensemble, ConstructorAndRestoreRejectOtherShapes) {
+  StandardScaler scaler;
+  scaler.restore({0.0, 0.0}, {1.0, 1.0});
+  // No hidden layer, two hidden layers, one linear hidden layer.
+  for (const std::vector<LayerSpec>& hidden :
+       {std::vector<LayerSpec>{},
+        {{12, Activation::kSigmoid}, {6, Activation::kSigmoid}},
+        {{12, Activation::kLinear}}}) {
+    BaggingEnsemble::Options o = fast_options(2);
+    o.hidden_layers = hidden;
+    EXPECT_THROW(BaggingEnsemble{o}, std::invalid_argument) << hidden.size();
+    std::vector<LayerSpec> layers = hidden;
+    layers.push_back({1, Activation::kLinear});
+    std::vector<Mlp> members;
+    members.emplace_back(2, layers);
+    BaggingEnsemble e(fast_options(2));
+    EXPECT_THROW(e.restore(fast_options(2), scaler, std::move(members)),
+                 std::invalid_argument);
+    members.clear();
+    members.emplace_back(2, std::vector<LayerSpec>{{3, Activation::kSigmoid},
+                                                   {1, Activation::kLinear}});
+    EXPECT_THROW(e.restore(o, scaler, members), std::invalid_argument);
+    e.restore(fast_options(2), scaler, std::move(members));  // any width
+    EXPECT_TRUE(e.fitted());
+  }
+}
+
 TEST(Ensemble, DefaultsMatchPaper) {
   const BaggingEnsemble e;
   EXPECT_EQ(e.options().k, 11u);  // paper's bagging size

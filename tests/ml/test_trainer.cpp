@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 
 namespace pt::ml {
 namespace {
@@ -30,42 +29,21 @@ Mlp make_net(common::Rng& rng) {
   return net;
 }
 
-class TrainerConvergenceTest
-    : public ::testing::TestWithParam<const char*> {
- protected:
-  static std::unique_ptr<Trainer> make(const std::string& name) {
-    if (name == "rprop") return std::make_unique<RpropTrainer>();
-    if (name == "sgd") {
-      SgdTrainer::Options o;
-      o.learning_rate = 0.05;
-      return std::make_unique<SgdTrainer>(o);
-    }
-    AdamTrainer::Options o;
-    o.learning_rate = 0.02;
-    return std::make_unique<AdamTrainer>(o);
-  }
-};
-
-TEST_P(TrainerConvergenceTest, FitsSmoothRegression) {
+TEST(Trainer, FitsSmoothRegression) {
   common::Rng rng(42);
   const Dataset train = make_regression(400, rng);
   const Dataset test = make_regression(100, rng);
   Mlp net = make_net(rng);
   const double loss_before = net.loss(test.x, test.y);
 
-  const auto trainer = make(GetParam());
-  const TrainResult result = trainer->train(net, train, rng);
+  const TrainResult result = RpropTrainer().train(net, train, rng);
   EXPECT_GT(result.epochs, 0u);
 
   const double loss_after = net.loss(test.x, test.y);
   EXPECT_LT(loss_after, loss_before * 0.2)
-      << GetParam() << ": " << loss_before << " -> " << loss_after;
-  EXPECT_LT(loss_after, 0.02) << GetParam();
+      << loss_before << " -> " << loss_after;
+  EXPECT_LT(loss_after, 0.02);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllTrainers, TrainerConvergenceTest,
-                         ::testing::Values("rprop", "sgd", "adam"),
-                         [](const auto& param_info) { return std::string(param_info.param); });
 
 TEST(Trainer, LossHistoryMostlyDecreases) {
   common::Rng rng(1);
@@ -137,18 +115,6 @@ TEST(Trainer, EmptyDatasetThrows) {
   const Dataset empty;
   const RpropTrainer trainer;
   EXPECT_THROW(trainer.train(net, empty, rng), std::invalid_argument);
-}
-
-TEST(Trainer, ZeroBatchSizeThrows) {
-  common::Rng rng(7);
-  const Dataset train = make_regression(50, rng);
-  Mlp net = make_net(rng);
-  SgdTrainer::Options so;
-  so.batch_size = 0;
-  EXPECT_THROW(SgdTrainer(so).train(net, train, rng), std::invalid_argument);
-  AdamTrainer::Options ao;
-  ao.batch_size = 0;
-  EXPECT_THROW(AdamTrainer(ao).train(net, train, rng), std::invalid_argument);
 }
 
 TEST(Trainer, TinyDatasetStillTrains) {

@@ -53,6 +53,60 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+/// `text` with every occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size()))
+    text.replace(at, from.size(), to);
+  return text;
+}
+
+/// Tunes one key into a fresh store directory; then, for i < `edits`,
+/// writes edit(stored text, i) over the entry, and a fresh service must
+/// treat it as a miss and tune again.
+template <typename Edit>
+void expect_edited_entries_retune(const std::string& name, int edits,
+                                  const Edit& edit) {
+  const std::string dir = fresh_dir(name);
+  TuneServiceOptions options;
+  options.workers = 1;
+  options.tuner.training_samples = 60;
+  options.tuner.second_stage_size = 10;
+  options.tuner.model.ensemble.k = 3;
+  options.tuner.model.ensemble.hidden_layers = {
+      ml::LayerSpec{12, ml::Activation::kSigmoid}};
+  options.tuner.model.ensemble.trainer.common.max_epochs = 200;
+  options.store.directory = dir;
+  std::atomic<std::size_t> tunes{0};
+  const EvaluatorFactory factory = [&tunes](const TuneKey& /*key*/) {
+    ++tunes;
+    return std::make_unique<BowlEvaluator>();
+  };
+  const TuneKey key{"bowl", "dev0", "small"};
+  const auto path =
+      std::filesystem::path(dir) / TunedConfigStore::entry_filename(key, 7);
+  {
+    TuneService service(options, factory);
+    ASSERT_EQ(Session(service, "t").tune(key, 7).status, ResponseStatus::kOk);
+  }
+  for (int i = 0; i < edits; ++i) {
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    const std::string edited = edit(text.str(), i);
+    ASSERT_NE(edited, text.str()) << i;
+    std::ofstream(path) << edited;
+
+    TuneService service(options, factory);
+    EXPECT_FALSE(service.store().lookup(key, 7).has_value()) << i;
+    const TuneResponse retuned = Session(service, "t").tune(key, 7);
+    ASSERT_EQ(retuned.status, ResponseStatus::kOk);
+    EXPECT_FALSE(retuned.from_cache) << i;
+  }
+  EXPECT_EQ(tunes.load(), static_cast<std::size_t>(edits) + 1);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TunedConfigStore, EntryStreamRoundTripPreservesEverything) {
   const TunedConfigStore::Entry entry = make_entry();
   std::stringstream stream;
@@ -200,50 +254,43 @@ TEST(TunedConfigStore, CorruptFileIsAMissNotACrash) {
 TEST(TunedConfigStore, BadTargetScaleIsAMissAndTheTuneRunsAgain) {
   // A model whose target scale is not > 0 would predict a constant (0) or
   // reversed (-1) order; restore rejects it, so the entry is a miss.
-  const std::string dir = fresh_dir("bad_scale");
-  TuneServiceOptions options;
-  options.workers = 1;
-  options.tuner.training_samples = 60;
-  options.tuner.second_stage_size = 10;
-  options.tuner.model.ensemble.k = 3;
-  options.tuner.model.ensemble.hidden_layers = {
-      ml::LayerSpec{12, ml::Activation::kSigmoid}};
-  options.tuner.model.ensemble.trainer.common.max_epochs = 200;
-  options.store.directory = dir;
-  std::atomic<std::size_t> tunes{0};
-  const EvaluatorFactory factory = [&tunes](const TuneKey& /*key*/) {
-    ++tunes;
-    return std::make_unique<BowlEvaluator>();
-  };
-  const TuneKey key{"bowl", "dev0", "small"};
-  const auto path =
-      std::filesystem::path(dir) / TunedConfigStore::entry_filename(key, 7);
-  {
-    TuneService service(options, factory);
-    ASSERT_EQ(Session(service, "t").tune(key, 7).status, ResponseStatus::kOk);
-  }
-  for (const char* scale : {"0", "-1"}) {
-    std::string text;
-    {
-      std::ifstream is(path);
-      std::stringstream buffer;
-      buffer << is.rdbuf();
-      text = buffer.str();
-    }
+  expect_edited_entries_retune("bad_scale", 2, [](std::string text, int i) {
     const std::size_t line = text.find("\ntarget ");
-    ASSERT_NE(line, std::string::npos);
+    if (line == std::string::npos) return text;
     const std::size_t scale_at = text.find(' ', line + 8) + 1;
-    text.replace(scale_at, text.find('\n', scale_at) - scale_at, scale);
-    std::ofstream(path) << text;
+    text.replace(scale_at, text.find('\n', scale_at) - scale_at,
+                 i == 0 ? "0" : "-1");
+    return text;
+  });
+}
 
-    TuneService service(options, factory);
-    EXPECT_FALSE(service.store().lookup(key, 7).has_value()) << scale;
-    const TuneResponse retuned = Session(service, "t").tune(key, 7);
-    ASSERT_EQ(retuned.status, ResponseStatus::kOk);
-    EXPECT_FALSE(retuned.from_cache) << scale;
+TEST(TunedConfigStore, ModelOfAnotherShapeIsAMissAndTheTuneRunsAgain) {
+  // The stored model's members edited to a tanh hidden layer, or to two
+  // hidden layers: load_model refuses both, so the entry is a miss.
+  expect_edited_entries_retune(
+      "bad_shape", 2, [](const std::string& text, int i) {
+        if (i == 0) return replaced(text, "layer 12 sigmoid", "layer 12 tanh");
+        std::string deep = replaced(text, "layers 2", "layers 3");
+        deep = replaced(deep, "layer 1 linear",
+                        "layer 1 sigmoid\nlayer 1 linear");
+        return replaced(deep, "biases 1\n",
+                        "biases 1\n0.5 \nweights 2\n0.25 \nbiases 2\n");
+      });
+}
+
+// A length or count the file claims but does not hold fails as a malformed
+// entry, with no allocation sized by the claim.
+TEST(TunedConfigStore, HugeClaimedCountsFailAsMalformedEntries) {
+  const std::string huge = "1099511627776";  // 2^40
+  const std::string head = "portatune-tuned-entry-v1\nkey ";
+  const std::string key = "4 bowl 4 dev0 5 small\nseed 7\nversions 2 v1 2 c1\n";
+  for (const std::string& text :
+       {head + huge + " bowl 4 dev0 5 small\n",
+        head + key + "config " + huge + " 1 2 3\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW((void)TunedConfigStore::load_entry(ss), std::runtime_error)
+        << text;
   }
-  EXPECT_EQ(tunes.load(), 3u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -97,15 +97,14 @@ class TrapEvaluator final : public Evaluator {
   ParamSpace space_;
 };
 
-/// `k` random networks with the given hidden layers and one linear output
+/// `k` random networks of `units` sigmoid units and one linear output
 /// (Xavier init scaled by `gain`), standardizing the space's raw features.
 inline ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
-                                           std::vector<ml::LayerSpec> hidden,
-                                           std::size_t k, double gain,
-                                           std::uint64_t seed) {
+                                           std::size_t units, std::size_t k,
+                                           double gain, std::uint64_t seed) {
   const std::size_t inputs = space.dimension_count();
-  std::vector<ml::LayerSpec> layers = hidden;
-  layers.push_back({1, ml::Activation::kLinear});
+  const std::vector<ml::LayerSpec> layers = {
+      {units, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}};
   common::Rng rng(seed);
   std::vector<ml::Mlp> members;
   for (std::size_t i = 0; i < k; ++i) {
@@ -129,7 +128,7 @@ inline ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
   scaler.restore(std::move(means), std::move(stddevs));
   ml::BaggingEnsemble::Options opts;
   opts.k = k;
-  opts.hidden_layers = std::move(hidden);
+  opts.hidden_layers = {layers.front()};
   ml::BaggingEnsemble ensemble(opts);
   ensemble.restore(opts, std::move(scaler), std::move(members));
   return ensemble;

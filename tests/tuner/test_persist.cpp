@@ -187,6 +187,37 @@ TEST(Persist, LoadRejectsNonPositiveTargetScale) {
   }
 }
 
+// A count the stream claims but does not hold fails as a malformed stream,
+// with no allocation sized by the claim.
+TEST(Persist, HugeClaimedCountsFailAsMalformedStreams) {
+  const std::string head =
+      "portatune-perf-model-v1\nlog_targets 1\nencoding log2\n"
+      "target 0.5 2\n";
+  const std::string huge = "1099511627776";  // 2^40
+  for (const std::string& text :
+       {head + "space " + huge + "\nparam A 2 1 2\n",
+        head + "space 1\nparam A " + huge + " 1 2 4\n"}) {
+    std::stringstream ss(text);
+    EXPECT_THROW((void)load_model(ss), std::runtime_error) << text;
+  }
+}
+
+TEST(Persist, ParameterValuesOutsideIntAreRejected) {
+  const AnnPerformanceModel model = trained_model(8);
+  std::stringstream ss;
+  save_model(model, ss);
+  const std::string text = ss.str();
+  const std::string first = "\nparam A 8 1 ";  // small_space's A values
+  const std::size_t at = text.find(first);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* value : {"4294967298", "-2147483649"}) {
+    std::string edited = text;
+    edited.replace(at + first.size() - 2, 1, value);  // 2^32 + 2 wraps to 2
+    std::stringstream is(edited);
+    EXPECT_THROW((void)load_model(is), std::runtime_error) << value;
+  }
+}
+
 TEST(Persist, RestoreValidatesWidths) {
   const AnnPerformanceModel model = trained_model(5);
   // A space whose dimensionality does not match the ensemble.

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "tuner/autotuner.hpp"
+#include "tuner/observer.hpp"
 
 namespace pt::tuner {
 namespace {
@@ -159,6 +164,64 @@ TEST(ValidityFilter, RescuesTheTrapLandscape) {
   // baseline lost (the baseline fails on most seeds by construction).
   EXPECT_LE(filtered_failures, baseline_failures);
   EXPECT_EQ(filtered_failures, 0u);
+}
+
+// A classifier that passes fewer than M configurations: stage 2 measures the
+// ones it passes first, in predicted order, then tops up with the best
+// configurations of the unfiltered ranking it has not taken, until it has
+// measured min(M, |space|) distinct ones.
+TEST(ValidityFilter, TopsUpFromTheUnfilteredRanking) {
+  class Candidates final : public TunerObserver {
+   public:
+    void on_candidate(std::uint64_t index, double predicted_ms) override {
+      seen.push_back({index, predicted_ms});
+    }
+    std::vector<ScanCandidate> seen;
+  };
+  AutoTunerOptions opts;
+  opts.training_samples = 120;
+  opts.second_stage_size = 200;  // the trap has 128 valid configurations
+  opts.validity_filter = true;
+  opts.model.ensemble.k = 3;
+  opts.model.ensemble.trainer.common.max_epochs = 250;
+  testing::TrapEvaluator eval;
+  Candidates candidates;
+  TuneRun run = TuneRun::with_seed(3);
+  run.observer = &candidates;
+  const AutoTuneResult result = AutoTuner(opts).tune(eval, run);
+  ASSERT_TRUE(result.success);
+  ASSERT_TRUE(result.model.has_value());
+  ASSERT_TRUE(result.validity_model.has_value());
+
+  const ParamSpace& space = eval.space();
+  const std::size_t m = opts.second_stage_size;
+  const ValidityModel& validity = *result.validity_model;
+  const ScanFilter filter = [&space, &validity](std::uint64_t index) {
+    return validity.predict_valid(space.decode(index));
+  };
+  const ScanEngine engine = result.model->scan_engine();
+  const TopMScanResult passed =
+      engine.reference_top_m(0, space.size(), m, filter);
+  ASSERT_GT(passed.top.size(), 0u);
+  ASSERT_LT(passed.top.size(), m);  // the case under test
+  EXPECT_EQ(result.stage2_filtered,
+            result.model->predict_scan_top_m(0, space.size(), m, filter)
+                .rejected);
+
+  std::vector<ScanCandidate> want = passed.top;
+  std::set<std::uint64_t> taken;
+  for (const ScanCandidate& c : want) taken.insert(c.index);
+  for (const ScanCandidate& c : engine.reference_top_m(0, space.size(), m).top)
+    if (want.size() < m && taken.insert(c.index).second) want.push_back(c);
+  ASSERT_EQ(want.size(), std::min<std::uint64_t>(m, space.size()));
+  ASSERT_EQ(candidates.seen.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(candidates.seen[i].index, want[i].index) << "rank " << i;
+    EXPECT_EQ(candidates.seen[i].predicted_ms, want[i].predicted_ms)
+        << "rank " << i;
+  }
+  EXPECT_EQ(taken.size(), want.size());  // distinct configurations
+  EXPECT_EQ(result.stage2_measured, want.size());
 }
 
 TEST(ValidityFilter, NoOpWhenEverythingIsValid) {
