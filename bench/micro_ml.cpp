@@ -166,9 +166,8 @@ void BM_BatchedMlpForward(benchmark::State& state) {
   const ml::BatchedMlp batched(net);
   const auto x = random_floats(batch * 9, rng);
   std::vector<float> out(batch);
-  ml::BatchedMlp::Scratch scratch;
   for (auto _ : state) {
-    batched.forward_column0(x.data(), batch, out.data(), scratch);
+    batched.forward_column0(x.data(), batch, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -107,47 +107,81 @@ BatchedMlp::BatchedMlp(const Mlp& mlp, const StandardScaler* scaler)
 
 namespace {
 
-// One row through the hidden layer: out[0..padded) = sigmoid(x · W + b). The
-// padded unit panel is covered by up to kTile vector accumulators at a time,
-// each seeded from the bias; every input then broadcasts into them via FMA.
-void forward_row(const float* x, std::size_t in, std::size_t padded,
-                 const float* w, const float* bias, float* out) {
+constexpr std::size_t kTile = 4;
+
+/// T vectors of hidden units from unit j0 on, for R rows of x (row r at
+/// x + r * in) at once: each accumulator is seeded from the bias and takes
+/// one FMA per input, in input order, then goes through the sigmoid and
+/// into its row's output dot. Each weight load serves all R rows.
+template <std::size_t R, std::size_t T>
+void hidden_tile(const float* x, std::size_t in, std::size_t padded,
+                 const float* w, const float* bias, const float* wcol,
+                 std::size_t j0, simd::VecF (&dot)[R]) {
   using simd::VecF;
-  constexpr std::size_t kTile = 4;
-  for (std::size_t j0 = 0; j0 < padded; j0 += kTile * simd::kWidth) {
-    const std::size_t lanes_left = (padded - j0) / simd::kWidth;
-    const std::size_t tiles = lanes_left < kTile ? lanes_left : kTile;
-    VecF acc[kTile];
-    for (std::size_t t = 0; t < tiles; ++t)
-      acc[t] = VecF::load(bias + j0 + t * simd::kWidth);
-    for (std::size_t i = 0; i < in; ++i) {
-      const VecF xi = VecF::broadcast(x[i]);
-      const float* wrow = w + i * padded + j0;
-      for (std::size_t t = 0; t < tiles; ++t)
-        acc[t] = simd::fmadd(xi, VecF::load(wrow + t * simd::kWidth), acc[t]);
-    }
-    for (std::size_t t = 0; t < tiles; ++t)
-      simd::sigmoid(acc[t]).store(out + j0 + t * simd::kWidth);
+  VecF acc[R][T];
+  for (std::size_t t = 0; t < T; ++t) {
+    const VecF b = VecF::load(bias + j0 + t * simd::kWidth);
+    for (std::size_t r = 0; r < R; ++r) acc[r][t] = b;
   }
+  for (std::size_t i = 0; i < in; ++i) {
+    VecF xi[R];
+    for (std::size_t r = 0; r < R; ++r) xi[r] = VecF::broadcast(x[r * in + i]);
+    const float* wrow = w + i * padded + j0;
+    for (std::size_t t = 0; t < T; ++t) {
+      const VecF wt = VecF::load(wrow + t * simd::kWidth);
+      for (std::size_t r = 0; r < R; ++r)
+        acc[r][t] = simd::fmadd(xi[r], wt, acc[r][t]);
+    }
+  }
+  for (std::size_t t = 0; t < T; ++t) {
+    const VecF v = VecF::load(wcol + j0 + t * simd::kWidth);
+    for (std::size_t r = 0; r < R; ++r)
+      dot[r] = simd::fmadd(simd::sigmoid(acc[r][t]), v, dot[r]);
+  }
+}
+
+/// R rows through the member: the padded unit panel in tiles of up to kTile
+/// vectors, the output dot over the units in ascending order, a horizontal
+/// sum and the bias add. A row's operations and their order do not depend
+/// on R, so neither do its bits. The pad lanes hold sigmoid(bias pad = 0);
+/// their output weights are zero.
+template <std::size_t R>
+void forward_rows(const float* x, std::size_t in, std::size_t padded,
+                  const float* w, const float* bias, const float* wcol,
+                  float out_bias, float* out) {
+  simd::VecF dot[R];
+  for (std::size_t r = 0; r < R; ++r) dot[r] = simd::VecF::zero();
+  for (std::size_t j0 = 0; j0 < padded; j0 += kTile * simd::kWidth) {
+    switch ((padded - j0) / simd::kWidth) {
+      case 1:
+        hidden_tile<R, 1>(x, in, padded, w, bias, wcol, j0, dot);
+        break;
+      case 2:
+        hidden_tile<R, 2>(x, in, padded, w, bias, wcol, j0, dot);
+        break;
+      case 3:
+        hidden_tile<R, 3>(x, in, padded, w, bias, wcol, j0, dot);
+        break;
+      default:
+        hidden_tile<R, kTile>(x, in, padded, w, bias, wcol, j0, dot);
+        break;
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) out[r] = out_bias + simd::hsum(dot[r]);
 }
 
 }  // namespace
 
 void BatchedMlp::forward_column0(const float* x, std::size_t rows, float* out,
-                                 Scratch& scratch, const float* bias0) const {
-  using simd::VecF;
+                                 const float* bias0) const {
   if (bias0 == nullptr) bias0 = bias_.data();
-  if (scratch.hidden.size() < padded_) scratch.hidden.assign(padded_, 0.0f);
-  float* const hidden = scratch.hidden.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    forward_row(x + r * inputs_, inputs_, padded_, w_.data(), bias0, hidden);
-    // The pad lanes hold sigmoid(0); their wcol entries are zero.
-    VecF acc = VecF::zero();
-    for (std::size_t i = 0; i < padded_; i += simd::kWidth)
-      acc = simd::fmadd(VecF::load(hidden + i), VecF::load(wcol_.data() + i),
-                        acc);
-    out[r] = out_bias_ + simd::hsum(acc);
-  }
+  std::size_t r = 0;
+  for (; r + 3 <= rows; r += 3)
+    forward_rows<3>(x + r * inputs_, inputs_, padded_, w_.data(), bias0,
+                    wcol_.data(), out_bias_, out + r);
+  for (; r < rows; ++r)
+    forward_rows<1>(x + r * inputs_, inputs_, padded_, w_.data(), bias0,
+                    wcol_.data(), out_bias_, out + r);
 }
 
 namespace {
@@ -496,8 +530,7 @@ void BatchedEnsemble::average_into(const float* x, std::size_t rows,
       const simd::AlignedVectorF& sel = node_bias_[m];
       bias0 = sel.data() + free * (sel.size() / (inputs_ + 1));
     }
-    members_[m].forward_column0(x, rows, scratch.member.data(), scratch,
-                                bias0);
+    members_[m].forward_column0(x, rows, scratch.member.data(), bias0);
     for (std::size_t r = 0; r < rows; ++r) out[r] += scratch.member[r];
   }
   for (std::size_t r = 0; r < rows; ++r) out[r] *= inv_k_;

@@ -17,12 +17,14 @@
 // unscaled fp32 features and the per-row standardization disappears from the
 // hot loop entirely.
 //
-// The forward pass walks rows of the chunk. Per row, the hidden layer
-// broadcasts one input at a time and accumulates FMA products into up to
-// four vector registers spanning the padded unit panel, then applies
-// simd::sigmoid (with its documented error bound). The output is a vector
-// dot of the panel with the output column, a horizontal sum and the bias
-// add.
+// The forward pass walks the rows of a batch three at a time (the last one
+// or two rows alone). For a tile of up to four vectors of the padded unit
+// panel, each row's accumulators are seeded from the bias, and every input
+// is broadcast and FMA'd into them, each weight load serving all three rows;
+// then simd::sigmoid (with its documented error bound) and the row's output
+// dot with the output column. A horizontal sum and the bias add finish the
+// row. Every row runs the same operations in the same order whichever rows
+// share its pass, so its output bits do not depend on the batch.
 //
 // Certified accuracy: at pack time BatchedEnsemble computes a sound upper
 // bound on |fp32 raw output - fp64 raw output| over every input row inside a
@@ -100,20 +102,13 @@ class BatchedMlp {
 
   [[nodiscard]] std::size_t input_size() const noexcept { return inputs_; }
 
-  /// Reusable buffers: the hidden activation panel and a per-member output
-  /// column for ensemble averaging.
-  struct Scratch {
-    common::simd::AlignedVectorF hidden;
-    std::vector<float> member;
-  };
-
   /// Evaluate `rows` samples stored row-major in x (row r starts at
   /// x + r * input_size()) and write the output to out[0..rows). A non-null
   /// `bias0` (one float per hidden unit, padded to the vector width)
-  /// replaces the packed hidden bias. Safe to call concurrently with
-  /// distinct scratch objects.
+  /// replaces the packed hidden bias. Each output is the one a one-row call
+  /// gives, bit for bit. Safe to call concurrently.
   void forward_column0(const float* x, std::size_t rows, float* out,
-                       Scratch& scratch, const float* bias0 = nullptr) const;
+                       const float* bias0 = nullptr) const;
 
  private:
   std::size_t inputs_;
@@ -150,7 +145,10 @@ class BatchedEnsemble {
   /// predict_batch_into| (raw outputs) for every row inside calibration().
   [[nodiscard]] double error_bound() const noexcept { return error_bound_; }
 
-  using Scratch = BatchedMlp::Scratch;
+  /// Reusable buffer: one member's output column.
+  struct Scratch {
+    std::vector<float> member;
+  };
 
   /// Mean member prediction for `rows` row-major raw-feature samples; out is
   /// resized to `rows`. Safe to call concurrently with distinct scratch.

@@ -145,7 +145,7 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
   }
 
   // --- Stage 2: scan predictions, measure the M most promising. ---
-  // The scan streams: a bounded top-M heap per worker instead of a
+  // The scan streams: a bounded top-M heap per chunk instead of a
   // full-space prediction vector, with the validity filter (if any) applied
   // lazily to heap-entering candidates only.
   const auto scan_start = std::chrono::steady_clock::now();

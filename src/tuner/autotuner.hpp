@@ -96,13 +96,14 @@ struct AutoTuneResult {
   std::optional<ValidityModel> validity_model;
   /// Candidates the validity filter rejected during the prediction scan.
   /// Counted lazily: only configurations good enough to enter a scan
-  /// chunk's bounded top-M heap are ever tested, so this is a lower bound
-  /// on the number of predicted-invalid configurations in the space.
+  /// chunk's bounded top-M heap, and below the scan's certified cutoff, are
+  /// ever tested, so this is a lower bound on the number of
+  /// predicted-invalid configurations in the space.
   std::size_t stage2_filtered = 0;
   /// clstat static pre-filter tallies (all zero unless options.static_checker
-  /// was set). Queries happen lazily at scan heap entry, so static_checked
-  /// is a lower bound on the provable configurations in the space; the
-  /// verdict mix always sums to static_checked.
+  /// was set). Queries happen lazily at scan heap entry, below the scan's
+  /// certified cutoff, so each tally is a lower bound on its verdict over
+  /// the space; the verdict mix always sums to static_checked.
   std::size_t static_checked = 0;
   std::size_t static_pruned = 0;        // kProvedInvalid, skipped
   std::size_t static_proved_valid = 0;  // kProvedValid, kept

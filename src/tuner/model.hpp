@@ -59,15 +59,15 @@ class AnnPerformanceModel {
 
   /// Predicted times for a contiguous flat-index range [begin, end) of the
   /// space — the dense bulk path, through the fp64 reference
-  /// (ScanEngine::reference_range). Chunks of kScanChunkRows rows are
-  /// dispatched on the global thread pool; results are bit-identical for
-  /// every pool size.
+  /// (ScanEngine::reference_range). Chunks of scan_chunk_rows(end - begin)
+  /// rows are dispatched on the global thread pool; results are
+  /// bit-identical for every pool size.
   [[nodiscard]] std::vector<double> predict_range_ms(std::uint64_t begin,
                                                      std::uint64_t end) const;
 
   /// Streaming top-m selection over [begin, end): the m configurations with
   /// the lowest predicted time (ascending), found in O(n log m) time and
-  /// O(workers * m) memory — no full prediction vector — by the certified
+  /// O(chunks * m) memory — no full prediction vector — by the certified
   /// fp32 scan (ScanEngine::top_m), whose selection is the fp64
   /// reference's. The optional filter (e.g. a validity model; must be
   /// thread-safe) is applied during the scan, lazily, and the selection

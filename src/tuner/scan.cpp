@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
@@ -95,31 +96,39 @@ class BoundedTopM {
   std::vector<RawCandidate> heap_;
 };
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Chunks in a pruned top-M scan's first wave. Fixed, so which chunks run
+/// uncapped depends on the range and the model only, never on the pool.
+constexpr std::size_t kWave = 4;
+
 /// Relaxed selection for the fp32 path: the best-m heap plus an overflow
 /// list of every candidate within `slack` (= 2x the engine's error bound)
-/// of the heap cutoff. The heap cutoff only improves as the chunk streams,
-/// so pruning the overflow against the current cutoff never drops a
-/// candidate that the final cutoff would have kept.
+/// of the heap cutoff, and none above `cap` (a cutoff certified for the
+/// whole scan; see top_m). The heap cutoff only improves as the chunk
+/// streams, so pruning the overflow against the current cutoff never drops
+/// a candidate that the final cutoff would have kept.
 class RelaxedTopM {
  public:
-  RelaxedTopM(std::size_t m, double slack)
-      : m_(m), slack_(slack), prune_at_(min_prune_at()) {
+  RelaxedTopM(std::size_t m, double slack, double cap)
+      : m_(m), slack_(slack), cap_(cap), prune_at_(min_prune_at()) {
     heap_.reserve(m);
   }
 
   /// True if offer() would retain this candidate (used for lazy filters).
   [[nodiscard]] bool would_keep(const RawCandidate& c) const {
-    if (m_ == 0) return false;
+    if (m_ == 0 || c.raw > cap_) return false;
     if (heap_.size() < m_) return true;
     return c.raw <= heap_.front().raw + slack_;
   }
 
-  /// would_keep rejects every candidate whose raw output exceeds this (+inf
-  /// until the heap is full). It only decreases as candidates stream in.
+  /// would_keep rejects every candidate whose raw output exceeds this:
+  /// min(cap, heap cutoff + slack), the cutoff counting as +inf until the
+  /// heap is full. It only decreases as candidates stream in.
   [[nodiscard]] double threshold() const {
-    if (m_ == 0) return -std::numeric_limits<double>::infinity();
-    if (heap_.size() < m_) return std::numeric_limits<double>::infinity();
-    return heap_.front().raw + slack_;
+    if (m_ == 0) return -kInf;
+    if (heap_.size() < m_) return cap_;
+    return std::min(cap_, heap_.front().raw + slack_);
   }
 
   void offer(const RawCandidate& c) {
@@ -164,6 +173,7 @@ class RelaxedTopM {
 
   std::size_t m_;
   double slack_;
+  double cap_;
   std::size_t prune_at_;  // overflow size that triggers the next pruning
   std::vector<RawCandidate> heap_;
   std::vector<RawCandidate> overflow_;
@@ -176,9 +186,32 @@ struct ChunkTop {
   std::uint64_t pruned = 0;
 };
 
-std::uint64_t chunk_count_for(std::uint64_t n) {
-  return (n + kScanChunkRows - 1) / kScanChunkRows;
-}
+/// The chunks of [begin, end): chunk c holds the rows
+/// [begin + c * rows, begin + (c + 1) * rows) that lie before `end`.
+struct ChunkGrid {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  std::uint64_t rows = 0;
+
+  ChunkGrid(std::uint64_t b, std::uint64_t e)
+      : begin(b), end(e), rows(scan_chunk_rows(e - b)) {}
+
+  [[nodiscard]] std::size_t count() const {
+    return static_cast<std::size_t>((end - begin + rows - 1) / rows);
+  }
+  [[nodiscard]] std::uint64_t lo(std::size_t c) const {
+    return begin + c * rows;
+  }
+  [[nodiscard]] std::uint64_t hi(std::size_t c) const {
+    return std::min(end, lo(c) + rows);
+  }
+  /// Every chunk, in index order.
+  [[nodiscard]] std::vector<std::size_t> all() const {
+    std::vector<std::size_t> chunks(count());
+    std::iota(chunks.begin(), chunks.end(), std::size_t{0});
+    return chunks;
+  }
+};
 
 /// The digit boxes the pruned descent walks: a level-k node covers span[k]
 /// consecutive indices, its first k digits free; the root is level
@@ -215,6 +248,57 @@ struct DigitBoxes {
   [[nodiscard]] std::size_t root() const { return radix.size(); }
 };
 
+/// Writes the row of the digit box that starts at `index` with its first
+/// `free` features free to row[0, width): the box's fixed features, zeros
+/// in the free ones. `buffer` is the encoder's scratch.
+void node_row(const RangeEncoder& encoder, std::span<const float> tail,
+              std::uint64_t index, std::size_t free,
+              std::vector<float>& buffer, float* row) {
+  encoder.fill_f32(index, index + 1, buffer, tail);
+  std::fill(row, row + free, 0.0f);
+  std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(free), buffer.end(),
+            row + free);
+}
+
+/// Chunks of a pruned top-M scan in the order it takes them: by key, ties
+/// by index. A chunk's key is the lowest L~ over the level-k digit boxes
+/// that cover it, k the coarsest level whose boxes fit in a chunk, so a
+/// chunk meets at most radix[k] + 1 of them. E(k) + B is the same for every
+/// chunk, so L~ alone orders them.
+std::vector<std::size_t> chunks_by_bound(const ChunkGrid& grid,
+                                         const DigitBoxes& boxes,
+                                         const ml::BatchedEnsemble& batched,
+                                         const RangeEncoder& encoder,
+                                         std::span<const float> tail) {
+  std::size_t k = 0;
+  while (k < boxes.root() && boxes.span[k + 1] <= grid.rows) ++k;
+  const std::uint64_t span = boxes.span[k];
+  const std::uint64_t first = grid.begin / span;
+  const auto nodes =
+      static_cast<std::size_t>((grid.end + span - 1) / span - first);
+  const std::size_t width = batched.input_width();
+  std::vector<float> rows(nodes * width);
+  std::vector<float> buffer;
+  for (std::size_t n = 0; n < nodes; ++n)
+    node_row(encoder, tail, (first + n) * span, k, buffer,
+             rows.data() + n * width);
+  std::vector<float> bounds;
+  ml::BatchedEnsemble::Scratch scratch;
+  batched.node_lower_bounds(rows.data(), nodes, k, bounds, scratch);
+  std::vector<float> key(grid.count());
+  for (std::size_t c = 0; c < key.size(); ++c)
+    key[c] = *std::min_element(
+        bounds.begin() + static_cast<std::ptrdiff_t>(grid.lo(c) / span - first),
+        bounds.begin() + static_cast<std::ptrdiff_t>(
+                             (grid.hi(c) + span - 1) / span - first));
+  std::vector<std::size_t> order = grid.all();
+  std::stable_sort(order.begin(), order.end(),
+                   [&key](std::size_t a, std::size_t b) {
+                     return key[a] < key[b];
+                   });
+  return order;
+}
+
 /// Every chunk's candidates, best first.
 std::vector<RawCandidate> sorted_union(const std::vector<ChunkTop>& chunks) {
   std::vector<RawCandidate> all;
@@ -234,6 +318,21 @@ std::vector<ScanCandidate> best_m(std::vector<RawCandidate>& all,
   for (const auto& c : all)
     out.push_back(ScanCandidate{c.index, transform(c.raw)});
   return out;
+}
+
+/// The cap for the chunks after the first wave: the m-th best fp32 output
+/// over the first wave's chunk tops plus `slack`, +inf while they hold
+/// fewer than m candidates.
+double wave_cap(const std::vector<ChunkTop>& chunks,
+                std::span<const std::size_t> wave, std::size_t m,
+                double slack) {
+  std::vector<RawCandidate> tops;
+  for (const std::size_t c : wave)
+    tops.insert(tops.end(), chunks[c].top.begin(), chunks[c].top.end());
+  if (tops.size() < m) return kInf;
+  const auto mth = tops.begin() + static_cast<std::ptrdiff_t>(m - 1);
+  std::nth_element(tops.begin(), mth, tops.end(), better);
+  return mth->raw + slack;
 }
 
 /// Survivors of the global fp32 cutoff: every candidate within `slack` of
@@ -263,23 +362,19 @@ void gauge_configs_per_sec(std::uint64_t n,
                              static_cast<double>(n) / seconds);
 }
 
-/// Runs `chunk(c, lo, hi, scratch)` on the pool for every kScanChunkRows
-/// piece [lo, hi) of [begin, end), numbered c from 0.
+/// Runs `chunk(c, lo, hi, scratch)` on the pool for every chunk c of
+/// `chunks`, [lo, hi) its rows in `grid`.
 template <typename Chunk>
-void for_each_chunk(std::uint64_t begin, std::uint64_t end,
-                    const Chunk& chunk) {
+void for_each_chunk(const ChunkGrid& grid,
+                    std::span<const std::size_t> chunks, const Chunk& chunk) {
   ScratchPool pool;
-  common::global_pool().parallel_for(
-      0, static_cast<std::size_t>(chunk_count_for(end - begin)),
-      [&](std::size_t c) {
-        const common::telemetry::Span span("scan.chunk");
-        const std::uint64_t lo = begin + c * kScanChunkRows;
-        const std::uint64_t hi =
-            std::min<std::uint64_t>(end, lo + kScanChunkRows);
-        auto scratch = pool.acquire();
-        chunk(c, lo, hi, *scratch);
-        pool.release(std::move(scratch));
-      });
+  common::global_pool().parallel_for(0, chunks.size(), [&](std::size_t i) {
+    const common::telemetry::Span span("scan.chunk");
+    const std::size_t c = chunks[i];
+    auto scratch = pool.acquire();
+    chunk(c, grid.lo(c), grid.hi(c), *scratch);
+    pool.release(std::move(scratch));
+  });
 }
 
 /// Runs `eval(lo, hi, scratch, out)` over the chunks of [begin, end); each
@@ -292,7 +387,8 @@ std::vector<double> dense_scan(std::uint64_t begin, std::uint64_t end,
   std::vector<double> out(static_cast<std::size_t>(n));
   if (n == 0) return out;
   const auto start = std::chrono::steady_clock::now();
-  for_each_chunk(begin, end,
+  const ChunkGrid grid(begin, end);
+  for_each_chunk(grid, grid.all(),
                  [&](std::size_t, std::uint64_t lo, std::uint64_t hi,
                      ChunkScratch& s) {
                    eval(lo, hi, s, out.data() + (lo - begin));
@@ -431,10 +527,10 @@ TopMScanResult ScanEngine::reference_top_m(std::uint64_t begin,
   TopMScanResult result = start_top_m(begin, end, transform_);
   if (result.scanned == 0 || m == 0) return result;
   const auto start = std::chrono::steady_clock::now();
-  std::vector<ChunkTop> chunks(
-      static_cast<std::size_t>(chunk_count_for(result.scanned)));
+  const ChunkGrid grid(begin, end);
+  std::vector<ChunkTop> chunks(grid.count());
   for_each_chunk(
-      begin, end,
+      grid, grid.all(),
       [&](std::size_t c, std::uint64_t lo, std::uint64_t hi, ChunkScratch& s) {
         ChunkTop& out = chunks[c];
         encoder_.fill(lo, hi, s.x, tail_);
@@ -473,13 +569,14 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
                                ? DigitBoxes::flat(end)
                                : DigitBoxes::of(radices_, end, width);
 
-  std::vector<ChunkTop> chunks(
-      static_cast<std::size_t>(chunk_count_for(result.scanned)));
-  for_each_chunk(
-      begin, end,
+  const ChunkGrid grid(begin, end);
+  std::vector<ChunkTop> chunks(grid.count());
+  // Every chunk heap's cap: +inf in the first wave, its cutoff after it.
+  double cap = kInf;
+  const auto chunk =
       [&](std::size_t c, std::uint64_t lo, std::uint64_t hi, ChunkScratch& s) {
         ChunkTop& out = chunks[c];
-        RelaxedTopM heap(m, slack);
+        RelaxedTopM heap(m, slack, cap);
         // Evaluate rows [a, b) and offer them in index order.
         const auto leaf = [&](std::uint64_t a, std::uint64_t b) {
           const auto rows = static_cast<std::size_t>(b - a);
@@ -511,17 +608,10 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
           const std::uint64_t first = node < lo ? (lo - node) / child : 0;
           const std::uint64_t last =
               std::min(boxes.radix[free], (hi - node + child - 1) / child);
-          // Each child's node row: its fixed features, zeros in the free
-          // ones.
           s.node_rows.resize(static_cast<std::size_t>(last - first) * width);
-          for (std::uint64_t k = first; k < last; ++k) {
-            const std::uint64_t index = node + k * child;
-            encoder_.fill_f32(index, index + 1, s.node_row, tail_f_);
-            float* row = s.node_rows.data() + (k - first) * width;
-            std::fill(row, row + free, 0.0f);
-            std::copy_n(s.node_row.begin() + static_cast<std::ptrdiff_t>(free),
-                        width - free, row + free);
-          }
+          for (std::uint64_t k = first; k < last; ++k)
+            node_row(encoder_, tail_f_, node + k * child, free, s.node_row,
+                     s.node_rows.data() + (k - first) * width);
           std::vector<float>& bounds = s.node_bounds[level];
           batched_->node_lower_bounds(s.node_rows.data(),
                                       static_cast<std::size_t>(last - first),
@@ -539,7 +629,22 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
         };
         visit(visit, boxes.root(), 0);
         out.top = heap.take();
-      });
+      };
+  // Without radices, or with at most kWave chunks, the scan is one uncapped
+  // wave. Otherwise the first kWave chunks by bound go first, and their
+  // cutoff caps every other chunk (see the header).
+  std::vector<std::size_t> order = grid.all();
+  std::size_t wave = order.size();
+  if (!radices_.empty() && order.size() > kWave) {
+    order = chunks_by_bound(grid, boxes, *batched_, encoder_, tail_f_);
+    wave = kWave;
+  }
+  const std::span<const std::size_t> waves(order);
+  for_each_chunk(grid, waves.first(wave), chunk);
+  if (wave < order.size()) {
+    cap = wave_cap(chunks, waves.first(wave), m, slack);
+    for_each_chunk(grid, waves.subspan(wave), chunk);
+  }
 
   for (const ChunkTop& c : chunks) {
     result.rejected += c.rejected;

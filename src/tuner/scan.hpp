@@ -1,22 +1,23 @@
 #pragma once
 
 // Parallel prediction-scan engine: evaluates a fitted ensemble over a flat
-// index range in fixed 65536-row chunks dispatched on the global thread
-// pool, with per-worker reusable scratch so a full-space scan performs no
-// per-chunk allocations once the buffers are warm.
+// index range in chunks dispatched on the global thread pool, with
+// per-worker reusable scratch so a full-space scan performs no per-chunk
+// allocations once the buffers are warm.
 //
-// Chunking is defined by the *index range*, never by the pool size, so every
-// result is bit-identical regardless of the number of threads.
+// Chunking is defined by the *index range* (scan_chunk_rows), never by the
+// pool size, so every result is bit-identical regardless of the number of
+// threads.
 //
 // Two kinds of entry point:
 //  - dense range: one predicted value per index;
 //  - top-M: the streaming selection path; keeps a bounded per-chunk
-//    worst-on-top heap of the best m candidates (O(workers * m) memory,
-//    O(n log m) time) instead of materializing |space| predictions. An
-//    optional validity filter is evaluated lazily — only for candidates that
-//    would enter the heap — and the heap keeps only the candidates it
-//    passes. A caller that wants the unfiltered ranking too runs a second
-//    scan without the filter.
+//    worst-on-top heap of the best m candidates (O(n log m) time) instead of
+//    materializing |space| predictions. Every chunk's heap and band are held
+//    until the merge, so memory is O(chunks * m). An optional validity
+//    filter is evaluated lazily — only for candidates that would enter the
+//    heap — and the heap keeps only the candidates it passes. A caller that
+//    wants the unfiltered ranking too runs a second scan without the filter.
 //
 // Candidates are ordered by (raw network output, index): the output
 // transform (affine with positive scale, optionally exp) is strictly
@@ -45,17 +46,30 @@
 // space's mixed-radix digits, nodes in ascending index order, clipped to the
 // chunk. Before descending into a node, the bounds L~ of its children (one
 // digit's radix; ml/batched.hpp) are computed as one batch, and a child is
-// skipped when L~ - E(k) - B exceeds T, the heap threshold (cutoff + 2B once
-// the heap is full, +inf before). Every row of a skipped child predicts at
-// least L~ - E(k) - B in fp32, so the heap would have rejected it when it
-// was offered; such a rejection changes no state, and the filter is
-// consulted only for rows the heap would keep. Leaves (the innermost boxes
-// of at least kScanLeafRows rows) are evaluated and offered in index order
-// as before, so every TopMScanResult field except pruned_rows is the
-// unpruned scan's, at any thread count. Without radices each chunk is a
-// single leaf.
+// skipped when L~ - E(k) - B exceeds T, the heap threshold: min(cap,
+// cutoff + 2B), the cutoff counting as +inf until the heap is full. Every
+// row of a skipped child predicts at least L~ - E(k) - B in fp32, so the
+// heap would have rejected it when it was offered; such a rejection changes
+// no state, and the filter is consulted only for rows the heap would keep.
+// Leaves (the innermost boxes of at least kScanLeafRows rows) are evaluated
+// and offered in index order. Without radices each chunk is a single leaf.
+//
+// The scan runs in two waves. The first is the 4 chunks with the lowest
+// node bound over the digit boxes that cover them, scanned with cap = +inf.
+// The cap of every other chunk is then the first wave's m-th best fp32
+// output + 2B (+inf if the first wave kept fewer than m). That m-th best is
+// taken over a subset of the rows, so it is at least G, the m-th best of
+// the whole range, and every row of the final re-rank band (fp32 <= G + 2B)
+// is still kept. So `top`, `scanned`, `error_bound`, `fp64_reranked` and
+// `near_ties` are the unpruned scan's; `pruned_rows` grows, and with a
+// filter `rejected` (and a static filter's counters) can fall. Every field
+// is the same at any thread count: the first wave depends on the range and
+// the model only. Without radices, or with at most 4 chunks, the scan is
+// one uncapped wave, so the flat scan is the unpruned reference.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -71,9 +85,18 @@
 
 namespace pt::tuner {
 
-/// Rows per scan chunk. Fixed (not derived from the pool size) so results
-/// are independent of the number of worker threads.
-inline constexpr std::size_t kScanChunkRows = 65536;
+/// The largest and the smallest scan chunk, in rows.
+inline constexpr std::uint64_t kScanChunkRows = 65536;
+inline constexpr std::uint64_t kScanChunkMinRows = 16384;
+
+/// Rows per chunk of an n-row scan: n / 32 rounded down to a power of two,
+/// clamped to [kScanChunkMinRows, kScanChunkRows]. A function of the range
+/// size alone, never of the pool size, so results are independent of the
+/// number of worker threads.
+[[nodiscard]] constexpr std::uint64_t scan_chunk_rows(std::uint64_t n) {
+  return std::clamp(std::bit_floor(n / 32), kScanChunkMinRows,
+                    kScanChunkRows);
+}
 
 /// Smallest leaf of the pruned top-M descent: the innermost digit box with
 /// at least this many rows is evaluated row by row.
@@ -103,7 +126,9 @@ struct ScanCandidate {
 /// Result of a top-M scan. `top` is the best-first selection among the rows
 /// the filter passes (all rows when no filter was given); `rejected` counts
 /// filter rejections, which only happen for candidates good enough to enter
-/// a chunk heap at the moment they were scanned. The last four fields are
+/// a chunk heap at the moment they were scanned and below the chunk's cap
+/// (see "Pruned top-M" above), so it is a lower bound on the rejections a
+/// full filter pass would make. The last four fields are
 /// zero on the fp64 reference: `error_bound` is the half-width B of the
 /// re-rank band (the fp32 engine's certified bound), `fp64_reranked` counts
 /// candidates sent through the fp64 reference for exact ranking,
@@ -192,9 +217,9 @@ class ScanEngine {
 
 /// Verdict tallies of a clstat static pre-filter built by
 /// make_static_scan_filter. Atomic: scan workers bump them concurrently.
-/// Queries happen lazily (heap-entry candidates only), so `checked` is a
-/// lower bound on the provable configurations in the scanned range; the
-/// three verdict counters always sum to it.
+/// Queries happen lazily (heap-entry candidates under the chunk's cap
+/// only), so `checked` is a lower bound on the provable configurations in
+/// the scanned range; the three verdict counters always sum to it.
 struct StaticPruneCounters {
   std::atomic<std::uint64_t> checked{0};
   std::atomic<std::uint64_t> pruned{0};        // kProvedInvalid, rejected

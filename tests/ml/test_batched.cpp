@@ -1,16 +1,20 @@
 // Tests for the batched fp32 inference engine (ml/batched.hpp): parity with
 // the per-row fp64 forward pass across hidden widths, the one packable
-// shape, scaler folding, ensemble averaging, determinism, cache semantics,
-// and the certified error bound (measured <= certified on random networks,
-// cancellation-heavy scaler folds and degenerate calibration ranges).
+// shape, scaler folding, ensemble averaging, determinism, rows that equal
+// their one-row calls bit for bit however a batch groups them, cache
+// semantics, and the certified error bound (measured <= certified on random
+// networks, cancellation-heavy scaler folds and degenerate calibration
+// ranges).
 
 #include "ml/batched.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,8 +73,7 @@ TEST(BatchedMlp, MatchesFp64ForwardAcrossTopologies) {
     const std::size_t rows = 64;
     const auto x = random_rows(rows, 5, 7 * h);
     std::vector<float> out(rows);
-    ml::BatchedMlp::Scratch scratch;
-    batched.forward_column0(x.data(), rows, out.data(), scratch);
+    batched.forward_column0(x.data(), rows, out.data());
     for (std::size_t r = 0; r < rows; ++r) {
       const double want = reference_forward(net, x.data() + r * 5, 5);
       EXPECT_NEAR(out[r], want, 1e-4) << "hidden = " << h << ", row = " << r;
@@ -106,8 +109,7 @@ TEST(BatchedMlp, ScalerFoldingMatchesExplicitStandardization) {
   const std::size_t rows = 32;
   const auto x = random_rows(rows, 4, 31);
   std::vector<float> out(rows);
-  ml::BatchedMlp::Scratch scratch;
-  batched.forward_column0(x.data(), rows, out.data(), scratch);
+  batched.forward_column0(x.data(), rows, out.data());
   for (std::size_t r = 0; r < rows; ++r) {
     // Reference: standardize in double, then fp64 forward.
     std::vector<double> row(4);
@@ -500,4 +502,57 @@ TEST(BatchedEnsembleNodeBound, CoversCancellationHeavyScalerFolds) {
   // selection bias, so their large cancelling terms stop costing fp32
   // rounding error.
   EXPECT_LT(batched.node_error_bound(4), batched.node_error_bound(0));
+}
+
+TEST(BatchedEnsemble, EveryRowEqualsItsOneRowCall) {
+  // The forward pass runs rows three at a time and the last one or two
+  // alone; a row's bits must not depend on which rows share its pass. For
+  // batches of 1 to 10 rows, and for a 10-row batch split at every offset,
+  // predict_batch_into and node_lower_bounds (every count of free features)
+  // equal one-row calls, at hidden widths that leave 1 to 4 vectors in the
+  // last tile.
+  constexpr std::size_t kCols = 5;
+  constexpr std::size_t kRows = 10;
+  const auto x = random_rows(kRows, kCols, 62);
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const std::size_t units : {5u, 12u, 30u, 40u}) {
+    const auto ensemble = random_ensemble(
+        kCols, units, 4, 2.0,
+        scaler_of({1.0, -0.5, 0.0, 2.0, 0.25}, {2.0, 1.0, 0.5, 3.0, 1.5}),
+        60 + units);
+    const ml::BatchedEnsemble batched(ensemble, box(kCols, -4.0f, 4.0f));
+    // free == kCols + 1 stands for predict_batch_into.
+    for (std::size_t free = 0; free <= kCols + 1; ++free) {
+      SCOPED_TRACE(std::to_string(units) + " units, free " +
+                   std::to_string(free));
+      ml::BatchedEnsemble::Scratch scratch;
+      const auto run = [&](std::size_t first, std::size_t rows) {
+        std::vector<float> out;
+        if (free > kCols)
+          batched.predict_batch_into(x.data() + first * kCols, rows, out,
+                                     scratch);
+        else
+          batched.node_lower_bounds(x.data() + first * kCols, rows, free, out,
+                                    scratch);
+        return out;
+      };
+      std::vector<float> single(kRows);
+      for (std::size_t r = 0; r < kRows; ++r) single[r] = run(r, 1)[0];
+      for (std::size_t rows = 1; rows <= kRows; ++rows) {
+        const std::vector<float> out = run(0, rows);
+        ASSERT_EQ(out.size(), rows);
+        for (std::size_t r = 0; r < rows; ++r)
+          EXPECT_EQ(bits(out[r]), bits(single[r]))
+              << rows << " rows, row " << r;
+      }
+      for (std::size_t split = 0; split <= kRows; ++split) {
+        const std::vector<float> head = run(0, split);
+        const std::vector<float> tail = run(split, kRows - split);
+        for (std::size_t r = 0; r < kRows; ++r)
+          EXPECT_EQ(bits(r < split ? head[r] : tail[r - split]),
+                    bits(single[r]))
+              << "split " << split << ", row " << r;
+      }
+    }
+  }
 }

@@ -253,6 +253,10 @@ TEST(ModelScan, PredictRangeAgreesWithSingleAcrossChunkBoundaries) {
     // Boundaries of the chunking plus a stride through the interior.
     std::vector<std::uint64_t> probes = {0, n - 1};
     for (std::uint64_t i = 8191; i < n; i += 8191) probes.push_back(i);
+    for (std::uint64_t i = scan_chunk_rows(n); i < n; i += scan_chunk_rows(n)) {
+      probes.push_back(i - 1);
+      probes.push_back(i);
+    }
     for (const std::uint64_t i : probes) {
       EXPECT_EQ(range[i], model.predict_ms(space.decode(i)))
           << "n=" << n << " i=" << i;

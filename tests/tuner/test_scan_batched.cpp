@@ -31,8 +31,9 @@
 namespace pt::tuner {
 namespace {
 
-/// 8*8*4*6*6*8 = 73728 configurations: crosses the 65536-row chunk boundary
-/// so the merge path and a partial tail chunk are both exercised.
+/// 8*8*4*6*6*8 = 73728 configurations: four and a half 16384-row chunks,
+/// so the merge path, both waves of the pruned top-M and a partial tail
+/// chunk are all exercised.
 ParamSpace big_space() {
   ParamSpace space;
   space.add("A", {1, 2, 4, 8, 16, 32, 64, 128});
