@@ -157,6 +157,48 @@ void BM_StdExpBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_StdExpBaseline);
 
+// --- fp64 exp of the training path ----------------------------------------
+
+/// The exps of one paper-geometry epoch: (1,545 training + 273 validation
+/// rows) x 30 sigmoid hidden units = 54,540 pre-activations.
+std::vector<double> exp_pass_inputs() {
+  common::Rng rng(6);
+  std::vector<double> x(1818 * 30);
+  for (auto& v : x) v = rng.uniform(-30.0, 30.0);
+  return x;
+}
+
+void BM_ExpD(benchmark::State& state) {
+  const auto x = exp_pass_inputs();
+  std::vector<double> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); i += common::simd::kWidthD) {
+      common::simd::exp(common::simd::VecD::load(x.data() + i))
+          .store(y.data() + i);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpD);
+
+/// The same pass through libm's scalar exp, as the training path ran it
+/// before common::math::exp.
+void BM_StdExpDBaseline(benchmark::State& state) {
+  const auto x = exp_pass_inputs();
+  std::vector<double> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::exp(x[i]);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_StdExpDBaseline);
+
 void BM_BatchedMlpForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   common::Rng rng(7);

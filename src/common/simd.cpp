@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 
@@ -50,18 +51,40 @@ const char* backend_name() noexcept {
 
 namespace {
 
-bool fail(std::string* error, const char* what, float input, float got,
-          float want) {
+bool fail(std::string* error, const char* what, double input, double got,
+          double want) {
   if (error) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "simd self_test: %s(%a) = %a on backend %s, scalar "
                   "reference gives %a",
-                  what, static_cast<double>(input), static_cast<double>(got),
-                  backend_name(), static_cast<double>(want));
+                  what, input, got, backend_name(), want);
     *error = buf;
   }
   return false;
+}
+
+/// Inputs of the exp(VecD) check: a sweep of [-746, 710] (both special
+/// ranges, subnormal results, overflow), the main range's bounds +-1 ulp,
+/// and the values with their own return paths, so groups of 4 mix
+/// main-path lanes with the others.
+std::vector<double> exp_d_inputs() {
+  std::vector<double> xs;
+  for (int i = 0; i <= 4096; ++i) xs.push_back(-746.0 + 1456.0 * i / 4096);
+  for (const double b : {math::detail::kExpMainLo, math::detail::kExpMainHi,
+                         1024.0, 0x1p-1074, 0x1p-1022}) {
+    for (const double v : {b, -b}) {
+      xs.push_back(v);
+      xs.push_back(std::nextafter(v, 0.0));
+      xs.push_back(std::nextafter(v, 2 * v));
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  xs.insert(xs.end(), {0.0, -0.0, kInf, -kInf,
+                       std::numeric_limits<double>::quiet_NaN(), 1e300,
+                       -1e300, 709.782712893384, -745.1332191019412});
+  while (xs.size() % kWidthD != 0) xs.push_back(1.0);
+  return xs;
 }
 
 }  // namespace
@@ -156,8 +179,7 @@ bool self_test(std::string* error) {
         const double want = want_of(l);
         if (std::bit_cast<std::uint64_t>(lanes_d[l]) !=
             std::bit_cast<std::uint64_t>(want))
-          return fail(error, what, static_cast<float>(da[l]),
-                      static_cast<float>(lanes_d[l]), static_cast<float>(want));
+          return fail(error, what, da[l], lanes_d[l], want);
       }
       return true;
     };
@@ -192,12 +214,21 @@ bool self_test(std::string* error) {
             return std::fma(da[l], db[l], da[l]);
           }))
         return false;
+      neg(xa).store(lanes_d);
+      if (!check_d("vecd_neg", [&](std::size_t l) { return -da[l]; }))
+        return false;
       const double got_h = hsum_pairwise(xa);
       const double want_h = (da[0] + da[1]) + (da[2] + da[3]);
       if (std::bit_cast<std::uint64_t>(got_h) !=
           std::bit_cast<std::uint64_t>(want_h))
-        return fail(error, "vecd_hsum", static_cast<float>(da[0]),
-                    static_cast<float>(got_h), static_cast<float>(want_h));
+        return fail(error, "vecd_hsum", da[0], got_h, want_h);
+    }
+    const std::vector<double> xs = exp_d_inputs();
+    for (std::size_t base = 0; base < xs.size(); base += kWidthD) {
+      std::copy_n(xs.data() + base, kWidthD, da);
+      exp(VecD::load(da)).store(lanes_d);
+      if (!check_d("vecd_exp", [&](std::size_t l) { return math::exp(da[l]); }))
+        return false;
     }
   }
 

@@ -1,29 +1,36 @@
 #pragma once
 
-// Portable fp32 SIMD layer for the batched inference engine (ml/batched.hpp).
+// Portable SIMD layer for the batched fp32 inference engine (ml/batched.hpp)
+// and the fp64 training kernels (ml/matrix.cpp, ml/activation.cpp).
 //
 // One backend is selected at configure time (CMake option PT_SIMD, default
 // "auto"): AVX2+FMA on x86, NEON on arm64, or a portable scalar fallback.
 // `VecF` is a fixed-width vector of kWidth floats with the handful of
 // operations batched inference needs: arithmetic, fused multiply-add,
-// horizontal reduction, and vectorized exp/sigmoid approximations.
+// horizontal reduction, and vectorized exp/sigmoid approximations. `VecD`
+// is 4 doubles on every backend (see below).
 //
 // Accuracy contract (see DESIGN.md "Inference paths"):
-//  - exp:     same Cephes-style polynomial on every backend; relative error
-//             vs std::exp (double) at most 4 ULP of the fp32 result over the
-//             clamped domain [-87.34, 88.38] (inputs outside are clamped,
-//             matching the saturation behaviour batched activations need).
-//  - sigmoid: 1/(1+exp(-x)); at most 8 ULP relative error.
+//  - exp(VecF):     same Cephes-style polynomial on every backend; relative
+//                   error against the exact e^x at most 4 ULP of the fp32
+//                   result over the clamped domain [-87.34, 88.38] (inputs
+//                   outside are clamped, matching the saturation behaviour
+//                   batched activations need).
+//  - sigmoid(VecF): 1/(1+exp(-x)); at most 8 ULP relative error.
+//  - exp(VecD):     common::math::exp on every lane, bit for bit, on every
+//                   backend: at most 0.507 ULP from the exact e^x on the
+//                   measured sweep (DESIGN.md step 5), and on x86-64 glibc
+//                   >= 2.28 with FMA the bits of std::exp.
 // The absolute form of the sigmoid bound (kSigmoidAbsError) is what the
 // certified fp32 scan bound of ml/batched.hpp builds on;
 // tests/common/test_simd.cpp checks it on a dense sweep of every binade.
 //
 // Every backend is *runtime-verified* against the scalar reference
 // implementations (exp_ref/sigmoid_ref, which spell out the same
-// algorithm with std::fma): self_test() requires bit-equality lane by lane,
-// and ensure_verified() runs it once per process before the first batched
-// scan, so a miscompiled or mismatched backend fails loudly instead of
-// skewing predictions.
+// algorithm with std::fma, and common::math::exp): self_test() requires
+// bit-equality lane by lane, and ensure_verified() runs it once per process
+// before the first batched scan, so a miscompiled or mismatched backend
+// fails loudly instead of skewing predictions.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +39,8 @@
 #include <new>
 #include <string>
 #include <vector>
+
+#include "common/math.hpp"
 
 #if !defined(PT_SIMD_DISABLE) && defined(__AVX2__) && defined(__FMA__)
 #define PT_SIMD_AVX2 1
@@ -255,9 +264,9 @@ struct VecF {
 // semantics everywhere — which is what keeps the fp64 training kernels
 // (ml/matrix.cpp, ml/activation.cpp) bit-identical across backends.
 // Deliberately minimal: load/store/broadcast, add/sub/mul/div (each one
-// IEEE rounding, like the scalar operators), fmadd (one rounding, like
-// std::fma), and the pairwise horizontal sum (l0 + l1) + (l2 + l3) that
-// matches the matmul_bt accumulator combine.
+// IEEE rounding, like the scalar operators), neg, fmadd (one rounding, like
+// std::fma), the pairwise horizontal sum (l0 + l1) + (l2 + l3) that
+// matches the matmul_bt accumulator combine, and exp (below).
 // ---------------------------------------------------------------------------
 
 inline constexpr std::size_t kWidthD = 4;
@@ -288,6 +297,10 @@ struct VecD {
 }
 [[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
   return {_mm256_div_pd(a.v, b.v)};
+}
+/// -a: flips the sign bit, like the scalar unary minus.
+[[nodiscard]] inline VecD neg(VecD a) noexcept {
+  return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
 }
 /// a*b + c, single rounding.
 [[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
@@ -335,6 +348,10 @@ struct VecD {
 }
 [[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
   return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
+}
+/// -a: flips the sign bit, like the scalar unary minus.
+[[nodiscard]] inline VecD neg(VecD a) noexcept {
+  return {vnegq_f64(a.lo), vnegq_f64(a.hi)};
 }
 /// a*b + c, single rounding.
 [[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
@@ -385,6 +402,11 @@ struct VecD {
   for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] /= b.v[i];
   return a;
 }
+/// -a: flips the sign bit, like the scalar unary minus.
+[[nodiscard]] inline VecD neg(VecD a) noexcept {
+  for (std::size_t i = 0; i < kWidthD; ++i) a.v[i] = -a.v[i];
+  return a;
+}
 /// a*b + c, single rounding (std::fma, whatever the compiler's
 /// -ffp-contract setting).
 [[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
@@ -396,6 +418,72 @@ struct VecD {
 /// scalar accumulators.
 [[nodiscard]] inline double hsum_pairwise(VecD a) noexcept {
   return (a.v[0] + a.v[1]) + (a.v[2] + a.v[3]);
+}
+
+#endif
+
+// ---------------------------------------------------------------------------
+// exp(VecD): common::math::exp on every lane, bit for bit. AVX2 runs the
+// main path (2^-54 <= |x| < 512) four lanes at a time with the scalar
+// function's operations, each table pair fetched with one 16-byte load, and
+// sends any lane outside it through the scalar function. The other backends
+// call the scalar function lane by lane.
+// ---------------------------------------------------------------------------
+
+#if defined(PT_SIMD_AVX2)
+
+[[nodiscard]] inline VecD exp(VecD x) noexcept {
+  using namespace math::detail;
+  const auto set = [](double c) { return _mm256_set1_pd(c); };
+  const __m256d ax = _mm256_andnot_pd(set(-0.0), x.v);
+  const int main_lanes = _mm256_movemask_pd(
+      _mm256_and_pd(_mm256_cmp_pd(ax, set(kExpMainLo), _CMP_GE_OQ),
+                    _mm256_cmp_pd(ax, set(kExpMainHi), _CMP_LT_OQ)));
+  const __m256d kd_shifted =
+      _mm256_fmadd_pd(x.v, set(kExpInvLn2N), set(kExpShift));
+  const __m256i ki = _mm256_castpd_si256(kd_shifted);
+  const __m256d kd = _mm256_sub_pd(kd_shifted, set(kExpShift));
+  const __m256d r = _mm256_fmadd_pd(
+      kd, set(kExpNegLn2loN), _mm256_fmadd_pd(kd, set(kExpNegLn2hiN), x.v));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  alignas(32) std::uint64_t idx[kWidthD];
+  _mm256_store_si256(
+      reinterpret_cast<__m256i*>(idx),
+      _mm256_slli_epi64(_mm256_and_si256(ki, _mm256_set1_epi64x(127)), 1));
+  const auto pair = [](std::uint64_t i) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(kExpTable + i));
+  };
+  // (tail, sbits) pairs of lanes 0|2 and 1|3, then split by word.
+  const __m256i p02 = _mm256_setr_m128i(pair(idx[0]), pair(idx[2]));
+  const __m256i p13 = _mm256_setr_m128i(pair(idx[1]), pair(idx[3]));
+  const __m256d tail = _mm256_castsi256_pd(_mm256_unpacklo_epi64(p02, p13));
+  const __m256d scale = _mm256_castsi256_pd(_mm256_add_epi64(
+      _mm256_unpackhi_epi64(p02, p13), _mm256_slli_epi64(ki, 45)));
+  __m256d tmp =
+      _mm256_fmadd_pd(_mm256_fmadd_pd(r, set(kExpC3), set(kExpC2)), r2,
+                      _mm256_add_pd(r, tail));
+  tmp = _mm256_fmadd_pd(_mm256_mul_pd(r2, r2),
+                        _mm256_fmadd_pd(r, set(kExpC5), set(kExpC4)), tmp);
+  VecD out{_mm256_fmadd_pd(scale, tmp, scale)};
+  if (main_lanes != 0xF) {
+    alignas(32) double in[kWidthD];
+    alignas(32) double lanes[kWidthD];
+    _mm256_store_pd(in, x.v);
+    _mm256_store_pd(lanes, out.v);
+    for (std::size_t l = 0; l < kWidthD; ++l)
+      if (((main_lanes >> l) & 1) == 0) lanes[l] = math::exp(in[l]);
+    out.v = _mm256_load_pd(lanes);
+  }
+  return out;
+}
+
+#else
+
+[[nodiscard]] inline VecD exp(VecD x) noexcept {
+  double lanes[kWidthD];
+  x.store(lanes);
+  for (double& l : lanes) l = math::exp(l);
+  return VecD::load(lanes);
 }
 
 #endif

@@ -1,15 +1,17 @@
 #include "ml/activation.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
+#include "common/math.hpp"
 #include "common/simd.hpp"
 
 namespace pt::ml {
 
 // Compiled with -ffp-contract=off like matrix.cpp: no operation here is
 // fused, so the bias add and the sigmoid gradient y * (1 - y) round the same
-// way on every backend.
+// way on every backend. The sigmoid's exp is common::math::exp, whose lanes
+// simd::exp(VecD) reproduces bit for bit, so the vector pass equals the
+// scalar activate() on every element.
 
 namespace {
 namespace simd = common::simd;
@@ -18,7 +20,8 @@ constexpr std::size_t kW = simd::kWidthD;
 }  // namespace
 
 double activate(Activation act, double x) noexcept {
-  return act == Activation::kSigmoid ? 1.0 / (1.0 + std::exp(-x)) : x;
+  return act == Activation::kSigmoid ? 1.0 / (1.0 + common::math::exp(-x))
+                                     : x;
 }
 
 double activate_grad_from_output(Activation act, double y) noexcept {
@@ -37,17 +40,19 @@ void add_bias_activate(Activation act, std::span<const double> bias,
     }
     return;
   }
-  // Per row: libm exp one element at a time, then 1 / (1 + e) four at a
-  // time.
+  // Per row, four columns at a time: bias add, negate, exp, 1 / (1 + e).
+  // The last cols % 4 columns take the same operations one by one.
   const VecD one = VecD::broadcast(1.0);
   for (std::size_t r = 0; r < m.rows(); ++r) {
     double* const row = m.row(r).data();
-    for (std::size_t c = 0; c < cols; ++c)
-      row[c] = std::exp(-(row[c] + bias[c]));
     std::size_t c = 0;
-    for (; c + kW <= cols; c += kW)
-      simd::div(one, simd::add(one, VecD::load(row + c))).store(row + c);
-    for (; c < cols; ++c) row[c] = 1.0 / (1.0 + row[c]);
+    for (; c + kW <= cols; c += kW) {
+      const VecD z =
+          simd::add(VecD::load(row + c), VecD::load(bias.data() + c));
+      const VecD e = simd::exp(simd::neg(z));
+      simd::div(one, simd::add(one, e)).store(row + c);
+    }
+    for (; c < cols; ++c) row[c] = activate(act, row[c] + bias[c]);
   }
 }
 

@@ -22,8 +22,9 @@ enum class Activation { kLinear, kSigmoid };
                                                double y) noexcept;
 
 /// m(r, c) = activate(act, m(r, c) + bias[c]) for every element: the bias
-/// add rounds, then the activation (sigmoid as 1 / (1 + exp(-x)) with libm
-/// exp), so the result equals the scalar activate() bit for bit.
+/// add rounds, then the activation (sigmoid as 1 / (1 + exp(-x)) with
+/// common::math::exp, four lanes at a time), so the result equals the
+/// scalar activate() bit for bit.
 void add_bias_activate(Activation act, std::span<const double> bias,
                        Matrix& m);
 

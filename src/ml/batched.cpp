@@ -331,9 +331,10 @@ constexpr Arithmetic kFp32Arith{kU32, simd::kSigmoidAbsError};
 /// The fp64 reference (BaggingEnsemble::predict_batch_into) on the same
 /// rows: standardization (x - m) / s with two roundings per feature, then
 /// per layer a matmul (a rounded product and a sum of fan-in terms) and a
-/// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + std::exp(-x));
-/// the activation error assumes the platform libm's exp is within 2 ULP
-/// (glibc's documented maximum) and allows 8 u.
+/// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + exp(-x)) with
+/// common::math::exp, whose error is at most 2 ULP (tests/common/test_math.cpp
+/// checks it against expl and measures 0.507); the activation error allows
+/// 8 u.
 MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
                               const Signal& box) {
   Signal x = box;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/math.hpp"
+
 namespace pt::ml {
 
 void StandardScaler::fit(const Matrix& x) {
@@ -96,10 +98,12 @@ double LogTargetTransform::forward(double y) {
 
 Matrix LogTargetTransform::inverse(const Matrix& y) {
   Matrix out = y;
-  for (auto& v : out.flat()) v = std::exp(v);
+  for (auto& v : out.flat()) v = common::math::exp(v);
   return out;
 }
 
-double LogTargetTransform::inverse(double y) noexcept { return std::exp(y); }
+double LogTargetTransform::inverse(double y) noexcept {
+  return common::math::exp(y);
+}
 
 }  // namespace pt::ml

@@ -228,7 +228,10 @@ void TunedConfigStore::write_to_disk(const Entry& entry) const {
     return;
   }
   const std::string path = entry_path(entry.key, entry.seed);
-  // Write-then-rename so a concurrent reader never sees a half entry.
+  // Write-then-rename so a concurrent reader never sees a half entry. Only
+  // a file whose every byte reached the disk is published: a short write
+  // (a full disk) must not replace a good entry. The .tmp file goes when
+  // either step fails.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp);
@@ -237,11 +240,19 @@ void TunedConfigStore::write_to_disk(const Entry& entry) const {
       return;
     }
     save_entry(entry, options_.persist_models, os);
+    os.close();
+    if (!os) {
+      common::log_warn("tuned store: short write to ", tmp);
+      std::filesystem::remove(tmp, ec);
+      return;
+    }
   }
   std::filesystem::rename(tmp, path, ec);
-  if (ec)
+  if (ec) {
     common::log_warn("tuned store: cannot publish ", path, ": ",
                      ec.message());
+    std::filesystem::remove(tmp, ec);
+  }
 }
 
 std::optional<TunedConfigStore::Entry> TunedConfigStore::lookup(

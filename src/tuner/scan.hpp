@@ -78,6 +78,7 @@
 #include <vector>
 
 #include "clsim/analyze/checker.hpp"
+#include "common/math.hpp"
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
 #include "tuner/features.hpp"
@@ -113,7 +114,7 @@ struct OutputTransform {
 
   [[nodiscard]] double operator()(double y) const noexcept {
     const double raw = y * scale + mean;
-    return exponentiate ? std::exp(raw) : raw;
+    return exponentiate ? common::math::exp(raw) : raw;
   }
 };
 

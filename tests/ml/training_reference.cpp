@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "common/math.hpp"
+
 namespace pt::ml::reference {
 
 namespace {
@@ -21,7 +23,8 @@ double ordered_dot(const double* x, const double* y, std::size_t n, double s) {
 }
 
 double activate_ref(Activation act, double x) {
-  return act == Activation::kSigmoid ? 1.0 / (1.0 + std::exp(-x)) : x;
+  return act == Activation::kSigmoid ? 1.0 / (1.0 + common::math::exp(-x))
+                                     : x;
 }
 
 double grad_from_output_ref(Activation act, double y) {

@@ -3,10 +3,11 @@
 // Reference forms of the fp64 training path for the exactness tests. Every
 // output element is computed on its own with each rounding spelled out:
 // fused steps as std::fma, every other product rounded before its add
-// (training_reference.cpp is compiled with -ffp-contract=off). They follow
-// the operation contract in ml/matrix.hpp and the unblocked forward/backward
-// passes and trainer loop that the library's register-blocked kernels and
-// reused buffers replaced, so the library must match them bit for bit.
+// (training_reference.cpp is compiled with -ffp-contract=off), and the
+// sigmoid's exp is the scalar common::math::exp. They follow the operation
+// contract in ml/matrix.hpp and the unblocked forward/backward passes and
+// trainer loop that the library's register-blocked kernels and reused
+// buffers replaced, so the library must match them bit for bit.
 
 #include <vector>
 

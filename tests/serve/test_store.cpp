@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -291,6 +292,100 @@ TEST(TunedConfigStore, HugeClaimedCountsFailAsMalformedEntries) {
     EXPECT_THROW((void)TunedConfigStore::load_entry(ss), std::runtime_error)
         << text;
   }
+}
+
+/// The file an entry is written to, and its write-then-rename .tmp file.
+std::filesystem::path entry_file(const std::string& dir,
+                                 const TunedConfigStore::Entry& entry) {
+  return std::filesystem::path(dir) /
+         TunedConfigStore::entry_filename(entry.key, entry.seed);
+}
+std::filesystem::path tmp_file(const std::filesystem::path& entry_path) {
+  return entry_path.string() + ".tmp";
+}
+
+// A non-empty directory where the entry goes makes the rename fail: the
+// .tmp file is removed, memory still answers, and a fresh store (which
+// finds a directory it cannot parse) misses without throwing.
+TEST(TunedConfigStore, FailedPublishLeavesNoTmpFileBehind) {
+  const std::string dir = fresh_dir("publish_fails");
+  TunedConfigStore::Options options;
+  options.directory = dir;
+  const TunedConfigStore::Entry entry = make_entry();
+  const std::filesystem::path path = entry_file(dir, entry);
+  std::filesystem::create_directories(path / "occupied");
+
+  TunedConfigStore store(options);
+  store.put(entry);
+  EXPECT_FALSE(std::filesystem::exists(tmp_file(path)));
+  const auto hit = store.lookup(entry.key, entry.seed);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->best_config.values, entry.best_config.values);
+
+  TunedConfigStore fresh(options);
+  std::optional<TunedConfigStore::Entry> miss;
+  EXPECT_NO_THROW(miss = fresh.lookup(entry.key, entry.seed));
+  EXPECT_FALSE(miss.has_value());
+  std::filesystem::remove_all(dir);
+}
+
+/// Writes an entry to a fresh directory, lets `block` stop the next write
+/// of its key through the .tmp path, and puts a newer entry: no .tmp file
+/// is left, the writer's memory holds the newer entry, and a fresh store
+/// still serves the one on disk.
+template <typename Block>
+void expect_failed_write_keeps_disk_entry(const std::string& name,
+                                          const Block& block) {
+  const std::string dir = fresh_dir(name);
+  TunedConfigStore::Options options;
+  options.directory = dir;
+  options.persist_models = false;
+  const TunedConfigStore::Entry entry = make_entry();
+  TunedConfigStore(options).put(entry);
+  const std::filesystem::path path = entry_file(dir, entry);
+  ASSERT_TRUE(std::filesystem::is_regular_file(path));
+  block(tmp_file(path));
+
+  TunedConfigStore::Entry newer = entry;
+  newer.best_time_ms = 2.0 * entry.best_time_ms;
+  TunedConfigStore writer(options);
+  writer.put(newer);
+  const std::filesystem::path tmp = tmp_file(path);
+  EXPECT_FALSE(std::filesystem::is_symlink(tmp) ||
+               std::filesystem::is_regular_file(tmp))
+      << "a .tmp file was left behind";
+  const auto in_memory = writer.lookup(entry.key, entry.seed);
+  ASSERT_TRUE(in_memory.has_value());
+  EXPECT_EQ(in_memory->best_time_ms, newer.best_time_ms);
+
+  // The earlier entry file is still in place (not replaced by what the
+  // failed write left, such as a link to the full device).
+  ASSERT_TRUE(std::filesystem::is_regular_file(
+      std::filesystem::symlink_status(path)));
+  const auto on_disk = TunedConfigStore(options).lookup(entry.key, entry.seed);
+  ASSERT_TRUE(on_disk.has_value());
+  EXPECT_EQ(on_disk->best_time_ms, entry.best_time_ms);
+  std::filesystem::remove_all(dir);
+}
+
+// The .tmp path is a directory, so the entry file cannot be opened.
+TEST(TunedConfigStore, UnopenableTmpFileKeepsTheEarlierDiskEntry) {
+  expect_failed_write_keeps_disk_entry(
+      "tmp_is_dir", [](const std::filesystem::path& tmp) {
+        std::filesystem::create_directories(tmp);
+      });
+}
+
+// The .tmp path leads to a device that fails every write with ENOSPC, as a
+// full disk does: the short file is neither published nor left behind.
+TEST(TunedConfigStore, ShortWriteKeepsTheEarlierDiskEntry) {
+  const std::filesystem::path full = "/dev/full";
+  if (!std::filesystem::exists(full))
+    GTEST_SKIP() << "no /dev/full to simulate a full disk";
+  expect_failed_write_keeps_disk_entry(
+      "short_write", [&full](const std::filesystem::path& tmp) {
+        std::filesystem::create_symlink(full, tmp);
+      });
 }
 
 }  // namespace
