@@ -1,5 +1,5 @@
 // Extension bench: three-way validity cross-audit. Sweeps N randomly
-// sampled configurations of each benchmark and cross-audits four
+// sampled configurations of each benchmark and cross-audits three
 // independent validity signals:
 //
 //   static   — the clstat analyzer's verdict (clsim/analyze): proved valid,
@@ -9,9 +9,7 @@
 //              (what BenchmarkEvaluator turns into invalid measurements),
 //   clcheck  — dynamic findings (bounds, races, barrier/allocation lints)
 //              from an instrumented functional run of driver-accepted
-//              configurations, plus the max-abs-error verdict,
-//   model    — a ValidityModel trained on the driver labels of the same
-//              sample, scored back against them (confusion matrix).
+//              configurations, plus the max-abs-error verdict.
 //
 // The interesting buckets:
 //   driver_ok_clcheck_fault — the driver accepted it but the sanitizer saw
@@ -24,8 +22,6 @@
 //       flags means the completeness promise of the constraint set was
 //       wrong.
 //     Both buckets are expected 0 and fail the audit (exit 3) otherwise.
-//   model false positives/negatives — how often the learned filter
-//     disagrees with the driver it was trained to imitate.
 //
 // Each benchmark also gets a region-level analyzer sweep over the whole
 // configuration space (StaticChecker::sweep), recording how much of the
@@ -50,7 +46,6 @@
 #include "benchmarks/benchmark.hpp"
 #include "report.hpp"
 #include "tuner/sampler.hpp"
-#include "tuner/validity.hpp"
 
 namespace {
 
@@ -77,8 +72,6 @@ struct BenchmarkAudit {
   std::size_t functional_mismatch = 0;  // max error above tolerance
   std::array<std::size_t, clsim::check::kFindingKindCount> finding_counts{};
   std::vector<std::string> fault_examples;  // first few finding strings
-  tuner::ValidityModel::Confusion model;
-  bool model_fitted = false;
 
   // Static analyzer verdict mix over the sample.
   std::size_t static_proved_valid = 0;
@@ -108,7 +101,7 @@ int main(int argc, char** argv) {
   const bool smoke = args.get("smoke", false);
   bench::print_banner(
       "Extension: three-way validity cross-audit (static vs driver vs "
-      "clcheck, plus validity model)",
+      "clcheck)",
       !smoke);
   const auto out_path = args.get("out", "ext_check.json");
   const auto device_name =
@@ -135,9 +128,6 @@ int main(int argc, char** argv) {
         benchmark->space(), configs_per_benchmark, rng);
     audit.configs = sample.size();
 
-    std::vector<tuner::Configuration> driver_valid_configs;
-    std::vector<tuner::Configuration> driver_invalid_configs;
-
     for (const auto& config : sample) {
       // Static verdict: the analyzer's proof, before any launch.
       const clsim::analyze::ConfigVerdict static_verdict =
@@ -161,7 +151,6 @@ int main(int argc, char** argv) {
       }
       if (!accepted) {
         ++audit.driver_invalid;
-        driver_invalid_configs.push_back(config);
         // Soundness: a proof of validity contradicted by the driver.
         if (static_verdict.verdict == Verdict::kProvedValid) {
           ++audit.static_valid_but_rejected;
@@ -172,7 +161,6 @@ int main(int argc, char** argv) {
         continue;
       }
       ++audit.driver_valid;
-      driver_valid_configs.push_back(config);
 
       // clcheck verdict: instrumented functional run of the accepted config.
       const benchkit::CheckedVerification checked =
@@ -213,23 +201,12 @@ int main(int argc, char** argv) {
     // without enumerating configurations?
     audit.sweep = checker.sweep(sweep_budget);
 
-    // Model verdict: train on the driver labels, audit the disagreement.
-    tuner::ValidityModel model;
-    common::Rng model_rng(seed + 17);
-    model.fit(benchmark->space(), driver_valid_configs,
-              driver_invalid_configs, model_rng);
-    audit.model_fitted = model.fitted();
-    audit.model = model.confusion(driver_valid_configs,
-                                  driver_invalid_configs);
-
     std::cout << "  " << name << ": " << audit.driver_valid << "/"
               << audit.configs << " driver-accepted, static "
               << audit.static_proved_valid << " valid / "
               << audit.static_proved_invalid << " invalid / "
               << audit.static_unknown << " unknown, " << audit.clcheck_fault
-              << " clcheck fault(s), " << audit.unsound()
-              << " unsound, model accuracy "
-              << common::fmt(audit.model.accuracy(), 3) << "\n"
+              << " clcheck fault(s), " << audit.unsound() << " unsound\n"
               << std::flush;
     for (const auto& example : audit.fault_examples)
       std::cout << "    " << example << "\n";
@@ -240,7 +217,7 @@ int main(int argc, char** argv) {
 
   common::Table table({"Benchmark", "Configs", "Driver valid", "Static valid",
                        "Static invalid", "Static unknown", "Unsound",
-                       "clcheck fault", "Model acc"});
+                       "clcheck fault"});
   for (const auto& audit : audits) {
     table.add_row({audit.name, std::to_string(audit.configs),
                    std::to_string(audit.driver_valid),
@@ -248,8 +225,7 @@ int main(int argc, char** argv) {
                    std::to_string(audit.static_proved_invalid),
                    std::to_string(audit.static_unknown),
                    std::to_string(audit.unsound()),
-                   std::to_string(audit.clcheck_fault),
-                   common::fmt(audit.model.accuracy(), 3)});
+                   std::to_string(audit.clcheck_fault)});
   }
   std::cout << "\n";
   table.print(std::cout);
@@ -294,14 +270,6 @@ int main(int argc, char** argv) {
     sweep_json.set("proved_fraction", audit.sweep.proved_fraction());
     static_json.set("sweep", std::move(sweep_json));
     entry.set("static", std::move(static_json));
-    common::json::Value model_json = common::json::Value::object();
-    model_json.set("fitted", audit.model_fitted);
-    model_json.set("accuracy", audit.model.accuracy());
-    model_json.set("tp", audit.model.true_positive);
-    model_json.set("fp", audit.model.false_positive);
-    model_json.set("fn", audit.model.false_negative);
-    model_json.set("tn", audit.model.true_negative);
-    entry.set("model", std::move(model_json));
     benchmarks.push(std::move(entry));
   }
   report.root().set("benchmarks", std::move(benchmarks));

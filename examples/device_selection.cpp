@@ -8,6 +8,7 @@
 //   ./device_selection [--benchmark=raycasting] [--training=800]
 
 #include <iostream>
+#include <memory>
 
 #include "archsim/devices.hpp"
 #include "benchmarks/registry.hpp"
@@ -27,7 +28,6 @@ int main(int argc, char** argv) {
   options.training_samples =
       static_cast<std::size_t>(args.get("training", 800L));
   options.second_stage_size = 80;
-  options.validity_filter = true;  // robust across GPUs (stereo!)
 
   std::cout << "auto-tuning " << benchmark->name() << " on all "
             << platform.devices().size() << " devices of the platform...\n";
@@ -41,6 +41,10 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get("seed", 6L));
   for (const auto& device : platform.devices()) {
     benchkit::BenchmarkEvaluator evaluator(*benchmark, device);
+    // Stage 2 skips what clstat proves invalid on this device, so oversized
+    // work-groups cannot crowd out the valid candidates (stereo on GPUs!).
+    options.static_checker = std::make_shared<clsim::analyze::StaticChecker>(
+        benchkit::make_static_checker(*benchmark, device));
     const auto result = tuner::AutoTuner(options).tune(
         evaluator, tuner::TuneRun::with_seed(seed));
     if (!result.success) {

@@ -1,8 +1,7 @@
 #pragma once
 
 // Activation functions for the MLP. The paper's network uses sigmoid hidden
-// units and a linear output; the validity classifier's output is a sigmoid
-// too. Those two are all the library has.
+// units and a linear output; those two are all the library has.
 
 #include <span>
 #include <string>

@@ -4,9 +4,11 @@
 //
 // The paper's performance model is an MLP with a single hidden layer of 30
 // sigmoid units and a linear output trained on log execution times
-// (ml/ensemble.hpp holds its members to that shape). The class keeps a layer
-// list because the validity classifier (tuner/validity.hpp) is a second
-// shape: a sigmoid hidden layer and a sigmoid output.
+// (ml/ensemble.hpp holds its members to that shape). That is the only shape
+// left; the class keeps a layer list only because
+// BaggingEnsemble::Options::hidden_layers is still a vector of LayerSpec,
+// which callers such as the end-to-end benchmark set to pick a hidden-unit
+// count.
 
 #include <cstddef>
 #include <span>

@@ -1,6 +1,7 @@
 #include "ml/serialize.hpp"
 
 #include <algorithm>
+#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -14,9 +15,18 @@ namespace {
 constexpr const char* kMlpMagic = "portatune-mlp-v1";
 constexpr const char* kEnsembleMagic = "portatune-ensemble-v1";
 
-void expect_token(std::istream& is, const std::string& expected) {
+/// The next whitespace-delimited token, cut after `max_len` + 1 characters:
+/// a token that long is already malformed, so an endless one is not read
+/// until the stream runs out.
+std::string read_token(std::istream& is, std::size_t max_len) {
   std::string token;
-  if (!(is >> token) || token != expected)
+  is >> std::setw(static_cast<int>(max_len + 1)) >> token;
+  return token;
+}
+
+void expect_token(std::istream& is, const std::string& expected) {
+  const std::string token = read_token(is, expected.size());
+  if (!is || token != expected)
     throw std::runtime_error("model load: expected '" + expected + "', got '" +
                              token + "'");
 }
@@ -75,9 +85,11 @@ Mlp load_mlp(std::istream& is) {
   for (std::size_t l = 0; l < depth; ++l) {
     expect_token(is, "layer");
     const std::size_t units = read_size(is);
-    std::string act;
-    if (!(is >> act) || (act != to_string(Activation::kLinear) &&
-                         act != to_string(Activation::kSigmoid)))
+    const std::string linear = to_string(Activation::kLinear);
+    const std::string sigmoid = to_string(Activation::kSigmoid);
+    const std::string act =
+        read_token(is, std::max(linear.size(), sigmoid.size()));
+    if (!is || (act != linear && act != sigmoid))
       throw std::runtime_error("model load: bad activation '" + act + "'");
     layers.push_back(LayerSpec{units, activation_from_string(act)});
   }

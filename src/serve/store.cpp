@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -19,9 +20,12 @@ namespace {
 
 constexpr const char* kMagic = "portatune-tuned-entry-v1";
 
+/// Reads the next token no further than one character past `expected`, so
+/// an endless token is not read until the stream runs out.
 void expect_token(std::istream& is, const std::string& expected) {
   std::string token;
-  if (!(is >> token) || token != expected)
+  if (!(is >> std::setw(static_cast<int>(expected.size() + 1)) >> token) ||
+      token != expected)
     throw std::runtime_error("tuned entry load: expected '" + expected +
                              "', got '" + token + "'");
 }
@@ -140,9 +144,7 @@ void TunedConfigStore::save_entry(const Entry& entry, bool persist_model,
 }
 
 TunedConfigStore::Entry TunedConfigStore::load_entry(std::istream& is) {
-  std::string magic;
-  if (!(is >> magic) || magic != kMagic)
-    throw std::runtime_error("tuned entry load: bad magic '" + magic + "'");
+  expect_token(is, kMagic);
 
   Entry entry;
   expect_token(is, "key");

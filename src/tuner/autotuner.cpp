@@ -1,9 +1,7 @@
 #include "tuner/autotuner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -62,10 +60,6 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
                  static_cast<double>(result.stage2_measured));
       tel::count("tuner.stage2.invalid",
                  static_cast<double>(result.stage2_invalid));
-      tel::count("tuner.stage2.streamed",
-                 static_cast<double>(result.stage2_streamed));
-      tel::count("tuner.stage2.filtered",
-                 static_cast<double>(result.stage2_filtered));
       tel::count("tuner.measure.attempts",
                  static_cast<double>(result.measure_attempts));
       tel::count("tuner.measure.transient_faults",
@@ -92,12 +86,10 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
       result.data_gathering_cost_ms += m.cost_ms;
       result.measure_attempts += m.attempts;
       result.transient_faults += m.transient_faults;
-      if (m.valid) {
+      if (m.valid)
         result.training_data.push_back({config, m.time_ms});
-      } else {
-        result.invalid_training_configs.push_back(config);
+      else
         result.stage1_rejections.note(m.status);
-      }
       if (observer != nullptr) {
         observer->on_measurement("stage1", config, m);
         observer->on_sample("stage1", config, m);
@@ -131,127 +123,52 @@ AutoTuneResult AutoTuner::tune(Evaluator& evaluator,
   }
   replay_epochs(observer, result.model->ensemble());
 
-  // Optional validity classifier (future-work extension): learn from the
-  // free valid/invalid labels of stage 1.
-  if (options_.validity_filter) {
-    StageScope stage(observer, "autotuner", "autotuner.validity.fit");
-    std::vector<Configuration> valid_configs;
-    valid_configs.reserve(result.training_data.size());
-    for (const auto& sample : result.training_data)
-      valid_configs.push_back(sample.config);
-    ValidityModel classifier(options_.validity);
-    classifier.fit(space, valid_configs, result.invalid_training_configs, rng);
-    if (classifier.fitted()) result.validity_model = std::move(classifier);
-  }
-
   // --- Stage 2: scan predictions, measure the M most promising. ---
   // The scan streams: a bounded top-M heap per chunk instead of a
-  // full-space prediction vector, with the validity filter (if any) applied
-  // lazily to heap-entering candidates only.
+  // full-space prediction vector, with the static pre-filter (if any)
+  // applied lazily to heap-entering candidates only.
   const auto scan_start = std::chrono::steady_clock::now();
   std::vector<ScanCandidate> candidates;
   {
     StageScope stage(observer, "autotuner", "autotuner.stage2.scan");
     ScanFilter filter;
-    if (result.validity_model) {
-      const ValidityModel& validity = *result.validity_model;
-      filter = [&space, &validity](std::uint64_t index) {
-        return validity.predict_valid(space.decode(index));
-      };
-    }
     if (options_.static_checker != nullptr)
       filter = make_static_scan_filter(space, *options_.static_checker,
-                                       static_counters, std::move(filter));
-    const std::size_t m = options_.second_stage_size;
-    const TopMScanResult scan =
-        result.model->predict_scan_top_m(0, space.size(), m, filter);
-    candidates.reserve(m);
-    for (const auto& c : scan.top) candidates.push_back(c);
-    if (result.validity_model) {
-      result.stage2_filtered = static_cast<std::size_t>(scan.rejected);
-      // If the filter passed fewer than M configurations, top up with the
-      // best remaining ones of the unfiltered ranking.
-      if (candidates.size() < m) {
-        const TopMScanResult unfiltered =
-            result.model->predict_scan_top_m(0, space.size(), m);
-        for (const auto& c : unfiltered.top) {
-          if (candidates.size() >= m) break;
-          if (std::find_if(candidates.begin(), candidates.end(),
-                           [&c](const ScanCandidate& have) {
-                             return have.index == c.index;
-                           }) == candidates.end())
-            candidates.push_back(c);
-        }
-      }
-    }
+                                       static_counters);
+    candidates = result.model
+                     ->predict_scan_top_m(0, space.size(),
+                                          options_.second_stage_size, filter)
+                     .top;
   }
   result.prediction_scan_host_ms = host_ms_since(scan_start);
 
   double best_time = 0.0;
   bool found = false;
   Configuration best_config;
-  auto try_candidate = [&](const ScanCandidate& candidate) {
-    if (observer != nullptr)
-      observer->on_candidate(candidate.index, candidate.predicted_ms);
-    const Configuration config = space.decode(candidate.index);
-    const Measurement m = evaluator.measure(config);
-    result.data_gathering_cost_ms += m.cost_ms;
-    result.measure_attempts += m.attempts;
-    result.transient_faults += m.transient_faults;
-    ++result.stage2_measured;
-    if (observer != nullptr)
-      observer->on_measurement("stage2", config, m);
-    if (!m.valid) {
-      ++result.stage2_invalid;
-      result.stage2_rejections.note(m.status);
-      return;
-    }
-    if (!found || m.time_ms < best_time) {
-      found = true;
-      best_time = m.time_ms;
-      best_config = config;
-    }
-  };
   {
     StageScope stage(observer, "autotuner", "autotuner.stage2.measure");
-    for (const ScanCandidate& candidate : candidates) try_candidate(candidate);
-  }
-
-  if (!found && options_.stage2_stream_limit > result.stage2_measured) {
-    // Graceful degradation: every primary candidate failed, so instead of
-    // giving no prediction, walk further down the predicted ranking
-    // (unfiltered — in this situation the validity filter is as suspect as
-    // the candidates it passed) until something measures valid, the limit
-    // is reached, or the space is exhausted.
-    StageScope stage(observer, "autotuner", "autotuner.stage2.stream");
-    common::log_warn("autotuner[", evaluator.name(), "]: all ",
-                     result.stage2_measured,
-                     " primary second-stage configurations invalid (",
-                     result.stage2_rejections.to_string(),
-                     "); streaming further candidates");
-    std::unordered_set<std::uint64_t> tried;
-    for (const ScanCandidate& candidate : candidates)
-      tried.insert(candidate.index);
-    std::uint64_t ranked = candidates.size();
-    while (!found && result.stage2_measured < options_.stage2_stream_limit &&
-           tried.size() < space.size()) {
-      ranked = std::min<std::uint64_t>(
-          space.size(), std::max<std::uint64_t>(ranked * 2, 16));
-      const TopMScanResult more = result.model->predict_scan_top_m(
-          0, space.size(), static_cast<std::size_t>(ranked));
-      for (const auto& c : more.top) {
-        if (found || result.stage2_measured >= options_.stage2_stream_limit)
-          break;
-        if (!tried.insert(c.index).second) continue;
-        ++result.stage2_streamed;
-        try_candidate(c);
+    for (const ScanCandidate& candidate : candidates) {
+      if (observer != nullptr)
+        observer->on_candidate(candidate.index, candidate.predicted_ms);
+      const Configuration config = space.decode(candidate.index);
+      const Measurement m = evaluator.measure(config);
+      result.data_gathering_cost_ms += m.cost_ms;
+      result.measure_attempts += m.attempts;
+      result.transient_faults += m.transient_faults;
+      ++result.stage2_measured;
+      if (observer != nullptr)
+        observer->on_measurement("stage2", config, m);
+      if (!m.valid) {
+        ++result.stage2_invalid;
+        result.stage2_rejections.note(m.status);
+        continue;
       }
-      if (ranked >= space.size()) break;  // ranking fully consumed
+      if (!found || m.time_ms < best_time) {
+        found = true;
+        best_time = m.time_ms;
+        best_config = config;
+      }
     }
-    if (found)
-      common::log_info("autotuner[", evaluator.name(),
-                       "]: degradation stream recovered a prediction after ",
-                       result.stage2_streamed, " extra candidates");
   }
 
   if (!found) {

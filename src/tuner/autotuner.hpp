@@ -11,7 +11,10 @@
 //
 // If every second-stage candidate is invalid, the tuner "gives no
 // prediction" — exactly the failure mode the paper reports for stereo on
-// the GPUs (section 6, Fig 14) — reported here as success == false.
+// the GPUs (section 6, Fig 14) — reported here as success == false. A
+// static_checker (clstat) over a complete constraint set keeps every
+// configuration it proves invalid out of stage 2, so stage 2 then measures
+// only valid configurations (CLTune's declared-constraints route).
 
 #include <cstddef>
 #include <memory>
@@ -24,7 +27,6 @@
 #include "tuner/observer.hpp"
 #include "tuner/options.hpp"
 #include "tuner/sampler.hpp"
-#include "tuner/validity.hpp"
 
 namespace pt::tuner {
 
@@ -32,26 +34,14 @@ namespace pt::tuner {
 struct AutoTunerOptions : TunerOptions {
   std::size_t training_samples = 2000;  // N, stage-1 sample count
   std::size_t second_stage_size = 100;  // M, stage-2 candidate count
-  /// Extension (the paper's future work): train a validity classifier on
-  /// stage 1's valid/invalid labels and exclude predicted-invalid
-  /// configurations from the second stage.
-  bool validity_filter = false;
-  ValidityModel::Options validity{};
   /// The inherited static_checker skips configurations the analyzer proves
   /// invalid before they enter the stage-2 prediction scan's top-M heap.
   /// Sound pruning only removes configurations that would measure invalid,
   /// so it never changes which valid configuration wins — it just avoids
-  /// wasting candidate slots and measurements on proven rejects.
-  /// Graceful degradation: when every one of the M second-stage candidates
-  /// fails or comes back invalid, keep streaming further candidates from
-  /// the prediction ranking (in predicted order, unfiltered) until a valid
-  /// one is found, up to this many total stage-2 measurements. 0 disables
-  /// streaming — the paper's behaviour, "no prediction" — and is the
-  /// default so results are bit-identical to the streaming-free tuner
-  /// unless a caller opts in. Set it to at least the space size to
-  /// guarantee a prediction whenever any valid configuration exists in the
-  /// space.
-  std::size_t stage2_stream_limit = 0;
+  /// wasting candidate slots and measurements on proven rejects. Over a
+  /// complete constraint set (every catalog benchmark's) the verdict is
+  /// exact, so no stage-2 candidate measures invalid. Without a checker the
+  /// tuner runs the paper's protocol.
 };
 
 struct AutoTuneResult {
@@ -65,9 +55,6 @@ struct AutoTuneResult {
   std::size_t stage1_valid = 0;
   std::size_t stage2_measured = 0;
   std::size_t stage2_invalid = 0;
-  /// Stage-2 candidates measured beyond the initial M by the graceful
-  /// degradation stream (0 unless stage2_stream_limit kicked in).
-  std::size_t stage2_streamed = 0;
   /// Raw evaluator attempts behind all measurements — equals
   /// stage1_measured + stage2_measured unless a robustness decorator
   /// (tuner/robust.hpp) repeated or retried measurements downstream.
@@ -89,17 +76,6 @@ struct AutoTuneResult {
   std::optional<AnnPerformanceModel> model;
   /// Stage-1 valid training data (for inspection and reuse).
   std::vector<TrainingSample> training_data;
-  /// Stage-1 configurations the device rejected (the validity labels).
-  std::vector<Configuration> invalid_training_configs;
-  /// Fitted validity classifier (only with options.validity_filter and
-  /// both classes observed in stage 1).
-  std::optional<ValidityModel> validity_model;
-  /// Candidates the validity filter rejected during the prediction scan.
-  /// Counted lazily: only configurations good enough to enter a scan
-  /// chunk's bounded top-M heap, and below the scan's certified cutoff, are
-  /// ever tested, so this is a lower bound on the number of
-  /// predicted-invalid configurations in the space.
-  std::size_t stage2_filtered = 0;
   /// clstat static pre-filter tallies (all zero unless options.static_checker
   /// was set). Queries happen lazily at scan heap entry, below the scan's
   /// certified cutoff, so each tally is a lower bound on its verdict over

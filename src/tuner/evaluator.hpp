@@ -31,6 +31,11 @@ struct Measurement {
   std::uint32_t attempts = 1;
   /// Transient launch failures absorbed by retry while producing it.
   std::uint32_t transient_faults = 0;
+  /// This failure is transient: the launch failed for a reason outside the
+  /// configuration, so a retry may succeed. Only a fault injector sets it
+  /// (see tuner/robust.hpp); the driver's own rejections, CL_OUT_OF_RESOURCES
+  /// included, are properties of the configuration and never carry it.
+  bool transient = false;
 };
 
 /// Per-status tally of rejected measurements. Call sites that skip invalid

@@ -1,9 +1,9 @@
 #pragma once
 
-// Feature encoding shared by the performance model and the validity
-// classifier: each parameter becomes one feature, either its raw value or
-// log2(value) for dimensions that span a wide positive power-of-two-style
-// range (work-group sizes 1..128 are exponent-natured knobs).
+// Feature encoding of the performance models: each parameter becomes one
+// feature, either its raw value or log2(value) for dimensions that span a
+// wide positive power-of-two-style range (work-group sizes 1..128 are
+// exponent-natured knobs).
 
 #include <cstdint>
 #include <span>

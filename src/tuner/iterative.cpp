@@ -92,30 +92,6 @@ IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
     result.incumbent_trace.push_back(have_best ? best_time : 0.0);
   }
 
-  // Graceful degradation: an all-invalid initial sample leaves nothing to
-  // train on. Instead of giving up, keep exploring at random — any valid
-  // measurement un-blocks the model-guided loop below.
-  measure_stage = "resample";
-  while (options_.explore_until_valid && data.empty() &&
-         result.measurements < options_.measurement_budget &&
-         measured.size() < space.size()) {
-    StageScope stage(observer, "iterative", "iterative.resample");
-    for (std::size_t e = 0;
-         e < options_.batch_size &&
-         result.measurements < options_.measurement_budget;
-         ++e) {
-      measure_index(rng.below(space.size()));
-    }
-    ++result.resample_rounds;
-    ++result.rounds;
-    result.incumbent_trace.push_back(have_best ? best_time : 0.0);
-    if (data.empty())
-      common::log_warn("iterative[", evaluator.name(),
-                       "]: no valid measurement yet after ",
-                       result.measurements, " attempts (",
-                       result.rejections.to_string(), "); exploring further");
-  }
-
   // The measured-set guard matters when the budget exceeds the space: once
   // every configuration is measured no round can add data, and waiting for
   // the budget to fill would loop forever.
@@ -204,8 +180,6 @@ IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
                static_cast<double>(result.invalid_measurements));
     tel::count("tuner.iterative.rounds",
                static_cast<double>(result.rounds));
-    tel::count("tuner.iterative.resample_rounds",
-               static_cast<double>(result.resample_rounds));
     tel::count("tuner.measure.attempts",
                static_cast<double>(result.measure_attempts));
     tel::count("tuner.measure.transient_faults",

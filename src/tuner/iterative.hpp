@@ -38,12 +38,6 @@ struct IterativeTunerOptions : TunerOptions {
   std::size_t batch_size = 200;           // measurements per later round
   /// Fraction of each later batch drawn at random (exploration).
   double exploration_fraction = 0.25;
-  /// Graceful degradation: when the initial sample yields no valid
-  /// measurement (so there is nothing to train on), keep drawing fresh
-  /// random batches until one measures valid or the budget/space runs out,
-  /// instead of giving up after round 0. Off by default so results are
-  /// bit-identical to the pre-degradation tuner unless a caller opts in.
-  bool explore_until_valid = false;
   /// The inherited static_checker pre-filters the exploitation scan:
   /// proven-invalid configurations never enter a round's exploit batch, so
   /// their slots go to configurations that can actually measure. Unlike the
@@ -61,9 +55,6 @@ struct IterativeTuneResult {
   std::size_t rounds = 0;
   std::size_t measurements = 0;
   std::size_t invalid_measurements = 0;
-  /// Extra exploration-only rounds spent hunting for a first valid
-  /// measurement (only with options.explore_until_valid).
-  std::size_t resample_rounds = 0;
   /// Raw evaluator attempts behind all measurements (see tuner/robust.hpp).
   std::size_t measure_attempts = 0;
   /// Transient failures absorbed by downstream retry decorators.

@@ -69,7 +69,7 @@ class AnnPerformanceModel {
   /// the lowest predicted time (ascending), found in O(n log m) time and
   /// O(chunks * m) memory — no full prediction vector — by the certified
   /// fp32 scan (ScanEngine::top_m), whose selection is the fp64
-  /// reference's. The optional filter (e.g. a validity model; must be
+  /// reference's. The optional filter (e.g. the clstat pre-filter; must be
   /// thread-safe) is applied during the scan, lazily, and the selection
   /// holds only configurations it passes; a caller that also wants the
   /// unfiltered ranking scans again without it.

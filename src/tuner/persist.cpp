@@ -1,5 +1,6 @@
 #include "tuner/persist.hpp"
 
+#include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -14,9 +15,12 @@ namespace {
 
 constexpr const char* kMagic = "portatune-perf-model-v1";
 
+/// Reads the next token no further than one character past `expected`, so
+/// an endless token is not read until the stream runs out.
 void expect_token(std::istream& is, const std::string& expected) {
   std::string token;
-  if (!(is >> token) || token != expected)
+  if (!(is >> std::setw(static_cast<int>(expected.size() + 1)) >> token) ||
+      token != expected)
     throw std::runtime_error("model load: expected '" + expected + "', got '" +
                              token + "'");
 }
@@ -33,10 +37,14 @@ long long read_int(std::istream& is) {
   return v;
 }
 
-/// Parameter names may contain no whitespace (enforced at save time).
+/// A parameter name or the encoding: no whitespace and at most
+/// kMaxParamNameLength characters (both enforced at save time). The read
+/// stops one character past the limit.
 std::string read_word(std::istream& is) {
   std::string word;
-  if (!(is >> word)) throw std::runtime_error("model load: bad token");
+  if (!(is >> std::setw(static_cast<int>(kMaxParamNameLength + 1)) >> word) ||
+      word.size() > kMaxParamNameLength)
+    throw std::runtime_error("model load: bad token");
   return word;
 }
 
@@ -62,6 +70,10 @@ void save_model(const AnnPerformanceModel& model, std::ostream& os) {
     if (p.name.find_first_of(" \t\n") != std::string::npos)
       throw std::logic_error("save_model: parameter name has whitespace: " +
                              p.name);
+    if (p.name.size() > kMaxParamNameLength)
+      throw std::logic_error("save_model: parameter name longer than " +
+                             std::to_string(kMaxParamNameLength) +
+                             " characters: " + p.name);
     os << "param " << p.name << ' ' << p.values.size();
     for (const int v : p.values) os << ' ' << v;
     os << '\n';

@@ -6,13 +6,18 @@
 // so the expensive data-gathering phase can be paid once per device and the
 // model reused across runs.
 
+#include <cstddef>
 #include <iosfwd>
 
 #include "tuner/model.hpp"
 
 namespace pt::tuner {
 
-/// Write a fitted model. Throws std::logic_error if the model is unfitted.
+/// Longest parameter name save_model writes and load_model reads.
+inline constexpr std::size_t kMaxParamNameLength = 128;
+
+/// Write a fitted model. Throws std::logic_error if the model is unfitted or
+/// a parameter name has whitespace or is longer than kMaxParamNameLength.
 void save_model(const AnnPerformanceModel& model, std::ostream& os);
 
 /// Read a model written by save_model. Throws std::runtime_error on a

@@ -19,10 +19,6 @@ common::Rng attempt_stream(std::uint64_t seed, std::uint64_t config_index,
   return common::Rng(common::splitmix64(state));
 }
 
-bool is_transient_status(clsim::Status status) noexcept {
-  return status == clsim::Status::kOutOfResources;
-}
-
 // --- NoisyEvaluator ---
 
 NoisyEvaluator::NoisyEvaluator(Evaluator& inner, Options options)
@@ -76,6 +72,7 @@ Measurement FaultInjectingEvaluator::measure(const Configuration& config) {
     Measurement m;
     m.valid = false;
     m.status = clsim::Status::kOutOfResources;
+    m.transient = true;
     m.cost_ms = options_.fault_cost_ms;
     return m;
   }
@@ -145,7 +142,7 @@ Measurement RobustEvaluator::measure(const Configuration& config) {
         repeat_succeeded = true;
         break;
       }
-      if (!is_transient_status(m.status)) {
+      if (!m.transient) {
         // Permanent rejection: the configuration itself is invalid (or the
         // driver insists it is); repeating cannot change the verdict.
         out.valid = false;
@@ -175,6 +172,7 @@ Measurement RobustEvaluator::measure(const Configuration& config) {
   if (times.empty()) {
     out.valid = false;
     out.status = last_transient;
+    out.transient = true;
     return out;
   }
   out.valid = true;

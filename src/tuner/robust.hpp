@@ -43,11 +43,6 @@ namespace pt::tuner {
                                          std::uint64_t config_index,
                                          std::uint64_t attempt) noexcept;
 
-/// True for statuses worth retrying: failures that model a transient
-/// runtime condition (resource exhaustion at launch) rather than a property
-/// of the configuration itself.
-[[nodiscard]] bool is_transient_status(clsim::Status status) noexcept;
-
 /// Multiplicative log-normal measurement noise: a valid measurement's time
 /// becomes time * exp(N(0, sigma)). Repeated measurements of the same
 /// configuration draw fresh (but reproducible) factors, so averaging over
@@ -82,13 +77,15 @@ class NoisyEvaluator final : public Evaluator {
 /// i.i.d. per-attempt Bernoulli draw from the (config, attempt) stream:
 ///
 ///  - transient launch failure: the launch "fails" before the kernel runs —
-///    reported invalid with CL_OUT_OF_RESOURCES (a retryable status) and a
-///    small wasted cost; the configuration itself is fine.
+///    reported invalid with CL_OUT_OF_RESOURCES, marked
+///    Measurement::transient (the mark, not the status, makes it
+///    retryable: the driver returns the same status for a group that
+///    overflows the register file), and a small wasted cost; the
+///    configuration itself is fine.
 ///  - spurious-invalid verdict: the measurement completes but is reported
-///    invalid with CL_INVALID_WORK_GROUP_SIZE — a *permanent-looking*
-///    status, so retry cannot help; only the tuner's candidate streaming
-///    can. (This is the fault class that reproduces the paper's
-///    all-second-stage-invalid failure on demand.)
+///    invalid with CL_INVALID_WORK_GROUP_SIZE and no mark — it looks
+///    permanent, so retry cannot help. (This fault class reproduces the
+///    paper's all-second-stage-invalid failure on demand.)
 ///  - timing outlier: the measured time is multiplied by outlier_factor
 ///    (a straggler/contended run); robust aggregation should reject it.
 class FaultInjectingEvaluator final : public Evaluator {
@@ -138,12 +135,14 @@ class FaultInjectingEvaluator final : public Evaluator {
 /// robustness is not free, and the tuner's cost accounting must say so.
 ///
 /// Outcome policy per measure() call:
-///  - a *permanent* rejection (non-transient status) on any attempt ends the
-///    call immediately: the configuration is reported invalid with that
-///    status (repeating cannot un-reject it);
+///  - a *permanent* rejection (an invalid measurement without the
+///    Measurement::transient mark) on any attempt ends the call
+///    immediately: the configuration is reported invalid with that status
+///    (repeating cannot un-reject it);
 ///  - a repeat whose retries are exhausted by transient failures ends the
 ///    call: if earlier repeats succeeded their aggregate is returned,
-///    otherwise the transient status is reported (retry exhaustion);
+///    otherwise the last transient failure's status is reported, still
+///    marked transient (retry exhaustion);
 ///  - otherwise `repeats` successful times are aggregated.
 /// The returned Measurement carries attempts/transient_faults so tuners can
 /// report fault counters without knowing the decorator is there.

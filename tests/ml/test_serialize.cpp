@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string>
 
+#include "../common/endless_token.hpp"
+
 namespace pt::ml {
 namespace {
 
@@ -154,6 +156,27 @@ TEST(Serialize, HugeClaimedCountsFailAsMalformedStreams) {
     std::stringstream ss(text);
     EXPECT_THROW((void)load_ensemble(ss), std::runtime_error) << text;
   }
+}
+
+// An endless token where a keyword or an activation belongs fails after a
+// bounded read, not after reading the whole token.
+TEST(Serialize, EndlessTokensFailAfterABoundedRead) {
+  const auto expect_bounded_failure = [](const std::string& prefix,
+                                         bool ensemble) {
+    hostile::EndlessTokenBuf buf(prefix);
+    std::istream is(&buf);
+    if (ensemble)
+      EXPECT_THROW((void)load_ensemble(is), std::runtime_error) << prefix;
+    else
+      EXPECT_THROW((void)load_mlp(is), std::runtime_error) << prefix;
+    EXPECT_LE(buf.consumed(), buf.prefix_size() + 64) << prefix;
+  };
+  expect_bounded_failure("", false);                           // magic
+  expect_bounded_failure("portatune-mlp-v1\n", false);         // keyword
+  expect_bounded_failure("portatune-mlp-v1\ninputs 3\nlayers 2\nlayer 30 ",
+                         false);                               // activation
+  expect_bounded_failure("", true);                            // magic
+  expect_bounded_failure("portatune-ensemble-v1\nk 3\n", true);  // keyword
 }
 
 // Property-style round trips: random topologies, bit-exact reload. EXPECT_EQ

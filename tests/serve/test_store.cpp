@@ -14,6 +14,7 @@
 #include "tuner/autotuner.hpp"
 #include "tuner/options.hpp"
 
+#include "../common/endless_token.hpp"
 #include "../tuner/test_helpers.hpp"
 
 namespace pt::serve {
@@ -291,6 +292,19 @@ TEST(TunedConfigStore, HugeClaimedCountsFailAsMalformedEntries) {
     std::stringstream ss(text);
     EXPECT_THROW((void)TunedConfigStore::load_entry(ss), std::runtime_error)
         << text;
+  }
+}
+
+// An endless token where the magic or a keyword belongs fails after a
+// bounded read, not after reading the whole token.
+TEST(TunedConfigStore, EndlessTokensFailAfterABoundedRead) {
+  for (const std::string& prefix :
+       {std::string(), std::string("portatune-tuned-entry-v1\n")}) {
+    hostile::EndlessTokenBuf buf(prefix);
+    std::istream is(&buf);
+    EXPECT_THROW((void)TunedConfigStore::load_entry(is), std::runtime_error)
+        << prefix;
+    EXPECT_LE(buf.consumed(), buf.prefix_size() + 64) << prefix;
   }
 }
 

@@ -91,6 +91,37 @@ TEST(IterativeTuner, HandlesInvalidRegions) {
   EXPECT_NE(result.best_config.values[0], 128);
 }
 
+TEST(IterativeTuner, AllInvalidRoundZeroGivesNoPrediction) {
+  // Nothing valid to train on after round 0: the tuner stops there rather
+  // than spend the rest of the budget at random.
+  class AllInvalidEvaluator final : public Evaluator {
+   public:
+    AllInvalidEvaluator() : space_(testing::small_space()) {}
+    [[nodiscard]] const ParamSpace& space() const override { return space_; }
+    [[nodiscard]] std::string name() const override { return "invalid"; }
+    [[nodiscard]] Measurement measure(const Configuration&) override {
+      Measurement m;
+      m.status = clsim::Status::kOutOfLocalMemory;
+      m.cost_ms = 0.1;
+      return m;
+    }
+
+   private:
+    ParamSpace space_;
+  };
+  AllInvalidEvaluator eval;
+  common::Rng rng(17);
+  const IterativeTuneResult result =
+      IterativeTuner(fast_options()).tune(eval, TuneRun::with_rng(rng));
+  EXPECT_FALSE(result.success);
+  EXPECT_FALSE(result.model.has_value());
+  EXPECT_EQ(result.rounds, 1u);
+  EXPECT_EQ(result.measurements, fast_options().initial_samples);
+  EXPECT_EQ(result.invalid_measurements, result.measurements);
+  EXPECT_EQ(result.rejections.count(clsim::Status::kOutOfLocalMemory),
+            result.measurements);
+}
+
 TEST(IterativeTuner, BeatsOneShotRandomAtEqualBudget) {
   // At the same number of measurements, the model-guided batches should be
   // at least as good as the round-0 random sample alone was.

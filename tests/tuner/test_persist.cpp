@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "../common/endless_token.hpp"
 #include "test_helpers.hpp"
 
 namespace pt::tuner {
@@ -200,6 +201,45 @@ TEST(Persist, HugeClaimedCountsFailAsMalformedStreams) {
     std::stringstream ss(text);
     EXPECT_THROW((void)load_model(ss), std::runtime_error) << text;
   }
+}
+
+// An endless token where a keyword, the encoding or a parameter name
+// belongs fails after a bounded read, not after reading the whole token.
+TEST(Persist, EndlessTokensFailAfterABoundedRead) {
+  const std::string head = "portatune-perf-model-v1\nlog_targets 1\n";
+  for (const std::string& prefix :
+       {std::string(), head, head + "encoding ",
+        head + "encoding log2\ntarget 0.5 2\nspace 1\nparam "}) {
+    hostile::EndlessTokenBuf buf(prefix);
+    std::istream is(&buf);
+    EXPECT_THROW((void)load_model(is), std::runtime_error) << prefix;
+    EXPECT_LE(buf.consumed(), buf.prefix_size() + kMaxParamNameLength + 1)
+        << prefix;
+  }
+}
+
+// Names up to kMaxParamNameLength round-trip; save_model refuses a longer
+// one, which load_model would reject.
+TEST(Persist, ParameterNamesRoundTripUpToTheLengthLimit) {
+  const AnnPerformanceModel model = trained_model(9);
+  const auto with_first_name = [&model](std::size_t length) {
+    ParamSpace space;
+    for (std::size_t d = 0; d < model.space().dimension_count(); ++d) {
+      const TuningParameter& p = model.space().parameter(d);
+      space.add(d == 0 ? std::string(length, 'A') : p.name, p.values);
+    }
+    return AnnPerformanceModel::restore(model.options(), space,
+                                        model.target_mean(),
+                                        model.target_scale(),
+                                        model.ensemble());
+  };
+  std::stringstream at_limit;
+  save_model(with_first_name(kMaxParamNameLength), at_limit);
+  EXPECT_EQ(load_model(at_limit).space().parameter(0).name,
+            std::string(kMaxParamNameLength, 'A'));
+  std::stringstream over;
+  EXPECT_THROW(save_model(with_first_name(kMaxParamNameLength + 1), over),
+               std::logic_error);
 }
 
 TEST(Persist, ParameterValuesOutsideIntAreRejected) {

@@ -8,14 +8,12 @@
 
 #include "common/thread_pool.hpp"
 #include "tuner/autotuner.hpp"
-#include "tuner/iterative.hpp"
 #include "test_helpers.hpp"
 
 namespace pt::tuner {
 namespace {
 
 using testing::BowlEvaluator;
-using testing::TrapEvaluator;
 
 // --- attempt_stream: the determinism contract itself ---
 
@@ -30,13 +28,6 @@ TEST(AttemptStream, AnyCoordinateChangesTheStream) {
   EXPECT_NE(base, attempt_stream(43, 7, 3)());
   EXPECT_NE(base, attempt_stream(42, 8, 3)());
   EXPECT_NE(base, attempt_stream(42, 7, 4)());
-}
-
-TEST(TransientStatus, OnlyOutOfResourcesIsTransient) {
-  EXPECT_TRUE(is_transient_status(clsim::Status::kOutOfResources));
-  EXPECT_FALSE(is_transient_status(clsim::Status::kInvalidWorkGroupSize));
-  EXPECT_FALSE(is_transient_status(clsim::Status::kOutOfLocalMemory));
-  EXPECT_FALSE(is_transient_status(clsim::Status::kSuccess));
 }
 
 // --- NoisyEvaluator ---
@@ -151,6 +142,7 @@ TEST(FaultInjectingEvaluator, TransientFailureSkipsTheRealEvaluator) {
   const Measurement m = faults.measure(BowlEvaluator::optimum());
   EXPECT_FALSE(m.valid);
   EXPECT_EQ(m.status, clsim::Status::kOutOfResources);
+  EXPECT_TRUE(m.transient);  // the mark, not the status, makes it retryable
   EXPECT_DOUBLE_EQ(m.cost_ms, 0.25);
   EXPECT_EQ(inner.calls(), 0u);  // launch failed before the kernel ran
   EXPECT_EQ(faults.transient_injected(), 1u);
@@ -162,7 +154,7 @@ TEST(FaultInjectingEvaluator, SpuriousVerdictLooksPermanent) {
   const Measurement m = faults.measure(BowlEvaluator::optimum());
   EXPECT_FALSE(m.valid);
   EXPECT_EQ(m.status, clsim::Status::kInvalidWorkGroupSize);
-  EXPECT_FALSE(is_transient_status(m.status));
+  EXPECT_FALSE(m.transient);
   EXPECT_EQ(inner.calls(), 1u);  // the run did happen, the verdict lies
   EXPECT_EQ(faults.spurious_injected(), 1u);
 }
@@ -225,22 +217,27 @@ class ScriptedEvaluator final : public Evaluator {
   std::size_t next_ = 0;
 };
 
-/// Inner evaluator where every launch fails transiently.
-class AllTransientEvaluator final : public Evaluator {
+/// Inner evaluator where every launch fails with CL_OUT_OF_RESOURCES:
+/// marked transient (an injected launch failure) or not (the driver's own
+/// verdict on a group that overflows the register file).
+class OutOfResourcesEvaluator final : public Evaluator {
  public:
-  AllTransientEvaluator() : space_(testing::small_space()) {}
+  explicit OutOfResourcesEvaluator(bool transient)
+      : space_(testing::small_space()), transient_(transient) {}
   [[nodiscard]] const ParamSpace& space() const override { return space_; }
-  [[nodiscard]] std::string name() const override { return "transient"; }
+  [[nodiscard]] std::string name() const override { return "resources"; }
   [[nodiscard]] Measurement measure(const Configuration&) override {
     Measurement m;
     m.valid = false;
     m.status = clsim::Status::kOutOfResources;
+    m.transient = transient_;
     m.cost_ms = 0.25;
     return m;
   }
 
  private:
   ParamSpace space_;
+  bool transient_;
 };
 
 TEST(RobustEvaluator, MedianAggregationMatchesHandComputedValue) {
@@ -266,12 +263,13 @@ TEST(RobustEvaluator, TrimmedMeanRejectsTheOutlier) {
 }
 
 TEST(RobustEvaluator, RetryExhaustionReportsTransientStatus) {
-  AllTransientEvaluator inner;
+  OutOfResourcesEvaluator inner(/*transient=*/true);
   RobustEvaluator robust(inner,
                          {.repeats = 3, .max_retries = 2, .backoff_ms = 1.0});
   const Measurement m = robust.measure(BowlEvaluator::optimum());
   EXPECT_FALSE(m.valid);
   EXPECT_EQ(m.status, clsim::Status::kOutOfResources);
+  EXPECT_TRUE(m.transient);
   // The first repeat burns 1 + max_retries attempts, then the call gives up
   // instead of burning the remaining repeats' budgets too.
   EXPECT_EQ(m.attempts, 3u);
@@ -281,6 +279,24 @@ TEST(RobustEvaluator, RetryExhaustionReportsTransientStatus) {
   EXPECT_EQ(robust.retries(), 2u);
   EXPECT_EQ(robust.exhausted(), 1u);
   EXPECT_EQ(robust.transient_failures(), 3u);
+}
+
+// The driver returns CL_OUT_OF_RESOURCES deterministically (a group's
+// registers exceed the compute unit's file): without the transient mark it
+// is a permanent rejection, not a fault to retry.
+TEST(RobustEvaluator, DriverOutOfResourcesIsNotRetried) {
+  OutOfResourcesEvaluator inner(/*transient=*/false);
+  RobustEvaluator robust(inner, {.repeats = 3, .max_retries = 3});
+  const Measurement m = robust.measure(BowlEvaluator::optimum());
+  EXPECT_FALSE(m.valid);
+  EXPECT_EQ(m.status, clsim::Status::kOutOfResources);
+  EXPECT_FALSE(m.transient);
+  EXPECT_EQ(m.attempts, 1u);
+  EXPECT_EQ(m.transient_faults, 0u);
+  EXPECT_DOUBLE_EQ(m.cost_ms, 0.25);  // no backoff charged
+  EXPECT_EQ(robust.transient_failures(), 0u);
+  EXPECT_EQ(robust.retries(), 0u);
+  EXPECT_EQ(robust.exhausted(), 0u);
 }
 
 TEST(RobustEvaluator, PermanentRejectionShortCircuits) {
@@ -347,7 +363,7 @@ TEST(CachingEvaluator, PinsFirstAggregatedResultUnderNoise) {
   EXPECT_EQ(inner.calls(), 3 * n);
 }
 
-// --- Tuner-level graceful degradation ---
+// --- Tuner-level fault accounting ---
 
 AutoTunerOptions small_tuner_options(std::size_t n, std::size_t m) {
   AutoTunerOptions o;
@@ -360,60 +376,7 @@ AutoTunerOptions small_tuner_options(std::size_t n, std::size_t m) {
   return o;
 }
 
-TEST(AutoTunerDegradation, StreamsPastAnAllInvalidSecondStage) {
-  // The trap landscape steers every primary stage-2 candidate into the
-  // invalid region; with streaming enabled the tuner must still return a
-  // prediction because valid configurations exist (acceptance criterion).
-  TrapEvaluator eval;
-  common::Rng rng(6);
-  AutoTunerOptions opts = small_tuner_options(100, 5);
-  opts.stage2_stream_limit = static_cast<std::size_t>(eval.space().size());
-  const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(eval, TuneRun::with_rng(rng));
-  ASSERT_TRUE(result.success);
-  EXPECT_LT(result.best_config.values[0], 16);  // necessarily valid
-  EXPECT_GE(result.best_time_ms, TrapEvaluator::best_valid_time());
-  EXPECT_EQ(result.stage2_rejections.count(clsim::Status::kOutOfLocalMemory),
-            result.stage2_invalid);
-}
-
-TEST(AutoTunerDegradation, SurvivesSpuriousInvalidVerdicts) {
-  // 70% of measurements come back spuriously invalid; retry cannot help
-  // (the status looks permanent), only candidate streaming can.
-  BowlEvaluator inner;
-  FaultInjectingEvaluator faults(inner, {.spurious_rate = 0.7, .seed = 3});
-  common::Rng rng(7);
-  AutoTunerOptions opts = small_tuner_options(120, 5);
-  opts.stage2_stream_limit = static_cast<std::size_t>(inner.space().size());
-  const AutoTuner tuner(opts);
-  const AutoTuneResult result = tuner.tune(faults, TuneRun::with_rng(rng));
-  ASSERT_TRUE(result.success);
-  EXPECT_GT(result.stage2_rejections.count(
-                clsim::Status::kInvalidWorkGroupSize),
-            0u);
-}
-
-TEST(AutoTunerDegradation, DisabledStreamingIsBitIdentical) {
-  // With no faults and streaming disabled vs enabled, results must be
-  // bit-identical (streaming only ever runs after an all-invalid stage 2).
-  AutoTunerOptions off = small_tuner_options(80, 10);
-  AutoTunerOptions on = small_tuner_options(80, 10);
-  on.stage2_stream_limit = 500;
-  BowlEvaluator e1;
-  BowlEvaluator e2;
-  common::Rng rng1(99);
-  common::Rng rng2(99);
-  const AutoTuneResult r1 = AutoTuner(off).tune(e1, TuneRun::with_rng(rng1));
-  const AutoTuneResult r2 = AutoTuner(on).tune(e2, TuneRun::with_rng(rng2));
-  ASSERT_TRUE(r1.success);
-  ASSERT_TRUE(r2.success);
-  EXPECT_EQ(r1.best_config, r2.best_config);
-  EXPECT_EQ(r1.best_time_ms, r2.best_time_ms);
-  EXPECT_EQ(r2.stage2_streamed, 0u);
-  EXPECT_EQ(r1.stage2_measured, r2.stage2_measured);
-}
-
-TEST(AutoTunerDegradation, CountersFlowThroughRobustStack) {
+TEST(AutoTunerFaults, CountersFlowThroughRobustStack) {
   BowlEvaluator inner;
   FaultInjectingEvaluator faults(inner,
                                  {.transient_rate = 0.2, .seed = 21});
@@ -431,58 +394,6 @@ TEST(AutoTunerDegradation, CountersFlowThroughRobustStack) {
                 result.transient_faults);
 }
 
-TEST(IterativeTunerDegradation, ExploresUntilFirstValidMeasurement) {
-  // Valid configurations are vanishingly rare (A=8, B=8 only: 4 of 256);
-  // a small initial sample usually misses them all.
-  class RareValidEvaluator final : public Evaluator {
-   public:
-    RareValidEvaluator() : space_(testing::small_space()) {}
-    [[nodiscard]] const ParamSpace& space() const override { return space_; }
-    [[nodiscard]] std::string name() const override { return "rare"; }
-    [[nodiscard]] Measurement measure(const Configuration& c) override {
-      Measurement m;
-      m.cost_ms = 0.1;
-      if (c.values[0] != 8 || c.values[1] != 8) {
-        m.valid = false;
-        m.status = clsim::Status::kOutOfLocalMemory;
-        return m;
-      }
-      m.valid = true;
-      m.time_ms = 10.0 + static_cast<double>(c.values[2]);
-      return m;
-    }
-
-   private:
-    ParamSpace space_;
-  };
-
-  IterativeTunerOptions opts;
-  opts.measurement_budget = 400;
-  opts.initial_samples = 20;
-  opts.batch_size = 40;
-  opts.model.ensemble.k = 3;
-  opts.model.ensemble.hidden_layers = {
-      ml::LayerSpec{12, ml::Activation::kSigmoid}};
-  opts.model.ensemble.trainer.common.max_epochs = 200;
-
-  RareValidEvaluator off_eval;
-  common::Rng off_rng(17);
-  const IterativeTuneResult off =
-      IterativeTuner(opts).tune(off_eval, TuneRun::with_rng(off_rng));
-  ASSERT_FALSE(off.success);  // round 0 misses all 4 valid configs, gives up
-  EXPECT_EQ(off.rejections.total(), off.invalid_measurements);
-
-  opts.explore_until_valid = true;
-  RareValidEvaluator on_eval;
-  common::Rng on_rng(17);
-  const IterativeTuneResult on =
-      IterativeTuner(opts).tune(on_eval, TuneRun::with_rng(on_rng));
-  ASSERT_TRUE(on.success);
-  EXPECT_GT(on.resample_rounds, 0u);
-  EXPECT_EQ(on.best_config.values[0], 8);
-  EXPECT_EQ(on.best_config.values[1], 8);
-}
-
 // --- Determinism across thread counts ---
 
 TEST(RobustDeterminism, FullTunerRunIdenticalAcrossThreadCounts) {
@@ -495,9 +406,8 @@ TEST(RobustDeterminism, FullTunerRunIdenticalAcrossThreadCounts) {
                                            .seed = 32});
     RobustEvaluator robust(faults, {.repeats = 3, .max_retries = 5});
     common::Rng rng(55);
-    AutoTunerOptions opts = small_tuner_options(80, 10);
-    opts.stage2_stream_limit = static_cast<std::size_t>(inner.space().size());
-    return AutoTuner(opts).tune(robust, TuneRun::with_rng(rng));
+    return AutoTuner(small_tuner_options(80, 10))
+        .tune(robust, TuneRun::with_rng(rng));
   };
 
   common::set_global_pool_threads(1);
@@ -511,7 +421,6 @@ TEST(RobustDeterminism, FullTunerRunIdenticalAcrossThreadCounts) {
   EXPECT_EQ(single.best_time_ms, quad.best_time_ms);
   EXPECT_EQ(single.measure_attempts, quad.measure_attempts);
   EXPECT_EQ(single.transient_faults, quad.transient_faults);
-  EXPECT_EQ(single.stage2_streamed, quad.stage2_streamed);
   EXPECT_EQ(single.data_gathering_cost_ms, quad.data_gathering_cost_ms);
   EXPECT_EQ(single.stage1_rejections.to_string(),
             quad.stage1_rejections.to_string());

@@ -1,7 +1,8 @@
 // Static pre-filter tests: the clstat scan filter must prune exactly the
 // proven-invalid configurations (with tallied verdicts and filter
-// composition), and leave AutoTuner selections bit-identical when stage 2
-// covers the scanned range.
+// composition), leave AutoTuner selections bit-identical when stage 2
+// covers the scanned range, and keep a trap landscape's invalid region out
+// of stage 2 where the paper's protocol gives no prediction.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,13 @@ namespace az = clsim::analyze;
 
 using testing::BowlEvaluator;
 using testing::small_space;
+using testing::TrapEvaluator;
 
-/// Analyzer view of testing::small_space with the BowlEvaluator(with_invalid)
-/// rule encoded: A=128 is rejected, everything else is valid.
-std::shared_ptr<const az::StaticChecker> bowl_checker() {
+/// Analyzer view of testing::small_space with one complete rule, A < limit:
+/// everything else is valid.
+std::shared_ptr<const az::StaticChecker> small_space_checker(double limit) {
   az::KernelConstraints kc;
-  kc.kernel_name = "bowl";
+  kc.kernel_name = "small_space";
   kc.domain = az::ParamDomain({
       {"A", {1, 2, 4, 8, 16, 32, 64, 128}},
       {"B", {1, 2, 4, 8, 16, 32, 64, 128}},
@@ -34,10 +36,15 @@ std::shared_ptr<const az::StaticChecker> bowl_checker() {
   kc.constraints.push_back({"a_group_limit",
                             az::ConstraintCategory::kWorkGroupGeometry,
                             az::param_expr(kc.domain, "A"),
-                            az::Relation::kLess, az::cexpr(128.0),
+                            az::Relation::kLess, az::cexpr(limit),
                             az::AffineExpr{}});
   return std::make_shared<az::StaticChecker>(std::move(kc),
                                              clsim::DeviceInfo{});
+}
+
+/// The BowlEvaluator(with_invalid) rule: A=128 is rejected.
+std::shared_ptr<const az::StaticChecker> bowl_checker() {
+  return small_space_checker(128.0);
 }
 
 /// First flat index whose decoded A value matches `a`.
@@ -153,6 +160,42 @@ TEST(StaticScanFilter, AutoTunerSelectionBitIdenticalWithCoveringStage2) {
   // Stage 2 measured no proven-invalid configuration.
   EXPECT_EQ(with.stage2_invalid, 0u);
   EXPECT_GT(without.stage2_invalid, 0u);
+}
+
+// The paper's stereo-on-GPU failure in miniature (testing::TrapEvaluator):
+// the paper's protocol fills stage 2 with invalid configurations and gives
+// no prediction. The trap's declared constraint (A < 16) keeps them out of
+// the scan: on every seed stage 2 measures nothing invalid and finds the
+// best valid time.
+TEST(StaticScanFilter, RescuesTheTrapLandscape) {
+  AutoTunerOptions paper;
+  paper.training_samples = 120;
+  paper.second_stage_size = 5;
+  paper.model.ensemble.k = 3;
+  paper.model.ensemble.trainer.common.max_epochs = 250;
+  AutoTunerOptions checked = paper;
+  checked.static_checker = small_space_checker(16.0);  // the trap: A >= 16
+
+  std::size_t paper_failures = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    {
+      TrapEvaluator eval;
+      common::Rng rng(seed);
+      if (!AutoTuner(paper).tune(eval, TuneRun::with_rng(rng)).success)
+        ++paper_failures;
+    }
+    TrapEvaluator eval;
+    common::Rng rng(seed);
+    const AutoTuneResult result =
+        AutoTuner(checked).tune(eval, TuneRun::with_rng(rng));
+    ASSERT_TRUE(result.success) << "seed " << seed;
+    EXPECT_EQ(result.best_time_ms, TrapEvaluator::best_valid_time());
+    EXPECT_EQ(result.stage2_invalid, 0u);
+    EXPECT_EQ(result.stage2_measured, paper.second_stage_size);
+    EXPECT_GT(result.static_pruned, 0u);
+    EXPECT_EQ(result.static_unknown, 0u);
+  }
+  EXPECT_GT(paper_failures, 0u);  // the trap does catch the paper's protocol
 }
 
 TEST(StaticScanFilter, IterativeTunerPrunesAndStaysSound) {
