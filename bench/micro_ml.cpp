@@ -1,7 +1,8 @@
-// google-benchmark micro-benchmarks for the ML substrate: matrix kernels,
-// network forward/backward, ensemble training and bulk prediction — the
-// operations whose throughput bounds the tuner's "orders of magnitude faster
-// than running the benchmarks" prediction scan (paper section 5.3).
+// google-benchmark micro-benchmarks for the ML substrate: the matrix kernel,
+// the network's forward pass, the fused training epoch, ensemble training
+// and bulk prediction — the operations whose throughput bounds the tuner's
+// "orders of magnitude faster than running the benchmarks" prediction scan
+// (paper section 5.3).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "common/simd.hpp"
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
+#include "ml/member_epoch.hpp"
 #include "ml/mlp.hpp"
 #include "ml/trainer.hpp"
 
@@ -59,23 +61,79 @@ void BM_MlpForwardBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardBatch)->Arg(256)->Arg(4096)->Arg(65536);
 
-void BM_MlpBackwardBatch(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(3);
-  ml::Mlp net(9, {ml::LayerSpec{30, ml::Activation::kSigmoid},
-                  ml::LayerSpec{1, ml::Activation::kLinear}});
+// --- One training epoch at paper geometry ----------------------------------
+// 9 features, 30 sigmoid hidden units, 1,818 samples of which the trainer's
+// 15% validation split holds out 273: 1,545 training rows.
+
+constexpr std::size_t kPaperFeatures = 9;
+constexpr std::size_t kPaperHidden = 30;
+constexpr std::size_t kPaperTrainRows = 1545;
+constexpr std::size_t kPaperValidationRows = 273;
+
+ml::Mlp paper_member(common::Rng& rng) {
+  ml::Mlp net(kPaperFeatures,
+              {ml::LayerSpec{kPaperHidden, ml::Activation::kSigmoid},
+               ml::LayerSpec{1, ml::Activation::kLinear}});
   net.init_weights(rng);
-  const ml::Matrix x = random_matrix(batch, 9, rng);
-  const ml::Matrix t = random_matrix(batch, 1, rng);
-  ml::Gradients grads = net.make_gradients();
-  ml::BatchScratch scratch;  // reused across iterations, as the trainers do
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.backward_batch(x, t, grads, scratch));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) * batch);
+  for (auto& b : net.biases(0)) b = rng.uniform(-0.5, 0.5);
+  return net;
 }
-BENCHMARK(BM_MlpBackwardBatch)->Arg(256)->Arg(2048);
+
+/// The fused epoch over the 1,545 training rows: forward pass, loss and
+/// all four gradients.
+void BM_MemberEpoch(benchmark::State& state) {
+  common::Rng rng(3);
+  const ml::MemberParams params(paper_member(rng));
+  const ml::Matrix x = random_matrix(kPaperTrainRows, kPaperFeatures, rng);
+  const ml::Matrix t = random_matrix(kPaperTrainRows, 1, rng);
+  std::vector<double> grads;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ml::member_epoch(params, x, t, grads));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPaperTrainRows));
+}
+BENCHMARK(BM_MemberEpoch);
+
+/// The epoch's validation loss over the 273 held-out rows.
+void BM_MemberValidationLoss(benchmark::State& state) {
+  common::Rng rng(3);
+  const ml::MemberParams params(paper_member(rng));
+  const ml::Matrix x =
+      random_matrix(kPaperValidationRows, kPaperFeatures, rng);
+  const ml::Matrix t = random_matrix(kPaperValidationRows, 1, rng);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(ml::member_loss(params, x, t));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPaperValidationRows));
+}
+BENCHMARK(BM_MemberValidationLoss);
+
+/// Whole RpropTrainer epochs (fused epoch, Rprop update, validation loss,
+/// early-stopping bookkeeping): 50 epochs per iteration, patience off, so
+/// items per second are epochs per second.
+void BM_RpropEpoch(benchmark::State& state) {
+  constexpr std::size_t kEpochs = 50;
+  common::Rng rng(3);
+  ml::Dataset data;
+  data.x = random_matrix(kPaperTrainRows + kPaperValidationRows,
+                         kPaperFeatures, rng);
+  data.y = random_matrix(data.x.rows(), 1, rng);
+  const ml::Mlp initial = paper_member(rng);
+  ml::RpropTrainer::Options options;
+  options.common.max_epochs = kEpochs;
+  options.common.patience = 0;
+  const ml::RpropTrainer trainer(options);
+  for (auto _ : state) {
+    ml::Mlp net = initial;
+    common::Rng split_rng(4);
+    benchmark::DoNotOptimize(trainer.train(net, data, split_rng).epochs);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEpochs));
+}
+BENCHMARK(BM_RpropEpoch)->Unit(benchmark::kMillisecond);
 
 void BM_EnsembleTrain(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -7,6 +7,13 @@
 
 namespace pt::archsim {
 
+// Compiled with -ffp-contract=off (src/archsim/CMakeLists.txt): each fused
+// multiply-add below is a written std::fma, every other product rounds
+// before its add. The fusings are the ones GCC contracted in the AVX2 build
+// (-mfma), so simulated times keep those bits, and a build without FMA
+// hardware (PT_SIMD=scalar) now gets the same bits instead of rounding them
+// twice.
+
 namespace {
 
 using clsim::AccessPattern;
@@ -67,7 +74,7 @@ std::size_t active_groups_per_cu(const DeviceInfo& dev,
 /// ILP speedup credited to an effective unroll factor.
 double ilp_factor(std::size_t unroll) noexcept {
   const double u = static_cast<double>(std::min<std::size_t>(unroll, 16));
-  return 1.0 + 0.09 * std::log2(std::max(1.0, u));
+  return std::fma(0.09, std::log2(std::max(1.0, u)), 1.0);
 }
 
 /// Loop-control ops per item across the loop nest, given effective unrolls.
@@ -78,7 +85,10 @@ double loop_overhead_ops(const KernelProfile& prof,
     const auto& loop = prof.loops[i];
     const double eff = static_cast<double>(std::max<std::size_t>(
         1, i < eff_unrolls.size() ? eff_unrolls[i] : loop.unroll_factor));
-    ops += 3.0 * loop.trip_count / eff;  // cmp + inc + branch per trip
+    // cmp + inc + branch per trip. Without unrolling the division by 1
+    // folds away and the product fuses into the add.
+    ops = eff == 1.0 ? std::fma(3.0, loop.trip_count, ops)
+                     : ops + 3.0 * loop.trip_count / eff;
   }
   return ops;
 }
@@ -93,7 +103,7 @@ double nest_ilp(const KernelProfile& prof,
     const double w = std::max(1.0, prof.loops[i].trip_count);
     const std::size_t eff =
         i < eff_unrolls.size() ? eff_unrolls[i] : prof.loops[i].unroll_factor;
-    acc += w * ilp_factor(eff);
+    acc = std::fma(w, ilp_factor(eff), acc);
     weight_sum += w;
   }
   return acc / weight_sum;
@@ -152,8 +162,9 @@ double TimingModel::gpu_time_ms(const DeviceInfo& dev,
   // --- Compute time ---
   // Integer ops run at half rate on these GPUs; loop control adds ops that
   // unrolling removes; divergence serializes lanes.
-  double ops_per_item = prof.flops_per_item + 2.0 * prof.int_ops_per_item +
-                        loop_overhead_ops(prof, eff_unrolls);
+  double ops_per_item =
+      std::fma(2.0, prof.int_ops_per_item, prof.flops_per_item) +
+      loop_overhead_ops(prof, eff_unrolls);
   const double divergence_penalty = 1.0 + prof.divergence * 1.0;
   const double ilp = nest_ilp(prof, eff_unrolls);
   const double peak_ops_per_ms = static_cast<double>(dev.compute_units) *
@@ -189,7 +200,7 @@ double TimingModel::gpu_time_ms(const DeviceInfo& dev,
           }
           case AccessPattern::kTiled2D: {
             const double hit = dev.global_cached ? 0.85 : 0.25;
-            traffic /= 1.0 + (std::max(1.0, s.reuse_factor) - 1.0) * hit;
+            traffic /= std::fma(std::max(1.0, s.reuse_factor) - 1.0, hit, 1.0);
             break;
           }
           case AccessPattern::kBroadcast:
@@ -207,7 +218,7 @@ double TimingModel::gpu_time_ms(const DeviceInfo& dev,
         // The texture cache exploits 2D locality; credit reuse.
         if (s.pattern == AccessPattern::kTiled2D ||
             s.pattern == AccessPattern::kCoalesced) {
-          traffic /= 1.0 + (std::max(1.0, s.reuse_factor) - 1.0) * 0.9;
+          traffic /= std::fma(std::max(1.0, s.reuse_factor) - 1.0, 0.9, 1.0);
         }
         break;
       }
@@ -232,7 +243,7 @@ double TimingModel::gpu_time_ms(const DeviceInfo& dev,
     }
     const double effective_bw =
         bw * kGb * (s.space == MemorySpace::kLocal ? 1.0 : mem_hiding);
-    mem_ms += traffic / effective_bw * 1e3;
+    mem_ms = std::fma(traffic / effective_bw, 1e3, mem_ms);
   }
 
   // --- Barriers ---
@@ -247,9 +258,9 @@ double TimingModel::gpu_time_ms(const DeviceInfo& dev,
   const double utilization =
       std::max(0.05, groups / (waves * groups_per_wave));
 
-  const double busy =
-      (std::max(compute_ms, mem_ms) + 0.3 * std::min(compute_ms, mem_ms)) /
-      utilization;
+  const double busy = std::fma(0.3, std::min(compute_ms, mem_ms),
+                               std::max(compute_ms, mem_ms)) /
+                      utilization;
   return dev.launch_overhead_ms + busy + barrier_ms;
 }
 
@@ -281,10 +292,12 @@ double TimingModel::cpu_time_ms(const DeviceInfo& dev,
   // Software image sampling: address arithmetic + clamping per access.
   for (const MemoryStream& s : prof.streams) {
     if (s.space == MemorySpace::kImage)
-      ops_per_item += dev.software_image_ops * s.accesses_per_item;
+      ops_per_item =
+          std::fma(dev.software_image_ops, s.accesses_per_item, ops_per_item);
   }
   const double ilp = nest_ilp(prof, eff_unrolls);
-  const double divergence_penalty = 1.0 + prof.divergence * 0.15;  // masking
+  // masking
+  const double divergence_penalty = std::fma(prof.divergence, 0.15, 1.0);
   const double peak_ops_per_ms =
       cores * dev.flops_per_cycle_per_cu * dev.clock_ghz * 1e6;
   const double compute_ms = items * ops_per_item * divergence_penalty *
@@ -319,7 +332,8 @@ double TimingModel::cpu_time_ms(const DeviceInfo& dev,
             traffic /= 0.7;  // prefetcher copes, partially
             break;
           case AccessPattern::kTiled2D:
-            traffic /= 1.0 + (reuse - 1.0) * 0.9;  // tile resides in cache
+            // tile resides in cache
+            traffic /= std::fma(reuse - 1.0, 0.9, 1.0);
             break;
           case AccessPattern::kBroadcast:
             traffic /= reuse * 8.0;  // stays in L1
@@ -331,7 +345,7 @@ double TimingModel::cpu_time_ms(const DeviceInfo& dev,
         break;
       }
     }
-    mem_ms += traffic * core_scale / (bw * kGb) * 1e3;
+    mem_ms = std::fma(traffic * core_scale / (bw * kGb), 1e3, mem_ms);
   }
 
   // --- Overheads ---
@@ -341,8 +355,8 @@ double TimingModel::cpu_time_ms(const DeviceInfo& dev,
   // buffering); cost scales with items.
   const double barrier_ms = prof.barriers_per_item * items * 5e-6;
 
-  const double busy =
-      std::max(compute_ms, mem_ms) + 0.3 * std::min(compute_ms, mem_ms);
+  const double busy = std::fma(0.3, std::min(compute_ms, mem_ms),
+                               std::max(compute_ms, mem_ms));
   return dev.launch_overhead_ms + busy + sched_ms + barrier_ms;
 }
 
@@ -376,8 +390,9 @@ double TimingModel::kernel_time_ms(const DeviceInfo& device,
 double TimingModel::transfer_time_ms(const DeviceInfo& device,
                                      std::size_t bytes,
                                      clsim::TransferDirection) const {
-  return device.transfer_latency_ms +
-         static_cast<double>(bytes) / (device.transfer_bw_gbps * kGb) * 1e3;
+  return std::fma(
+      static_cast<double>(bytes) / (device.transfer_bw_gbps * kGb), 1e3,
+      device.transfer_latency_ms);
 }
 
 double TimingModel::compile_time_ms(const DeviceInfo& device,

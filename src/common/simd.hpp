@@ -1,7 +1,8 @@
 #pragma once
 
 // Portable SIMD layer for the batched fp32 inference engine (ml/batched.hpp)
-// and the fp64 training kernels (ml/matrix.cpp, ml/activation.cpp).
+// and the fp64 kernels (ml/member_epoch.cpp, ml/matrix.cpp,
+// ml/activation.cpp).
 //
 // One backend is selected at configure time (CMake option PT_SIMD, default
 // "auto"): AVX2+FMA on x86, NEON on arm64, or a portable scalar fallback.
@@ -261,12 +262,11 @@ struct VecF {
 // VecD: 4 packed doubles. The logical width is fixed at 4 on *every*
 // backend (AVX2 uses one 256-bit register, NEON a pair of 128-bit ones, the
 // scalar fallback an array), so kernels written against VecD have identical
-// semantics everywhere — which is what keeps the fp64 training kernels
-// (ml/matrix.cpp, ml/activation.cpp) bit-identical across backends.
-// Deliberately minimal: load/store/broadcast, add/sub/mul/div (each one
-// IEEE rounding, like the scalar operators), neg, fmadd (one rounding, like
-// std::fma), the pairwise horizontal sum (l0 + l1) + (l2 + l3) that
-// matches the matmul_bt accumulator combine, and exp (below).
+// semantics everywhere — which is what keeps the fp64 kernels
+// (ml/member_epoch.cpp, ml/matrix.cpp, ml/activation.cpp) bit-identical
+// across backends. Deliberately minimal: load/store/broadcast, add/sub/mul/
+// div (each one IEEE rounding, like the scalar operators), neg, fmadd (one
+// rounding, like std::fma), and exp (below).
 // ---------------------------------------------------------------------------
 
 inline constexpr std::size_t kWidthD = 4;
@@ -305,15 +305,6 @@ struct VecD {
 /// a*b + c, single rounding.
 [[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
   return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-}
-/// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
-/// scalar accumulators.
-[[nodiscard]] inline double hsum_pairwise(VecD a) noexcept {
-  const __m128d lo = _mm256_castpd256_pd128(a.v);    // l0, l1
-  const __m128d hi = _mm256_extractf128_pd(a.v, 1);  // l2, l3
-  const double s01 = _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-  const double s23 = _mm_cvtsd_f64(_mm_add_sd(hi, _mm_unpackhi_pd(hi, hi)));
-  return s01 + s23;
 }
 
 #elif defined(PT_SIMD_NEON) && defined(__aarch64__)
@@ -356,13 +347,6 @@ struct VecD {
 /// a*b + c, single rounding.
 [[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
   return {vfmaq_f64(c.lo, a.lo, b.lo), vfmaq_f64(c.hi, a.hi, b.hi)};
-}
-/// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
-/// scalar accumulators.
-[[nodiscard]] inline double hsum_pairwise(VecD a) noexcept {
-  const double s01 = vgetq_lane_f64(a.lo, 0) + vgetq_lane_f64(a.lo, 1);
-  const double s23 = vgetq_lane_f64(a.hi, 0) + vgetq_lane_f64(a.hi, 1);
-  return s01 + s23;
 }
 
 #else  // scalar fallback (and 32-bit NEON, which has no float64x2 ops)
@@ -413,11 +397,6 @@ struct VecD {
   for (std::size_t i = 0; i < kWidthD; ++i)
     c.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
   return c;
-}
-/// (l0 + l1) + (l2 + l3), the exact combine order of matmul_bt's four
-/// scalar accumulators.
-[[nodiscard]] inline double hsum_pairwise(VecD a) noexcept {
-  return (a.v[0] + a.v[1]) + (a.v[2] + a.v[3]);
 }
 
 #endif

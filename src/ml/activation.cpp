@@ -8,10 +8,10 @@
 namespace pt::ml {
 
 // Compiled with -ffp-contract=off like matrix.cpp: no operation here is
-// fused, so the bias add and the sigmoid gradient y * (1 - y) round the same
-// way on every backend. The sigmoid's exp is common::math::exp, whose lanes
-// simd::exp(VecD) reproduces bit for bit, so the vector pass equals the
-// scalar activate() on every element.
+// fused, so the bias add rounds the same way on every backend. The
+// sigmoid's exp is common::math::exp, whose lanes simd::exp(VecD)
+// reproduces bit for bit, so the vector pass equals the scalar activate()
+// on every element.
 
 namespace {
 namespace simd = common::simd;
@@ -22,10 +22,6 @@ constexpr std::size_t kW = simd::kWidthD;
 double activate(Activation act, double x) noexcept {
   return act == Activation::kSigmoid ? 1.0 / (1.0 + common::math::exp(-x))
                                      : x;
-}
-
-double activate_grad_from_output(Activation act, double y) noexcept {
-  return act == Activation::kSigmoid ? y * (1.0 - y) : 1.0;
 }
 
 void add_bias_activate(Activation act, std::span<const double> bias,
@@ -54,22 +50,6 @@ void add_bias_activate(Activation act, std::span<const double> bias,
     }
     for (; c < cols; ++c) row[c] = activate(act, row[c] + bias[c]);
   }
-}
-
-void scale_by_activation_grad(Activation act, const Matrix& y,
-                              Matrix& delta) noexcept {
-  if (act == Activation::kLinear) return;
-  const double* const fy = y.flat().data();
-  double* const fd = delta.flat().data();
-  const std::size_t n = delta.size();
-  const VecD one = VecD::broadcast(1.0);
-  std::size_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    const VecD yv = VecD::load(fy + i);
-    const VecD grad = simd::mul(yv, simd::sub(one, yv));
-    simd::mul(VecD::load(fd + i), grad).store(fd + i);
-  }
-  for (; i < n; ++i) fd[i] *= activate_grad_from_output(act, fy[i]);
 }
 
 std::string to_string(Activation act) {

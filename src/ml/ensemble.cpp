@@ -10,12 +10,6 @@
 
 namespace pt::ml {
 
-bool is_member_shape(const std::vector<LayerSpec>& layers) noexcept {
-  return layers.size() == 2 && layers[0].units > 0 &&
-         layers[0].activation == Activation::kSigmoid &&
-         layers[1].units == 1 && layers[1].activation == Activation::kLinear;
-}
-
 namespace {
 
 std::vector<LayerSpec> member_layers(const BaggingEnsemble::Options& options) {

@@ -25,10 +25,6 @@
 
 namespace pt::ml {
 
-/// The members' shape: one sigmoid hidden layer of any width, then one
-/// linear output.
-[[nodiscard]] bool is_member_shape(const std::vector<LayerSpec>& layers) noexcept;
-
 class BaggingEnsemble {
  public:
   struct Options {

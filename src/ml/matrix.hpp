@@ -1,7 +1,7 @@
 #pragma once
 
-// Dense row-major matrix of doubles with the handful of BLAS-like kernels the
-// neural network needs. Sized for this project's workloads: layers of tens of
+// Dense row-major matrix of doubles with the matrix product the network's
+// fp64 inference needs. Sized for this project's workloads: layers of tens of
 // units, batches of a few thousand rows, and bulk prediction over millions of
 // configurations (done in batches).
 
@@ -80,33 +80,13 @@ class Matrix {
   std::vector<double> data_;
 };
 
-// The fp64 kernels below fix the floating-point operations every output
-// element sees, so their results are the same bits on every SIMD backend
-// and thread count (DESIGN.md "Training path"). fma(x, y, s) is one rounding of
-// x*y + s; every other operation rounds on its own.
+// matmul fixes the floating-point operations every output element sees, so
+// its results are the same bits on every SIMD backend and thread count
+// (DESIGN.md "Training path"). fma(x, y, s) is one rounding of x*y + s.
 
 /// out = a * b: out(i, j) = fma(a(i, k), b(k, j), acc) for k ascending,
 /// from acc = +0.0. Shapes must agree; out is reshaped in place (its
 /// allocation is reused when possible). out must not alias a or b.
 void matmul(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = a * b^T (avoids materializing the transpose; the backward pass hot
-/// path). With K = a.cols() and K4 = K - K % 4, four fma chains from +0.0
-/// take k < K4 with k % 4 == l, combine as (l0 + l1) + (l2 + l3), then the
-/// last K % 4 products are added in order: each rounded before its add,
-/// except that an odd remainder ends with one fma. out must not alias a or b.
-void matmul_bt(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = a^T * b: out(i, j) = fma(a(k, i), b(k, j), acc) for k ascending,
-/// from acc = +0.0. out must not alias a or b.
-void matmul_at(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// Column-wise sums of a (length a.cols()), rows added in order from +0.0.
-void column_sums(const Matrix& a, std::span<double> out);
-
-/// Sum over all elements of (y - target)^2 in flat order from +0.0: each
-/// square rounded before its add, except that an odd element count ends
-/// with one fma (the same rule as matmul_bt's remainder).
-[[nodiscard]] double squared_error_sum(const Matrix& y, const Matrix& target);
 
 }  // namespace pt::ml

@@ -3,12 +3,12 @@
 // Feed-forward fully-connected network (multi-layer perceptron).
 //
 // The paper's performance model is an MLP with a single hidden layer of 30
-// sigmoid units and a linear output trained on log execution times
-// (ml/ensemble.hpp holds its members to that shape). That is the only shape
-// left; the class keeps a layer list only because
-// BaggingEnsemble::Options::hidden_layers is still a vector of LayerSpec,
-// which callers such as the end-to-end benchmark set to pick a hidden-unit
-// count.
+// sigmoid units and a linear output trained on log execution times. That is
+// the only shape left (is_member_shape): ml/member_epoch.hpp trains it, and
+// forward_batch_into runs its fp64 inference. The class keeps a layer list
+// only because BaggingEnsemble::Options::hidden_layers is still a vector of
+// LayerSpec, which callers such as the end-to-end benchmark set to pick a
+// hidden-unit count.
 
 #include <cstddef>
 #include <span>
@@ -26,19 +26,10 @@ struct LayerSpec {
   Activation activation;
 };
 
-/// Per-layer gradient buffers matching an Mlp's parameters.
-struct Gradients {
-  std::vector<Matrix> weights;             // same shapes as Mlp weights
-  std::vector<std::vector<double>> biases; // same shapes as Mlp biases
-};
-
-/// Buffers that backward_batch and loss reuse across calls, so a training
-/// epoch allocates nothing once they have grown to the batch size.
-struct BatchScratch {
-  std::vector<Matrix> outputs;  // activated output of every layer
-  Matrix delta;                 // back-propagated error; loss() ping-pongs
-  Matrix delta_next;            // its forward pass through these two
-};
+/// The members' shape: one sigmoid hidden layer of any width, then one
+/// linear output.
+[[nodiscard]] bool is_member_shape(
+    const std::vector<LayerSpec>& layers) noexcept;
 
 class Mlp {
  public:
@@ -87,22 +78,6 @@ class Mlp {
   /// prediction-scan hot path.
   Matrix& forward_batch_into(const Matrix& x, Matrix& scratch_a,
                              Matrix& scratch_b) const;
-
-  /// Forward + backward over a batch with squared-error loss
-  /// L = (1/N) * sum_i sum_k (y_ik - t_ik)^2.
-  /// Fills `grads` (resized as needed) and returns the loss.
-  double backward_batch(const Matrix& x, const Matrix& target,
-                        Gradients& grads, BatchScratch& scratch) const;
-  double backward_batch(const Matrix& x, const Matrix& target,
-                        Gradients& grads) const;
-
-  /// Mean squared-error loss of the network on (x, target), no gradients.
-  [[nodiscard]] double loss(const Matrix& x, const Matrix& target,
-                            BatchScratch& scratch) const;
-  [[nodiscard]] double loss(const Matrix& x, const Matrix& target) const;
-
-  /// Allocate a gradient structure with this network's shapes.
-  [[nodiscard]] Gradients make_gradients() const;
 
  private:
   std::size_t inputs_;

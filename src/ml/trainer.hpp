@@ -1,10 +1,12 @@
 #pragma once
 
-// The MLP's trainer: iRprop- (resilient backpropagation without
+// The members' trainer: iRprop- (resilient backpropagation without
 // weight-backtracking). It is full-batch, step-size adaptive, and robust to
 // the wide dynamic range of log-time targets — well suited to the paper's
-// small networks (tens of hidden units, a few thousand samples). It stops
-// early on a held-out validation slice and restores the best weights seen.
+// small networks (tens of hidden units, a few thousand samples). Each epoch
+// is one fused pass (ml/member_epoch.hpp) followed by the update; the fit
+// stops early on a held-out validation slice and restores the best weights
+// seen.
 
 #include <cstddef>
 #include <vector>
@@ -49,7 +51,9 @@ class RpropTrainer {
   RpropTrainer() = default;
   explicit RpropTrainer(Options options) : options_(options) {}
 
-  /// Fit `net` on `data` in place.
+  /// Fit `net` on `data` (one target) in place. Throws
+  /// std::invalid_argument unless `net` has the member shape
+  /// (is_member_shape), or for an empty dataset.
   TrainResult train(Mlp& net, const Dataset& data, common::Rng& rng) const;
 
  private:

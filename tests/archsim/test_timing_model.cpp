@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <iterator>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "clsim/error.hpp"
 
@@ -350,6 +356,124 @@ TEST(TimingModel, CpuPrefersFewerBiggerGroupsForSameWork) {
   const double chunky = model.kernel_time_ms(
       cpu, launch_of(p, NDRange(512, 512), NDRange(64, 4)));
   EXPECT_GT(many_tiny, chunky);
+}
+
+// --- Pinned times --------------------------------------------------------
+
+/// A profile that reaches every fused multiply-add of the timing model:
+/// integer ops and divergence, global coalesced and tiled streams, an image
+/// stream (software sampling on the CPU, the texture path on GPUs), a
+/// broadcast constant stream, strided local memory, and loops without
+/// unrolling, with a manual unroll and with a driver-pragma unroll. Each
+/// variant scales the work and lands the pragma loop in another bucket.
+KernelProfile every_path_profile(int variant) {
+  const double v = static_cast<double>(variant);
+  KernelProfile p;
+  p.kernel_name = "every_path";
+  p.flops_per_item = 137.3 + 41.7 * v;
+  p.int_ops_per_item = 23.9 + 5.3 * v;
+  p.divergence = 0.3 + 0.11 * v;
+  p.registers_per_item = 24;
+  p.local_mem_bytes_per_group = 3000;
+  p.barriers_per_item = 2.0;
+  p.config_fingerprint = 1 + static_cast<std::uint64_t>(variant);
+  const auto stream = [&](MemorySpace space, AccessPattern pattern,
+                          double accesses, std::size_t bytes, double reuse) {
+    clsim::MemoryStream s;
+    s.space = space;
+    s.pattern = pattern;
+    s.accesses_per_item = accesses;
+    s.bytes_per_access = bytes;
+    s.stride_bytes = 8;
+    s.reuse_factor = reuse;
+    p.streams.push_back(s);
+  };
+  stream(MemorySpace::kGlobal, AccessPattern::kCoalesced, 7.1 + v, 4, 1.0);
+  stream(MemorySpace::kGlobal, AccessPattern::kTiled2D, 9.7, 4, 5.3 + v);
+  stream(MemorySpace::kGlobal, AccessPattern::kStrided, 3.3, 4, 1.0);
+  stream(MemorySpace::kImage, AccessPattern::kCoalesced, 4.1, 16, 3.7 + v);
+  stream(MemorySpace::kImage, AccessPattern::kTiled2D, 2.3, 4, 7.1);
+  stream(MemorySpace::kConstant, AccessPattern::kBroadcast, 2.1, 4, 11.3);
+  stream(MemorySpace::kLocal, AccessPattern::kStrided, 3.1, 4, 1.0);
+  const auto loop = [&](double trips, std::size_t unroll, bool pragma) {
+    clsim::LoopInfo l;
+    l.trip_count = trips;
+    l.unroll_factor = unroll;
+    l.via_driver_pragma = pragma;
+    p.loops.push_back(l);
+  };
+  loop(37.3 + v, 1, false);
+  loop(401.7, 8, false);
+  loop(16.3, 4, true);
+  return p;
+}
+
+/// The launches the pinned times cover: a 2-D launch of 16 x 16 groups and
+/// a 1-D launch of 48-item groups that leaves a partial last wave.
+std::vector<std::pair<NDRange, NDRange>> pinned_launches() {
+  return {{NDRange(1024, 1024), NDRange(16, 16)},
+          {NDRange(48 * 1001), NDRange(48)}};
+}
+
+std::vector<clsim::DeviceInfo> catalog_devices() {
+  return {intel_i7_3770_info(), nvidia_k40_info(), amd_hd7970_info(),
+          nvidia_c2070_info(), nvidia_gtx980_info()};
+}
+
+// Noise-free simulated times pinned bit for bit, as recorded from the AVX2
+// build (-mfma), in which GCC used to contract the timing model's
+// multiply-adds. Those fusings are now written std::fma and the file
+// compiles without contraction, so every backend must give these bits;
+// before that, the scalar backend rounded the fused steps twice and
+// differed in the last bit of several of these times.
+TEST(TimingModel, TimesKeepTheirBitsOnEveryBackend) {
+  // Per device: variants 0-2, each at pinned_launches()' two launches.
+  const double kernel_ms[] = {
+      0x1.1db6082189756p+4, 0x1.faca13e68b23bp-1,
+      0x1.20e25db21cc9cp+4, 0x1.ff7135dd692b9p-1,
+      0x1.2543f57eb6b39p+4, 0x1.02eee7e985ad6p+0,
+      0x1.a89c059130ebap+0, 0x1.b59c35e251853p-4,
+      0x1.aa29ccff27fbep+0, 0x1.b76d3e11386bp-4,
+      0x1.ad263ae4a2d9ep+0, 0x1.ba84600aafe3dp-4,
+      0x1.0ac029263031dp+0, 0x1.7d41a77e1b6d8p-4,
+      0x1.0c2366b895cedp+0, 0x1.7ec76c036d588p-4,
+      0x1.0f6162a522728p+0, 0x1.837a432a18f36p-4,
+      0x1.077e35bec4054p+1, 0x1.167037025fdc2p-3,
+      0x1.11e8d80603d8dp+1, 0x1.1f62425e28698p-3,
+      0x1.1b5b852300d58p+1, 0x1.289fa3bd39704p-3,
+      0x1.b47641c894d5cp+0, 0x1.b0f721a999154p-4,
+      0x1.b70410ba24cddp+0, 0x1.b34ca0c0d3e4ap-4,
+      0x1.bbbec07b556dp+0, 0x1.b7805d847c9bdp-4,
+  };
+  // Per device: 3,000,017 bytes host to device.
+  const double transfer_ms[] = {
+      0x1.0418f286e24e9p-2, 0x1.07ae738d072bcp-1, 0x1.2183a9cee91a4p-1,
+      0x1.3d7115ecd14f1p-1, 0x1.07ae738d072bcp-1,
+  };
+  const TimingModel model = noise_free();
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::size_t i = 0;
+  for (const auto& info : catalog_devices())
+    for (int variant = 0; variant < 3; ++variant)
+      for (const auto& [global, local] : pinned_launches()) {
+        const KernelProfile p = every_path_profile(variant);
+        const double got = model.deterministic_kernel_time_ms(
+            info, launch_of(p, global, local));
+        EXPECT_EQ(bits(got), bits(kernel_ms[i]))
+            << info.name << " variant " << variant << ": " << std::hexfloat
+            << got << " != " << kernel_ms[i];
+        ++i;
+      }
+  ASSERT_EQ(i, std::size(kernel_ms));
+  std::size_t d = 0;
+  for (const auto& info : catalog_devices()) {
+    const double got = model.transfer_time_ms(
+        info, 3000017, clsim::TransferDirection::kHostToDevice);
+    EXPECT_EQ(bits(got), bits(transfer_ms[d]))
+        << info.name << ": " << std::hexfloat << got
+        << " != " << transfer_ms[d];
+    ++d;
+  }
 }
 
 }  // namespace

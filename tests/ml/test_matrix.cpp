@@ -107,27 +107,6 @@ TEST(Matmul, ShapeMismatchThrows) {
   EXPECT_THROW(matmul(a, b, c), std::invalid_argument);
 }
 
-TEST(Matmul, TransposedVariantsAgree) {
-  const Matrix a = {{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};  // 3x2
-  const Matrix b = {{1.0, -1.0}, {2.0, 0.5}, {0.0, 3.0}}; // 3x2
-
-  // a^T * b via matmul_at equals explicit transpose multiply.
-  Matrix at_b;
-  matmul_at(a, b, at_b);
-  EXPECT_EQ(at_b.rows(), 2u);
-  EXPECT_EQ(at_b.cols(), 2u);
-  EXPECT_DOUBLE_EQ(at_b(0, 0), 1.0 * 1.0 + 3.0 * 2.0 + 5.0 * 0.0);
-  EXPECT_DOUBLE_EQ(at_b(1, 1), 2.0 * -1.0 + 4.0 * 0.5 + 6.0 * 3.0);
-
-  // a * b^T via matmul_bt.
-  Matrix a_bt;
-  matmul_bt(a, b, a_bt);
-  EXPECT_EQ(a_bt.rows(), 3u);
-  EXPECT_EQ(a_bt.cols(), 3u);
-  EXPECT_DOUBLE_EQ(a_bt(0, 0), 1.0 * 1.0 + 2.0 * -1.0);
-  EXPECT_DOUBLE_EQ(a_bt(2, 1), 5.0 * 2.0 + 6.0 * 0.5);
-}
-
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Number of elements whose bit patterns differ (shapes must match).
@@ -149,7 +128,7 @@ void fill_with_zeros(Matrix& m, common::Rng& rng) {
   }
 }
 
-// The register-blocked kernels against the element-by-element references
+// The register-blocked kernel against the element-by-element reference
 // (tests/ml/training_reference.cpp), bit for bit, on sizes that straddle
 // every tile and remainder boundary.
 TEST(Matmul, BlockedKernelsMatchNaiveReference) {
@@ -163,10 +142,6 @@ TEST(Matmul, BlockedKernelsMatchNaiveReference) {
   Matrix out;
   matmul(a, b, out);
   EXPECT_EQ(bit_mismatches(out, reference::matmul(a, b)), 0u);
-  matmul_bt(a, a, out);
-  EXPECT_EQ(bit_mismatches(out, reference::matmul_bt(a, a)), 0u);
-  matmul_at(a, a, out);
-  EXPECT_EQ(bit_mismatches(out, reference::matmul_at(a, a)), 0u);
 }
 
 TEST(Matmul, KernelsMatchRoundingReferenceOnAllSmallShapes) {
@@ -177,23 +152,11 @@ TEST(Matmul, KernelsMatchRoundingReferenceOnAllSmallShapes) {
       const std::size_t rows = 1 + rng.below(9);
       Matrix a(rows, shared);
       Matrix b(shared, width);
-      Matrix bt(width, shared);
-      Matrix at(shared, rows);
       fill_with_zeros(a, rng);
       fill_with_zeros(b, rng);
-      fill_with_zeros(bt, rng);
-      fill_with_zeros(at, rng);
       matmul(a, b, out);
       ASSERT_EQ(bit_mismatches(out, reference::matmul(a, b)), 0u)
           << "matmul rows=" << rows << " shared=" << shared
-          << " width=" << width;
-      matmul_bt(a, bt, out);
-      ASSERT_EQ(bit_mismatches(out, reference::matmul_bt(a, bt)), 0u)
-          << "matmul_bt rows=" << rows << " shared=" << shared
-          << " width=" << width;
-      matmul_at(at, b, out);
-      ASSERT_EQ(bit_mismatches(out, reference::matmul_at(at, b)), 0u)
-          << "matmul_at rows=" << rows << " shared=" << shared
           << " width=" << width;
     }
   }
@@ -205,34 +168,9 @@ TEST(Matmul, NegativeZeroProductsSumToPositiveZero) {
   for (std::size_t shared : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u}) {
     const Matrix a(5, shared, -0.0);
     const Matrix b(shared, 30, 1.5);
-    const Matrix bt(30, shared, 1.5);
-    const Matrix ones(5, 30, 1.5);
     Matrix out;
     matmul(a, b, out);
     for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
-    matmul_bt(a, bt, out);
-    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
-    matmul_at(a, ones, out);
-    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
-    matmul_at(a, Matrix(5, 1, 1.5), out);  // the 1-wide output layer path
-    for (double x : out.flat()) EXPECT_EQ(bits(x), bits(0.0));
-  }
-}
-
-TEST(Matrix, SquaredErrorSumMatchesRoundingReference) {
-  const Matrix y = {{1.0, 2.0, 3.0}};
-  const Matrix zero(1, 3);
-  EXPECT_EQ(squared_error_sum(y, zero), 14.0);
-  EXPECT_THROW((void)squared_error_sum(y, Matrix(3, 1)), std::invalid_argument);
-  common::Rng rng(5);
-  for (std::size_t n = 1; n <= 40; ++n) {
-    Matrix a(n, 1);
-    Matrix t(n, 1);
-    fill_with_zeros(a, rng);
-    fill_with_zeros(t, rng);
-    EXPECT_EQ(bits(squared_error_sum(a, t)),
-              bits(reference::squared_error_sum(a, t)))
-        << "n=" << n;
   }
 }
 
@@ -245,14 +183,6 @@ TEST(Matrix, ReshapeReusesAllocationAndZeroes) {
   m.reshape(5, 2, 1.5);
   EXPECT_EQ(m.size(), 10u);
   for (double x : m.flat()) EXPECT_DOUBLE_EQ(x, 1.5);
-}
-
-TEST(Matrix, ColumnSums) {
-  const Matrix m = {{1.0, 2.0}, {3.0, 4.0}};
-  std::vector<double> sums(2);
-  column_sums(m, sums);
-  EXPECT_DOUBLE_EQ(sums[0], 4.0);
-  EXPECT_DOUBLE_EQ(sums[1], 6.0);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "ml/member_epoch.hpp"
 
 namespace pt::ml {
 namespace {
@@ -77,97 +80,56 @@ TEST(Mlp, InitWeightsWithinXavierBound) {
   EXPECT_TRUE(any_nonzero);
 }
 
-TEST(Mlp, LossIsMeanSquaredError) {
-  Mlp net(1, {LayerSpec{1, Activation::kLinear}});
-  net.weights(0)(0, 0) = 1.0;  // identity
-  const Matrix x = {{1.0}, {2.0}};
-  const Matrix t = {{0.0}, {0.0}};
-  // ((1-0)^2 + (2-0)^2) / 2 = 2.5
-  EXPECT_DOUBLE_EQ(net.loss(x, t), 2.5);
-}
-
-// The decisive test: analytic gradients vs central finite differences,
-// across layer stacks: the ensemble's shape, the validity classifier's
-// sigmoid output, and deeper or wider ones.
-class MlpGradientTest
-    : public ::testing::TestWithParam<std::vector<LayerSpec>> {};
+// The decisive test: the member epoch's analytic gradients against central
+// finite differences of its loss, on member shapes of several widths
+// (within one 4-lane vector, exactly one, and across several with a
+// remainder).
+class MlpGradientTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MlpGradientTest, BackwardMatchesFiniteDifferences) {
   common::Rng rng(11);
-  Mlp net(3, GetParam());
+  Mlp net(3, {LayerSpec{GetParam(), Activation::kSigmoid},
+              LayerSpec{1, Activation::kLinear}});
   net.init_weights(rng);
+  for (auto& b : net.biases(0)) b = rng.uniform(-0.5, 0.5);
 
   Matrix x(5, 3);
   for (auto& v : x.flat()) v = rng.uniform(-1.0, 1.0);
-  Matrix t(5, net.output_size());
+  Matrix t(5, 1);
   for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
 
-  Gradients grads = net.make_gradients();
-  net.backward_batch(x, t, grads);
+  MemberParams params(net);
+  std::vector<double> grads;
+  (void)member_epoch(params, x, t, grads);
+
+  // Every real parameter: W1, b1, w2 and b2 (pad entries are skipped).
+  const std::size_t s = params.stride();
+  std::vector<std::size_t> probes;
+  for (std::size_t k = 0; k < params.inputs(); ++k)
+    for (std::size_t c = 0; c < params.hidden(); ++c)
+      probes.push_back(k * s + c);
+  for (std::size_t c = 0; c < params.hidden(); ++c) {
+    probes.push_back(params.b1_offset() + c);
+    probes.push_back(params.w2_offset() + c);
+  }
+  probes.push_back(params.b2_offset());
 
   const double eps = 1e-6;
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    auto wf = net.weights(l).flat();
-    auto gf = grads.weights[l].flat();
-    // Probe a deterministic subset of weights to keep the test fast.
-    for (std::size_t i = 0; i < wf.size(); i += 7) {
-      const double saved = wf[i];
-      wf[i] = saved + eps;
-      const double lp = net.loss(x, t);
-      wf[i] = saved - eps;
-      const double lm = net.loss(x, t);
-      wf[i] = saved;
-      EXPECT_NEAR(gf[i], (lp - lm) / (2.0 * eps), 1e-4)
-          << "layer " << l << " weight " << i;
-    }
-    auto& bias = net.biases(l);
-    auto& gb = grads.biases[l];
-    for (std::size_t i = 0; i < bias.size(); i += 5) {
-      const double saved = bias[i];
-      bias[i] = saved + eps;
-      const double lp = net.loss(x, t);
-      bias[i] = saved - eps;
-      const double lm = net.loss(x, t);
-      bias[i] = saved;
-      EXPECT_NEAR(gb[i], (lp - lm) / (2.0 * eps), 1e-4)
-          << "layer " << l << " bias " << i;
-    }
+  auto theta = params.flat();
+  for (const std::size_t i : probes) {
+    const double saved = theta[i];
+    theta[i] = saved + eps;
+    const double lp = member_loss(params, x, t);
+    theta[i] = saved - eps;
+    const double lm = member_loss(params, x, t);
+    theta[i] = saved;
+    EXPECT_NEAR(grads[i], (lp - lm) / (2.0 * eps), 1e-4) << "parameter " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, MlpGradientTest,
-    ::testing::Values(
-        std::vector<LayerSpec>{{1, Activation::kLinear}},
-        std::vector<LayerSpec>{{8, Activation::kSigmoid},
-                               {1, Activation::kLinear}},
-        std::vector<LayerSpec>{{6, Activation::kSigmoid},
-                               {1, Activation::kSigmoid}},
-        std::vector<LayerSpec>{{10, Activation::kSigmoid},
-                               {5, Activation::kSigmoid},
-                               {2, Activation::kLinear}}));
-
-TEST(Mlp, BackwardReturnsLoss) {
-  common::Rng rng(13);
-  Mlp net = paper_net(2);
-  net.init_weights(rng);
-  const Matrix x = {{0.5, -0.5}, {0.2, 0.8}};
-  const Matrix t = {{1.0}, {0.0}};
-  Gradients grads = net.make_gradients();
-  const double loss = net.backward_batch(x, t, grads);
-  EXPECT_EQ(loss, net.loss(x, t));
-}
-
-TEST(Mlp, BackwardShapeValidation) {
-  Mlp net = paper_net(3);
-  Gradients g = net.make_gradients();
-  const Matrix bad_x(2, 4);
-  const Matrix t(2, 1);
-  EXPECT_THROW(net.backward_batch(bad_x, t, g), std::invalid_argument);
-  const Matrix x(2, 3);
-  const Matrix bad_t(3, 1);
-  EXPECT_THROW(net.backward_batch(x, bad_t, g), std::invalid_argument);
-}
+INSTANTIATE_TEST_SUITE_P(Topologies, MlpGradientTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4},
+                                           std::size_t{8}, std::size_t{30}));
 
 }  // namespace
 }  // namespace pt::ml

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "ml/member_epoch.hpp"
 
 namespace pt::ml {
 namespace {
@@ -34,12 +37,12 @@ TEST(Trainer, FitsSmoothRegression) {
   const Dataset train = make_regression(400, rng);
   const Dataset test = make_regression(100, rng);
   Mlp net = make_net(rng);
-  const double loss_before = net.loss(test.x, test.y);
+  const double loss_before = member_loss(MemberParams(net), test.x, test.y);
 
   const TrainResult result = RpropTrainer().train(net, train, rng);
   EXPECT_GT(result.epochs, 0u);
 
-  const double loss_after = net.loss(test.x, test.y);
+  const double loss_after = member_loss(MemberParams(net), test.x, test.y);
   EXPECT_LT(loss_after, loss_before * 0.2)
       << loss_before << " -> " << loss_after;
   EXPECT_LT(loss_after, 0.02);
@@ -115,6 +118,29 @@ TEST(Trainer, EmptyDatasetThrows) {
   const Dataset empty;
   const RpropTrainer trainer;
   EXPECT_THROW(trainer.train(net, empty, rng), std::invalid_argument);
+}
+
+// The trainer runs only the member epoch: any other shape is rejected
+// before the network is touched.
+TEST(Trainer, RejectsEveryShapeButTheMembers) {
+  common::Rng rng(9);
+  const Dataset train = make_regression(20, rng);
+  for (const auto& layers : std::vector<std::vector<LayerSpec>>{
+           {{1, Activation::kLinear}},
+           {{4, Activation::kSigmoid}, {1, Activation::kSigmoid}},
+           {{4, Activation::kSigmoid}, {2, Activation::kLinear}},
+           {{4, Activation::kLinear}, {1, Activation::kLinear}},
+           {{4, Activation::kSigmoid},
+            {3, Activation::kSigmoid},
+            {1, Activation::kLinear}}}) {
+    Mlp net(2, layers);
+    net.init_weights(rng);
+    const Mlp before = net;
+    EXPECT_THROW(RpropTrainer().train(net, train, rng), std::invalid_argument);
+    for (std::size_t l = 0; l < net.layer_count(); ++l)
+      for (std::size_t i = 0; i < net.weights(l).size(); ++i)
+        EXPECT_EQ(net.weights(l).flat()[i], before.weights(l).flat()[i]);
+  }
 }
 
 TEST(Trainer, TinyDatasetStillTrains) {

@@ -1,17 +1,20 @@
-// Bit-identity of the fp64 training path: the register-blocked kernels,
-// fused bias/activation passes and reused buffers must reproduce the
-// element-by-element reference forms (training_reference.hpp) exactly, so
-// trained weights, epoch counts and every tuning decision do not move.
+// Bit-identity of the fp64 training path: the fused member epoch
+// (ml/member_epoch.hpp), the inference kernels and the trainer must
+// reproduce the element-by-element, layer-by-layer reference forms
+// (training_reference.hpp) exactly, so trained weights, epoch counts and
+// every tuning decision do not move.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/ensemble.hpp"
+#include "ml/member_epoch.hpp"
 #include "ml/trainer.hpp"
 #include "training_reference.hpp"
 
@@ -35,17 +38,15 @@ void expect_same_weights(const Mlp& got, const Mlp& want) {
   }
 }
 
-/// 1-2 hidden layers of 1-33 sigmoid units and an output of 1 (mostly) to
-/// 3 units, linear (mostly) or sigmoid like the validity classifier's.
+/// A member: one hidden layer of 1-33 sigmoid units and a linear output.
 std::vector<LayerSpec> random_topology(common::Rng& rng) {
-  std::vector<LayerSpec> layers;
-  const std::size_t hidden = 1 + rng.below(2);
-  for (std::size_t h = 0; h < hidden; ++h)
-    layers.push_back({1 + rng.below(33), Activation::kSigmoid});
-  layers.push_back({rng.below(4) == 0 ? 1 + rng.below(3) : 1,
-                    rng.below(4) == 0 ? Activation::kSigmoid
-                                      : Activation::kLinear});
-  return layers;
+  return {{1 + rng.below(33), Activation::kSigmoid},
+          {1, Activation::kLinear}};
+}
+
+Mlp member_net(std::size_t inputs, std::size_t hidden) {
+  return Mlp(inputs,
+             {{hidden, Activation::kSigmoid}, {1, Activation::kLinear}});
 }
 
 Dataset smooth_regression(std::size_t n, std::size_t features,
@@ -63,38 +64,107 @@ Dataset smooth_regression(std::size_t n, std::size_t features,
   return d;
 }
 
-TEST(TrainingExact, LossAndGradientsMatchReferenceOnRandomTopologies) {
-  common::Rng rng(2024);
-  BatchScratch scratch;  // reused across shapes, as a trainer reuses it
-  for (int trial = 0; trial < 80; ++trial) {
-    const std::size_t inputs = 1 + rng.below(12);
-    Mlp net(inputs, random_topology(rng));
-    net.init_weights(rng);
-    for (std::size_t l = 0; l < net.layer_count(); ++l)
-      for (auto& b : net.biases(l)) b = rng.uniform(-0.5, 0.5);
-    const std::size_t rows =
-        trial % 8 == 0 ? 2000 + rng.below(101) : 1 + rng.below(70);
-    Matrix x(rows, inputs);
-    Matrix t(rows, net.output_size());
-    for (auto& v : x.flat()) v = rng.uniform(-2.0, 2.0);
-    for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
-    x(0, 0) = -0.0;
+/// member_epoch's and member_loss's results for `net` on (x, t) against the
+/// reference backward pass and loss, bit for bit: the loss, all four
+/// gradients and the +0.0 pad entries. Also the fp64 forward pass.
+void expect_epoch_matches_reference(const Mlp& net, const Matrix& x,
+                                    const Matrix& t) {
+  const MemberParams params(net);
+  std::vector<double> got;
+  const double loss = member_epoch(params, x, t, got);
+  reference::Gradients want;
+  const double want_loss = reference::backward_batch(net, x, t, want);
+  const std::string shape = "inputs=" + std::to_string(net.input_size()) +
+                            " hidden=" + std::to_string(params.hidden()) +
+                            " rows=" + std::to_string(x.rows());
+  ASSERT_EQ(bits(loss), bits(want_loss)) << shape;
+  ASSERT_EQ(bits(member_loss(params, x, t)),
+            bits(reference::loss(net, x, t)))
+      << shape;
+  expect_same(net.forward_batch(x), reference::forward_layers(net, x).back(),
+              "forward");
 
-    expect_same(net.forward_batch(x),
-                reference::forward_layers(net, x).back(), "forward");
-    EXPECT_EQ(bits(net.loss(x, t, scratch)),
-              bits(reference::loss(net, x, t)));
-
-    Gradients got = net.make_gradients();
-    Gradients want;
-    const double loss = net.backward_batch(x, t, got, scratch);
-    EXPECT_EQ(bits(loss), bits(reference::backward_batch(net, x, t, want)));
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      expect_same(got.weights[l], want.weights[l], "weight gradient");
-      for (std::size_t i = 0; i < got.biases[l].size(); ++i)
-        ASSERT_EQ(bits(got.biases[l][i]), bits(want.biases[l][i]));
-    }
+  ASSERT_EQ(got.size(), params.flat().size());
+  const std::size_t s = params.stride();
+  for (std::size_t c = 0; c < s; ++c) {
+    const bool pad = c >= params.hidden();
+    for (std::size_t k = 0; k < params.inputs(); ++k)
+      ASSERT_EQ(bits(got[k * s + c]),
+                bits(pad ? 0.0 : want.weights[0](k, c)))
+          << shape << " gW1(" << k << ", " << c << ")";
+    ASSERT_EQ(bits(got[params.b1_offset() + c]),
+              bits(pad ? 0.0 : want.biases[0][c]))
+        << shape << " gb1(" << c << ")";
+    ASSERT_EQ(bits(got[params.w2_offset() + c]),
+              bits(pad ? 0.0 : want.weights[1](c, 0)))
+        << shape << " gw2(" << c << ")";
   }
+  ASSERT_EQ(bits(got[params.b2_offset()]), bits(want.biases[1][0])) << shape;
+}
+
+void fill_case(Mlp& net, Matrix& x, Matrix& t, common::Rng& rng) {
+  net.init_weights(rng);
+  for (auto& b : net.biases(0)) b = rng.uniform(-0.5, 0.5);
+  net.biases(1)[0] = rng.uniform(-0.5, 0.5);
+  for (auto& v : x.flat()) v = rng.uniform(-2.0, 2.0);
+  for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
+  x(0, 0) = -0.0;
+}
+
+// Every hidden width 1-33 and 64 (the stride's remainders and the 2-vector
+// tiles), every input width 1-12, and every row count from 1 through two
+// blocks and one row (full blocks, every tail, odd and even counts).
+TEST(TrainingExact, EpochMatchesReferenceOnEveryShapeAndSmallRowCount) {
+  common::Rng rng(2024);
+  std::vector<std::size_t> widths;
+  for (std::size_t h = 1; h <= 33; ++h) widths.push_back(h);
+  widths.push_back(64);
+  for (const std::size_t hidden : widths)
+    for (std::size_t inputs = 1; inputs <= 12; ++inputs)
+      for (std::size_t rows = 1; rows <= 9; ++rows) {
+        Mlp net = member_net(inputs, hidden);
+        Matrix x(rows, inputs);
+        Matrix t(rows, 1);
+        fill_case(net, x, t, rng);
+        expect_epoch_matches_reference(net, x, t);
+        if (HasFatalFailure()) return;
+      }
+}
+
+// About 2,000 rows (odd and even counts) on every hidden width, the input
+// widths cycling through 1-12.
+TEST(TrainingExact, EpochMatchesReferenceOnLargeBatches) {
+  common::Rng rng(7);
+  std::vector<std::size_t> widths;
+  for (std::size_t h = 1; h <= 33; ++h) widths.push_back(h);
+  widths.push_back(64);
+  for (std::size_t i = 0; i < widths.size(); ++i)
+    for (const std::size_t rows : {std::size_t{2000}, std::size_t{2001}}) {
+      const std::size_t inputs = 1 + (i + rows) % 12;
+      Mlp net = member_net(inputs, widths[i]);
+      Matrix x(rows, inputs);
+      Matrix t(rows, 1);
+      fill_case(net, x, t, rng);
+      expect_epoch_matches_reference(net, x, t);
+      if (HasFatalFailure()) return;
+    }
+}
+
+// All-zero weights and biases: every pre-activation is +0.0 or -0.0, which
+// leaves simd::exp's 4-lane path, and every output delta is -2t/N.
+TEST(TrainingExact, EpochMatchesReferenceWithZeroWeights) {
+  common::Rng rng(5);
+  for (const std::size_t hidden : {1u, 4u, 5u, 12u, 30u})
+    for (const std::size_t rows : {1u, 7u, 8u, 273u}) {
+      const Mlp net = member_net(9, hidden);
+      Matrix x(rows, 9);
+      Matrix t(rows, 1);
+      for (auto& v : x.flat()) v = rng.uniform(-2.0, 2.0);
+      for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
+      x(0, 0) = -0.0;
+      expect_epoch_matches_reference(net, x, t);
+      if (HasFatalFailure()) return;
+    }
 }
 
 TEST(TrainingExact, RpropWithEarlyStoppingMatchesReference) {
@@ -103,9 +173,7 @@ TEST(TrainingExact, RpropWithEarlyStoppingMatchesReference) {
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t features = 2 + rng.below(6);
     const Dataset data = smooth_regression(150 + rng.below(100), features, rng);
-    std::vector<LayerSpec> layers = random_topology(rng);
-    layers.back().units = 1;  // one target
-    Mlp net(features, layers);
+    Mlp net(features, random_topology(rng));
     net.init_weights(rng);
     Mlp ref_net = net;
 

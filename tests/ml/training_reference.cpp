@@ -33,6 +33,15 @@ double grad_from_output_ref(Activation act, double y) {
 
 }  // namespace
 
+Gradients make_gradients(const Mlp& net) {
+  Gradients g;
+  for (std::size_t l = 0; l < net.layer_count(); ++l) {
+    g.weights.emplace_back(net.weights(l).rows(), net.weights(l).cols());
+    g.biases.emplace_back(net.biases(l).size(), 0.0);
+  }
+  return g;
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -113,7 +122,7 @@ double backward_batch(const Mlp& net, const Matrix& x, const Matrix& target,
   for (std::size_t e = 0; e < delta.size(); ++e)
     delta.flat()[e] = 2.0 * (delta.flat()[e] - target.flat()[e]) / n;
 
-  grads = net.make_gradients();
+  grads = make_gradients(net);
   for (std::size_t li = depth; li-- > 0;) {
     const Activation act = net.layers()[li].activation;
     if (act != Activation::kLinear)
@@ -148,8 +157,8 @@ TrainResult train_rprop(Mlp& net, const Dataset& data,
     }
   }
 
-  Gradients steps = net.make_gradients();
-  Gradients prev = net.make_gradients();
+  Gradients steps = make_gradients(net);
+  Gradients prev = make_gradients(net);
   for (auto& w : steps.weights) w.fill(options.initial_step);
   for (auto& b : steps.biases)
     std::fill(b.begin(), b.end(), options.initial_step);

@@ -4,10 +4,11 @@
 // output element is computed on its own with each rounding spelled out:
 // fused steps as std::fma, every other product rounded before its add
 // (training_reference.cpp is compiled with -ffp-contract=off), and the
-// sigmoid's exp is the scalar common::math::exp. They follow the operation
-// contract in ml/matrix.hpp and the unblocked forward/backward passes and
-// trainer loop that the library's register-blocked kernels and reused
-// buffers replaced, so the library must match them bit for bit.
+// sigmoid's exp is the scalar common::math::exp. They are the unblocked,
+// layer-by-layer forward/backward passes and trainer loop that the
+// library's fused member epoch (ml/member_epoch.hpp) replaced, with the
+// operation contract of DESIGN.md "Training path", so the library must
+// match them bit for bit.
 
 #include <vector>
 
@@ -19,6 +20,15 @@
 
 namespace pt::ml::reference {
 
+/// Per-layer gradients with the shapes of an Mlp's parameters.
+struct Gradients {
+  std::vector<Matrix> weights;
+  std::vector<std::vector<double>> biases;
+};
+
+/// Zero gradients shaped like `net`'s parameters.
+[[nodiscard]] Gradients make_gradients(const Mlp& net);
+
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
@@ -29,7 +39,8 @@ namespace pt::ml::reference {
                                                  const Matrix& x);
 [[nodiscard]] double loss(const Mlp& net, const Matrix& x,
                           const Matrix& target);
-/// Fills `grads` and returns the loss, like Mlp::backward_batch.
+/// Mean squared error L = (1/N) * sum_i sum_k (y_ik - t_ik)^2 and its
+/// gradient: fills `grads` and returns the loss.
 double backward_batch(const Mlp& net, const Matrix& x, const Matrix& target,
                       Gradients& grads);
 
