@@ -1,6 +1,6 @@
-// google-benchmark micro-benchmarks for the ML substrate: the matrix kernel,
-// the network's forward pass, the fused training epoch, ensemble training
-// and bulk prediction — the operations whose throughput bounds the tuner's
+// google-benchmark micro-benchmarks for the ML substrate: the member's fp64
+// pass (forward, training epoch, validation loss), ensemble training and
+// bulk prediction — the operations whose throughput bounds the tuner's
 // "orders of magnitude faster than running the benchmarks" prediction scan
 // (paper section 5.3).
 
@@ -15,8 +15,7 @@
 #include "common/simd.hpp"
 #include "ml/batched.hpp"
 #include "ml/ensemble.hpp"
-#include "ml/member_epoch.hpp"
-#include "ml/mlp.hpp"
+#include "ml/member.hpp"
 #include "ml/trainer.hpp"
 
 namespace {
@@ -30,36 +29,24 @@ ml::Matrix random_matrix(std::size_t rows, std::size_t cols,
   return m;
 }
 
-void BM_Matmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(1);
-  const ml::Matrix a = random_matrix(n, n, rng);
-  const ml::Matrix b = random_matrix(n, n, rng);
-  ml::Matrix c;
-  for (auto _ : state) {
-    ml::matmul(a, b, c);
-    benchmark::DoNotOptimize(c.flat().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          n * n * 2);
-}
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_MlpForwardBatch(benchmark::State& state) {
+/// One member's fp64 forward pass (the ensemble's inference, per member)
+/// at 9 features and 30 sigmoid hidden units.
+void BM_MemberForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   common::Rng rng(2);
-  ml::Mlp net(9, {ml::LayerSpec{30, ml::Activation::kSigmoid},
-                  ml::LayerSpec{1, ml::Activation::kLinear}});
-  net.init_weights(rng);
+  ml::Member member(9, 30);
+  member.init_weights(rng);
   const ml::Matrix x = random_matrix(batch, 9, rng);
+  std::vector<double> y(batch);
   for (auto _ : state) {
-    const ml::Matrix y = net.forward_batch(x);
-    benchmark::DoNotOptimize(y.flat().data());
+    ml::member_forward(member, x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) * batch);
 }
-BENCHMARK(BM_MlpForwardBatch)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_MemberForward)->Arg(256)->Arg(4096)->Arg(65536);
 
 // --- One training epoch at paper geometry ----------------------------------
 // 9 features, 30 sigmoid hidden units, 1,818 samples of which the trainer's
@@ -70,25 +57,23 @@ constexpr std::size_t kPaperHidden = 30;
 constexpr std::size_t kPaperTrainRows = 1545;
 constexpr std::size_t kPaperValidationRows = 273;
 
-ml::Mlp paper_member(common::Rng& rng) {
-  ml::Mlp net(kPaperFeatures,
-              {ml::LayerSpec{kPaperHidden, ml::Activation::kSigmoid},
-               ml::LayerSpec{1, ml::Activation::kLinear}});
-  net.init_weights(rng);
-  for (auto& b : net.biases(0)) b = rng.uniform(-0.5, 0.5);
-  return net;
+ml::Member paper_member(common::Rng& rng) {
+  ml::Member member(kPaperFeatures, kPaperHidden);
+  member.init_weights(rng);
+  for (double& b : member.b1()) b = rng.uniform(-0.5, 0.5);
+  return member;
 }
 
 /// The fused epoch over the 1,545 training rows: forward pass, loss and
 /// all four gradients.
 void BM_MemberEpoch(benchmark::State& state) {
   common::Rng rng(3);
-  const ml::MemberParams params(paper_member(rng));
+  const ml::Member member = paper_member(rng);
   const ml::Matrix x = random_matrix(kPaperTrainRows, kPaperFeatures, rng);
   const ml::Matrix t = random_matrix(kPaperTrainRows, 1, rng);
   std::vector<double> grads;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::member_epoch(params, x, t, grads));
+    benchmark::DoNotOptimize(ml::member_epoch(member, x, t, grads));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -99,12 +84,12 @@ BENCHMARK(BM_MemberEpoch);
 /// The epoch's validation loss over the 273 held-out rows.
 void BM_MemberValidationLoss(benchmark::State& state) {
   common::Rng rng(3);
-  const ml::MemberParams params(paper_member(rng));
+  const ml::Member member = paper_member(rng);
   const ml::Matrix x =
       random_matrix(kPaperValidationRows, kPaperFeatures, rng);
   const ml::Matrix t = random_matrix(kPaperValidationRows, 1, rng);
   for (auto _ : state)
-    benchmark::DoNotOptimize(ml::member_loss(params, x, t));
+    benchmark::DoNotOptimize(ml::member_loss(member, x, t));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kPaperValidationRows));
 }
@@ -120,13 +105,13 @@ void BM_RpropEpoch(benchmark::State& state) {
   data.x = random_matrix(kPaperTrainRows + kPaperValidationRows,
                          kPaperFeatures, rng);
   data.y = random_matrix(data.x.rows(), 1, rng);
-  const ml::Mlp initial = paper_member(rng);
+  const ml::Member initial = paper_member(rng);
   ml::RpropTrainer::Options options;
   options.common.max_epochs = kEpochs;
   options.common.patience = 0;
   const ml::RpropTrainer trainer(options);
   for (auto _ : state) {
-    ml::Mlp net = initial;
+    ml::Member net = initial;
     common::Rng split_rng(4);
     benchmark::DoNotOptimize(trainer.train(net, data, split_rng).epochs);
   }
@@ -260,8 +245,7 @@ BENCHMARK(BM_StdExpDBaseline);
 void BM_BatchedMlpForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   common::Rng rng(7);
-  ml::Mlp net(9, {ml::LayerSpec{30, ml::Activation::kSigmoid},
-                  ml::LayerSpec{1, ml::Activation::kLinear}});
+  ml::Member net(9, 30);
   net.init_weights(rng);
   const ml::BatchedMlp batched(net);
   const auto x = random_floats(batch * 9, rng);

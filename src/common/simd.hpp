@@ -1,8 +1,7 @@
 #pragma once
 
 // Portable SIMD layer for the batched fp32 inference engine (ml/batched.hpp)
-// and the fp64 kernels (ml/member_epoch.cpp, ml/matrix.cpp,
-// ml/activation.cpp).
+// and the member's fp64 pass (ml/member.cpp).
 //
 // One backend is selected at configure time (CMake option PT_SIMD, default
 // "auto"): AVX2+FMA on x86, NEON on arm64, or a portable scalar fallback.
@@ -262,11 +261,11 @@ struct VecF {
 // VecD: 4 packed doubles. The logical width is fixed at 4 on *every*
 // backend (AVX2 uses one 256-bit register, NEON a pair of 128-bit ones, the
 // scalar fallback an array), so kernels written against VecD have identical
-// semantics everywhere — which is what keeps the fp64 kernels
-// (ml/member_epoch.cpp, ml/matrix.cpp, ml/activation.cpp) bit-identical
-// across backends. Deliberately minimal: load/store/broadcast, add/sub/mul/
-// div (each one IEEE rounding, like the scalar operators), neg, fmadd (one
-// rounding, like std::fma), and exp (below).
+// semantics everywhere — which is what keeps the member's fp64 pass
+// (ml/member.cpp) bit-identical across backends. Deliberately minimal:
+// load/store/broadcast, add/sub/mul/div (each one IEEE rounding, like the
+// scalar operators), neg, fmadd (one rounding, like std::fma), and exp
+// (below).
 // ---------------------------------------------------------------------------
 
 inline constexpr std::size_t kWidthD = 4;

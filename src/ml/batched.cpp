@@ -15,8 +15,36 @@ std::size_t round_up(std::size_t n) {
   return (n + simd::kWidth - 1) / simd::kWidth * simd::kWidth;
 }
 
-/// Layer l of `mlp` in double with the standardization (x - mean) / stddev
-/// folded into layer 0:
+/// Layer l of a member (0: the hidden layer, 1: the output) as an
+/// (in, units) row-major weight list and its biases.
+struct Layer {
+  std::size_t in = 0;
+  std::size_t units = 0;
+  std::vector<double> w;
+  std::vector<double> bias;
+};
+
+constexpr std::size_t kLayers = 2;
+
+Layer member_layer(const Member& member, std::size_t l) {
+  Layer layer;
+  if (l == 0) {
+    layer.in = member.inputs();
+    layer.units = member.hidden();
+    for (std::size_t i = 0; i < layer.in; ++i)
+      layer.w.insert(layer.w.end(), member.w1(i).begin(), member.w1(i).end());
+    layer.bias.assign(member.b1().begin(), member.b1().end());
+  } else {
+    layer.in = member.hidden();
+    layer.units = 1;
+    layer.w.assign(member.w2().begin(), member.w2().end());
+    layer.bias = {member.b2()};
+  }
+  return layer;
+}
+
+/// Layer l of `member` in double with the standardization
+/// (x - mean) / stddev folded into layer 0:
 ///   W'[i][j] = W[i][j] / s[i];  b'[j] = b[j] - sum_i m[i]*W[i][j]/s[i].
 /// w_err/b_err bound the fold's own double rounding (zero when unfolded):
 /// two roundings per weight, and a bias that is a sum of `in` rounded
@@ -37,13 +65,16 @@ double gamma(std::size_t n, double u) {
   return nu / (1.0 - nu);
 }
 
-FoldedLayer fold_layer(const Mlp& mlp, std::size_t l,
+FoldedLayer fold_layer(const Member& member, std::size_t l,
                        const StandardScaler* scaler) {
-  const Matrix& w = mlp.weights(l);
-  const std::vector<double>& b = mlp.biases(l);
+  const Layer layer = member_layer(member, l);
+  const auto w = [&layer](std::size_t i, std::size_t j) {
+    return layer.w[i * layer.units + j];
+  };
+  const std::vector<double>& b = layer.bias;
   FoldedLayer f;
-  f.in = w.rows();
-  f.units = w.cols();
+  f.in = layer.in;
+  f.units = layer.units;
   f.w.assign(f.in * f.units, 0.0);
   f.bias.assign(f.units, 0.0);
   f.w_err.assign(f.in * f.units, 0.0);
@@ -78,18 +109,15 @@ FoldedLayer fold_layer(const Mlp& mlp, std::size_t l,
 
 }  // namespace
 
-BatchedMlp::BatchedMlp(const Mlp& mlp, const StandardScaler* scaler)
-    : inputs_(mlp.input_size()) {
-  if (!is_member_shape(mlp.layers()))
-    throw std::invalid_argument(
-        "BatchedMlp: needs one sigmoid hidden layer and one linear output");
+BatchedMlp::BatchedMlp(const Member& member, const StandardScaler* scaler)
+    : inputs_(member.inputs()) {
   if (scaler && scaler->width() != inputs_)
     throw std::invalid_argument(
         "BatchedMlp: scaler width does not match network input width");
   // Folds are computed in double, so the only fp32 rounding at pack time
   // is the final cast of each weight and bias.
-  const FoldedLayer hidden = fold_layer(mlp, 0, scaler);
-  const FoldedLayer output = fold_layer(mlp, 1, nullptr);
+  const FoldedLayer hidden = fold_layer(member, 0, scaler);
+  const FoldedLayer output = fold_layer(member, 1, nullptr);
   const std::size_t units = hidden.units;
   padded_ = round_up(units);
   w_.assign(inputs_ * padded_, 0.0f);
@@ -299,11 +327,11 @@ double average_bound(const std::vector<MemberBound>& members, double u,
 /// for the output the kWidth-lane dot (padded / kWidth FMAs per lane), a
 /// horizontal sum (at most kWidth - 1 roundings in any reduction order) and
 /// the bias add.
-std::vector<BoundLayer> fp32_layers(const Mlp& mlp,
+std::vector<BoundLayer> fp32_layers(const Member& member,
                                     const StandardScaler* scaler) {
   std::vector<BoundLayer> layers;
-  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
-    const FoldedLayer f = fold_layer(mlp, l, scaler);
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    const FoldedLayer f = fold_layer(member, l, scaler);
     BoundLayer b;
     b.in = f.in;
     b.units = f.units;
@@ -330,12 +358,13 @@ constexpr Arithmetic kFp32Arith{kU32, simd::kSigmoidAbsError};
 
 /// The fp64 reference (BaggingEnsemble::predict_batch_into) on the same
 /// rows: standardization (x - m) / s with two roundings per feature, then
-/// per layer a matmul (a rounded product and a sum of fan-in terms) and a
+/// per layer member_forward's fma chain over the fan-in from +0.0 and a
 /// bias add, so depth fan-in + 1. Its sigmoid is 1 / (1 + exp(-x)) with
 /// common::math::exp, whose error is at most 2 ULP (tests/common/test_math.cpp
 /// checks it against expl and measures 0.507); the activation error allows
 /// 8 u.
-MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
+MemberBound fp64_member_bound(const Member& member,
+                              const StandardScaler* scaler,
                               const Signal& box) {
   Signal x = box;
   if (scaler) {
@@ -355,14 +384,14 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
     std::fill(x.err.begin(), x.err.end(), 0.0);
   }
   std::vector<BoundLayer> layers;
-  for (std::size_t l = 0; l < mlp.layer_count(); ++l) {
-    const Matrix& w = mlp.weights(l);
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    Layer layer = member_layer(member, l);
     BoundLayer b;
-    b.in = w.rows();
-    b.units = w.cols();
-    b.w.assign(w.flat().begin(), w.flat().end());
+    b.in = layer.in;
+    b.units = layer.units;
+    b.w = std::move(layer.w);
     b.dw.assign(b.w.size(), 0.0);
-    b.bias = mlp.biases(l);
+    b.bias = std::move(layer.bias);
     b.db.assign(b.bias.size(), 0.0);
     b.depth = b.in + 1;
     layers.push_back(std::move(b));
@@ -383,11 +412,11 @@ MemberBound fp64_member_bound(const Mlp& mlp, const StandardScaler* scaler,
 /// sum_{i<k} A_i dw_ij (min and max are A_i-Lipschitz in the weight,
 /// A_i = max(|lo_i|, |hi_i|)), plus gamma(k + 1) times the magnitude of the
 /// summed terms (one rounding per product and per add on any term's path).
-void member_node_bounds(const Mlp& mlp, const StandardScaler* scaler,
+void member_node_bounds(const Member& member, const StandardScaler* scaler,
                         const CertificationBox& calibration, const Signal& box,
                         simd::AlignedVectorF& bias,
                         std::vector<MemberBound>& bounds) {
-  std::vector<BoundLayer> layers = fp32_layers(mlp, scaler);
+  std::vector<BoundLayer> layers = fp32_layers(member, scaler);
   BoundLayer& hidden = layers.front();
   const std::vector<double>& v = layers.back().w;  // (units, 1)
   const std::size_t in = hidden.in;
@@ -434,7 +463,7 @@ BatchedEnsemble::BatchedEnsemble(const BaggingEnsemble& ensemble,
   if (!ensemble.fitted())
     throw std::invalid_argument("BatchedEnsemble: ensemble is not fitted");
   simd::ensure_verified();
-  inputs_ = ensemble.member(0).input_size();
+  inputs_ = ensemble.member(0).inputs();
   if (calibration_.width() != inputs_ ||
       calibration_.hi.size() != calibration_.lo.size())
     throw std::invalid_argument(

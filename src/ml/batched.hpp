@@ -4,13 +4,13 @@
 // path of the prediction scan (tuner/scan.hpp; paper §4: the stage-2 scan
 // predicts every configuration in spaces of 131k–2.4M points).
 //
-// A BatchedMlp is built once from a fitted member of the ensemble's shape
-// (one sigmoid hidden layer, one linear output; ml/ensemble.hpp). The hidden
-// weights are repacked into a SIMD-friendly row-major panel of shape
-// (fan_in, padded), where `padded` rounds the unit count up to the vector
-// width (pad weights and biases are zero), and the output weights into one
-// contiguous column of that padded width. The ensemble's StandardScaler is
-// folded into the hidden layer at pack time —
+// A BatchedMlp is built once from a fitted member (one sigmoid hidden layer,
+// one linear output; ml/member.hpp). The hidden weights are repacked into a
+// SIMD-friendly row-major panel of shape (fan_in, padded), where `padded`
+// rounds the unit count up to the vector width (pad weights and biases are
+// zero), and the output weights into one contiguous column of that padded
+// width. The ensemble's StandardScaler is folded into the hidden layer at
+// pack time —
 //   W'[i][j] = W[i][j] / stddev[i]
 //   b'[j]    = b[j] - sum_i mean[i] * W[i][j] / stddev[i]
 // (computed in double, then cast) — so the forward pass consumes raw,
@@ -74,7 +74,7 @@
 
 #include "common/simd.hpp"
 #include "ml/ensemble.hpp"
-#include "ml/mlp.hpp"
+#include "ml/member.hpp"
 #include "ml/scaler.hpp"
 
 namespace pt::ml {
@@ -94,11 +94,12 @@ struct CertificationBox {
 
 class BatchedMlp {
  public:
-  /// Pack a fitted member of the ensemble's shape, optionally folding a
-  /// feature scaler into the hidden layer (scaler width must match the
-  /// network input width). Throws std::invalid_argument for any other shape.
-  /// The Mlp may be destroyed afterwards; the panels are self-contained.
-  explicit BatchedMlp(const Mlp& mlp, const StandardScaler* scaler = nullptr);
+  /// Pack a fitted member, optionally folding a feature scaler into the
+  /// hidden layer. Throws std::invalid_argument unless the scaler's width
+  /// is the member's input width. The member may be destroyed afterwards;
+  /// the panels are self-contained.
+  explicit BatchedMlp(const Member& member,
+                      const StandardScaler* scaler = nullptr);
 
   [[nodiscard]] std::size_t input_size() const noexcept { return inputs_; }
 

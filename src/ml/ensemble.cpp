@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "common/telemetry/telemetry.hpp"
@@ -12,15 +11,11 @@ namespace pt::ml {
 
 namespace {
 
-std::vector<LayerSpec> member_layers(const BaggingEnsemble::Options& options) {
-  std::vector<LayerSpec> layers = options.hidden_layers;
-  layers.push_back(LayerSpec{1, Activation::kLinear});
-  return layers;
-}
-
 void check_options(const BaggingEnsemble::Options& options) {
   if (options.k == 0) throw std::invalid_argument("BaggingEnsemble: k == 0");
-  if (!is_member_shape(member_layers(options)))
+  const std::vector<LayerSpec>& hidden = options.hidden_layers;
+  if (hidden.size() != 1 || hidden[0].units == 0 ||
+      hidden[0].activation != Activation::kSigmoid)
     throw std::invalid_argument(
         "BaggingEnsemble: needs exactly one sigmoid hidden layer");
 }
@@ -45,9 +40,6 @@ void BaggingEnsemble::fit(const Dataset& data, common::Rng& rng) {
 
   const std::size_t k = std::min(options_.k, data.size());
   members_.clear();
-  members_.reserve(k);
-
-  const std::vector<LayerSpec> layers = member_layers(options_);
 
   // The fold split and one forked RNG per member are drawn from the parent
   // RNG *before* dispatch, in member order, so training is deterministic and
@@ -58,15 +50,16 @@ void BaggingEnsemble::fit(const Dataset& data, common::Rng& rng) {
   member_rngs.reserve(k);
   for (std::size_t f = 0; f < k; ++f) member_rngs.push_back(rng.fork());
 
-  std::vector<std::optional<Mlp>> trained(k);
+  std::vector<Member> members(
+      k, Member(data.features(), options_.hidden_layers.front().units));
   train_results_.assign(k, TrainResult{});
   common::global_pool().parallel_for(0, k, [&](std::size_t f) {
     const common::telemetry::Span span("ml.fit.member");
-    Mlp net(data.features(), layers);
-    net.init_weights(member_rngs[f]);
+    Member& member = members[f];
+    member.init_weights(member_rngs[f]);
     const RpropTrainer trainer(options_.trainer);
     if (k == 1) {
-      train_results_[f] = trainer.train(net, scaled, member_rngs[f]);
+      train_results_[f] = trainer.train(member, scaled, member_rngs[f]);
     } else {
       // Member f trains on every fold except f.
       std::vector<std::size_t> idx;
@@ -76,21 +69,16 @@ void BaggingEnsemble::fit(const Dataset& data, common::Rng& rng) {
         idx.insert(idx.end(), folds[g].begin(), folds[g].end());
       }
       const Dataset member_data = scaled.subset(idx);
-      train_results_[f] = trainer.train(net, member_data, member_rngs[f]);
+      train_results_[f] = trainer.train(member, member_data, member_rngs[f]);
     }
-    trained[f].emplace(std::move(net));
   });
-  for (auto& net : trained) members_.push_back(std::move(*net));
+  members_ = std::move(members);
 }
 
 double BaggingEnsemble::predict(std::span<const double> x) const {
-  if (!fitted()) throw std::logic_error("BaggingEnsemble: not fitted");
-  std::vector<double> scaled(x.begin(), x.end());
-  scaler_.transform_row(scaled);
-  double acc = 0.0;
-  for (const auto& net : members_) acc += net.forward(scaled)[0];
-  // Multiply by the reciprocal, matching predict_batch_into bit-for-bit.
-  return acc * (1.0 / static_cast<double>(members_.size()));
+  Matrix row(1, x.size());
+  std::copy(x.begin(), x.end(), row.flat().begin());
+  return predict_batch(row)[0];
 }
 
 std::vector<double> BaggingEnsemble::predict_batch(const Matrix& x) const {
@@ -106,11 +94,10 @@ void BaggingEnsemble::predict_batch_into(const Matrix& x,
   if (!fitted()) throw std::logic_error("BaggingEnsemble: not fitted");
   scaler_.transform_to(x, scratch.scaled);
   out.assign(x.rows(), 0.0);
-  for (const auto& net : members_) {
-    const Matrix& y =
-        net.forward_batch_into(scratch.scaled, scratch.layer_a,
-                               scratch.layer_b);
-    for (std::size_t r = 0; r < y.rows(); ++r) out[r] += y(r, 0);
+  scratch.member.resize(x.rows());
+  for (const Member& member : members_) {
+    member_forward(member, scratch.scaled, scratch.member);
+    for (std::size_t r = 0; r < out.size(); ++r) out[r] += scratch.member[r];
   }
   const double inv = 1.0 / static_cast<double>(members_.size());
   for (auto& v : out) v *= inv;
@@ -119,28 +106,24 @@ void BaggingEnsemble::predict_batch_into(const Matrix& x,
 std::vector<double> BaggingEnsemble::member_predictions(
     std::span<const double> x) const {
   if (!fitted()) throw std::logic_error("BaggingEnsemble: not fitted");
-  std::vector<double> scaled(x.begin(), x.end());
-  scaler_.transform_row(scaled);
-  std::vector<double> out;
-  out.reserve(members_.size());
-  for (const auto& net : members_) out.push_back(net.forward(scaled)[0]);
+  Matrix row(1, x.size());
+  std::copy(x.begin(), x.end(), row.flat().begin());
+  scaler_.transform_inplace(row);
+  std::vector<double> out(members_.size());
+  for (std::size_t i = 0; i < members_.size(); ++i)
+    member_forward(members_[i], row, std::span<double>(out).subspan(i, 1));
   return out;
 }
 
 void BaggingEnsemble::restore(Options options, StandardScaler scaler,
-                              std::vector<Mlp> members) {
+                              std::vector<Member> members) {
   check_options(options);
   if (members.empty())
     throw std::invalid_argument("BaggingEnsemble::restore: no members");
-  for (const auto& net : members) {
-    if (!is_member_shape(net.layers()))
-      throw std::invalid_argument(
-          "BaggingEnsemble::restore: member is not one sigmoid hidden layer "
-          "and one linear output");
-    if (net.input_size() != scaler.width())
+  for (const Member& member : members)
+    if (member.inputs() != scaler.width())
       throw std::invalid_argument(
           "BaggingEnsemble::restore: scaler/member width mismatch");
-  }
   options_ = std::move(options);
   scaler_ = std::move(scaler);
   members_ = std::move(members);

@@ -1,9 +1,9 @@
 #pragma once
 
-// Dense row-major matrix of doubles with the matrix product the network's
-// fp64 inference needs. Sized for this project's workloads: layers of tens of
-// units, batches of a few thousand rows, and bulk prediction over millions of
-// configurations (done in batches).
+// Dense row-major matrix of doubles: datasets, feature rows and prediction
+// batches. Sized for this project's workloads: batches of a few thousand
+// rows, and bulk prediction over millions of configurations (done in
+// batches).
 
 #include <cstddef>
 #include <initializer_list>
@@ -55,38 +55,12 @@ class Matrix {
     data_.assign(rows * cols, value);
   }
 
-  /// Change shape to (rows, cols), reusing the allocation whenever it is
-  /// large enough, without setting the elements: for outputs the caller
-  /// overwrites in full.
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols);
-  }
-
   void fill(double value) noexcept;
-
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double scalar) noexcept;
-
-  [[nodiscard]] bool same_shape(const Matrix& other) const noexcept {
-    return rows_ == other.rows_ && cols_ == other.cols_;
-  }
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-// matmul fixes the floating-point operations every output element sees, so
-// its results are the same bits on every SIMD backend and thread count
-// (DESIGN.md "Training path"). fma(x, y, s) is one rounding of x*y + s.
-
-/// out = a * b: out(i, j) = fma(a(i, k), b(k, j), acc) for k ascending,
-/// from acc = +0.0. Shapes must agree; out is reshaped in place (its
-/// allocation is reused when possible). out must not alias a or b.
-void matmul(const Matrix& a, const Matrix& b, Matrix& out);
 
 }  // namespace pt::ml

@@ -1,4 +1,4 @@
-#include "ml/member_epoch.hpp"
+#include "ml/member.hpp"
 
 #include <cmath>
 #include <stdexcept>
@@ -9,10 +9,10 @@
 
 namespace pt::ml {
 
-// Compiled with -ffp-contract=off like matrix.cpp (src/ml/CMakeLists.txt):
-// every fused multiply-add is written out (simd::fmadd, std::fma) and every
-// other product rounds before its add. Per element the operations are the
-// ones DESIGN.md "Training path" lists, so the results are the same bits on
+// Compiled with -ffp-contract=off (src/ml/CMakeLists.txt): every fused
+// multiply-add is written out (simd::fmadd, std::fma) and every other
+// product rounds before its add. Per element the operations are the ones
+// DESIGN.md "Training path" lists, so the results are the same bits on
 // every backend and for every block size.
 
 namespace {
@@ -22,9 +22,10 @@ using simd::VecD;
 constexpr std::size_t kW = simd::kWidthD;
 constexpr std::size_t kBlock = 4;
 
-/// One pass over the rows of (x, t) with the member's parameters. `h` holds
-/// the current block's hidden activations (kBlock x stride); `grads` is
-/// null for the loss alone.
+/// One pass over the rows of x with the member's parameters. `h` holds the
+/// current block's hidden activations (kBlock x stride). With `out` set it
+/// writes the outputs (t is then null); otherwise it sums the loss terms
+/// against the targets t, and with `grads` set adds the gradients.
 struct Pass {
   const double* w1;
   const double* b1;
@@ -37,7 +38,8 @@ struct Pass {
   const double* t;
   std::size_t n;
   double* h;
-  double* grads;
+  double* grads = nullptr;
+  double* out = nullptr;
   double sum = 0.0;  // loss terms of the rows so far, in row order
 };
 
@@ -120,9 +122,10 @@ inline void backward_block(Pass& p, const double* const* xr,
 }
 
 /// Rows [row0, row0 + R): forward pass, output y = fma chain over the H
-/// real units from +0.0, then + b2; loss term (y - t)^2 rounded before its
-/// add, except that the last row of an odd count ends with one fma; output
-/// delta (2 (y - t)) / N; and, with gradients, the backward pass.
+/// real units from +0.0, then + b2, written out; or else the loss term
+/// (y - t)^2 rounded before its add, except that the last row of an odd
+/// count ends with one fma; output delta (2 (y - t)) / N; and, with
+/// gradients, the backward pass.
 template <std::size_t R>
 void run_block(Pass& p, std::size_t row0) {
   const double* xr[R];
@@ -132,12 +135,17 @@ void run_block(Pass& p, std::size_t row0) {
   for (std::size_t c = 0; c < p.hidden; ++c)
     for (std::size_t r = 0; r < R; ++r)
       y[r] = std::fma(p.h[r * p.stride + c], p.w2[c], y[r]);
+  for (std::size_t r = 0; r < R; ++r) y[r] += p.b2;
+  if (p.out != nullptr) {
+    for (std::size_t r = 0; r < R; ++r) p.out[row0 + r] = y[r];
+    return;
+  }
   const bool odd = p.n % 2 == 1;
   const double n = static_cast<double>(p.n);
   double delta[R];
   for (std::size_t r = 0; r < R; ++r) {
     const std::size_t row = row0 + r;
-    const double d = (y[r] + p.b2) - p.t[row];
+    const double d = y[r] - p.t[row];
     p.sum = odd && row + 1 == p.n ? std::fma(d, d, p.sum) : p.sum + d * d;
     delta[r] = 2.0 * d / n;
   }
@@ -145,7 +153,7 @@ void run_block(Pass& p, std::size_t row0) {
 }
 
 /// Every row in blocks of kBlock, then the last n % kBlock; returns the
-/// mean of the loss terms.
+/// mean of the loss terms (of no use when writing outputs).
 double run(Pass& p) {
   std::size_t row0 = 0;
   for (; row0 + kBlock <= p.n; row0 += kBlock) run_block<kBlock>(p, row0);
@@ -158,80 +166,82 @@ double run(Pass& p) {
   return p.sum / static_cast<double>(p.n);
 }
 
-Pass make_pass(const MemberParams& params, const Matrix& x, const Matrix& y,
+/// The pass of `member` over x, with the targets y (N x 1) unless null.
+Pass make_pass(const Member& member, const Matrix& x, const Matrix* y,
                std::vector<double>& h, const char* who) {
-  if (x.cols() != params.inputs())
+  if (x.cols() != member.inputs())
     throw std::invalid_argument(std::string(who) + ": input width");
-  if (y.rows() != x.rows() || y.cols() != 1)
+  if (y != nullptr && (y->rows() != x.rows() || y->cols() != 1))
     throw std::invalid_argument(std::string(who) + ": target shape");
-  h.resize(kBlock * params.stride());
-  const double* const flat = params.flat().data();
+  h.resize(kBlock * member.stride());
+  const double* const flat = member.flat().data();
   return Pass{flat,
-              flat + params.b1_offset(),
-              flat + params.w2_offset(),
-              flat[params.b2_offset()],
-              params.inputs(),
-              params.hidden(),
-              params.stride(),
+              flat + member.b1_offset(),
+              flat + member.w2_offset(),
+              member.b2(),
+              member.inputs(),
+              member.hidden(),
+              member.stride(),
               x,
-              y.flat().data(),
+              y != nullptr ? y->flat().data() : nullptr,
               x.rows(),
-              h.data(),
-              nullptr};
+              h.data()};
 }
 
 }  // namespace
 
-MemberParams::MemberParams(const Mlp& net)
-    : inputs_(net.input_size()),
-      hidden_(net.layers().front().units),
-      stride_((hidden_ + kW - 1) / kW * kW) {
-  if (!is_member_shape(net.layers()))
-    throw std::invalid_argument(
-        "MemberParams: not one sigmoid hidden layer and one linear output");
+Member::Member(std::size_t inputs, std::size_t hidden)
+    : inputs_(inputs), hidden_(hidden), stride_((hidden + kW - 1) / kW * kW) {
+  if (inputs_ == 0 || hidden_ == 0)
+    throw std::invalid_argument("Member: zero inputs or hidden units");
   flat_.assign(b2_offset() + 1, 0.0);
-  for (std::size_t k = 0; k < inputs_; ++k)
-    for (std::size_t c = 0; c < hidden_; ++c)
-      flat_[k * stride_ + c] = net.weights(0)(k, c);
-  for (std::size_t c = 0; c < stride_; ++c) {
-    flat_[b1_offset() + c] = c < hidden_ ? net.biases(0)[c] : 1.0;
-    if (c < hidden_) flat_[w2_offset() + c] = net.weights(1)(c, 0);
-  }
-  flat_[b2_offset()] = net.biases(1)[0];
+  for (std::size_t c = hidden_; c < stride_; ++c) flat_[b1_offset() + c] = 1.0;
 }
 
-void MemberParams::unpack(Mlp& net) const {
-  if (!is_member_shape(net.layers()) || net.input_size() != inputs_ ||
-      net.layers().front().units != hidden_)
-    throw std::invalid_argument("MemberParams::unpack: shape mismatch");
+void Member::init_weights(common::Rng& rng) {
+  // Each draw is lo + (hi - lo) * u rounded once, the one fma that GCC makes
+  // of Rng::uniform(lo, hi) where it may contract, so every backend draws
+  // the same bits.
+  const auto draw = [&rng](double limit) {
+    return std::fma(limit + limit, rng.uniform(), -limit);
+  };
+  const double limit1 =
+      std::sqrt(6.0 / static_cast<double>(inputs_ + hidden_));
   for (std::size_t k = 0; k < inputs_; ++k)
-    for (std::size_t c = 0; c < hidden_; ++c)
-      net.weights(0)(k, c) = flat_[k * stride_ + c];
-  for (std::size_t c = 0; c < hidden_; ++c) {
-    net.biases(0)[c] = flat_[b1_offset() + c];
-    net.weights(1)(c, 0) = flat_[w2_offset() + c];
-  }
-  net.biases(1)[0] = flat_[b2_offset()];
+    for (double& w : w1(k)) w = draw(limit1);
+  const double limit2 = std::sqrt(6.0 / static_cast<double>(hidden_ + 1));
+  for (double& w : w2()) w = draw(limit2);
+  for (double& b : b1()) b = 0.0;
+  b2() = 0.0;
 }
 
-double member_epoch(const MemberParams& params, const Matrix& x,
-                    const Matrix& y, std::vector<double>& grads) {
+double member_epoch(const Member& member, const Matrix& x, const Matrix& y,
+                    std::vector<double>& grads) {
   std::vector<double> h;
-  Pass p = make_pass(params, x, y, h, "member_epoch");
-  grads.assign(params.flat().size(), 0.0);
+  Pass p = make_pass(member, x, &y, h, "member_epoch");
+  grads.assign(member.flat().size(), 0.0);
   p.grads = grads.data();
   const double loss = run(p);
   // A pad unit's activation is not 0, so its w2 chain is not either.
-  for (std::size_t c = params.hidden(); c < params.stride(); ++c)
-    grads[params.w2_offset() + c] = 0.0;
+  for (std::size_t c = member.hidden(); c < member.stride(); ++c)
+    grads[member.w2_offset() + c] = 0.0;
   return loss;
 }
 
-double member_loss(const MemberParams& params, const Matrix& x,
-                   const Matrix& y) {
+double member_loss(const Member& member, const Matrix& x, const Matrix& y) {
   std::vector<double> h;
-  Pass p = make_pass(params, x, y, h, "member_loss");
+  Pass p = make_pass(member, x, &y, h, "member_loss");
   return run(p);
+}
+
+void member_forward(const Member& member, const Matrix& x,
+                    std::span<double> out) {
+  if (out.size() != x.rows())
+    throw std::invalid_argument("member_forward: output size");
+  std::vector<double> h;
+  Pass p = make_pass(member, x, nullptr, h, "member_forward");
+  p.out = out.data();
+  (void)run(p);
 }
 
 }  // namespace pt::ml

@@ -18,11 +18,14 @@ void StandardScaler::fit(const Matrix& x) {
     for (std::size_t c = 0; c < cols; ++c) means_[c] += row[c];
   }
   for (auto& m : means_) m /= n;
+  // Compiled with -ffp-contract=off (src/ml/CMakeLists.txt): each row adds
+  // its square as one written fma, so the sum is the same bits on every
+  // backend.
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto row = x.row(r);
     for (std::size_t c = 0; c < cols; ++c) {
       const double d = row[c] - means_[c];
-      stddevs_[c] += d * d;
+      stddevs_[c] = std::fma(d, d, stddevs_[c]);
     }
   }
   for (auto& s : stddevs_) {
@@ -59,23 +62,6 @@ void StandardScaler::transform_to(const Matrix& x, Matrix& out) const {
   }
 }
 
-void StandardScaler::transform_row(std::span<double> row) const {
-  if (row.size() != width())
-    throw std::invalid_argument("StandardScaler: width mismatch");
-  for (std::size_t c = 0; c < row.size(); ++c)
-    row[c] = (row[c] - means_[c]) / stddevs_[c];
-}
-
-void StandardScaler::inverse_inplace(Matrix& x) const {
-  if (x.cols() != width())
-    throw std::invalid_argument("StandardScaler: width mismatch");
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto row = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c)
-      row[c] = row[c] * stddevs_[c] + means_[c];
-  }
-}
-
 void StandardScaler::restore(std::vector<double> means,
                              std::vector<double> stddevs) {
   if (means.size() != stddevs.size())
@@ -84,22 +70,10 @@ void StandardScaler::restore(std::vector<double> means,
   stddevs_ = std::move(stddevs);
 }
 
-Matrix LogTargetTransform::forward(const Matrix& y) {
-  Matrix out = y;
-  for (auto& v : out.flat()) v = forward(v);
-  return out;
-}
-
 double LogTargetTransform::forward(double y) {
   if (y <= 0.0)
     throw std::domain_error("LogTargetTransform: non-positive target");
   return std::log(y);
-}
-
-Matrix LogTargetTransform::inverse(const Matrix& y) {
-  Matrix out = y;
-  for (auto& v : out.flat()) v = common::math::exp(v);
-  return out;
 }
 
 double LogTargetTransform::inverse(double y) noexcept {

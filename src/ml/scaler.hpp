@@ -10,7 +10,6 @@
 // log(time) so that minimizing squared error on the transformed target
 // minimizes *relative* error on the raw execution time.
 
-#include <span>
 #include <vector>
 
 #include "ml/matrix.hpp"
@@ -19,8 +18,9 @@ namespace pt::ml {
 
 class StandardScaler {
  public:
-  /// Learn per-column mean and standard deviation. Constant columns get
-  /// stddev 1 so they map to zero instead of NaN.
+  /// Learn per-column mean and standard deviation, the variance sum adding
+  /// each square as one fma (the same bits on every backend). Constant
+  /// columns get stddev 1 so they map to zero instead of NaN.
   void fit(const Matrix& x);
 
   [[nodiscard]] bool fitted() const noexcept { return !means_.empty(); }
@@ -31,9 +31,6 @@ class StandardScaler {
   /// Transformed copy written into `out` (reshaped in place, reusing its
   /// allocation) — the allocation-free variant for bulk-prediction scratch.
   void transform_to(const Matrix& x, Matrix& out) const;
-  void transform_row(std::span<double> row) const;
-
-  void inverse_inplace(Matrix& x) const;
 
   [[nodiscard]] const std::vector<double>& means() const noexcept {
     return means_;
@@ -53,12 +50,10 @@ class StandardScaler {
 /// log/exp transform for strictly positive targets (execution times).
 class LogTargetTransform {
  public:
-  /// log of every element; throws std::domain_error on non-positive input.
-  [[nodiscard]] static Matrix forward(const Matrix& y);
+  /// log(y); throws std::domain_error on non-positive input.
   [[nodiscard]] static double forward(double y);
 
-  /// exp of every element (inverse of forward).
-  [[nodiscard]] static Matrix inverse(const Matrix& y);
+  /// exp(y) (inverse of forward).
   [[nodiscard]] static double inverse(double y) noexcept;
 };
 

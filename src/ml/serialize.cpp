@@ -61,21 +61,28 @@ void write_doubles(std::ostream& os, std::span<const double> xs) {
 
 }  // namespace
 
-void save_mlp(const Mlp& net, std::ostream& os) {
+void save_mlp(const Member& member, std::ostream& os) {
   os << kMlpMagic << '\n';
-  os << "inputs " << net.input_size() << '\n';
-  os << "layers " << net.layer_count() << '\n';
-  for (const auto& spec : net.layers())
-    os << "layer " << spec.units << ' ' << to_string(spec.activation) << '\n';
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    os << "weights " << l << '\n';
-    write_doubles(os, net.weights(l).flat());
-    os << "biases " << l << '\n';
-    write_doubles(os, net.biases(l));
-  }
+  os << "inputs " << member.inputs() << '\n';
+  os << "layers 2\n";
+  os << "layer " << member.hidden() << ' '
+     << to_string(Activation::kSigmoid) << '\n';
+  os << "layer 1 " << to_string(Activation::kLinear) << '\n';
+  std::vector<double> w1;  // row major over the real units
+  for (std::size_t k = 0; k < member.inputs(); ++k)
+    w1.insert(w1.end(), member.w1(k).begin(), member.w1(k).end());
+  const double b2 = member.b2();
+  os << "weights 0\n";
+  write_doubles(os, w1);
+  os << "biases 0\n";
+  write_doubles(os, member.b1());
+  os << "weights 1\n";
+  write_doubles(os, member.w2());
+  os << "biases 1\n";
+  write_doubles(os, std::span<const double>(&b2, 1));
 }
 
-Mlp load_mlp(std::istream& is) {
+Member load_mlp(std::istream& is) {
   expect_token(is, kMlpMagic);
   expect_token(is, "inputs");
   const std::size_t inputs = read_size(is);
@@ -93,29 +100,33 @@ Mlp load_mlp(std::istream& is) {
       throw std::runtime_error("model load: bad activation '" + act + "'");
     layers.push_back(LayerSpec{units, activation_from_string(act)});
   }
-  // Read every parameter before the network allocates its own.
-  std::vector<std::vector<double>> weights;
-  std::vector<std::vector<double>> biases;
-  std::size_t fan_in = inputs;
-  for (std::size_t l = 0; l < depth; ++l) {
-    const std::size_t units = layers[l].units;
-    if (units != 0 && fan_in > std::numeric_limits<std::size_t>::max() / units)
-      throw std::runtime_error("model load: layer too large");
-    expect_token(is, "weights");
-    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
-    weights.push_back(read_doubles(is, fan_in * units));
-    expect_token(is, "biases");
-    if (read_size(is) != l) throw std::runtime_error("model load: layer order");
-    biases.push_back(read_doubles(is, units));
-    fan_in = units;
-  }
-  Mlp net(inputs, layers);
-  for (std::size_t l = 0; l < depth; ++l) {
-    std::copy(weights[l].begin(), weights[l].end(),
-              net.weights(l).flat().begin());
-    net.biases(l) = std::move(biases[l]);
-  }
-  return net;
+  if (depth != 2 || layers[0].activation != Activation::kSigmoid ||
+      layers[1].units != 1 || layers[1].activation != Activation::kLinear)
+    throw std::invalid_argument(
+        "model load: not one sigmoid hidden layer and one linear output");
+  const std::size_t hidden = layers[0].units;
+  if (hidden != 0 && inputs > std::numeric_limits<std::size_t>::max() / hidden)
+    throw std::runtime_error("model load: layer too large");
+  // Read every parameter before the member allocates its own.
+  const auto read_values = [&is](const char* what, std::size_t layer,
+                                 std::size_t count) {
+    expect_token(is, what);
+    if (read_size(is) != layer)
+      throw std::runtime_error("model load: layer order");
+    return read_doubles(is, count);
+  };
+  const std::vector<double> w1 = read_values("weights", 0, inputs * hidden);
+  const std::vector<double> b1 = read_values("biases", 0, hidden);
+  const std::vector<double> w2 = read_values("weights", 1, hidden);
+  const std::vector<double> b2 = read_values("biases", 1, 1);
+  Member member(inputs, hidden);
+  for (std::size_t k = 0; k < inputs; ++k)
+    for (std::size_t c = 0; c < hidden; ++c)
+      member.w1(k)[c] = w1[k * hidden + c];
+  std::copy(b1.begin(), b1.end(), member.b1().begin());
+  std::copy(w2.begin(), w2.end(), member.w2().begin());
+  member.b2() = b2[0];
+  return member;
 }
 
 void save_ensemble(const BaggingEnsemble& ensemble, std::ostream& os) {
@@ -145,13 +156,13 @@ BaggingEnsemble load_ensemble(std::istream& is) {
   StandardScaler scaler;
   scaler.restore(std::move(means), std::move(stddevs));
 
-  std::vector<Mlp> nets;
+  std::vector<Member> nets;
   for (std::size_t i = 0; i < members; ++i) nets.push_back(load_mlp(is));
   if (!nets.empty()) {
-    // Recover the hidden topology from the first member for the options
+    // Recover the hidden width from the first member for the options
     // record (informational; prediction only needs the weights).
-    options.hidden_layers.assign(nets.front().layers().begin(),
-                                 nets.front().layers().end() - 1);
+    options.hidden_layers = {
+        LayerSpec{nets.front().hidden(), Activation::kSigmoid}};
   }
   BaggingEnsemble ensemble(options);
   ensemble.restore(options, std::move(scaler), std::move(nets));

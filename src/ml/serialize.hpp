@@ -7,18 +7,19 @@
 #include <iosfwd>
 
 #include "ml/ensemble.hpp"
-#include "ml/mlp.hpp"
+#include "ml/member.hpp"
 
 namespace pt::ml {
 
-/// Write a single network (topology + weights).
-void save_mlp(const Mlp& net, std::ostream& os);
+/// Write a single member as a two-layer network (topology + weights).
+void save_mlp(const Member& member, std::ostream& os);
 
 /// Read a network written by save_mlp. Throws std::runtime_error on a
-/// malformed stream, an activation other than linear and sigmoid included.
-/// Memory grows only with the values actually read, whatever counts the
-/// stream claims.
-[[nodiscard]] Mlp load_mlp(std::istream& is);
+/// malformed stream, an activation other than linear and sigmoid included,
+/// and std::invalid_argument for a well-formed network of any shape but the
+/// member's (ml/member.hpp). Memory grows only with the values actually
+/// read, whatever counts the stream claims.
+[[nodiscard]] Member load_mlp(std::istream& is);
 
 /// Write a fitted ensemble (options, scaler, members).
 void save_ensemble(const BaggingEnsemble& ensemble, std::ostream& os);

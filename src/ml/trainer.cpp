@@ -5,13 +5,11 @@
 #include <stdexcept>
 
 #include "common/telemetry/telemetry.hpp"
-#include "ml/member_epoch.hpp"
 
 namespace pt::ml {
 
-TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
+TrainResult RpropTrainer::train(Member& member, const Dataset& data,
                                 common::Rng& rng) const {
-  MemberParams params(net);  // throws unless net has the member shape
   const TrainOptions& options = options_.common;
   data.validate();
   if (data.size() == 0) throw std::invalid_argument("train: empty dataset");
@@ -36,9 +34,9 @@ TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
   }
   const bool monitor_validation = val_set.size() > 0;
 
-  // Per-parameter state in the parameters' layout: step size and previous
+  // Per-parameter state in the member's layout: step size and previous
   // gradient. Pad entries have gradient +0.0, so they never move.
-  const std::span<double> theta = params.flat();
+  const std::span<double> theta = member.flat();
   std::vector<double> grads;
   std::vector<double> steps(theta.size(), options_.initial_step);
   std::vector<double> prev_grad(theta.size(), 0.0);
@@ -65,11 +63,11 @@ TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
   std::vector<double> best_theta;  // restored before returning
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     const double train_loss =
-        member_epoch(params, train_set.x, train_set.y, grads);
+        member_epoch(member, train_set.x, train_set.y, grads);
     for (std::size_t i = 0; i < theta.size(); ++i)
       update_param(theta[i], grads[i], steps[i], prev_grad[i]);
     const double monitored =
-        monitor_validation ? member_loss(params, val_set.x, val_set.y)
+        monitor_validation ? member_loss(member, val_set.x, val_set.y)
                            : train_loss;
     result.train_loss.push_back(train_loss);
     result.monitored_loss.push_back(monitored);
@@ -93,7 +91,6 @@ TrainResult RpropTrainer::train(Mlp& net, const Dataset& data,
   }
   if (!best_theta.empty())
     std::copy(best_theta.begin(), best_theta.end(), theta.begin());
-  params.unpack(net);
   result.best_loss = best;
   return result;
 }

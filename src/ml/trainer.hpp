@@ -4,7 +4,7 @@
 // weight-backtracking). It is full-batch, step-size adaptive, and robust to
 // the wide dynamic range of log-time targets — well suited to the paper's
 // small networks (tens of hidden units, a few thousand samples). Each epoch
-// is one fused pass (ml/member_epoch.hpp) followed by the update; the fit
+// is one fused pass (ml/member.hpp) followed by the update; the fit
 // stops early on a held-out validation slice and restores the best weights
 // seen.
 
@@ -13,7 +13,7 @@
 
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
-#include "ml/mlp.hpp"
+#include "ml/member.hpp"
 
 namespace pt::ml {
 
@@ -51,10 +51,10 @@ class RpropTrainer {
   RpropTrainer() = default;
   explicit RpropTrainer(Options options) : options_(options) {}
 
-  /// Fit `net` on `data` (one target) in place. Throws
-  /// std::invalid_argument unless `net` has the member shape
-  /// (is_member_shape), or for an empty dataset.
-  TrainResult train(Mlp& net, const Dataset& data, common::Rng& rng) const;
+  /// Fit `member` on `data` (one target) in place. Throws
+  /// std::invalid_argument for an empty dataset or one of another width.
+  TrainResult train(Member& member, const Dataset& data,
+                    common::Rng& rng) const;
 
  private:
   Options options_{};

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -124,9 +125,15 @@ IterativeTuneResult IterativeTuner::tune(Evaluator& evaluator,
       ScanFilter filter = [&measured](std::uint64_t index) {
         return measured.count(index) == 0;
       };
-      if (options_.static_checker != nullptr)
-        filter = make_static_scan_filter(space, *options_.static_checker,
-                                         static_counters, std::move(filter));
+      if (options_.static_checker != nullptr) {
+        // The static check first, so its tallies count every row the scan
+        // asks about, measured or not.
+        filter = [proved = make_static_scan_filter(
+                      space, *options_.static_checker, static_counters),
+                  unmeasured = std::move(filter)](std::uint64_t index) {
+          return proved(index) && unmeasured(index);
+        };
+      }
       const auto scan =
           model.predict_scan_top_m(0, space.size(), exploit, filter);
       for (const auto& candidate : scan.top) {

@@ -668,10 +668,8 @@ TopMScanResult ScanEngine::top_m(std::uint64_t begin, std::uint64_t end,
 
 ScanFilter make_static_scan_filter(const ParamSpace& space,
                                    const clsim::analyze::StaticChecker& checker,
-                                   StaticPruneCounters& counters,
-                                   ScanFilter next) {
-  return [&space, &checker, &counters,
-          next = std::move(next)](std::uint64_t index) {
+                                   StaticPruneCounters& counters) {
+  return [&space, &checker, &counters](std::uint64_t index) {
     const Configuration config = space.decode(index);
     const clsim::analyze::ConfigVerdict verdict =
         checker.check(std::span<const int>(config.values));
@@ -687,7 +685,7 @@ ScanFilter make_static_scan_filter(const ParamSpace& space,
         counters.unknown.fetch_add(1, std::memory_order_relaxed);
         break;
     }
-    return !next || next(index);
+    return true;
   };
 }
 

@@ -232,11 +232,9 @@ struct StaticPruneCounters {
 /// decoded through `space` and rejected iff the analyzer proves the
 /// configuration invalid — sound, so only configurations that would measure
 /// invalid are ever pruned. Verdicts are tallied into `counters`. All three
-/// references must outlive the returned filter. A non-empty `next` filter
-/// is consulted after a configuration survives the static check (so e.g. a
-/// learned validity filter never feature-encodes proven-invalid points).
+/// references must outlive the returned filter.
 [[nodiscard]] ScanFilter make_static_scan_filter(
     const ParamSpace& space, const clsim::analyze::StaticChecker& checker,
-    StaticPruneCounters& counters, ScanFilter next = {});
+    StaticPruneCounters& counters);
 
 }  // namespace pt::tuner

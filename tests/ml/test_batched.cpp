@@ -1,6 +1,6 @@
 // Tests for the batched fp32 inference engine (ml/batched.hpp): parity with
-// the per-row fp64 forward pass across hidden widths, the one packable
-// shape, scaler folding, ensemble averaging, determinism, rows that equal
+// the per-row fp64 forward pass across hidden widths, scaler folding,
+// ensemble averaging, determinism, rows that equal
 // their one-row calls bit for bit however a batch groups them, cache
 // semantics, and the certified error bound (measured <= certified on random
 // networks, cancellation-heavy scaler folds and degenerate calibration
@@ -18,18 +18,19 @@
 #include <string>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "ml/dataset.hpp"
 #include "ml/ensemble.hpp"
-#include "ml/mlp.hpp"
+#include "ml/member.hpp"
 
 namespace ml = pt::ml;
 
 namespace {
 
-ml::Mlp make_net(std::size_t inputs, std::vector<ml::LayerSpec> layers,
-                 std::uint64_t seed) {
-  ml::Mlp net(inputs, std::move(layers));
+ml::Member make_net(std::size_t inputs, std::size_t hidden,
+                    std::uint64_t seed) {
+  ml::Member net(inputs, hidden);
   pt::common::Rng rng(seed);
   net.init_weights(rng);
   return net;
@@ -51,11 +52,19 @@ ml::CertificationBox box(std::size_t width, float lo, float hi) {
   return calib;
 }
 
+/// fp64 forward pass of one row.
+double forward(const ml::Member& net, const std::vector<double>& row) {
+  ml::Matrix x(1, row.size());
+  std::copy(row.begin(), row.end(), x.flat().begin());
+  double y = 0.0;
+  ml::member_forward(net, x, {&y, 1});
+  return y;
+}
+
 /// fp64 reference for one row of fp32 features.
-double reference_forward(const ml::Mlp& net, const float* row,
+double reference_forward(const ml::Member& net, const float* row,
                          std::size_t cols) {
-  std::vector<double> x(row, row + cols);
-  return net.forward(x)[0];
+  return forward(net, std::vector<double>(row, row + cols));
 }
 
 }  // namespace
@@ -65,10 +74,7 @@ TEST(BatchedMlp, MatchesFp64ForwardAcrossTopologies) {
   // group, plus the paper's 30 and a 33 that exercises the 4-tile loop tail.
   const std::size_t hidden_sizes[] = {1, 3, 7, 8, 9, 16, 30, 33};
   for (const std::size_t h : hidden_sizes) {
-    const ml::Mlp net = make_net(
-        5,
-        {{h, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}},
-        1000 + h);
+    const ml::Member net = make_net(5, h, 1000 + h);
     const ml::BatchedMlp batched(net);
     const std::size_t rows = 64;
     const auto x = random_rows(rows, 5, 7 * h);
@@ -81,26 +87,8 @@ TEST(BatchedMlp, MatchesFp64ForwardAcrossTopologies) {
   }
 }
 
-TEST(BatchedMlp, RejectsOtherShapes) {
-  // Only the ensemble's member shape packs: one sigmoid hidden layer and
-  // one linear output.
-  const std::vector<std::vector<ml::LayerSpec>> shapes = {
-      {{1, ml::Activation::kLinear}},
-      {{8, ml::Activation::kSigmoid},
-       {4, ml::Activation::kSigmoid},
-       {1, ml::Activation::kLinear}},
-      {{8, ml::Activation::kLinear}, {1, ml::Activation::kLinear}},
-      {{8, ml::Activation::kSigmoid}, {1, ml::Activation::kSigmoid}},
-      {{8, ml::Activation::kSigmoid}, {2, ml::Activation::kLinear}},
-  };
-  for (const auto& layers : shapes)
-    EXPECT_THROW(ml::BatchedMlp(make_net(3, layers, 5)), std::invalid_argument)
-        << layers.size() << " layers";
-}
-
 TEST(BatchedMlp, ScalerFoldingMatchesExplicitStandardization) {
-  const ml::Mlp net = make_net(
-      4, {{9, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}}, 3);
+  const ml::Member net = make_net(4, 9, 3);
   // A scaler with distinctly non-trivial means and stddevs.
   ml::StandardScaler scaler;
   scaler.restore({10.0, -3.0, 0.5, 100.0}, {2.0, 0.25, 1.5, 30.0});
@@ -116,13 +104,12 @@ TEST(BatchedMlp, ScalerFoldingMatchesExplicitStandardization) {
     for (std::size_t c = 0; c < 4; ++c)
       row[c] = (static_cast<double>(x[r * 4 + c]) - scaler.means()[c]) /
                scaler.stddevs()[c];
-    EXPECT_NEAR(out[r], net.forward(row)[0], 1e-4) << "row = " << r;
+    EXPECT_NEAR(out[r], forward(net, row), 1e-4) << "row = " << r;
   }
 }
 
 TEST(BatchedMlp, ScalerWidthMismatchThrows) {
-  const ml::Mlp net = make_net(
-      4, {{5, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}}, 3);
+  const ml::Member net = make_net(4, 5, 3);
   ml::StandardScaler scaler;
   scaler.restore({0.0, 0.0}, {1.0, 1.0});
   EXPECT_THROW(ml::BatchedMlp(net, &scaler), std::invalid_argument);
@@ -279,20 +266,19 @@ ml::BaggingEnsemble random_ensemble(std::size_t inputs, std::size_t units,
                                     std::size_t k, double gain,
                                     ml::StandardScaler scaler,
                                     std::uint64_t seed) {
-  const std::vector<ml::LayerSpec> layers = {
-      {units, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}};
-  std::vector<ml::Mlp> members;
+  std::vector<ml::Member> members;
   for (std::size_t i = 0; i < k; ++i) {
-    ml::Mlp net = make_net(inputs, layers, seed + i);
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      for (auto& w : net.weights(l).flat()) w *= gain;
-      for (auto& b : net.biases(l)) b = gain * (b + 0.1 * (l + 1));
-    }
+    ml::Member net = make_net(inputs, units, seed + i);
+    for (std::size_t f = 0; f < inputs; ++f)
+      for (double& w : net.w1(f)) w *= gain;
+    for (double& b : net.b1()) b = gain * (b + 0.1);
+    for (double& w : net.w2()) w *= gain;
+    net.b2() = gain * (net.b2() + 0.2);
     members.push_back(std::move(net));
   }
   ml::BaggingEnsemble::Options opts;
   opts.k = k;
-  opts.hidden_layers = {layers.front()};
+  opts.hidden_layers = {{units, ml::Activation::kSigmoid}};
   ml::BaggingEnsemble ensemble(opts);
   ensemble.restore(opts, std::move(scaler), std::move(members));
   return ensemble;
@@ -384,29 +370,28 @@ long double exact_node_value(const ml::BaggingEnsemble& ensemble,
   const std::vector<double>& stddev = ensemble.scaler().stddevs();
   long double total = 0.0L;
   for (std::size_t n = 0; n < ensemble.member_count(); ++n) {
-    const ml::Mlp& net = ensemble.member(n);
-    const ml::Matrix& w = net.weights(0);
-    const ml::Matrix& v = net.weights(1);
-    long double out = net.biases(1)[0];
-    for (std::size_t j = 0; j < w.cols(); ++j) {
-      long double z = net.biases(0)[j];
-      for (std::size_t i = 0; i < w.rows(); ++i) {
+    const ml::Member& net = ensemble.member(n);
+    const auto v = net.w2();
+    long double out = net.b2();
+    for (std::size_t j = 0; j < net.hidden(); ++j) {
+      long double z = net.b1()[j];
+      for (std::size_t i = 0; i < net.inputs(); ++i) {
         const auto term = [&](float x) {
-          return static_cast<long double>(w(i, j)) *
+          return static_cast<long double>(net.w1(i)[j]) *
                  ((static_cast<long double>(x) - mean[i]) / stddev[i]);
         };
         if (i >= k)
           z += term(row[i]);
-        else if (v(j, 0) >= 0.0)
+        else if (v[j] >= 0.0)
           z += std::min(term(calib.lo[i]), term(calib.hi[i]));
         else
           z += std::max(term(calib.lo[i]), term(calib.hi[i]));
       }
-      out += v(j, 0) * ml::activate(net.layers()[0].activation,
-                                    static_cast<double>(z));
+      const double h =
+          1.0 / (1.0 + pt::common::math::exp(-static_cast<double>(z)));
+      out += v[j] * h;
     }
-    total += ml::activate(net.layers()[1].activation,
-                          static_cast<double>(out));
+    total += static_cast<double>(out);
   }
   return total / static_cast<long double>(ensemble.member_count());
 }

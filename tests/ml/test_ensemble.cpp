@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/thread_pool.hpp"
 #include "ml/metrics.hpp"
@@ -55,16 +58,9 @@ TEST(Ensemble, ConstructorAndRestoreRejectOtherShapes) {
     BaggingEnsemble::Options o = fast_options(2);
     o.hidden_layers = hidden;
     EXPECT_THROW(BaggingEnsemble{o}, std::invalid_argument) << hidden.size();
-    std::vector<LayerSpec> layers = hidden;
-    layers.push_back({1, Activation::kLinear});
-    std::vector<Mlp> members;
-    members.emplace_back(2, layers);
+    std::vector<Member> members;
+    members.emplace_back(2, 3);
     BaggingEnsemble e(fast_options(2));
-    EXPECT_THROW(e.restore(fast_options(2), scaler, std::move(members)),
-                 std::invalid_argument);
-    members.clear();
-    members.emplace_back(2, std::vector<LayerSpec>{{3, Activation::kSigmoid},
-                                                   {1, Activation::kLinear}});
     EXPECT_THROW(e.restore(o, scaler, members), std::invalid_argument);
     e.restore(fast_options(2), scaler, std::move(members));  // any width
     EXPECT_TRUE(e.fitted());
@@ -226,12 +222,76 @@ TEST(Ensemble, RestoreValidation) {
   EXPECT_THROW(e.restore(fast_options(2), scaler, {}),
                std::invalid_argument);
   // Width mismatch between scaler and member.
-  Mlp net(3, {LayerSpec{2, Activation::kSigmoid},
-              LayerSpec{1, Activation::kLinear}});
-  std::vector<Mlp> members;
-  members.push_back(std::move(net));
+  std::vector<Member> members;
+  members.emplace_back(3, 2);
   EXPECT_THROW(e.restore(fast_options(2), scaler, std::move(members)),
                std::invalid_argument);
+}
+
+/// FNV-1a over the bit patterns of `values`, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, std::span<const double> values) {
+  for (const double v : values) {
+    std::uint64_t b = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      hash ^= b & 0xffu;
+      hash *= 0x100000001b3u;
+      b >>= 8;
+    }
+  }
+  return hash;
+}
+
+// A fitted ensemble's bits, recorded from the AVX2 build: every trained
+// parameter (as a hash, member by member: W1 row by row, b1, w2, b2), the
+// scaler and a few predictions. The initial draws, the fit and the fp64
+// inference all show here; the data are make_regression's with every
+// multiply-add written as an fma, so they are the same bits on every
+// backend too.
+TEST(Ensemble, FittedEnsembleKeepsItsBits) {
+  common::Rng rng(2024);
+  Dataset d{Matrix(150, 3), Matrix(150, 1)};
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const double a = std::fma(4.0, rng.uniform(), -2.0);
+    const double b = std::fma(4.0, rng.uniform(), 0.0);
+    const double c = std::fma(2.0, rng.uniform(), -1.0);
+    d.x(i, 0) = a;
+    d.x(i, 1) = b;
+    d.x(i, 2) = c;
+    d.y(i, 0) = std::fma(-c, c, std::fma(0.5, a, std::sin(b)));
+  }
+  BaggingEnsemble e(fast_options(3));
+  e.fit(d, rng);
+
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  for (std::size_t i = 0; i < e.member_count(); ++i) {
+    const Member& m = e.member(i);
+    for (std::size_t k = 0; k < m.inputs(); ++k) hash = fnv1a(hash, m.w1(k));
+    hash = fnv1a(hash, m.b1());
+    hash = fnv1a(hash, m.w2());
+    const double b2 = m.b2();
+    hash = fnv1a(hash, std::span<const double>(&b2, 1));
+  }
+  EXPECT_EQ(hash, 0x1e48291ae388a0d7u);
+  const std::vector<double> means = {0x1.538e24c58b5e5p-8,
+                                     0x1.c64f7189c48c6p+0,
+                                     -0x1.8b78d7d4522d4p-11};
+  const std::vector<double> stddevs = {
+      0x1.374531663e1f4p+0, 0x1.1bcd090319006p+0, 0x1.0e264b2946796p-1};
+  EXPECT_EQ(e.scaler().means(), means);
+  EXPECT_EQ(e.scaler().stddevs(), stddevs);
+
+  const std::vector<double> x0 = {0.5, 1.0, -0.25};
+  const std::vector<double> x1 = {-1.75, 3.5, 0.8};
+  const std::vector<double> x2 = {1.2, 0.1, 0.0};
+  EXPECT_EQ(e.predict(x0), 0x1.0b808465fb182p+0);
+  EXPECT_EQ(e.predict(x1), -0x1.d2e2909119fb9p+0);
+  EXPECT_EQ(e.predict(x2), 0x1.791d52cca9295p-1);
+  const std::vector<double> members = {
+      -0x1.c916671c4d111p+0, -0x1.d981dd2233f28p+0, -0x1.d60f6d74ccef5p+0};
+  EXPECT_EQ(e.member_predictions(x1), members);
+  const std::vector<double> batch = e.predict_batch(d.x);
+  EXPECT_EQ(batch[0], -0x1.a65110b314f28p+0);
+  EXPECT_EQ(batch[149], 0x1.6e6e4436a5f21p+0);
 }
 
 }  // namespace

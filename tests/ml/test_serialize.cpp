@@ -4,18 +4,29 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "../common/endless_token.hpp"
 
 namespace pt::ml {
 namespace {
 
-Mlp random_net(common::Rng& rng) {
-  Mlp net(3, {LayerSpec{5, Activation::kSigmoid},
-              LayerSpec{4, Activation::kSigmoid},
-              LayerSpec{1, Activation::kLinear}});
+Member random_net(common::Rng& rng, std::size_t inputs = 3,
+                  std::size_t hidden = 5) {
+  Member net(inputs, hidden);
   net.init_weights(rng);
+  for (double& b : net.b1()) b = rng.uniform(-1.0, 1.0);
+  net.b2() = rng.uniform(-1.0, 1.0);
   return net;
+}
+
+/// The member's output on one row.
+double forward(const Member& net, const std::vector<double>& x) {
+  Matrix row(1, x.size());
+  std::copy(x.begin(), x.end(), row.flat().begin());
+  double y = 0.0;
+  member_forward(net, row, {&y, 1});
+  return y;
 }
 
 /// A fitted 3-member ensemble of 6 sigmoid units over 2 features.
@@ -48,30 +59,47 @@ std::string replaced(std::string text, const std::string& from,
 
 TEST(Serialize, MlpRoundTripPreservesPredictions) {
   common::Rng rng(1);
-  const Mlp net = random_net(rng);
+  const Member net = random_net(rng);
   std::stringstream ss;
   save_mlp(net, ss);
-  const Mlp loaded = load_mlp(ss);
+  const Member loaded = load_mlp(ss);
 
-  EXPECT_EQ(loaded.input_size(), net.input_size());
-  EXPECT_EQ(loaded.layer_count(), net.layer_count());
+  EXPECT_EQ(loaded.inputs(), net.inputs());
+  EXPECT_EQ(loaded.hidden(), net.hidden());
   for (int i = 0; i < 20; ++i) {
     const std::vector<double> x = {rng.uniform(-2.0, 2.0),
                                    rng.uniform(-2.0, 2.0),
                                    rng.uniform(-2.0, 2.0)};
-    EXPECT_DOUBLE_EQ(loaded.forward(x)[0], net.forward(x)[0]);
+    EXPECT_DOUBLE_EQ(forward(loaded, x), forward(net, x));
   }
 }
 
 TEST(Serialize, MlpPreservesTopologyMetadata) {
   common::Rng rng(2);
-  const Mlp net = random_net(rng);
+  const Member net = random_net(rng);
   std::stringstream ss;
   save_mlp(net, ss);
-  const Mlp loaded = load_mlp(ss);
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    EXPECT_EQ(loaded.layers()[l].units, net.layers()[l].units);
-    EXPECT_EQ(loaded.layers()[l].activation, net.layers()[l].activation);
+  const std::string text = ss.str();
+  EXPECT_NE(text.find("layers 2\nlayer 5 sigmoid\nlayer 1 linear\n"),
+            std::string::npos)
+      << text;
+  const Member loaded = load_mlp(ss);
+  EXPECT_EQ(loaded.inputs(), 3u);
+  EXPECT_EQ(loaded.hidden(), 5u);
+}
+
+// A well-formed network of another shape is not a member.
+TEST(Serialize, MlpOfAnotherShapeIsRejected) {
+  const std::string shapes[] = {
+      "layers 1\nlayer 1 linear\n",
+      "layers 2\nlayer 2 sigmoid\nlayer 1 sigmoid\n",
+      "layers 2\nlayer 2 linear\nlayer 1 linear\n",
+      "layers 2\nlayer 2 sigmoid\nlayer 2 linear\n",
+      "layers 3\nlayer 2 sigmoid\nlayer 2 sigmoid\nlayer 1 linear\n",
+  };
+  for (const std::string& layers : shapes) {
+    std::stringstream ss("portatune-mlp-v1\ninputs 1\n" + layers);
+    EXPECT_THROW((void)load_mlp(ss), std::invalid_argument) << layers;
   }
 }
 
@@ -82,7 +110,7 @@ TEST(Serialize, RejectsBadMagic) {
 
 TEST(Serialize, RejectsTruncatedStream) {
   common::Rng rng(3);
-  const Mlp net = random_net(rng);
+  const Member net = random_net(rng);
   std::stringstream ss;
   save_mlp(net, ss);
   std::string text = ss.str();
@@ -187,25 +215,23 @@ TEST(Serialize, RandomTopologyMlpRoundTripsBitExactly) {
   common::Rng rng(42);
   for (int trial = 0; trial < 12; ++trial) {
     const std::size_t inputs = 1 + rng.below(6);
-    const std::size_t depth = 1 + rng.below(3);
-    std::vector<LayerSpec> layers;
-    for (std::size_t l = 0; l < depth; ++l)
-      layers.push_back(LayerSpec{1 + rng.below(9), Activation::kSigmoid});
-    layers.push_back(LayerSpec{1, rng.bernoulli(0.5) ? Activation::kSigmoid
-                                                     : Activation::kLinear});
-    Mlp net(inputs, layers);
-    net.init_weights(rng);
+    const std::size_t hidden = 1 + rng.below(9);
+    const Member net = random_net(rng, inputs, hidden);
 
     std::stringstream ss;
     save_mlp(net, ss);
-    const Mlp loaded = load_mlp(ss);
+    const Member loaded = load_mlp(ss);
 
-    ASSERT_EQ(loaded.input_size(), inputs);
-    ASSERT_EQ(loaded.layer_count(), layers.size());
+    ASSERT_EQ(loaded.inputs(), inputs);
+    ASSERT_EQ(loaded.hidden(), hidden);
+    ASSERT_EQ(loaded.flat().size(), net.flat().size());
+    for (std::size_t i = 0; i < net.flat().size(); ++i)
+      EXPECT_EQ(loaded.flat()[i], net.flat()[i])
+          << "trial " << trial << " parameter " << i;
     for (int probe = 0; probe < 8; ++probe) {
       std::vector<double> x(inputs);
       for (double& v : x) v = rng.uniform(-3.0, 3.0);
-      EXPECT_EQ(loaded.forward(x)[0], net.forward(x)[0])
+      EXPECT_EQ(forward(loaded, x), forward(net, x))
           << "trial " << trial << " probe " << probe;
     }
   }
@@ -241,6 +267,70 @@ TEST(Serialize, RandomTopologyEnsembleRoundTripsBitExactly) {
       EXPECT_EQ(loaded.predict(d.x.row(i)), e.predict(d.x.row(i)))
           << "trial " << trial << " row " << i;
   }
+}
+
+// The exact text of a hand-built 2-member ensemble. Persisted models and
+// store entries carry this text, so its bytes must not move.
+TEST(Serialize, HandBuiltEnsembleTextKeepsItsBytes) {
+  // Each value is one rounded division (or exact), whatever the compiler
+  // contracts.
+  std::vector<Member> members;
+  for (int i = 0; i < 2; ++i) {
+    Member m(2, 3);
+    for (int k = 0; k < 2; ++k)
+      for (int c = 0; c < 3; ++c)
+        m.w1(k)[c] = (3 * k + c + 1 - 10 * i) / 10.0;
+    for (int c = 0; c < 3; ++c) {
+      m.b1()[c] = (c - 2 * i) / 4.0;
+      m.w2()[c] = 1.0 / (c + 3 + i);
+    }
+    m.b2() = i - 1.5;
+    members.push_back(m);
+  }
+  StandardScaler scaler;
+  scaler.restore({1.0, -0.1}, {2.0, 0.3});
+  BaggingEnsemble::Options opts;
+  opts.k = 2;
+  opts.hidden_layers = {LayerSpec{3, Activation::kSigmoid}};
+  BaggingEnsemble e(opts);
+  e.restore(opts, scaler, members);
+  std::ostringstream os;
+  save_ensemble(e, os);
+  EXPECT_EQ(os.str(),
+            "portatune-ensemble-v1\n"
+            "k 2\n"
+            "members 2\n"
+            "scaler 2\n"
+            "1 -0.10000000000000001 \n"
+            "2 0.29999999999999999 \n"
+            "portatune-mlp-v1\n"
+            "inputs 2\n"
+            "layers 2\n"
+            "layer 3 sigmoid\n"
+            "layer 1 linear\n"
+            "weights 0\n"
+            "0.10000000000000001 0.20000000000000001 0.29999999999999999 "
+            "0.40000000000000002 0.5 0.59999999999999998 \n"
+            "biases 0\n"
+            "0 0.25 0.5 \n"
+            "weights 1\n"
+            "0.33333333333333331 0.25 0.20000000000000001 \n"
+            "biases 1\n"
+            "-1.5 \n"
+            "portatune-mlp-v1\n"
+            "inputs 2\n"
+            "layers 2\n"
+            "layer 3 sigmoid\n"
+            "layer 1 linear\n"
+            "weights 0\n"
+            "-0.90000000000000002 -0.80000000000000004 -0.69999999999999996 "
+            "-0.59999999999999998 -0.5 -0.40000000000000002 \n"
+            "biases 0\n"
+            "-0.5 -0.25 0 \n"
+            "weights 1\n"
+            "0.25 0.20000000000000001 0.16666666666666666 \n"
+            "biases 1\n"
+            "-0.5 \n");
 }
 
 TEST(Serialize, UnfittedEnsembleRefusesToSave) {

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "ml/member_epoch.hpp"
+#include "ml/member.hpp"
 
 namespace pt::ml {
 namespace {
@@ -25,9 +25,8 @@ Dataset make_regression(std::size_t n, common::Rng& rng) {
   return d;
 }
 
-Mlp make_net(common::Rng& rng) {
-  Mlp net(2, {LayerSpec{16, Activation::kSigmoid},
-              LayerSpec{1, Activation::kLinear}});
+Member make_net(common::Rng& rng) {
+  Member net(2, 16);
   net.init_weights(rng);
   return net;
 }
@@ -36,13 +35,13 @@ TEST(Trainer, FitsSmoothRegression) {
   common::Rng rng(42);
   const Dataset train = make_regression(400, rng);
   const Dataset test = make_regression(100, rng);
-  Mlp net = make_net(rng);
-  const double loss_before = member_loss(MemberParams(net), test.x, test.y);
+  Member net = make_net(rng);
+  const double loss_before = member_loss(net, test.x, test.y);
 
   const TrainResult result = RpropTrainer().train(net, train, rng);
   EXPECT_GT(result.epochs, 0u);
 
-  const double loss_after = member_loss(MemberParams(net), test.x, test.y);
+  const double loss_after = member_loss(net, test.x, test.y);
   EXPECT_LT(loss_after, loss_before * 0.2)
       << loss_before << " -> " << loss_after;
   EXPECT_LT(loss_after, 0.02);
@@ -51,7 +50,7 @@ TEST(Trainer, FitsSmoothRegression) {
 TEST(Trainer, LossHistoryMostlyDecreases) {
   common::Rng rng(1);
   const Dataset train = make_regression(300, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   const RpropTrainer trainer;
   const TrainResult result = trainer.train(net, train, rng);
   ASSERT_GE(result.train_loss.size(), 10u);
@@ -62,7 +61,7 @@ TEST(Trainer, LossHistoryMostlyDecreases) {
 TEST(Trainer, EarlyStoppingTriggers) {
   common::Rng rng(2);
   const Dataset train = make_regression(200, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   RpropTrainer::Options opts;
   opts.common.max_epochs = 100000;  // would run forever without a stop
   opts.common.patience = 20;
@@ -75,7 +74,7 @@ TEST(Trainer, EarlyStoppingTriggers) {
 TEST(Trainer, RespectsMaxEpochs) {
   common::Rng rng(3);
   const Dataset train = make_regression(100, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   RpropTrainer::Options opts;
   opts.common.max_epochs = 7;
   opts.common.patience = 0;  // disabled
@@ -87,7 +86,7 @@ TEST(Trainer, RespectsMaxEpochs) {
 TEST(Trainer, BestLossIsMinimumOfMonitored) {
   common::Rng rng(4);
   const Dataset train = make_regression(200, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   const RpropTrainer trainer;
   const TrainResult result = trainer.train(net, train, rng);
   double min_monitored = result.monitored_loss.front();
@@ -102,7 +101,7 @@ TEST(Trainer, BestLossIsMinimumOfMonitored) {
 TEST(Trainer, NoValidationSplitMonitorsTrainLoss) {
   common::Rng rng(5);
   const Dataset train = make_regression(100, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   RpropTrainer::Options opts;
   opts.common.validation_fraction = 0.0;
   opts.common.max_epochs = 50;
@@ -114,39 +113,28 @@ TEST(Trainer, NoValidationSplitMonitorsTrainLoss) {
 
 TEST(Trainer, EmptyDatasetThrows) {
   common::Rng rng(6);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   const Dataset empty;
   const RpropTrainer trainer;
   EXPECT_THROW(trainer.train(net, empty, rng), std::invalid_argument);
 }
 
-// The trainer runs only the member epoch: any other shape is rejected
-// before the network is touched.
-TEST(Trainer, RejectsEveryShapeButTheMembers) {
+// Data of another width is rejected before the member is touched.
+TEST(Trainer, RejectsDataOfAnotherWidth) {
   common::Rng rng(9);
   const Dataset train = make_regression(20, rng);
-  for (const auto& layers : std::vector<std::vector<LayerSpec>>{
-           {{1, Activation::kLinear}},
-           {{4, Activation::kSigmoid}, {1, Activation::kSigmoid}},
-           {{4, Activation::kSigmoid}, {2, Activation::kLinear}},
-           {{4, Activation::kLinear}, {1, Activation::kLinear}},
-           {{4, Activation::kSigmoid},
-            {3, Activation::kSigmoid},
-            {1, Activation::kLinear}}}) {
-    Mlp net(2, layers);
-    net.init_weights(rng);
-    const Mlp before = net;
-    EXPECT_THROW(RpropTrainer().train(net, train, rng), std::invalid_argument);
-    for (std::size_t l = 0; l < net.layer_count(); ++l)
-      for (std::size_t i = 0; i < net.weights(l).size(); ++i)
-        EXPECT_EQ(net.weights(l).flat()[i], before.weights(l).flat()[i]);
-  }
+  Member net(3, 4);
+  net.init_weights(rng);
+  const std::vector<double> before(net.flat().begin(), net.flat().end());
+  EXPECT_THROW(RpropTrainer().train(net, train, rng), std::invalid_argument);
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_EQ(net.flat()[i], before[i]);
 }
 
 TEST(Trainer, TinyDatasetStillTrains) {
   common::Rng rng(8);
   const Dataset train = make_regression(3, rng);
-  Mlp net = make_net(rng);
+  Member net = make_net(rng);
   const RpropTrainer trainer;
   EXPECT_NO_THROW(trainer.train(net, train, rng));
 }

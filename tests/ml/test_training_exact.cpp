@@ -1,5 +1,5 @@
-// Bit-identity of the fp64 training path: the fused member epoch
-// (ml/member_epoch.hpp), the inference kernels and the trainer must
+// Bit-identity of the fp64 training path: the fused member pass
+// (ml/member.hpp) in training and inference, and the trainer must
 // reproduce the element-by-element, layer-by-layer reference forms
 // (training_reference.hpp) exactly, so trained weights, epoch counts and
 // every tuning decision do not move.
@@ -14,7 +14,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "ml/ensemble.hpp"
-#include "ml/member_epoch.hpp"
+#include "ml/member.hpp"
 #include "ml/trainer.hpp"
 #include "training_reference.hpp"
 
@@ -23,30 +23,20 @@ namespace {
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-void expect_same(const Matrix& got, const Matrix& want, const char* what) {
-  ASSERT_TRUE(got.same_shape(want)) << what;
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_EQ(bits(got.flat()[i]), bits(want.flat()[i])) << what << " @" << i;
-}
-
-void expect_same_weights(const Mlp& got, const Mlp& want) {
-  ASSERT_EQ(got.layer_count(), want.layer_count());
-  for (std::size_t l = 0; l < got.layer_count(); ++l) {
-    expect_same(got.weights(l), want.weights(l), "weights");
-    for (std::size_t i = 0; i < got.biases(l).size(); ++i)
-      ASSERT_EQ(bits(got.biases(l)[i]), bits(want.biases(l)[i]));
+/// The library's member against the reference's net, bit for bit.
+void expect_same_weights(const Member& got, const reference::Net& want) {
+  const reference::Net net = reference::from_member(got);
+  for (std::size_t l = 0; l < 2; ++l) {
+    ASSERT_EQ(net.weights[l].size(), want.weights[l].size());
+    for (std::size_t i = 0; i < net.weights[l].size(); ++i)
+      ASSERT_EQ(bits(net.weights[l].flat()[i]),
+                bits(want.weights[l].flat()[i]))
+          << "weights " << l << " @" << i;
+    ASSERT_EQ(net.biases[l].size(), want.biases[l].size());
+    for (std::size_t i = 0; i < net.biases[l].size(); ++i)
+      ASSERT_EQ(bits(net.biases[l][i]), bits(want.biases[l][i]))
+          << "biases " << l << " @" << i;
   }
-}
-
-/// A member: one hidden layer of 1-33 sigmoid units and a linear output.
-std::vector<LayerSpec> random_topology(common::Rng& rng) {
-  return {{1 + rng.below(33), Activation::kSigmoid},
-          {1, Activation::kLinear}};
-}
-
-Mlp member_net(std::size_t inputs, std::size_t hidden) {
-  return Mlp(inputs,
-             {{hidden, Activation::kSigmoid}, {1, Activation::kLinear}});
 }
 
 Dataset smooth_regression(std::size_t n, std::size_t features,
@@ -64,48 +54,52 @@ Dataset smooth_regression(std::size_t n, std::size_t features,
   return d;
 }
 
-/// member_epoch's and member_loss's results for `net` on (x, t) against the
-/// reference backward pass and loss, bit for bit: the loss, all four
-/// gradients and the +0.0 pad entries. Also the fp64 forward pass.
-void expect_epoch_matches_reference(const Mlp& net, const Matrix& x,
+/// member_epoch's and member_loss's results for `member` on (x, t) against
+/// the reference backward pass and loss, bit for bit: the loss, all four
+/// gradients and the +0.0 pad entries. Also member_forward against the
+/// reference forward pass.
+void expect_epoch_matches_reference(const Member& member, const Matrix& x,
                                     const Matrix& t) {
-  const MemberParams params(net);
+  const reference::Net net = reference::from_member(member);
   std::vector<double> got;
-  const double loss = member_epoch(params, x, t, got);
+  const double loss = member_epoch(member, x, t, got);
   reference::Gradients want;
   const double want_loss = reference::backward_batch(net, x, t, want);
-  const std::string shape = "inputs=" + std::to_string(net.input_size()) +
-                            " hidden=" + std::to_string(params.hidden()) +
+  const std::string shape = "inputs=" + std::to_string(member.inputs()) +
+                            " hidden=" + std::to_string(member.hidden()) +
                             " rows=" + std::to_string(x.rows());
   ASSERT_EQ(bits(loss), bits(want_loss)) << shape;
-  ASSERT_EQ(bits(member_loss(params, x, t)),
+  ASSERT_EQ(bits(member_loss(member, x, t)),
             bits(reference::loss(net, x, t)))
       << shape;
-  expect_same(net.forward_batch(x), reference::forward_layers(net, x).back(),
-              "forward");
+  std::vector<double> y(x.rows());
+  member_forward(member, x, y);
+  const Matrix want_y = reference::forward_layers(net, x).back();
+  for (std::size_t r = 0; r < x.rows(); ++r)
+    ASSERT_EQ(bits(y[r]), bits(want_y(r, 0))) << shape << " forward @" << r;
 
-  ASSERT_EQ(got.size(), params.flat().size());
-  const std::size_t s = params.stride();
+  ASSERT_EQ(got.size(), member.flat().size());
+  const std::size_t s = member.stride();
   for (std::size_t c = 0; c < s; ++c) {
-    const bool pad = c >= params.hidden();
-    for (std::size_t k = 0; k < params.inputs(); ++k)
+    const bool pad = c >= member.hidden();
+    for (std::size_t k = 0; k < member.inputs(); ++k)
       ASSERT_EQ(bits(got[k * s + c]),
                 bits(pad ? 0.0 : want.weights[0](k, c)))
           << shape << " gW1(" << k << ", " << c << ")";
-    ASSERT_EQ(bits(got[params.b1_offset() + c]),
+    ASSERT_EQ(bits(got[member.b1_offset() + c]),
               bits(pad ? 0.0 : want.biases[0][c]))
         << shape << " gb1(" << c << ")";
-    ASSERT_EQ(bits(got[params.w2_offset() + c]),
+    ASSERT_EQ(bits(got[member.w2_offset() + c]),
               bits(pad ? 0.0 : want.weights[1](c, 0)))
         << shape << " gw2(" << c << ")";
   }
-  ASSERT_EQ(bits(got[params.b2_offset()]), bits(want.biases[1][0])) << shape;
+  ASSERT_EQ(bits(got[member.b2_offset()]), bits(want.biases[1][0])) << shape;
 }
 
-void fill_case(Mlp& net, Matrix& x, Matrix& t, common::Rng& rng) {
-  net.init_weights(rng);
-  for (auto& b : net.biases(0)) b = rng.uniform(-0.5, 0.5);
-  net.biases(1)[0] = rng.uniform(-0.5, 0.5);
+void fill_case(Member& member, Matrix& x, Matrix& t, common::Rng& rng) {
+  member.init_weights(rng);
+  for (double& b : member.b1()) b = rng.uniform(-0.5, 0.5);
+  member.b2() = rng.uniform(-0.5, 0.5);
   for (auto& v : x.flat()) v = rng.uniform(-2.0, 2.0);
   for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
   x(0, 0) = -0.0;
@@ -122,11 +116,11 @@ TEST(TrainingExact, EpochMatchesReferenceOnEveryShapeAndSmallRowCount) {
   for (const std::size_t hidden : widths)
     for (std::size_t inputs = 1; inputs <= 12; ++inputs)
       for (std::size_t rows = 1; rows <= 9; ++rows) {
-        Mlp net = member_net(inputs, hidden);
+        Member member(inputs, hidden);
         Matrix x(rows, inputs);
         Matrix t(rows, 1);
-        fill_case(net, x, t, rng);
-        expect_epoch_matches_reference(net, x, t);
+        fill_case(member, x, t, rng);
+        expect_epoch_matches_reference(member, x, t);
         if (HasFatalFailure()) return;
       }
 }
@@ -141,11 +135,11 @@ TEST(TrainingExact, EpochMatchesReferenceOnLargeBatches) {
   for (std::size_t i = 0; i < widths.size(); ++i)
     for (const std::size_t rows : {std::size_t{2000}, std::size_t{2001}}) {
       const std::size_t inputs = 1 + (i + rows) % 12;
-      Mlp net = member_net(inputs, widths[i]);
+      Member member(inputs, widths[i]);
       Matrix x(rows, inputs);
       Matrix t(rows, 1);
-      fill_case(net, x, t, rng);
-      expect_epoch_matches_reference(net, x, t);
+      fill_case(member, x, t, rng);
+      expect_epoch_matches_reference(member, x, t);
       if (HasFatalFailure()) return;
     }
 }
@@ -156,13 +150,13 @@ TEST(TrainingExact, EpochMatchesReferenceWithZeroWeights) {
   common::Rng rng(5);
   for (const std::size_t hidden : {1u, 4u, 5u, 12u, 30u})
     for (const std::size_t rows : {1u, 7u, 8u, 273u}) {
-      const Mlp net = member_net(9, hidden);
+      const Member member(9, hidden);
       Matrix x(rows, 9);
       Matrix t(rows, 1);
       for (auto& v : x.flat()) v = rng.uniform(-2.0, 2.0);
       for (auto& v : t.flat()) v = rng.uniform(-1.0, 1.0);
       x(0, 0) = -0.0;
-      expect_epoch_matches_reference(net, x, t);
+      expect_epoch_matches_reference(member, x, t);
       if (HasFatalFailure()) return;
     }
 }
@@ -173,16 +167,17 @@ TEST(TrainingExact, RpropWithEarlyStoppingMatchesReference) {
   for (int trial = 0; trial < 4; ++trial) {
     const std::size_t features = 2 + rng.below(6);
     const Dataset data = smooth_regression(150 + rng.below(100), features, rng);
-    Mlp net(features, random_topology(rng));
-    net.init_weights(rng);
-    Mlp ref_net = net;
+    Member member(features, 1 + rng.below(33));
+    member.init_weights(rng);
+    reference::Net ref_net = reference::from_member(member);
 
     RpropTrainer::Options options;
     options.common.max_epochs = 300;
     options.common.patience = 15;  // stops early on most trials
     common::Rng train_rng(100 + trial);
     common::Rng ref_rng = train_rng;
-    const TrainResult got = RpropTrainer(options).train(net, data, train_rng);
+    const TrainResult got =
+        RpropTrainer(options).train(member, data, train_rng);
     const TrainResult want =
         reference::train_rprop(ref_net, data, options, ref_rng);
 
@@ -194,7 +189,7 @@ TEST(TrainingExact, RpropWithEarlyStoppingMatchesReference) {
       ASSERT_EQ(bits(got.train_loss[e]), bits(want.train_loss[e]));
       ASSERT_EQ(bits(got.monitored_loss[e]), bits(want.monitored_loss[e]));
     }
-    expect_same_weights(net, ref_net);
+    expect_same_weights(member, ref_net);
     early_stops += got.early_stopped;
   }
   EXPECT_GT(early_stops, 0u);  // the best-weight restore path ran
@@ -220,12 +215,11 @@ TEST(TrainingExact, EnsembleFitMatchesReferenceAtOneAndFourThreads) {
   std::vector<common::Rng> member_rngs;
   for (std::size_t f = 0; f < options.k; ++f)
     member_rngs.push_back(ref_rng.fork());
-  std::vector<Mlp> want;
+  std::vector<reference::Net> want;
   for (std::size_t f = 0; f < options.k; ++f) {
-    std::vector<LayerSpec> layers = options.hidden_layers;
-    layers.push_back(LayerSpec{1, Activation::kLinear});
-    Mlp net(data.features(), layers);
-    net.init_weights(member_rngs[f]);
+    Member member(data.features(), options.hidden_layers.front().units);
+    member.init_weights(member_rngs[f]);
+    reference::Net net = reference::from_member(member);
     std::vector<std::size_t> idx;
     for (std::size_t g = 0; g < options.k; ++g)
       if (g != f) idx.insert(idx.end(), folds[g].begin(), folds[g].end());

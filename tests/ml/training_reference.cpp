@@ -22,22 +22,33 @@ double ordered_dot(const double* x, const double* y, std::size_t n, double s) {
   return s;
 }
 
-double activate_ref(Activation act, double x) {
-  return act == Activation::kSigmoid ? 1.0 / (1.0 + common::math::exp(-x))
-                                     : x;
-}
+double sigmoid_ref(double x) { return 1.0 / (1.0 + common::math::exp(-x)); }
 
-double grad_from_output_ref(Activation act, double y) {
-  return act == Activation::kSigmoid ? y * (1.0 - y) : 1.0;
+/// Layer l is the sigmoid hidden layer unless it is the last, the output.
+bool is_hidden(const Net& net, std::size_t l) {
+  return l + 1 < net.weights.size();
 }
 
 }  // namespace
 
-Gradients make_gradients(const Mlp& net) {
+Net from_member(const Member& member) {
+  Net net;
+  Matrix w1(member.inputs(), member.hidden());
+  for (std::size_t k = 0; k < member.inputs(); ++k)
+    for (std::size_t c = 0; c < member.hidden(); ++c)
+      w1(k, c) = member.w1(k)[c];
+  Matrix w2(member.hidden(), 1);
+  for (std::size_t c = 0; c < member.hidden(); ++c) w2(c, 0) = member.w2()[c];
+  net.weights = {std::move(w1), std::move(w2)};
+  net.biases = {{member.b1().begin(), member.b1().end()}, {member.b2()}};
+  return net;
+}
+
+Gradients make_gradients(const Net& net) {
   Gradients g;
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    g.weights.emplace_back(net.weights(l).rows(), net.weights(l).cols());
-    g.biases.emplace_back(net.biases(l).size(), 0.0);
+  for (std::size_t l = 0; l < net.weights.size(); ++l) {
+    g.weights.emplace_back(net.weights[l].rows(), net.weights[l].cols());
+    g.biases.emplace_back(net.biases[l].size(), 0.0);
   }
   return g;
 }
@@ -89,30 +100,31 @@ double squared_error_sum(const Matrix& y, const Matrix& target) {
   return ordered_dot(diff.data(), diff.data(), diff.size(), 0.0);
 }
 
-std::vector<Matrix> forward_layers(const Mlp& net, const Matrix& x) {
+std::vector<Matrix> forward_layers(const Net& net, const Matrix& x) {
   std::vector<Matrix> outputs;
   const Matrix* cur = &x;
-  for (std::size_t l = 0; l < net.layer_count(); ++l) {
-    Matrix z = matmul(*cur, net.weights(l));
+  for (std::size_t l = 0; l < net.weights.size(); ++l) {
+    Matrix z = matmul(*cur, net.weights[l]);
     for (std::size_t r = 0; r < z.rows(); ++r)
-      for (std::size_t c = 0; c < z.cols(); ++c)
-        z(r, c) = activate_ref(net.layers()[l].activation,
-                               z(r, c) + net.biases(l)[c]);
+      for (std::size_t c = 0; c < z.cols(); ++c) {
+        const double v = z(r, c) + net.biases[l][c];
+        z(r, c) = is_hidden(net, l) ? sigmoid_ref(v) : v;
+      }
     outputs.push_back(std::move(z));
     cur = &outputs.back();
   }
   return outputs;
 }
 
-double loss(const Mlp& net, const Matrix& x, const Matrix& target) {
+double loss(const Net& net, const Matrix& x, const Matrix& target) {
   const Matrix y = forward_layers(net, x).back();
   return reference::squared_error_sum(y, target) /
          static_cast<double>(x.rows());
 }
 
-double backward_batch(const Mlp& net, const Matrix& x, const Matrix& target,
+double backward_batch(const Net& net, const Matrix& x, const Matrix& target,
                       Gradients& grads) {
-  const std::size_t depth = net.layer_count();
+  const std::size_t depth = net.weights.size();
   const double n = static_cast<double>(x.rows());
   const std::vector<Matrix> outputs = forward_layers(net, x);
   const double loss_value =
@@ -124,10 +136,11 @@ double backward_batch(const Mlp& net, const Matrix& x, const Matrix& target,
 
   grads = make_gradients(net);
   for (std::size_t li = depth; li-- > 0;) {
-    const Activation act = net.layers()[li].activation;
-    if (act != Activation::kLinear)
-      for (std::size_t e = 0; e < delta.size(); ++e)
-        delta.flat()[e] *= grad_from_output_ref(act, outputs[li].flat()[e]);
+    if (is_hidden(net, li))
+      for (std::size_t e = 0; e < delta.size(); ++e) {
+        const double y = outputs[li].flat()[e];
+        delta.flat()[e] *= y * (1.0 - y);
+      }
     const Matrix& below = li == 0 ? x : outputs[li - 1];
     grads.weights[li] = matmul_at(below, delta);
     for (std::size_t c = 0; c < delta.cols(); ++c) {
@@ -135,12 +148,12 @@ double backward_batch(const Mlp& net, const Matrix& x, const Matrix& target,
       for (std::size_t r = 0; r < delta.rows(); ++r) sum += delta(r, c);
       grads.biases[li][c] = sum;
     }
-    if (li > 0) delta = matmul_bt(delta, net.weights(li));
+    if (li > 0) delta = matmul_bt(delta, net.weights[li]);
   }
   return loss_value;
 }
 
-TrainResult train_rprop(Mlp& net, const Dataset& data,
+TrainResult train_rprop(Net& net, const Dataset& data,
                         const RpropTrainer::Options& options,
                         common::Rng& rng) {
   const TrainOptions& common_options = options.common;
@@ -177,20 +190,19 @@ TrainResult train_rprop(Mlp& net, const Dataset& data,
   };
 
   TrainResult result;
-  double best = std::numeric_limits<double>::infinity();
+  double best_loss = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
-  std::vector<Matrix> best_weights;
-  std::vector<std::vector<double>> best_biases;
+  Net best;
   for (std::size_t epoch = 0; epoch < common_options.max_epochs; ++epoch) {
     Gradients grads;
     const double train_loss =
         backward_batch(net, train_set.x, train_set.y, grads);
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      for (std::size_t i = 0; i < net.weights(l).size(); ++i)
-        update(net.weights(l).flat()[i], grads.weights[l].flat()[i],
+    for (std::size_t l = 0; l < net.weights.size(); ++l) {
+      for (std::size_t i = 0; i < net.weights[l].size(); ++i)
+        update(net.weights[l].flat()[i], grads.weights[l].flat()[i],
                steps.weights[l].flat()[i], prev.weights[l].flat()[i]);
-      for (std::size_t i = 0; i < net.biases(l).size(); ++i)
-        update(net.biases(l)[i], grads.biases[l][i], steps.biases[l][i],
+      for (std::size_t i = 0; i < net.biases[l].size(); ++i)
+        update(net.biases[l][i], grads.biases[l][i], steps.biases[l][i],
                prev.biases[l][i]);
     }
     const double monitored = val_set.size() > 0
@@ -199,26 +211,18 @@ TrainResult train_rprop(Mlp& net, const Dataset& data,
     result.train_loss.push_back(train_loss);
     result.monitored_loss.push_back(monitored);
     ++result.epochs;
-    if (monitored < best - common_options.min_improvement) {
-      best = monitored;
+    if (monitored < best_loss - common_options.min_improvement) {
+      best_loss = monitored;
       since_best = 0;
-      best_weights.clear();
-      best_biases.clear();
-      for (std::size_t l = 0; l < net.layer_count(); ++l) {
-        best_weights.push_back(net.weights(l));
-        best_biases.push_back(net.biases(l));
-      }
+      best = net;
     } else if (common_options.patience > 0 &&
                ++since_best >= common_options.patience) {
       result.early_stopped = true;
       break;
     }
   }
-  for (std::size_t l = 0; l < best_weights.size(); ++l) {
-    net.weights(l) = best_weights[l];
-    net.biases(l) = best_biases[l];
-  }
-  result.best_loss = best;
+  if (!best.weights.empty()) net = best;
+  result.best_loss = best_loss;
   return result;
 }
 

@@ -103,17 +103,16 @@ inline ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
                                            std::size_t units, std::size_t k,
                                            double gain, std::uint64_t seed) {
   const std::size_t inputs = space.dimension_count();
-  const std::vector<ml::LayerSpec> layers = {
-      {units, ml::Activation::kSigmoid}, {1, ml::Activation::kLinear}};
   common::Rng rng(seed);
-  std::vector<ml::Mlp> members;
+  std::vector<ml::Member> members;
   for (std::size_t i = 0; i < k; ++i) {
-    ml::Mlp net(inputs, layers);
+    ml::Member net(inputs, units);
     net.init_weights(rng);
-    for (std::size_t l = 0; l < net.layer_count(); ++l) {
-      for (auto& w : net.weights(l).flat()) w *= gain;
-      for (auto& b : net.biases(l)) b = gain * (rng.uniform() - 0.5);
-    }
+    for (std::size_t f = 0; f < inputs; ++f)
+      for (double& w : net.w1(f)) w *= gain;
+    for (double& b : net.b1()) b = gain * (rng.uniform() - 0.5);
+    for (double& w : net.w2()) w *= gain;
+    net.b2() = gain * (rng.uniform() - 0.5);
     members.push_back(std::move(net));
   }
   std::vector<double> means;
@@ -128,7 +127,7 @@ inline ml::BaggingEnsemble random_ensemble(const ParamSpace& space,
   scaler.restore(std::move(means), std::move(stddevs));
   ml::BaggingEnsemble::Options opts;
   opts.k = k;
-  opts.hidden_layers = {layers.front()};
+  opts.hidden_layers = {{units, ml::Activation::kSigmoid}};
   ml::BaggingEnsemble ensemble(opts);
   ensemble.restore(opts, std::move(scaler), std::move(members));
   return ensemble;

@@ -94,25 +94,6 @@ TEST(StaticScanFilter, IncompleteSetsTallyUnknownButKeep) {
   EXPECT_EQ(counters.proved_valid.load(), 0u);
 }
 
-TEST(StaticScanFilter, NextFilterOnlyConsultedAfterSurvival) {
-  const ParamSpace space = small_space();
-  const auto checker = bowl_checker();
-  StaticPruneCounters counters;
-  std::size_t next_calls = 0;
-  const ScanFilter filter = make_static_scan_filter(
-      space, *checker, counters, [&next_calls](std::uint64_t) {
-        ++next_calls;
-        return false;
-      });
-  // Pruned: next never sees it.
-  EXPECT_FALSE(filter(index_with_a(space, 128)));
-  EXPECT_EQ(next_calls, 0u);
-  // Survivor: next decides (and rejects here).
-  EXPECT_FALSE(filter(index_with_a(space, 8)));
-  EXPECT_EQ(next_calls, 1u);
-  EXPECT_EQ(counters.proved_valid.load(), 1u);
-}
-
 AutoTunerOptions fast_options(std::size_t n, std::size_t m) {
   AutoTunerOptions o;
   o.training_samples = n;
