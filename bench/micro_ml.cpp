@@ -57,29 +57,37 @@ constexpr std::size_t kPaperHidden = 30;
 constexpr std::size_t kPaperTrainRows = 1545;
 constexpr std::size_t kPaperValidationRows = 273;
 
-ml::Member paper_member(common::Rng& rng) {
-  ml::Member member(kPaperFeatures, kPaperHidden);
+ml::Member paper_member(common::Rng& rng,
+                        std::size_t hidden = kPaperHidden) {
+  ml::Member member(kPaperFeatures, hidden);
   member.init_weights(rng);
   for (double& b : member.b1()) b = rng.uniform(-0.5, 0.5);
   return member;
 }
 
-/// The fused epoch over the 1,545 training rows: forward pass, loss and
-/// all four gradients.
+/// The fused epoch over `rows` training rows: forward pass, loss and all
+/// four gradients. At paper geometry (30 units, 1,545 rows) and at the
+/// served tunes' (12 units, about 40 training rows of 80 samples), where
+/// 8 lanes pad the 12 units to 16.
 void BM_MemberEpoch(benchmark::State& state) {
+  const auto hidden = static_cast<std::size_t>(state.range(0));
+  const auto rows = static_cast<std::size_t>(state.range(1));
   common::Rng rng(3);
-  const ml::Member member = paper_member(rng);
-  const ml::Matrix x = random_matrix(kPaperTrainRows, kPaperFeatures, rng);
-  const ml::Matrix t = random_matrix(kPaperTrainRows, 1, rng);
+  const ml::Member member = paper_member(rng, hidden);
+  const ml::Matrix x = random_matrix(rows, kPaperFeatures, rng);
+  const ml::Matrix t = random_matrix(rows, 1, rng);
   std::vector<double> grads;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ml::member_epoch(member, x, t, grads));
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kPaperTrainRows));
+                          static_cast<std::int64_t>(rows));
 }
-BENCHMARK(BM_MemberEpoch);
+BENCHMARK(BM_MemberEpoch)
+    ->ArgNames({"hidden", "rows"})
+    ->Args({kPaperHidden, kPaperTrainRows})
+    ->Args({12, 40});
 
 /// The epoch's validation loss over the 273 held-out rows.
 void BM_MemberValidationLoss(benchmark::State& state) {
@@ -214,8 +222,11 @@ std::vector<double> exp_pass_inputs() {
 void BM_ExpD(benchmark::State& state) {
   const auto x = exp_pass_inputs();
   std::vector<double> y(x.size());
+  // Whole vectors only: 54,540 is not a multiple of 8.
+  const std::size_t n =
+      x.size() / common::simd::kWidthD * common::simd::kWidthD;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < x.size(); i += common::simd::kWidthD) {
+    for (std::size_t i = 0; i < n; i += common::simd::kWidthD) {
       common::simd::exp(common::simd::VecD::load(x.data() + i))
           .store(y.data() + i);
     }
@@ -223,7 +234,7 @@ void BM_ExpD(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(x.size()));
+                          static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ExpD);
 

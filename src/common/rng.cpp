@@ -1,6 +1,7 @@
 #include "common/rng.hpp"
 
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace pt::common {
@@ -47,18 +48,26 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   std::vector<std::size_t> out;
   out.reserve(k);
   if (k == 0) return out;
-  // For dense requests, do a partial Fisher-Yates over an index array; for
-  // sparse requests over huge n (our configuration spaces reach millions),
-  // use Floyd's algorithm with a hash set so memory stays O(k).
+  // For dense requests, and any n below 2^20, do a partial Fisher-Yates
+  // over the index array idx[i] = i; for sparse requests over huge n (our
+  // configuration spaces reach millions), use Floyd's algorithm with a hash
+  // set. Both keep memory O(k): the Fisher-Yates array is never built, only
+  // the entries its swaps moved are recorded.
   if (n <= 4 * k || n < (1u << 20)) {
-    std::vector<std::size_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+    std::unordered_map<std::size_t, std::size_t> moved;
+    moved.reserve(k);
+    const auto at = [&moved](std::size_t i) {
+      const auto it = moved.find(i);
+      return it == moved.end() ? i : it->second;
+    };
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-      std::swap(idx[i], idx[j]);
+      // swap(idx[i], idx[j]); idx[i] is final and never read again.
+      const std::size_t at_i = at(i);
+      out.push_back(at(j));
+      moved[j] = at_i;
     }
-    idx.resize(k);
-    return idx;
+    return out;
   }
   std::unordered_set<std::size_t> chosen;
   chosen.reserve(k * 2);

@@ -40,7 +40,9 @@ float exp_ref(float x) noexcept {
 float sigmoid_ref(float x) noexcept { return 1.0f / (1.0f + exp_ref(-x)); }
 
 const char* backend_name() noexcept {
-#if defined(PT_SIMD_AVX2)
+#if defined(PT_SIMD_AVX512)
+  return "avx512";
+#elif defined(PT_SIMD_AVX2)
   return "avx2";
 #elif defined(PT_SIMD_NEON)
   return "neon";
@@ -67,7 +69,9 @@ bool fail(std::string* error, const char* what, double input, double got,
 /// Inputs of the exp(VecD) check: a sweep of [-746, 710] (both special
 /// ranges, subnormal results, overflow), the main range's bounds +-1 ulp,
 /// and the values with their own return paths, so groups of 4 mix
-/// main-path lanes with the others.
+/// main-path lanes with the others; then, in groups of 8 aligned to 8, one
+/// such value at each lane position among main-path lanes, and a group of
+/// such values alone.
 std::vector<double> exp_d_inputs() {
   std::vector<double> xs;
   for (int i = 0; i <= 4096; ++i) xs.push_back(-746.0 + 1456.0 * i / 4096);
@@ -83,7 +87,15 @@ std::vector<double> exp_d_inputs() {
   xs.insert(xs.end(), {0.0, -0.0, kInf, -kInf,
                        std::numeric_limits<double>::quiet_NaN(), 1e300,
                        -1e300, 709.782712893384, -745.1332191019412});
-  while (xs.size() % kWidthD != 0) xs.push_back(1.0);
+  constexpr std::size_t kGroup = 8;
+  while (xs.size() % kGroup != 0) xs.push_back(1.0);
+  const double other[kGroup] = {0.0,  600.0, -kInf, -0x1p-60,
+                                kInf, -700.0, 1e-300,
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t p = 0; p < kGroup; ++p)
+    for (std::size_t l = 0; l < kGroup; ++l)
+      xs.push_back(l == p ? other[p] : -3.5 + static_cast<double>(l + p));
+  xs.insert(xs.end(), other, other + kGroup);
   return xs;
 }
 

@@ -4,11 +4,12 @@
 // and the member's fp64 pass (ml/member.cpp).
 //
 // One backend is selected at configure time (CMake option PT_SIMD, default
-// "auto"): AVX2+FMA on x86, NEON on arm64, or a portable scalar fallback.
-// `VecF` is a fixed-width vector of kWidth floats with the handful of
-// operations batched inference needs: arithmetic, fused multiply-add,
-// horizontal reduction, and vectorized exp/sigmoid approximations. `VecD`
-// is 4 doubles on every backend (see below).
+// "auto"): AVX-512F or AVX2+FMA on x86, NEON on arm64, or a portable scalar
+// fallback. `VecF` is a fixed-width vector of kWidth floats with the handful
+// of operations batched inference needs: arithmetic, fused multiply-add,
+// horizontal reduction, and vectorized exp/sigmoid approximations; it is the
+// 8-float AVX2 type on both x86 backends. `VecD` is kWidthD doubles: 8 on
+// AVX-512F, 4 on every other backend (see below).
 //
 // Accuracy contract (see DESIGN.md "Inference paths"):
 //  - exp(VecF):     same Cephes-style polynomial on every backend; relative
@@ -45,6 +46,9 @@
 #if !defined(PT_SIMD_DISABLE) && defined(__AVX2__) && defined(__FMA__)
 #define PT_SIMD_AVX2 1
 #include <immintrin.h>
+#if defined(__AVX512F__)
+#define PT_SIMD_AVX512 1
+#endif
 #elif !defined(PT_SIMD_DISABLE) && \
     (defined(__ARM_NEON) || defined(__ARM_NEON__) || defined(__aarch64__))
 #define PT_SIMD_NEON 1
@@ -258,19 +262,62 @@ struct VecF {
 #endif
 
 // ---------------------------------------------------------------------------
-// VecD: 4 packed doubles. The logical width is fixed at 4 on *every*
-// backend (AVX2 uses one 256-bit register, NEON a pair of 128-bit ones, the
-// scalar fallback an array), so kernels written against VecD have identical
-// semantics everywhere — which is what keeps the member's fp64 pass
-// (ml/member.cpp) bit-identical across backends. Deliberately minimal:
-// load/store/broadcast, add/sub/mul/div (each one IEEE rounding, like the
-// scalar operators), neg, fmadd (one rounding, like std::fma), and exp
-// (below).
+// VecD: kWidthD packed doubles, 8 on AVX-512F (one 512-bit register) and 4
+// on every other backend (AVX2 one 256-bit register, NEON a pair of 128-bit
+// ones, the scalar fallback an array). Every operation is element-wise and
+// rounds each lane exactly like its scalar counterpart, so a kernel whose
+// per-element operations do not depend on the width (the member's fp64
+// pass, ml/member.cpp) gives the same bits on every backend. Deliberately
+// minimal: load/store/broadcast, add/sub/mul/div (each one IEEE rounding,
+// like the scalar operators), neg, fmadd (one rounding, like std::fma), and
+// exp (below).
 // ---------------------------------------------------------------------------
 
+#if defined(PT_SIMD_AVX512)
+inline constexpr std::size_t kWidthD = 8;
+#else
 inline constexpr std::size_t kWidthD = 4;
+#endif
 
-#if defined(PT_SIMD_AVX2)
+#if defined(PT_SIMD_AVX512)
+
+struct VecD {
+  __m512d v;
+
+  [[nodiscard]] static VecD load(const double* p) noexcept {
+    return {_mm512_loadu_pd(p)};
+  }
+  [[nodiscard]] static VecD broadcast(double x) noexcept {
+    return {_mm512_set1_pd(x)};
+  }
+  [[nodiscard]] static VecD zero() noexcept { return {_mm512_setzero_pd()}; }
+  void store(double* p) const noexcept { _mm512_storeu_pd(p, v); }
+};
+
+[[nodiscard]] inline VecD add(VecD a, VecD b) noexcept {
+  return {_mm512_add_pd(a.v, b.v)};
+}
+[[nodiscard]] inline VecD sub(VecD a, VecD b) noexcept {
+  return {_mm512_sub_pd(a.v, b.v)};
+}
+[[nodiscard]] inline VecD mul(VecD a, VecD b) noexcept {
+  return {_mm512_mul_pd(a.v, b.v)};
+}
+[[nodiscard]] inline VecD div(VecD a, VecD b) noexcept {
+  return {_mm512_div_pd(a.v, b.v)};
+}
+/// -a: flips the sign bit, like the scalar unary minus.
+[[nodiscard]] inline VecD neg(VecD a) noexcept {
+  return {_mm512_castsi512_pd(
+      _mm512_xor_epi64(_mm512_castpd_si512(a.v),
+                       _mm512_set1_epi64(INT64_MIN)))};
+}
+/// a*b + c, single rounding.
+[[nodiscard]] inline VecD fmadd(VecD a, VecD b, VecD c) noexcept {
+  return {_mm512_fmadd_pd(a.v, b.v, c.v)};
+}
+
+#elif defined(PT_SIMD_AVX2)
 
 struct VecD {
   __m256d v;
@@ -401,14 +448,60 @@ struct VecD {
 #endif
 
 // ---------------------------------------------------------------------------
-// exp(VecD): common::math::exp on every lane, bit for bit. AVX2 runs the
-// main path (2^-54 <= |x| < 512) four lanes at a time with the scalar
-// function's operations, each table pair fetched with one 16-byte load, and
-// sends any lane outside it through the scalar function. The other backends
-// call the scalar function lane by lane.
+// exp(VecD): common::math::exp on every lane, bit for bit. AVX-512F and AVX2
+// run the main path (2^-54 <= |x| < 512) on all kWidthD lanes at once with
+// the scalar function's operations and constants, and send any lane outside
+// it through the scalar function. The other backends call the scalar
+// function lane by lane.
 // ---------------------------------------------------------------------------
 
-#if defined(PT_SIMD_AVX2)
+#if defined(PT_SIMD_AVX512)
+
+[[nodiscard]] inline VecD exp(VecD x) noexcept {
+  using namespace math::detail;
+  const auto set = [](double c) { return _mm512_set1_pd(c); };
+  const __m512d ax = _mm512_abs_pd(x.v);
+  const __mmask8 main_lanes = _mm512_mask_cmp_pd_mask(
+      _mm512_cmp_pd_mask(ax, set(kExpMainLo), _CMP_GE_OQ), ax,
+      set(kExpMainHi), _CMP_LT_OQ);
+  const __m512d kd_shifted =
+      _mm512_fmadd_pd(x.v, set(kExpInvLn2N), set(kExpShift));
+  const __m512i ki = _mm512_castpd_si512(kd_shifted);
+  const __m512d kd = _mm512_sub_pd(kd_shifted, set(kExpShift));
+  const __m512d r = _mm512_fmadd_pd(
+      kd, set(kExpNegLn2loN), _mm512_fmadd_pd(kd, set(kExpNegLn2hiN), x.v));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  // Word index 2 (ki % 128) of each lane's (T, H') pair, and the two words
+  // gathered separately. The masked forms with a zero source compile clean
+  // where the unmasked ones start from an undefined register.
+  constexpr __mmask8 kAll = 0xFF;
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i idx = _mm512_maskz_slli_epi64(
+      kAll, _mm512_and_si512(ki, _mm512_set1_epi64(127)), 1);
+  const __m512d tail = _mm512_castsi512_pd(
+      _mm512_mask_i64gather_epi64(zero, kAll, idx, kExpTable, 8));
+  const __m512d scale = _mm512_castsi512_pd(_mm512_add_epi64(
+      _mm512_mask_i64gather_epi64(zero, kAll, idx, kExpTable + 1, 8),
+      _mm512_maskz_slli_epi64(kAll, ki, 45)));
+  __m512d tmp =
+      _mm512_fmadd_pd(_mm512_fmadd_pd(r, set(kExpC3), set(kExpC2)), r2,
+                      _mm512_add_pd(r, tail));
+  tmp = _mm512_fmadd_pd(_mm512_mul_pd(r2, r2),
+                        _mm512_fmadd_pd(r, set(kExpC5), set(kExpC4)), tmp);
+  VecD out{_mm512_fmadd_pd(scale, tmp, scale)};
+  if (main_lanes != kAll) {
+    alignas(64) double in[kWidthD];
+    alignas(64) double lanes[kWidthD];
+    _mm512_store_pd(in, x.v);
+    _mm512_store_pd(lanes, out.v);
+    for (std::size_t l = 0; l < kWidthD; ++l)
+      if (((main_lanes >> l) & 1) == 0) lanes[l] = math::exp(in[l]);
+    out.v = _mm512_load_pd(lanes);
+  }
+  return out;
+}
+
+#elif defined(PT_SIMD_AVX2)
 
 [[nodiscard]] inline VecD exp(VecD x) noexcept {
   using namespace math::detail;
@@ -531,7 +624,7 @@ inline constexpr double kSigmoidAbsError = 0x1p-21;
 [[nodiscard]] float exp_ref(float x) noexcept;
 [[nodiscard]] float sigmoid_ref(float x) noexcept;
 
-/// The configure-time backend ("avx2", "neon" or "scalar").
+/// The configure-time backend ("avx512", "avx2", "neon" or "scalar").
 [[nodiscard]] const char* backend_name() noexcept;
 
 /// Verify the active backend against the scalar references on a

@@ -27,9 +27,10 @@ namespace pt::ml {
 
 /// A member's parameters in the layout the pass reads, as one flat vector:
 /// W1 (inputs x stride, row major), b1 (stride), w2 (stride), then b2, where
-/// the stride is H rounded up to a multiple of 4. Pad columns of W1 and pad
-/// lanes of w2 are 0. Pad lanes of b1 are 1.0, so a pad unit's
-/// pre-activation is 1 and stays on simd::exp's 4-lane path.
+/// the stride is H rounded up to a multiple of simd::kWidthD (8 on
+/// AVX-512F, else 4). Pad columns of W1 and pad lanes of w2 are 0. Pad
+/// lanes of b1 are 1.0, so a pad unit's pre-activation is 1 and stays on
+/// simd::exp's vector main path.
 class Member {
  public:
   /// `inputs` features and `hidden` sigmoid units, every weight and bias 0.

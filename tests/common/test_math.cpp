@@ -1,4 +1,4 @@
-// Tests for common::math::exp (common/math.hpp) and its 4-lane form
+// Tests for common::math::exp (common/math.hpp) and its vector form
 // simd::exp(VecD): bit-equality with the host's std::exp where that is
 // glibc's algorithm on x86-64 with FMA, lane-by-lane equality of the vector
 // form on every backend, and the error against expl that the certified
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -117,7 +118,9 @@ TEST(MathExp, SpecialValues) {
 
 // simd::exp(VecD) equals the scalar function in every lane, on every
 // backend, with main-path lanes and the other return paths mixed in one
-// vector at every position.
+// vector at every position: a random mix, one other-path lane at each
+// position of a group of 8 main-path lanes, and groups of other-path lanes
+// alone.
 TEST(SimdExpD, EveryLaneEqualsScalarExp) {
   std::vector<double> pool;
   exp_sweep(1U << 16, [&](double x) { pool.push_back(x); });
@@ -142,6 +145,23 @@ TEST(SimdExpD, EveryLaneEqualsScalarExp) {
   }
   for (int trial = 0; trial < (1 << 18); ++trial) {
     for (double& x : in) x = pool[pick(rng)];
+    check();
+  }
+  constexpr std::size_t kGroup = 8;
+  static_assert(kGroup % simd::kWidthD == 0);
+  const double other[] = {0.0,     -0.0,   0x1p-55, -0x1p-60, 512.0,
+                          -600.0,  709.8,  -745.2,  1e300,    kInf,
+                          -kInf,   std::numeric_limits<double>::quiet_NaN()};
+  std::vector<double> groups;
+  for (const double o : other) {
+    for (std::size_t p = 0; p < kGroup; ++p)
+      for (std::size_t l = 0; l < kGroup; ++l)
+        groups.push_back(l == p ? o : -20.25 + 5.5 * static_cast<double>(l));
+  }
+  for (std::size_t i = 0; i + kGroup <= std::size(other); i += kGroup / 2)
+    groups.insert(groups.end(), other + i, other + i + kGroup);
+  for (std::size_t i = 0; i < groups.size(); i += simd::kWidthD) {
+    std::copy_n(groups.data() + i, simd::kWidthD, in);
     check();
   }
   EXPECT_EQ(mismatches, 0U);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace pt::common {
@@ -159,6 +162,47 @@ TEST(Rng, SampleWithoutReplacementSparseHugeN) {
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 500u);
   for (const auto s : sample) EXPECT_LT(s, 10'000'000u);
+}
+
+/// The partial Fisher-Yates over a filled n-sized index array, as the
+/// sampler's dense branch once ran it: the reference its O(k) form must
+/// equal draw for draw.
+std::vector<std::size_t> dense_fisher_yates(Rng& rng, std::size_t n,
+                                            std::size_t k) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(Rng, SampleWithoutReplacementEqualsDenseFisherYates) {
+  // k = 0, k = n, n <= 4k and n > 4k, up to the largest n of the branch,
+  // 2^20 - 1; above 65,536 only the sample sizes the tuners draw.
+  std::set<std::pair<std::size_t, std::size_t>> shapes;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                              std::size_t{40}, std::size_t{1000},
+                              std::size_t{65536}, std::size_t{655360},
+                              (std::size_t{1} << 20) - 1}) {
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, std::size_t{80}, std::size_t{2000},
+          n / 4, n / 4 + 1, n - 1, n})
+      if (k <= n && (n <= 65536 || k <= 2000)) shapes.insert({n, k});
+  }
+  for (const auto& [n, k] : shapes) {
+    for (const std::uint64_t seed : {1U, 7U, 12345U}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                   " seed=" + std::to_string(seed));
+      Rng got_rng(seed);
+      Rng want_rng(seed);
+      EXPECT_EQ(got_rng.sample_without_replacement(n, k),
+                dense_fisher_yates(want_rng, n, k));
+      EXPECT_EQ(got_rng(), want_rng());
+    }
+  }
 }
 
 TEST(Rng, SampleWithoutReplacementRejectsKGreaterThanN) {

@@ -76,7 +76,9 @@ std::size_t dense_sweep(Visit visit) {
 
 TEST(Simd, BackendNameIsKnown) {
   const std::string name = simd::backend_name();
-  EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
+  EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "neon" ||
+              name == "scalar")
+      << name;
 }
 
 TEST(Simd, SelfTestPasses) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 
 namespace pt::ml {
 namespace {
@@ -16,31 +19,40 @@ TEST(Member, ConstructionValidation) {
 }
 
 TEST(Member, LayoutPadsAndViews) {
-  common::Rng rng(3);
-  Member member(3, 5);
-  member.init_weights(rng);
-  for (double& b : member.b1()) b = rng.uniform(-1.0, 1.0);
-  member.b2() = 0.25;
-  EXPECT_EQ(member.inputs(), 3u);
-  EXPECT_EQ(member.hidden(), 5u);
-  EXPECT_EQ(member.stride(), 8u);
-  EXPECT_EQ(member.flat().size(), 3u * 8u + 8u + 8u + 1u);
-  const auto flat = member.flat();
-  for (std::size_t c = 5; c < 8; ++c) {
-    for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(flat[k * 8 + c], 0.0);
-    EXPECT_EQ(flat[member.b1_offset() + c], 1.0);
-    EXPECT_EQ(flat[member.w2_offset() + c], 0.0);
+  // H rounded up to the backend's vector width: 5 -> 8 on every backend,
+  // 12 -> 12 on 4 lanes and 16 on 8.
+  const bool eight = common::simd::kWidthD == 8;
+  ASSERT_TRUE(eight || common::simd::kWidthD == 4);
+  for (const auto& [hidden, stride] :
+       {std::pair<std::size_t, std::size_t>{5, 8},
+        {12, eight ? 16 : 12}}) {
+    SCOPED_TRACE("hidden " + std::to_string(hidden));
+    common::Rng rng(3);
+    Member member(3, hidden);
+    member.init_weights(rng);
+    for (double& b : member.b1()) b = rng.uniform(-1.0, 1.0);
+    member.b2() = 0.25;
+    EXPECT_EQ(member.inputs(), 3u);
+    EXPECT_EQ(member.hidden(), hidden);
+    EXPECT_EQ(member.stride(), stride);
+    EXPECT_EQ(member.flat().size(), 3 * stride + stride + stride + 1);
+    const auto flat = member.flat();
+    for (std::size_t c = hidden; c < stride; ++c) {
+      for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(flat[k * stride + c], 0.0);
+      EXPECT_EQ(flat[member.b1_offset() + c], 1.0);
+      EXPECT_EQ(flat[member.w2_offset() + c], 0.0);
+    }
+    EXPECT_EQ(flat[member.b2_offset()], 0.25);
+    // The views cover the real units of the flat layout.
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(member.w1(k).size(), hidden);
+      EXPECT_EQ(member.w1(k).data(), flat.data() + k * stride);
+    }
+    EXPECT_EQ(member.b1().data(), flat.data() + member.b1_offset());
+    EXPECT_EQ(member.w2().data(), flat.data() + member.w2_offset());
+    EXPECT_EQ(member.b1().size(), hidden);
+    EXPECT_EQ(member.w2().size(), hidden);
   }
-  EXPECT_EQ(flat[member.b2_offset()], 0.25);
-  // The views cover the real units of the flat layout.
-  for (std::size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(member.w1(k).size(), 5u);
-    EXPECT_EQ(member.w1(k).data(), flat.data() + k * 8);
-  }
-  EXPECT_EQ(member.b1().data(), flat.data() + member.b1_offset());
-  EXPECT_EQ(member.w2().data(), flat.data() + member.w2_offset());
-  EXPECT_EQ(member.b1().size(), 5u);
-  EXPECT_EQ(member.w2().size(), 5u);
 }
 
 TEST(Member, InitWeightsWithinXavierBound) {
