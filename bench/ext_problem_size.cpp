@@ -1,8 +1,8 @@
 // Extension bench: input-aware performance modeling (the paper's future
 // work, section 8). One model is trained on convolution measurements taken
-// at several image sizes, with the size as an extra network input, then
-// evaluated (a) at the sizes it saw and (b) at a held-out size it never saw
-// — against per-size specialist models given the same per-size budget.
+// at several image sizes, with the size as a problem parameter (an extra
+// network input), then evaluated (a) at the sizes it saw and (b) at
+// held-out sizes it never saw.
 
 #include <iostream>
 
@@ -10,7 +10,7 @@
 #include "benchmarks/convolution.hpp"
 #include "common/stats.hpp"
 #include "ml/metrics.hpp"
-#include "tuner/input_aware.hpp"
+#include "tuner/model.hpp"
 
 namespace {
 
@@ -34,9 +34,9 @@ SizedEvaluator make_sized(std::size_t size, const clsim::Device& device) {
   return out;
 }
 
-std::vector<tuner::InputAwareSample> sample_sized(
+std::vector<tuner::TrainingSample> sample_sized(
     SizedEvaluator& se, std::size_t n, common::Rng& rng) {
-  std::vector<tuner::InputAwareSample> samples;
+  std::vector<tuner::TrainingSample> samples;
   std::size_t attempts = 0;
   while (samples.size() < n && attempts < n * 32) {
     ++attempts;
@@ -44,12 +44,12 @@ std::vector<tuner::InputAwareSample> sample_sized(
     const auto m = se.eval->measure(config);
     if (m.valid)
       samples.push_back(
-          {config, tuner::ProblemInstance{{se.size}}, m.time_ms});
+          {config, m.time_ms, tuner::ProblemInstance{{se.size}}});
   }
   return samples;
 }
 
-double score(const tuner::InputAwarePerformanceModel& model,
+double score(const tuner::AnnPerformanceModel& model,
              SizedEvaluator& se, std::size_t n, common::Rng& rng) {
   std::vector<double> actual;
   std::vector<double> predicted;
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> holdout_sizes = {768, 1536};
 
   // Gather the multi-size training set.
-  std::vector<tuner::InputAwareSample> training;
+  std::vector<tuner::TrainingSample> training;
   std::vector<SizedEvaluator> train_evals;
   for (const auto size : train_sizes) {
     train_evals.push_back(make_sized(size, device));
@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
               << std::flush;
   }
 
-  tuner::InputAwarePerformanceModel model;
-  model.fit(train_evals.front().eval->space(), {"image_size"}, training,
-            rng);
+  tuner::AnnPerformanceModel model;
+  model.fit(train_evals.front().eval->space(), training, rng);
   std::cout << "  [input-aware model trained on " << training.size()
             << " samples across " << train_sizes.size() << " sizes]\n";
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace pt::common {
 
@@ -21,23 +22,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -48,14 +32,6 @@ double mean(std::span<const double> xs) noexcept {
   if (xs.empty()) return 0.0;
   return std::accumulate(xs.begin(), xs.end(), 0.0) /
          static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
 double geometric_mean(std::span<const double> xs) {
@@ -95,29 +71,6 @@ double trimmed_mean(std::span<const double> xs, double trim_fraction) {
   return acc / static_cast<double>(sorted.size() - 2 * cut);
 }
 
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  auto at = [&](double q) {
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  };
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = sorted.front();
-  s.p25 = at(0.25);
-  s.median = at(0.5);
-  s.p75 = at(0.75);
-  s.max = sorted.back();
-  return s;
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() != ys.size())
     throw std::invalid_argument("pearson: size mismatch");
@@ -136,32 +89,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-std::vector<double> average_ranks(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> ranks(n, 0.0);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("spearman: size mismatch");
-  const auto rx = average_ranks(xs);
-  const auto ry = average_ranks(ys);
-  return pearson(rx, ry);
 }
 
 }  // namespace pt::common

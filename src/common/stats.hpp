@@ -5,16 +5,13 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace pt::common {
 
-/// Welford online accumulator for mean/variance; numerically stable and
-/// mergeable (parallel reductions combine partial accumulators).
+/// Welford online accumulator for mean/variance; numerically stable.
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -32,23 +29,8 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Five-number-style summary of a sample.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double max = 0.0;
-};
-
 /// Arithmetic mean; 0 for an empty span.
 [[nodiscard]] double mean(std::span<const double> xs) noexcept;
-
-/// Sample standard deviation (n-1); 0 for fewer than two values.
-[[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
 /// Geometric mean; all inputs must be positive.
 [[nodiscard]] double geometric_mean(std::span<const double> xs);
@@ -67,18 +49,8 @@ struct Summary {
 [[nodiscard]] double trimmed_mean(std::span<const double> xs,
                                   double trim_fraction);
 
-/// Full summary of a sample (sorts a copy once).
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
 /// Pearson correlation coefficient; 0 if either side is constant.
 [[nodiscard]] double pearson(std::span<const double> xs,
                              std::span<const double> ys);
-
-/// Spearman rank correlation (average ranks for ties).
-[[nodiscard]] double spearman(std::span<const double> xs,
-                              std::span<const double> ys);
-
-/// Ranks with ties averaged, 1-based, as used by spearman().
-[[nodiscard]] std::vector<double> average_ranks(std::span<const double> xs);
 
 }  // namespace pt::common

@@ -186,9 +186,9 @@ class BatchedEnsemble {
   std::vector<double> node_error_;
 };
 
-/// Lazily-built, shared fp32 engine for the performance models
-/// (tuner/model.hpp, tuner/input_aware.hpp). Copying a cache resets it (the
-/// copy re-packs on first use); moving transfers the packed engine.
+/// Lazily-built, shared fp32 engine for the performance model
+/// (tuner/model.hpp). Copying a cache resets it (the copy re-packs on first
+/// use); moving transfers the packed engine.
 /// Thread-safe.
 class BatchedEnsembleCache {
  public:
@@ -204,7 +204,7 @@ class BatchedEnsembleCache {
 
   /// The fp32 engine for `ensemble` certified over `box`, building it on
   /// first call. The slot is keyed by the box: asking with a different one
-  /// (e.g. input-aware instance tails changed) repacks and replaces the
+  /// (e.g. the problem instance's tail changed) repacks and replaces the
   /// cached engine. The caller must reset() whenever the ensemble is
   /// refitted or restored.
   [[nodiscard]] std::shared_ptr<const BatchedEnsemble> get(

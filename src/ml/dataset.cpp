@@ -9,29 +9,6 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   return Dataset{x.gather_rows(indices), y.gather_rows(indices)};
 }
 
-void Dataset::append(const Dataset& other) {
-  if (size() == 0) {
-    *this = other;
-    return;
-  }
-  if (other.features() != features() || other.targets() != targets())
-    throw std::invalid_argument("Dataset::append: shape mismatch");
-  Matrix nx(size() + other.size(), features());
-  Matrix ny(size() + other.size(), targets());
-  for (std::size_t r = 0; r < size(); ++r) {
-    for (std::size_t c = 0; c < features(); ++c) nx(r, c) = x(r, c);
-    for (std::size_t c = 0; c < targets(); ++c) ny(r, c) = y(r, c);
-  }
-  for (std::size_t r = 0; r < other.size(); ++r) {
-    for (std::size_t c = 0; c < features(); ++c)
-      nx(size() + r, c) = other.x(r, c);
-    for (std::size_t c = 0; c < targets(); ++c)
-      ny(size() + r, c) = other.y(r, c);
-  }
-  x = std::move(nx);
-  y = std::move(ny);
-}
-
 void Dataset::validate() const {
   if (x.rows() != y.rows())
     throw std::invalid_argument("Dataset: x/y row count mismatch");

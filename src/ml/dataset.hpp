@@ -23,9 +23,6 @@ struct Dataset {
   /// Subset by row indices.
   [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
 
-  /// Append another dataset's rows (shapes must match).
-  void append(const Dataset& other);
-
   /// Throws std::invalid_argument if x/y row counts disagree.
   void validate() const;
 };

@@ -16,20 +16,6 @@ void RejectionCounts::note(clsim::Status status) {
   counts_.emplace_back(status, 1);
 }
 
-void RejectionCounts::merge(const RejectionCounts& other) {
-  for (const auto& [status, n] : other.counts_) {
-    bool found = false;
-    for (auto& [s, mine] : counts_) {
-      if (s == status) {
-        mine += n;
-        found = true;
-        break;
-      }
-    }
-    if (!found) counts_.emplace_back(status, n);
-  }
-}
-
 std::size_t RejectionCounts::total() const noexcept {
   std::size_t sum = 0;
   for (const auto& [status, n] : counts_) sum += n;

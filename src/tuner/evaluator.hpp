@@ -45,7 +45,6 @@ struct Measurement {
 class RejectionCounts {
  public:
   void note(clsim::Status status);
-  void merge(const RejectionCounts& other);
 
   [[nodiscard]] std::size_t total() const noexcept;
   [[nodiscard]] std::size_t count(clsim::Status status) const noexcept;

@@ -70,7 +70,7 @@ class RangeEncoder {
 
   /// Encode configurations [lo, hi) into the rows of x (reshaped in place to
   /// (hi - lo, width(tail.size()))). Every row ends with a copy of `tail`
-  /// (instance features for input-aware models; empty otherwise).
+  /// (the problem instance's features; empty for a model without them).
   void fill(std::uint64_t lo, std::uint64_t hi, ml::Matrix& x,
             std::span<const double> tail = {}) const;
 
@@ -81,7 +81,7 @@ class RangeEncoder {
 
   /// The box the fp32 scan engine is certified over: [min, max] of each
   /// dimension's encoded value table, plus a degenerate [v, v] range per
-  /// `tail` element (the fixed instance features of input-aware scans).
+  /// `tail` element (the fixed problem-instance features of a scan).
   /// Every row fill_f32 produces with the same tail lies inside it by
   /// construction.
   [[nodiscard]] ml::CertificationBox calibration(

@@ -9,14 +9,38 @@
 
 namespace pt::tuner {
 
+namespace {
+
+/// log2 of each value of `instance`, which must hold `count` values > 0.
+std::vector<double> log2_instance(const ProblemInstance& instance,
+                                  std::size_t count) {
+  if (instance.values.size() != count)
+    throw std::invalid_argument("AnnPerformanceModel: instance width mismatch");
+  std::vector<double> features;
+  features.reserve(count);
+  for (const double v : instance.values) {
+    if (!(v > 0.0))
+      throw std::invalid_argument(
+          "AnnPerformanceModel: non-positive problem parameter");
+    features.push_back(std::log2(v));
+  }
+  return features;
+}
+
+}  // namespace
+
 AnnPerformanceModel::AnnPerformanceModel(Options options)
     : options_(std::move(options)),
       ensemble_(
           std::make_shared<const ml::BaggingEnsemble>(options_.ensemble)) {}
 
 std::vector<double> AnnPerformanceModel::encode_features(
-    const Configuration& config) const {
-  return codec_.encode(config);
+    const Configuration& config, const ProblemInstance& instance) const {
+  const std::vector<double> tail =
+      log2_instance(instance, problem_parameters_);
+  std::vector<double> features = codec_.encode(config);
+  features.insert(features.end(), tail.begin(), tail.end());
+  return features;
 }
 
 void AnnPerformanceModel::fit(const ParamSpace& space,
@@ -29,14 +53,20 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
   range_encoder_ = RangeEncoder(codec_, space_);
   batched_.reset();
 
+  const std::size_t dims = space.dimension_count();
+  const std::size_t params = samples.front().instance.values.size();
   ml::Dataset data;
-  data.x = ml::Matrix(samples.size(), space.dimension_count());
+  data.x = ml::Matrix(samples.size(), dims + params);
   data.y = ml::Matrix(samples.size(), 1);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (samples[i].time_ms <= 0.0)
       throw std::invalid_argument(
           "AnnPerformanceModel::fit: non-positive time");
-    codec_.encode_into(samples[i].config, data.x.row(i));
+    const auto row = data.x.row(i);
+    codec_.encode_into(samples[i].config, row.first(dims));
+    const std::vector<double> tail =
+        log2_instance(samples[i].instance, params);
+    std::copy(tail.begin(), tail.end(), row.begin() + dims);
     data.y(i, 0) = options_.log_targets
                        ? ml::LogTargetTransform::forward(samples[i].time_ms)
                        : samples[i].time_ms;
@@ -56,6 +86,7 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
   auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
   ensemble->fit(data, rng);
   ensemble_ = std::move(ensemble);
+  problem_parameters_ = params;
 }
 
 AnnPerformanceModel AnnPerformanceModel::restore(
@@ -82,18 +113,22 @@ AnnPerformanceModel AnnPerformanceModel::restore(
   return model;
 }
 
-double AnnPerformanceModel::predict_ms(const Configuration& config) const {
+double AnnPerformanceModel::predict_ms(const Configuration& config,
+                                       const ProblemInstance& instance) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  return output_(ensemble_->predict(encode_features(config)));
+  return output_(ensemble_->predict(encode_features(config, instance)));
 }
 
-ScanEngine AnnPerformanceModel::scan_engine() const {
+ScanEngine AnnPerformanceModel::scan_engine(
+    const ProblemInstance& instance) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
-  return ScanEngine(ensemble_,
-                    batched_.get(*ensemble_, range_encoder_.calibration()),
-                    range_encoder_, {}, output_, range_encoder_.radices());
+  std::vector<double> tail = log2_instance(instance, problem_parameters_);
+  const std::vector<float> tail_f(tail.begin(), tail.end());
+  return ScanEngine(
+      ensemble_, batched_.get(*ensemble_, range_encoder_.calibration(tail_f)),
+      range_encoder_, std::move(tail), output_, range_encoder_.radices());
 }
 
 std::vector<double> AnnPerformanceModel::predict_range_ms(
@@ -108,13 +143,20 @@ TopMScanResult AnnPerformanceModel::predict_scan_top_m(
 }
 
 std::vector<double> AnnPerformanceModel::predict_many_ms(
-    const std::vector<Configuration>& configs) const {
+    const std::vector<Configuration>& configs,
+    const ProblemInstance& instance) const {
   if (!fitted())
     throw std::logic_error("AnnPerformanceModel: predict before fit");
   if (configs.empty()) return {};
-  ml::Matrix x(configs.size(), space_.dimension_count());
-  for (std::size_t i = 0; i < configs.size(); ++i)
-    codec_.encode_into(configs[i], x.row(i));
+  const std::size_t dims = space_.dimension_count();
+  const std::vector<double> tail =
+      log2_instance(instance, problem_parameters_);
+  ml::Matrix x(configs.size(), dims + tail.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto row = x.row(i);
+    codec_.encode_into(configs[i], row.first(dims));
+    std::copy(tail.begin(), tail.end(), row.begin() + dims);
+  }
   auto preds = ensemble_->predict_batch(x);
   for (auto& p : preds) p = output_(p);
   return preds;

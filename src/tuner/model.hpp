@@ -10,6 +10,14 @@
 // information-preserving reparameterization (the exponent *is* the natural
 // coordinate of those knobs). kRaw reproduces the paper's literal encoding;
 // the ablation bench compares both.
+//
+// Problem parameters (the paper's section 8 future work, "integrating
+// problem parameters into the performance model"; cf. Liu et al.'s
+// cross-input framework in its related work): a sample may carry the
+// instance it was measured on (e.g. the convolution's image size). Its
+// values are fed as log2(value) after the configuration's features, so one
+// model serves a family of instances and can interpolate to sizes never
+// measured. A model fitted without them predicts one fixed instance.
 
 #include <cstdint>
 #include <memory>
@@ -24,10 +32,19 @@
 
 namespace pt::tuner {
 
-/// One labelled observation for model fitting.
+/// A problem instance: the values of the problem parameters (sizes,
+/// depths, ...), in the order the model was fitted with. Empty for a model
+/// of one fixed instance.
+struct ProblemInstance {
+  std::vector<double> values;
+};
+
+/// One labelled observation for model fitting: configuration (and problem
+/// instance) -> time.
 struct TrainingSample {
   Configuration config;
   double time_ms = 0.0;
+  ProblemInstance instance{};
 };
 
 class AnnPerformanceModel {
@@ -44,7 +61,10 @@ class AnnPerformanceModel {
 
   /// Fit on (configuration, time) pairs from the given space. All samples
   /// must be valid (invalid configurations are ignored upstream, as in the
-  /// paper). Throws std::invalid_argument on an empty sample set.
+  /// paper). The first sample's instance fixes the number of problem
+  /// parameters; every sample must have that many, each > 0. Throws
+  /// std::invalid_argument on an empty sample set, a non-positive time or a
+  /// bad instance.
   void fit(const ParamSpace& space, const std::vector<TrainingSample>& samples,
            common::Rng& rng);
 
@@ -53,42 +73,58 @@ class AnnPerformanceModel {
   [[nodiscard]] const ml::BaggingEnsemble& ensemble() const noexcept {
     return *ensemble_;
   }
+  /// Problem parameters per instance (0 for a model of one instance).
+  [[nodiscard]] std::size_t problem_parameters() const noexcept {
+    return problem_parameters_;
+  }
 
-  /// Predicted execution time (ms) for one configuration.
-  [[nodiscard]] double predict_ms(const Configuration& config) const;
+  /// Predicted execution time (ms) for one configuration on one instance.
+  /// The instance arguments of this and the functions below throw
+  /// std::invalid_argument unless they hold problem_parameters() values,
+  /// each > 0.
+  [[nodiscard]] double predict_ms(const Configuration& config,
+                                  const ProblemInstance& instance = {}) const;
 
   /// Predicted times for a contiguous flat-index range [begin, end) of the
-  /// space — the dense bulk path, through the fp64 reference
-  /// (ScanEngine::reference_range). Chunks of scan_chunk_rows(end - begin)
-  /// rows are dispatched on the global thread pool; results are
-  /// bit-identical for every pool size.
+  /// space on the empty instance — the dense bulk path, through the fp64
+  /// reference (ScanEngine::reference_range). Chunks of
+  /// scan_chunk_rows(end - begin) rows are dispatched on the global thread
+  /// pool; results are bit-identical for every pool size.
   [[nodiscard]] std::vector<double> predict_range_ms(std::uint64_t begin,
                                                      std::uint64_t end) const;
 
-  /// Streaming top-m selection over [begin, end): the m configurations with
-  /// the lowest predicted time (ascending), found in O(n log m) time and
-  /// O(chunks * m) memory — no full prediction vector — by the certified
-  /// fp32 scan (ScanEngine::top_m), whose selection is the fp64
-  /// reference's. The optional filter (e.g. the clstat pre-filter; must be
-  /// thread-safe) is applied during the scan, lazily, and the selection
-  /// holds only configurations it passes; a caller that also wants the
-  /// unfiltered ranking scans again without it.
+  /// Streaming top-m selection over [begin, end) on the empty instance: the
+  /// m configurations with the lowest predicted time (ascending), found in
+  /// O(n log m) time and O(chunks * m) memory — no full prediction vector —
+  /// by the certified fp32 scan (ScanEngine::top_m), whose selection is the
+  /// fp64 reference's. The optional filter (e.g. the clstat pre-filter;
+  /// must be thread-safe) is applied during the scan, lazily, and the
+  /// selection holds only configurations it passes; a caller that also
+  /// wants the unfiltered ranking scans again without it.
   [[nodiscard]] TopMScanResult predict_scan_top_m(
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;
 
-  /// The scan engine behind predict_range_ms and predict_scan_top_m. The
-  /// first call after fit/restore packs the fp32 engine; later calls share
-  /// it. Throws std::logic_error before fit.
-  [[nodiscard]] ScanEngine scan_engine() const;
+  /// The scan engine of one instance, behind predict_range_ms and
+  /// predict_scan_top_m. The first call after fit/restore packs the fp32
+  /// engine; later calls for the same instance share it. The instance's
+  /// features enter the certification box as degenerate [v, v] tail
+  /// ranges, so an engine for another instance repacks. Throws
+  /// std::logic_error before fit.
+  [[nodiscard]] ScanEngine scan_engine(
+      const ProblemInstance& instance = {}) const;
 
-  /// Predicted times for an explicit list of configurations.
+  /// Predicted times for an explicit list of configurations on one
+  /// instance.
   [[nodiscard]] std::vector<double> predict_many_ms(
-      const std::vector<Configuration>& configs) const;
+      const std::vector<Configuration>& configs,
+      const ProblemInstance& instance = {}) const;
 
-  /// The feature vector used for a configuration (exposed for tests).
+  /// The feature vector used for a configuration on an instance: the
+  /// configuration's features, then log2 of each problem parameter
+  /// (exposed for tests).
   [[nodiscard]] std::vector<double> encode_features(
-      const Configuration& config) const;
+      const Configuration& config, const ProblemInstance& instance = {}) const;
 
   /// The space the model was fitted on (empty before fit).
   [[nodiscard]] const ParamSpace& space() const noexcept { return space_; }
@@ -96,11 +132,11 @@ class AnnPerformanceModel {
   [[nodiscard]] double target_mean() const noexcept { return output_.mean; }
   [[nodiscard]] double target_scale() const noexcept { return output_.scale; }
 
-  /// Rebuild a fitted model from persisted state (see tuner/persist.hpp).
-  /// Throws std::invalid_argument on an unfitted ensemble, a width that
-  /// does not match the space, a non-finite target mean, or a target scale
-  /// that is not finite and > 0 (fit never produces one, and the scans
-  /// need scale > 0).
+  /// Rebuild a fitted model without problem parameters from persisted
+  /// state (see tuner/persist.hpp). Throws std::invalid_argument on an
+  /// unfitted ensemble, a width that does not match the space, a non-finite
+  /// target mean, or a target scale that is not finite and > 0 (fit never
+  /// produces one, and the scans need scale > 0).
   [[nodiscard]] static AnnPerformanceModel restore(Options options,
                                                    ParamSpace space,
                                                    double target_mean,
@@ -112,6 +148,7 @@ class AnnPerformanceModel {
   ParamSpace space_;
   FeatureCodec codec_;
   RangeEncoder range_encoder_;
+  std::size_t problem_parameters_ = 0;
   // Targets are standardized (zero mean, unit variance, after the optional
   // log transform) before training: the network then starts near the right
   // output scale and Rprop converges in far fewer epochs. This maps a

@@ -52,6 +52,9 @@ std::string read_word(std::istream& is) {
 
 void save_model(const AnnPerformanceModel& model, std::ostream& os) {
   if (!model.fitted()) throw std::logic_error("save_model: unfitted model");
+  if (model.problem_parameters() != 0)
+    throw std::logic_error(
+        "save_model: the format has no place for problem parameters");
   const auto old_precision = os.precision();
   os.precision(std::numeric_limits<double>::max_digits10);
 

@@ -106,14 +106,15 @@ inline constexpr std::uint64_t kScanLeafRows = 8;
 /// Maps a raw network output to a predicted time: y * scale + mean, then
 /// exp when `exponentiate` (matches the model's target standardization and
 /// optional log-target transform bit for bit). Strictly increasing as long
-/// as scale > 0, which the top-M scans require.
+/// as scale > 0, which the top-M scans require. The multiply-add is a
+/// written fma, so a backend without FMA hardware rounds it once too.
 struct OutputTransform {
   double scale = 1.0;
   double mean = 0.0;
   bool exponentiate = false;
 
   [[nodiscard]] double operator()(double y) const noexcept {
-    const double raw = y * scale + mean;
+    const double raw = std::fma(y, scale, mean);
     return exponentiate ? common::math::exp(raw) : raw;
   }
 };
@@ -151,13 +152,14 @@ struct TopMScanResult {
 /// threads; must be thread-safe (read-only captures are fine).
 using ScanFilter = std::function<bool(std::uint64_t)>;
 
-/// The prediction-scan engine of one fitted ensemble over one space (and,
-/// for input-aware models, one instance): the shared packed fp32 engine,
-/// the fp64 ensemble it was packed from, the encoder that writes each
-/// feature row followed by the fixed instance tail, the output transform
-/// and the space's radices. It shares ownership of both ensembles and
-/// copies the rest, so it stays valid whatever happens to the model that
-/// built it. Every entry point is const and safe to call concurrently.
+/// The prediction-scan engine of one fitted ensemble over one space and one
+/// problem instance: the shared packed fp32 engine, the fp64 ensemble it
+/// was packed from, the encoder that writes each feature row followed by
+/// the fixed instance tail (empty for a model without problem parameters),
+/// the output transform and the space's radices. It shares ownership of
+/// both ensembles and copies the rest, so it stays valid whatever happens
+/// to the model that built it. Every entry point is const and safe to call
+/// concurrently.
 class ScanEngine {
  public:
   /// `batched` must be packed from `ensemble` and certified over

@@ -44,30 +44,6 @@ TEST(Dataset, SubsetKeepsAlignment) {
   }
 }
 
-TEST(Dataset, AppendGrows) {
-  Dataset a = make_dataset(3);
-  const Dataset b = make_dataset(2);
-  a.append(b);
-  EXPECT_EQ(a.size(), 5u);
-  EXPECT_DOUBLE_EQ(a.x(3, 0), 0.0);
-  EXPECT_DOUBLE_EQ(a.y(4, 0), 10.0);
-}
-
-TEST(Dataset, AppendToEmptyCopies) {
-  Dataset empty;
-  const Dataset b = make_dataset(2);
-  empty.append(b);
-  EXPECT_EQ(empty.size(), 2u);
-}
-
-TEST(Dataset, AppendShapeMismatchThrows) {
-  Dataset a = make_dataset(2);
-  Dataset b;
-  b.x = Matrix(1, 3);
-  b.y = Matrix(1, 1);
-  EXPECT_THROW(a.append(b), std::invalid_argument);
-}
-
 TEST(Split, FractionRespected) {
   common::Rng rng(1);
   const Dataset d = make_dataset(100);

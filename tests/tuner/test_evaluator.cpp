@@ -103,19 +103,6 @@ TEST(RejectionCounts, SortsByCountDescending) {
   EXPECT_EQ(sorted[0].second, 3u);
 }
 
-TEST(RejectionCounts, MergeAddsPerStatus) {
-  RejectionCounts a;
-  a.note(clsim::Status::kOutOfResources);
-  RejectionCounts b;
-  b.note(clsim::Status::kOutOfResources);
-  b.note(clsim::Status::kInvalidWorkGroupSize);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count(clsim::Status::kOutOfResources), 2u);
-  EXPECT_EQ(a.count(clsim::Status::kInvalidWorkGroupSize), 1u);
-  EXPECT_EQ(a.count(clsim::Status::kOutOfLocalMemory), 0u);
-}
-
 TEST(Evaluator, DecoratorsCompose) {
   BowlEvaluator inner;
   CachingEvaluator cache(inner);

@@ -340,5 +340,93 @@ TEST(ModelScan, TopMEdgeCases) {
                std::invalid_argument);
 }
 
+std::vector<std::uint64_t> top_indices(const TopMScanResult& scan) {
+  std::vector<std::uint64_t> out;
+  for (const ScanCandidate& c : scan.top) out.push_back(c.index);
+  return out;
+}
+
+std::vector<double> top_times(const TopMScanResult& scan) {
+  std::vector<double> out;
+  for (const ScanCandidate& c : scan.top) out.push_back(c.predicted_ms);
+  return out;
+}
+
+// A fitted model without and with a problem parameter, pinned as hex floats
+// recorded from the AVX-512 build. Every training time is single operations
+// or written fmas, so no build can contract it; every SIMD backend must give
+// these bits.
+TEST(Model, FittedModelKeepsItsBits) {
+  const ParamSpace space = small_space();
+  common::Rng rng(2025);
+  const std::vector<double> sizes = {128.0, 256.0, 512.0, 1024.0};
+  std::vector<TrainingSample> plain;
+  std::vector<TrainingSample> sized;
+  for (int i = 0; i < 120; ++i) {
+    const Configuration c = space.random(rng);
+    const double da = std::log2(static_cast<double>(c.values[0])) - 3.0;
+    const double db = std::log2(static_cast<double>(c.values[1])) - 4.0;
+    const double dc = static_cast<double>(c.values[2]) - 2.0;
+    const double t = std::fma(
+        da, da,
+        std::fma(db, db,
+                 std::fma(0.5 * dc, dc, std::fma(0.25, rng.uniform(), 1.0))));
+    const double size = sizes[rng.below(sizes.size())];
+    plain.push_back({c, t});
+    sized.push_back({c, t * size / 256.0, ProblemInstance{{size}}});
+  }
+  AnnPerformanceModel model(fast_options());
+  model.fit(space, plain, rng);
+  AnnPerformanceModel aware(fast_options());
+  aware.fit(space, sized, rng);
+
+  const Configuration c0 = space.decode(0);
+  const Configuration c77 = space.decode(77);
+  const Configuration c200 = space.decode(200);
+  const std::vector<Configuration> many = {space.decode(5), space.decode(130),
+                                           space.decode(255)};
+
+  EXPECT_EQ(model.predict_ms(c0), 0x1.e1d4a3632224fp+4);
+  EXPECT_EQ(model.predict_ms(c77), 0x1.ca09d05a3c6c7p+3);
+  EXPECT_EQ(model.predict_ms(c200), 0x1.4e1cab6c18bfdp+4);
+  EXPECT_EQ(model.predict_many_ms(many),
+            (std::vector<double>{0x1.292f6346696b6p+4, 0x1.0ed25bdd7da83p+4,
+                                 0x1.59ced2f6e4b29p+4}));
+  const TopMScanResult top = model.scan_engine().top_m(0, space.size(), 4);
+  EXPECT_EQ(top_indices(top), (std::vector<std::uint64_t>{163, 155, 164, 162}));
+  EXPECT_EQ(top_times(top),
+            (std::vector<double>{0x1.8ea7adfcb8d9fp+0, 0x1.ff27261f9bb31p+0,
+                                 0x1.10fae08b17dedp+1, 0x1.1a7ebdef7fd89p+1}));
+
+  const ProblemInstance seen{{256.0}};
+  const ProblemInstance unseen{{768.0}};
+  EXPECT_EQ(aware.predict_ms(c0, seen), 0x1.a4788e37710fp+4);
+  EXPECT_EQ(aware.predict_ms(c77, seen), 0x1.8df18e83c1277p+3);
+  EXPECT_EQ(aware.predict_ms(c200, seen), 0x1.1ad987988356bp+4);
+  EXPECT_EQ(aware.predict_ms(c0, unseen), 0x1.c03cd4891cde4p+5);
+  EXPECT_EQ(aware.predict_ms(c77, unseen), 0x1.b97dfd3a5be95p+5);
+  EXPECT_EQ(aware.predict_ms(c200, unseen), 0x1.c361ea2894939p+5);
+  EXPECT_EQ(aware.predict_many_ms(many, unseen),
+            (std::vector<double>{0x1.4fc7738ce8f0dp+6, 0x1.b82cceeff21afp+5,
+                                 0x1.aed8aeef55b99p+5}));
+  const TopMScanResult aware_top =
+      aware.scan_engine(unseen).top_m(0, space.size(), 4);
+  EXPECT_EQ(top_indices(aware_top),
+            (std::vector<std::uint64_t>{227, 228, 163, 164}));
+  EXPECT_EQ(top_times(aware_top),
+            (std::vector<double>{0x1.1dea2be1115e3p+3, 0x1.1fc7e180f4bc5p+3,
+                                 0x1.20a92480fd181p+3, 0x1.238d2483b6491p+3}));
+}
+
+// y * scale + mean is rounded once: for these inputs rounding the product
+// first gives another value (…dc8p+1 and …eaap+7 below), which a backend
+// without FMA hardware would print.
+TEST(OutputTransform, KeepsItsBitsOnEveryBackend) {
+  const OutputTransform linear{0x1.34f702p+0, 0x1.fb1f24p+0, false};
+  EXPECT_EQ(linear(0x1.be4555eap-1), 0x1.843612effddc7p+1);
+  const OutputTransform logs{0x1.2b36588p+0, 0x1.e469dbp+1, true};
+  EXPECT_EQ(logs(0x1.663b465dp+0), 0x1.c3c5694c62eaap+7);
+}
+
 }  // namespace
 }  // namespace pt::tuner

@@ -131,6 +131,24 @@ TEST(Persist, UnfittedModelRefusesToSave) {
   EXPECT_THROW(save_model(model, ss), std::logic_error);
 }
 
+TEST(Persist, ModelWithProblemParametersRefusesToSave) {
+  AnnPerformanceModel::Options opts;
+  opts.ensemble.k = 2;
+  opts.ensemble.trainer.common.max_epochs = 20;
+  BowlEvaluator eval;
+  common::Rng rng(9);
+  std::vector<TrainingSample> samples;
+  for (int i = 0; i < 40; ++i) {
+    const Configuration c = eval.space().random(rng);
+    samples.push_back({c, eval.measure(c).time_ms, ProblemInstance{{64.0}}});
+  }
+  AnnPerformanceModel model(opts);
+  model.fit(eval.space(), samples, rng);
+  std::stringstream ss;
+  EXPECT_THROW(save_model(model, ss), std::logic_error);
+  EXPECT_TRUE(ss.str().empty());
+}
+
 TEST(Persist, RejectsBadMagic) {
   std::stringstream ss("wrong-header 1 2 3");
   EXPECT_THROW((void)load_model(ss), std::runtime_error);

@@ -4,9 +4,9 @@
 // count, with and without a validity filter, also when the re-rank band
 // holds crowds of near-ties; the measured fp32 error must stay within the
 // engine's certified bound (also for the paper's default ensemble on every
-// benchmark x device); the AutoTuner's stage-2 candidates and the
-// input-aware scans must be the fp64 reference's bit for bit; and copied
-// and moved models must scan the same.
+// benchmark x device); the AutoTuner's stage-2 candidates and the scans of
+// a model with a problem parameter must be the fp64 reference's bit for
+// bit; and copied and moved models must scan the same.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "benchmarks/registry.hpp"
 #include "common/thread_pool.hpp"
 #include "tuner/autotuner.hpp"
-#include "tuner/input_aware.hpp"
 #include "tuner/model.hpp"
 #include "tuner/scan.hpp"
 #include "test_helpers.hpp"
@@ -118,18 +117,17 @@ void expect_same_result(const TopMScanResult& a, const TopMScanResult& b) {
   EXPECT_EQ(a.pruned_rows, b.pruned_rows);
 }
 
-/// An input-aware model over testing::small_space() with one "size"
-/// problem parameter.
-InputAwarePerformanceModel trained_input_aware_model() {
+/// A model over testing::small_space() with one "size" problem parameter.
+AnnPerformanceModel trained_input_aware_model() {
   const ParamSpace space = testing::small_space();
-  InputAwarePerformanceModel::Options opts;
+  AnnPerformanceModel::Options opts;
   opts.ensemble.k = 3;
   opts.ensemble.hidden_layers = {ml::LayerSpec{16, ml::Activation::kSigmoid}};
   opts.ensemble.trainer.common.max_epochs = 200;
-  InputAwarePerformanceModel model(opts);
+  AnnPerformanceModel model(opts);
   common::Rng rng(7);
   const std::vector<double> sizes = {64.0, 256.0, 1024.0};
-  std::vector<InputAwareSample> samples;
+  std::vector<TrainingSample> samples;
   for (std::size_t i = 0; i < 400; ++i) {
     const Configuration c = space.random(rng);
     const double size =
@@ -138,9 +136,9 @@ InputAwarePerformanceModel trained_input_aware_model() {
     const double b = std::log2(static_cast<double>(c.values[1]));
     const double shape =
         1.0 + (a - 3.0) * (a - 3.0) + 0.5 * (b - 4.0) * (b - 4.0);
-    samples.push_back({c, ProblemInstance{{size}}, shape * size / 256.0});
+    samples.push_back({c, shape * size / 256.0, ProblemInstance{{size}}});
   }
-  model.fit(space, {"size"}, samples, rng);
+  model.fit(space, samples, rng);
   return model;
 }
 
@@ -412,20 +410,20 @@ TEST_F(ScanBatchedTest, CopiedAndMovedModelsScanTheSame) {
                        stored->predict_scan_top_m(0, space.size(), 25));
   }
 
-  // Input-aware: one fp32 engine per instance; copies and moves scan each
-  // instance as the original did.
-  std::optional<InputAwarePerformanceModel> aware(trained_input_aware_model());
+  // Problem parameters: one fp32 engine per instance; copies and moves scan
+  // each instance as the original did.
+  std::optional<AnnPerformanceModel> aware(trained_input_aware_model());
   const std::uint64_t n = testing::small_space().size();
   const ProblemInstance small{{64.0}};
   const ProblemInstance large{{1024.0}};
-  const TopMScanResult small_first = aware->predict_scan_top_m(0, n, 10, small);
-  const TopMScanResult large_first = aware->predict_scan_top_m(0, n, 10, large);
-  const InputAwarePerformanceModel aware_copy = *aware;
-  const InputAwarePerformanceModel aware_moved = std::move(*aware);
+  const TopMScanResult small_first = aware->scan_engine(small).top_m(0, n, 10);
+  const TopMScanResult large_first = aware->scan_engine(large).top_m(0, n, 10);
+  const AnnPerformanceModel aware_copy = *aware;
+  const AnnPerformanceModel aware_moved = std::move(*aware);
   aware.reset();
-  for (const InputAwarePerformanceModel* m : {&aware_copy, &aware_moved}) {
-    expect_same_result(small_first, m->predict_scan_top_m(0, n, 10, small));
-    expect_same_result(large_first, m->predict_scan_top_m(0, n, 10, large));
+  for (const AnnPerformanceModel* m : {&aware_copy, &aware_moved}) {
+    expect_same_result(small_first, m->scan_engine(small).top_m(0, n, 10));
+    expect_same_result(large_first, m->scan_engine(large).top_m(0, n, 10));
   }
 }
 
@@ -465,14 +463,14 @@ TEST_F(ScanBatchedTest, DefaultAutoTunerMatchesExplicitFp64) {
 TEST_F(ScanBatchedTest, DefaultInputAwareScanMatchesExplicitFp64) {
   // Instance features become degenerate certification ranges; each
   // instance gets its own certified engine.
-  const InputAwarePerformanceModel model = trained_input_aware_model();
+  const AnnPerformanceModel model = trained_input_aware_model();
   const std::uint64_t n = testing::small_space().size();
 
   for (const std::size_t threads : {1u, 4u}) {
     common::set_global_pool_threads(threads);
     for (const double size : {64.0, 1024.0}) {
       const ProblemInstance instance{{size}};
-      const auto fp32 = model.predict_scan_top_m(0, n, 10, instance);
+      const auto fp32 = model.scan_engine(instance).top_m(0, n, 10);
       const auto fp64 =
           model.scan_engine(instance).reference_top_m(0, n, 10);
       expect_same_selection(fp64, fp32);
