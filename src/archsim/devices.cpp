@@ -44,9 +44,6 @@ DeviceInfo intel_i7_3770_info() {
   // staging are an order of magnitude more expensive than plain loads.
   d.software_image_ops = 120.0;
 
-  d.transfer_bw_gbps = 12.0;  // host memcpy
-  d.transfer_latency_ms = 0.004;
-
   d.launch_overhead_ms = 0.02;
   d.base_compile_ms = 170.0;
   d.compile_ms_per_kstmt = 40.0;
@@ -88,9 +85,6 @@ DeviceInfo nvidia_k40_info() {
   d.global_cached = true;  // read-only data cache path
   d.latency_hiding_warps = 32.0;
 
-  d.transfer_bw_gbps = 6.0;  // PCIe 3.0, effective
-  d.transfer_latency_ms = 0.015;
-
   d.launch_overhead_ms = 0.008;
   d.base_compile_ms = 350.0;
   d.compile_ms_per_kstmt = 60.0;
@@ -131,9 +125,6 @@ DeviceInfo amd_hd7970_info() {
   d.l2_bytes = 768 * 1024;
   d.global_cached = true;
   d.latency_hiding_warps = 24.0;
-
-  d.transfer_bw_gbps = 5.5;
-  d.transfer_latency_ms = 0.02;
 
   d.launch_overhead_ms = 0.012;
   d.base_compile_ms = 520.0;
@@ -178,9 +169,6 @@ DeviceInfo nvidia_c2070_info() {
   d.global_cached = true;  // Fermi L1/L2 for global
   d.latency_hiding_warps = 24.0;
 
-  d.transfer_bw_gbps = 5.0;
-  d.transfer_latency_ms = 0.02;
-
   d.launch_overhead_ms = 0.01;
   d.base_compile_ms = 330.0;
   d.compile_ms_per_kstmt = 60.0;
@@ -221,9 +209,6 @@ DeviceInfo nvidia_gtx980_info() {
   d.l2_bytes = 2048 * 1024;
   d.global_cached = true;
   d.latency_hiding_warps = 28.0;
-
-  d.transfer_bw_gbps = 6.0;
-  d.transfer_latency_ms = 0.015;
 
   d.launch_overhead_ms = 0.007;
   d.base_compile_ms = 340.0;

@@ -387,14 +387,6 @@ double TimingModel::kernel_time_ms(const DeviceInfo& device,
   return t;
 }
 
-double TimingModel::transfer_time_ms(const DeviceInfo& device,
-                                     std::size_t bytes,
-                                     clsim::TransferDirection) const {
-  return std::fma(
-      static_cast<double>(bytes) / (device.transfer_bw_gbps * kGb), 1e3,
-      device.transfer_latency_ms);
-}
-
 double TimingModel::compile_time_ms(const DeviceInfo& device,
                                     const clsim::KernelProfile& profile) const {
   return device.base_compile_ms +

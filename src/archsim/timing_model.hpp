@@ -53,10 +53,6 @@ class TimingModel final : public clsim::TimingOracle {
       const clsim::DeviceInfo& device,
       const clsim::LaunchDescriptor& launch) const override;
 
-  [[nodiscard]] double transfer_time_ms(
-      const clsim::DeviceInfo& device, std::size_t bytes,
-      clsim::TransferDirection direction) const override;
-
   [[nodiscard]] double compile_time_ms(
       const clsim::DeviceInfo& device,
       const clsim::KernelProfile& profile) const override;

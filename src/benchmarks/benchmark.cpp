@@ -51,13 +51,7 @@ BenchmarkEvaluator::BenchmarkEvaluator(const TunableBenchmark& benchmark,
                                        clsim::Device device)
     : benchmark_(&benchmark),
       device_(device),
-      // Tuning sweeps enqueue one launch per evaluated configuration; a
-      // bounded event history keeps long sweeps' memory flat while the
-      // aggregate cost counters still cover every command.
-      queue_(device, clsim::CommandQueue::Options{
-                         .mode = clsim::ExecMode::kTimingOnly,
-                         .pool = nullptr,
-                         .event_retention = 256}) {}
+      queue_(device, {.mode = clsim::ExecMode::kTimingOnly}) {}
 
 std::string BenchmarkEvaluator::name() const {
   return benchmark_->name() + "@" + device_.name();
@@ -68,13 +62,12 @@ tuner::Measurement BenchmarkEvaluator::measure(
   tuner::Measurement result;
   try {
     LaunchPlan plan = benchmark_->prepare(device_, config);
-    queue_.record_build(plan.build_time_ms, benchmark_->name());
+    queue_.record_build(plan.build_time_ms);
     result.cost_ms += plan.build_time_ms;
-    const clsim::Event ev =
+    result.time_ms =
         queue_.enqueue_nd_range(plan.kernel, plan.global, plan.local);
     result.valid = true;
-    result.time_ms = ev.duration_ms();
-    result.cost_ms += ev.duration_ms();
+    result.cost_ms += result.time_ms;
     result.status = clsim::Status::kSuccess;
   } catch (const clsim::ClException& e) {
     if (!e.is_invalid_configuration()) throw;  // programming error

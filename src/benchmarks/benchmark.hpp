@@ -116,7 +116,7 @@ class BenchmarkEvaluator final : public tuner::Evaluator {
   [[nodiscard]] const clsim::Device& device() const noexcept {
     return device_;
   }
-  /// The queue accumulating the simulated data-gathering timeline.
+  /// The queue totalling the simulated data-gathering build and kernel time.
   [[nodiscard]] const clsim::CommandQueue& queue() const noexcept {
     return queue_;
   }

@@ -58,10 +58,6 @@ struct DeviceInfo {
   double group_sched_overhead_us = 0.0;  // per-work-group scheduling cost
   double software_image_ops = 0.0;       // extra ops per image access
 
-  // --- Host link ---
-  double transfer_bw_gbps = 6.0;        // PCIe (or memcpy) bandwidth
-  double transfer_latency_ms = 0.02;
-
   // --- Host/driver overheads ---
   double launch_overhead_ms = 0.01;     // per clEnqueueNDRangeKernel
   double base_compile_ms = 100.0;       // fixed program-build cost
@@ -85,7 +81,7 @@ struct LaunchDescriptor {
   std::size_t local_mem_bytes = 0;  // total per group, static + dynamic
 };
 
-/// Supplies the simulated clock: how long a launch/transfer/build takes on a
+/// Supplies the simulated clock: how long a launch or a build takes on a
 /// given device. Implemented by archsim::TimingModel; clsim only needs the
 /// interface, which keeps the runtime independent of the cost model.
 class TimingOracle {
@@ -95,11 +91,6 @@ class TimingOracle {
   /// Simulated kernel execution time in milliseconds.
   [[nodiscard]] virtual double kernel_time_ms(
       const DeviceInfo& device, const LaunchDescriptor& launch) const = 0;
-
-  /// Simulated host<->device transfer time in milliseconds.
-  [[nodiscard]] virtual double transfer_time_ms(
-      const DeviceInfo& device, std::size_t bytes,
-      TransferDirection direction) const = 0;
 
   /// Simulated program build time in milliseconds.
   [[nodiscard]] virtual double compile_time_ms(

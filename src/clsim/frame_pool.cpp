@@ -29,18 +29,13 @@ struct ThreadCache {
   FramePool::Stats stats;
   bool bypass = false;
 
-  ~ThreadCache() { release_all(); }
-
-  void release_all() noexcept {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      FreeNode* node = heads[b];
+  ~ThreadCache() {
+    for (FreeNode* node : heads) {
       while (node != nullptr) {
         FreeNode* next = node->next;
         ::operator delete(static_cast<void*>(node));
         node = next;
       }
-      heads[b] = nullptr;
-      counts[b] = 0;
     }
   }
 };
@@ -118,12 +113,8 @@ FramePool::Stats FramePool::thread_stats() noexcept { return cache().stats; }
 
 void FramePool::reset_thread_stats() noexcept { cache().stats = Stats{}; }
 
-void FramePool::trim_thread_cache() noexcept { cache().release_all(); }
-
 void FramePool::set_thread_bypass(bool bypass) noexcept {
   cache().bypass = bypass;
 }
-
-bool FramePool::thread_bypass() noexcept { return cache().bypass; }
 
 }  // namespace pt::clsim

@@ -50,10 +50,6 @@ class FramePool {
   /// bench/micro_exec can reproduce the pre-pool executor as its baseline;
   /// production code never sets it.
   static void set_thread_bypass(bool bypass) noexcept;
-  [[nodiscard]] static bool thread_bypass() noexcept;
-
-  /// Return every block cached by the calling thread to the heap.
-  static void trim_thread_cache() noexcept;
 };
 
 }  // namespace pt::clsim

@@ -1,7 +1,5 @@
 #include "clsim/kernel.hpp"
 
-#include <sstream>
-
 namespace pt::clsim {
 
 int BuildOptions::require(const std::string& name) const {
@@ -10,70 +8,6 @@ int BuildOptions::require(const std::string& name) const {
     throw ClException(Status::kBuildProgramFailure,
                       "missing required define " + name);
   return it->second;
-}
-
-int BuildOptions::get(const std::string& name, int fallback) const noexcept {
-  const auto it = defines_.find(name);
-  return it == defines_.end() ? fallback : it->second;
-}
-
-std::string BuildOptions::to_string() const {
-  std::ostringstream ss;
-  bool first = true;
-  for (const auto& [name, value] : defines_) {
-    if (!first) ss << ' ';
-    first = false;
-    ss << "-D " << name << '=' << value;
-  }
-  return ss.str();
-}
-
-void KernelArgs::set(std::size_t index, KernelArg arg) {
-  if (index >= args_.size()) args_.resize(index + 1);
-  args_[index] = std::move(arg);
-}
-
-const KernelArg& KernelArgs::at(std::size_t index) const {
-  if (index >= args_.size() ||
-      std::holds_alternative<std::monostate>(args_[index]))
-    throw ClException(Status::kInvalidKernelArgs,
-                      "kernel argument " + std::to_string(index) + " not set");
-  return args_[index];
-}
-
-Buffer KernelArgs::buffer(std::size_t index) const {
-  const auto& arg = at(index);
-  if (const auto* b = std::get_if<Buffer>(&arg)) return *b;
-  throw ClException(Status::kInvalidKernelArgs,
-                    "argument " + std::to_string(index) + " is not a buffer");
-}
-
-Image2D KernelArgs::image2d(std::size_t index) const {
-  const auto& arg = at(index);
-  if (const auto* img = std::get_if<Image2D>(&arg)) return *img;
-  throw ClException(Status::kInvalidKernelArgs,
-                    "argument " + std::to_string(index) + " is not an Image2D");
-}
-
-Image3D KernelArgs::image3d(std::size_t index) const {
-  const auto& arg = at(index);
-  if (const auto* img = std::get_if<Image3D>(&arg)) return *img;
-  throw ClException(Status::kInvalidKernelArgs,
-                    "argument " + std::to_string(index) + " is not an Image3D");
-}
-
-int KernelArgs::scalar_int(std::size_t index) const {
-  const auto& arg = at(index);
-  if (const auto* v = std::get_if<int>(&arg)) return *v;
-  throw ClException(Status::kInvalidKernelArgs,
-                    "argument " + std::to_string(index) + " is not an int");
-}
-
-float KernelArgs::scalar_float(std::size_t index) const {
-  const auto& arg = at(index);
-  if (const auto* v = std::get_if<float>(&arg)) return *v;
-  throw ClException(Status::kInvalidKernelArgs,
-                    "argument " + std::to_string(index) + " is not a float");
 }
 
 Kernel::Kernel(Device device, CompiledKernel compiled)
@@ -114,26 +48,6 @@ void Program::add_kernel(const std::string& kernel_name,
   if (!factory)
     throw ClException(Status::kInvalidValue, "null kernel factory");
   factories_[kernel_name] = std::move(factory);
-}
-
-std::vector<std::string> Program::kernel_names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) names.push_back(name);
-  return names;
-}
-
-Program::BuildResult Program::build(const Device& device,
-                                    const BuildOptions& options) const {
-  BuildResult result;
-  result.kernels.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) {
-    CompiledKernel compiled = factory(device.info(), options);
-    result.build_time_ms +=
-        device.oracle().compile_time_ms(device.info(), compiled.profile);
-    result.kernels.emplace_back(device, std::move(compiled));
-  }
-  return result;
 }
 
 std::pair<Kernel, double> Program::build_kernel(

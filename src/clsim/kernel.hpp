@@ -5,21 +5,18 @@
 // A Program holds kernel *factories*: callables that, given a device and
 // build options (the -D macro set a real driver would see), produce a
 // CompiledKernel — a functional body plus the static KernelProfile the
-// timing model consumes. Building a program performs the static validation a
+// timing model consumes. Building a kernel performs the static validation a
 // real compiler does, and charges simulated compile time.
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <variant>
-#include <vector>
+#include <utility>
 
 #include "clsim/device.hpp"
 #include "clsim/error.hpp"
 #include "clsim/kernel_profile.hpp"
-#include "clsim/memory.hpp"
 #include "clsim/work_item.hpp"
 
 namespace pt::clsim {
@@ -27,26 +24,11 @@ namespace pt::clsim {
 /// Preprocessor-macro analogue: integer -D definitions keyed by name.
 class BuildOptions {
  public:
-  BuildOptions() = default;
-  explicit BuildOptions(std::map<std::string, int> defines)
-      : defines_(std::move(defines)) {}
-
   void define(const std::string& name, int value) { defines_[name] = value; }
 
   /// Value of a define; throws kBuildProgramFailure if missing (mirrors an
   /// #error for a required macro).
   [[nodiscard]] int require(const std::string& name) const;
-
-  [[nodiscard]] int get(const std::string& name, int fallback) const noexcept;
-  [[nodiscard]] bool has(const std::string& name) const noexcept {
-    return defines_.count(name) != 0;
-  }
-  [[nodiscard]] const std::map<std::string, int>& defines() const noexcept {
-    return defines_;
-  }
-
-  /// Render as a driver-style option string ("-D A=1 -D B=2").
-  [[nodiscard]] std::string to_string() const;
 
  private:
   std::map<std::string, int> defines_;
@@ -61,33 +43,13 @@ struct CompiledKernel {
   KernelBody body;
 };
 
-/// A kernel argument (cl_mem / scalar analogue).
-using KernelArg =
-    std::variant<std::monostate, Buffer, Image2D, Image3D, int, float, double>;
-
-/// Bound argument list passed to kernel bodies via the closure environment.
-class KernelArgs {
- public:
-  void set(std::size_t index, KernelArg arg);
-  [[nodiscard]] std::size_t count() const noexcept { return args_.size(); }
-
-  [[nodiscard]] Buffer buffer(std::size_t index) const;
-  [[nodiscard]] Image2D image2d(std::size_t index) const;
-  [[nodiscard]] Image3D image3d(std::size_t index) const;
-  [[nodiscard]] int scalar_int(std::size_t index) const;
-  [[nodiscard]] float scalar_float(std::size_t index) const;
-
- private:
-  const KernelArg& at(std::size_t index) const;
-  std::vector<KernelArg> args_;
-};
-
 /// Factory: compile a kernel for (device, options) or throw ClException with
 /// kBuildProgramFailure for statically invalid configurations.
 using KernelFactory =
     std::function<CompiledKernel(const DeviceInfo&, const BuildOptions&)>;
 
-/// A built (device-specialized) kernel ready for launch.
+/// A built (device-specialized) kernel ready for launch. Its body binds its
+/// data (buffers, images, scalars) through the closure.
 class Kernel {
  public:
   Kernel(Device device, CompiledKernel compiled);
@@ -101,12 +63,6 @@ class Kernel {
   [[nodiscard]] const KernelBody& body() const noexcept {
     return compiled_->body;
   }
-  [[nodiscard]] const Device& device() const noexcept { return device_; }
-
-  void set_arg(std::size_t index, KernelArg arg) {
-    args_.set(index, std::move(arg));
-  }
-  [[nodiscard]] const KernelArgs& args() const noexcept { return args_; }
 
   /// Launch-time validation of an ND-range against the device limits.
   /// Returns the status a real clEnqueueNDRangeKernel would: kSuccess or the
@@ -117,10 +73,9 @@ class Kernel {
  private:
   Device device_;
   std::shared_ptr<const CompiledKernel> compiled_;
-  KernelArgs args_;
 };
 
-/// A program: named kernel factories, buildable per device.
+/// A program: named kernel factories, each buildable per device.
 class Program {
  public:
   explicit Program(std::string name) : name_(std::move(name)) {}
@@ -128,19 +83,10 @@ class Program {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   void add_kernel(const std::string& kernel_name, KernelFactory factory);
-  [[nodiscard]] std::vector<std::string> kernel_names() const;
 
-  /// Compile every kernel for the device. Returns the built kernels and the
-  /// simulated build time. Throws ClException(kBuildProgramFailure) if any
-  /// factory rejects the options (static invalidity).
-  struct BuildResult {
-    std::vector<Kernel> kernels;
-    double build_time_ms = 0.0;
-  };
-  [[nodiscard]] BuildResult build(const Device& device,
-                                  const BuildOptions& options) const;
-
-  /// Build and return a single kernel by name.
+  /// Build one kernel by name for the device; returns it with its simulated
+  /// build time. Throws ClException(kBuildProgramFailure) if the factory
+  /// rejects the options (static invalidity).
   [[nodiscard]] std::pair<Kernel, double> build_kernel(
       const Device& device, const std::string& kernel_name,
       const BuildOptions& options) const;

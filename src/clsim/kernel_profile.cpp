@@ -13,25 +13,9 @@ const char* to_string(AccessPattern pattern) noexcept {
   return "unknown";
 }
 
-double KernelProfile::total_global_traffic_bytes_per_item() const noexcept {
-  double bytes = 0.0;
-  for (const auto& s : streams) {
-    if (s.space == MemorySpace::kGlobal || s.space == MemorySpace::kImage) {
-      bytes += s.accesses_per_item * static_cast<double>(s.bytes_per_access);
-    }
-  }
-  return bytes;
-}
-
 bool KernelProfile::uses_space(MemorySpace space) const noexcept {
   for (const auto& s : streams)
     if (s.space == space) return true;
-  return false;
-}
-
-bool KernelProfile::any_pragma_unroll() const noexcept {
-  for (const auto& l : loops)
-    if (l.via_driver_pragma && l.unroll_factor > 1) return true;
   return false;
 }
 

@@ -85,9 +85,7 @@ struct KernelProfile {
   /// Rough source complexity in "statements" — drives compile-time modeling.
   double compile_complexity = 100.0;
 
-  [[nodiscard]] double total_global_traffic_bytes_per_item() const noexcept;
   [[nodiscard]] bool uses_space(MemorySpace space) const noexcept;
-  [[nodiscard]] bool any_pragma_unroll() const noexcept;
 };
 
 /// 64-bit FNV-1a over a byte string (used to build config fingerprints).

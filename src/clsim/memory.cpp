@@ -1,21 +1,8 @@
 #include "clsim/memory.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pt::clsim {
-
-void Buffer::write(const void* src, std::size_t bytes, std::size_t offset) const {
-  if (offset + bytes > storage_->size())
-    throw std::out_of_range("Buffer::write: range exceeds buffer");
-  std::memcpy(storage_->data() + offset, src, bytes);
-}
-
-void Buffer::read(void* dst, std::size_t bytes, std::size_t offset) const {
-  if (offset + bytes > storage_->size())
-    throw std::out_of_range("Buffer::read: range exceeds buffer");
-  std::memcpy(dst, storage_->data() + offset, bytes);
-}
 
 Image2D::Image2D(std::size_t width, std::size_t height, std::size_t channels)
     : width_(width),
@@ -31,46 +18,6 @@ float& Image2D::at(std::size_t x, std::size_t y, std::size_t c) const {
   if (x >= width_ || y >= height_ || c >= channels_)
     throw std::out_of_range("Image2D::at");
   return (*data_)[(y * width_ + x) * channels_ + c];
-}
-
-namespace {
-/// Resolve a coordinate against an extent for the given addressing mode.
-long resolve(long v, long extent, AddressMode mode) noexcept {
-  if (mode == AddressMode::kRepeat) {
-    long m = v % extent;
-    if (m < 0) m += extent;
-    return m;
-  }
-  return std::clamp<long>(v, 0, extent - 1);
-}
-}  // namespace
-
-float Image2D::sample(long x, long y, std::size_t c,
-                      AddressMode mode) const noexcept {
-  const long cx = resolve(x, static_cast<long>(width_), mode);
-  const long cy = resolve(y, static_cast<long>(height_), mode);
-  return (*data_)[(static_cast<std::size_t>(cy) * width_ +
-                   static_cast<std::size_t>(cx)) *
-                      channels_ +
-                  c];
-}
-
-float Image2D::sample_linear(float x, float y, std::size_t c,
-                             AddressMode mode) const noexcept {
-  // Half-texel convention: texel centres sit at integer + 0.5.
-  const float fx = x - 0.5f;
-  const float fy = y - 0.5f;
-  const long x0 = static_cast<long>(std::floor(fx));
-  const long y0 = static_cast<long>(std::floor(fy));
-  const float tx = fx - static_cast<float>(x0);
-  const float ty = fy - static_cast<float>(y0);
-  const float v00 = sample(x0, y0, c, mode);
-  const float v10 = sample(x0 + 1, y0, c, mode);
-  const float v01 = sample(x0, y0 + 1, c, mode);
-  const float v11 = sample(x0 + 1, y0 + 1, c, mode);
-  const float top = v00 + tx * (v10 - v00);
-  const float bottom = v01 + tx * (v11 - v01);
-  return top + ty * (bottom - top);
 }
 
 float Image2D::sample(long x, long y, std::size_t c) const noexcept {
@@ -96,27 +43,6 @@ float& Image3D::at(std::size_t x, std::size_t y, std::size_t z) const {
   if (x >= width_ || y >= height_ || z >= depth_)
     throw std::out_of_range("Image3D::at");
   return (*data_)[(z * height_ + y) * width_ + x];
-}
-
-float Image3D::sample_linear(float x, float y, float z) const noexcept {
-  const float fx = x - 0.5f;
-  const float fy = y - 0.5f;
-  const float fz = z - 0.5f;
-  const long x0 = static_cast<long>(std::floor(fx));
-  const long y0 = static_cast<long>(std::floor(fy));
-  const long z0 = static_cast<long>(std::floor(fz));
-  const float tx = fx - static_cast<float>(x0);
-  const float ty = fy - static_cast<float>(y0);
-  const float tz = fz - static_cast<float>(z0);
-  auto lerp = [](float a, float b, float t) { return a + t * (b - a); };
-  const float c00 = lerp(sample(x0, y0, z0), sample(x0 + 1, y0, z0), tx);
-  const float c10 =
-      lerp(sample(x0, y0 + 1, z0), sample(x0 + 1, y0 + 1, z0), tx);
-  const float c01 =
-      lerp(sample(x0, y0, z0 + 1), sample(x0 + 1, y0, z0 + 1), tx);
-  const float c11 =
-      lerp(sample(x0, y0 + 1, z0 + 1), sample(x0 + 1, y0 + 1, z0 + 1), tx);
-  return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz);
 }
 
 float Image3D::sample(long x, long y, long z) const noexcept {

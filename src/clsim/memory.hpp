@@ -3,20 +3,16 @@
 // Memory objects of the simulated runtime. They are functionally backed by
 // host memory (the simulator executes kernels on the host), while *timing*
 // of traffic to them is the oracle's business. Images provide the clamped
-// sampling semantics the raycasting benchmark relies on.
+// integer-coordinate sampling the benchmarks rely on.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace pt::clsim {
-
-/// Image addressing modes (CLK_ADDRESS_* analogues) for sampling.
-enum class AddressMode { kClampToEdge, kRepeat };
 
 /// Untyped linear device buffer (cl_mem analogue). Handle semantics: copies
 /// share storage, matching OpenCL's reference-counted cl_mem.
@@ -43,13 +39,6 @@ class Buffer {
           "Buffer::as: storage is under-aligned for T");
     return {reinterpret_cast<T*>(storage_->data()),
             storage_->size() / sizeof(T)};
-  }
-
-  void write(const void* src, std::size_t bytes, std::size_t offset = 0) const;
-  void read(void* dst, std::size_t bytes, std::size_t offset = 0) const;
-
-  [[nodiscard]] bool shares_storage_with(const Buffer& other) const noexcept {
-    return storage_ == other.storage_;
   }
 
   /// Storage identity (stable across handle copies) — the clcheck resource
@@ -82,16 +71,6 @@ class Image2D {
   /// Clamped integer-coordinate read (out-of-range coordinates clamp).
   [[nodiscard]] float sample(long x, long y, std::size_t c = 0) const noexcept;
 
-  /// Integer-coordinate read with an explicit addressing mode.
-  [[nodiscard]] float sample(long x, long y, std::size_t c,
-                             AddressMode mode) const noexcept;
-
-  /// Bilinear read at continuous texel coordinates (CLK_FILTER_LINEAR with
-  /// the OpenCL half-texel convention: the centre of texel i is i + 0.5).
-  [[nodiscard]] float sample_linear(
-      float x, float y, std::size_t c = 0,
-      AddressMode mode = AddressMode::kClampToEdge) const noexcept;
-
   [[nodiscard]] std::span<float> data() const noexcept { return *data_; }
 
  private:
@@ -101,8 +80,8 @@ class Image2D {
   std::shared_ptr<std::vector<float>> data_;
 };
 
-/// 3D image (volume) of single-float texels with trilinear-free nearest
-/// sampling and edge clamping, as the raycaster needs.
+/// 3D image (volume) of single-float texels with nearest sampling and edge
+/// clamping, as the raycaster needs.
 class Image3D {
  public:
   Image3D(std::size_t width, std::size_t height, std::size_t depth);
@@ -117,11 +96,8 @@ class Image3D {
   /// Voxel reference (shallow constness — handle semantics like cl_mem).
   [[nodiscard]] float& at(std::size_t x, std::size_t y, std::size_t z) const;
 
+  /// Clamped integer-coordinate read (out-of-range coordinates clamp).
   [[nodiscard]] float sample(long x, long y, long z) const noexcept;
-
-  /// Trilinear read at continuous voxel coordinates (half-texel convention,
-  /// clamp-to-edge).
-  [[nodiscard]] float sample_linear(float x, float y, float z) const noexcept;
 
   [[nodiscard]] std::span<float> data() const noexcept { return *data_; }
 

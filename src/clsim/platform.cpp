@@ -4,19 +4,6 @@
 
 namespace pt::clsim {
 
-std::vector<Device> Platform::devices_of_type(DeviceType type) const {
-  std::vector<Device> out;
-  for (const auto& d : devices_)
-    if (d.type() == type) out.push_back(d);
-  return out;
-}
-
-std::optional<Device> Platform::find_device(const std::string& needle) const {
-  for (const auto& d : devices_)
-    if (d.name().find(needle) != std::string::npos) return d;
-  return std::nullopt;
-}
-
 Device Platform::device_by_name(const std::string& name) const {
   for (const auto& d : devices_)
     if (d.name() == name) return d;

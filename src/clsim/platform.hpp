@@ -2,9 +2,8 @@
 
 // Platform: the device roster (clGetPlatformIDs/clGetDeviceIDs analogue).
 // Device construction lives in archsim (the catalog of modeled hardware);
-// this class only holds and queries a set of devices.
+// this class only holds a set of devices and looks them up by name.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,13 +20,6 @@ class Platform {
   [[nodiscard]] const std::vector<Device>& devices() const noexcept {
     return devices_;
   }
-
-  /// All devices of the given type.
-  [[nodiscard]] std::vector<Device> devices_of_type(DeviceType type) const;
-
-  /// Device whose name contains `needle` (case-sensitive), if any.
-  [[nodiscard]] std::optional<Device> find_device(
-      const std::string& needle) const;
 
   /// Device by exact name; throws ClException(kDeviceNotFound) if absent.
   [[nodiscard]] Device device_by_name(const std::string& name) const;

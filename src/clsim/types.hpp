@@ -56,7 +56,4 @@ enum class MemorySpace { kGlobal, kLocal, kConstant, kImage };
 
 [[nodiscard]] const char* to_string(MemorySpace space) noexcept;
 
-/// Direction of a host<->device transfer.
-enum class TransferDirection { kHostToDevice, kDeviceToHost };
-
 }  // namespace pt::clsim

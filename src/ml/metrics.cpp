@@ -5,39 +5,11 @@
 
 namespace pt::ml {
 
-namespace {
-void check(std::span<const double> predicted, std::span<const double> actual) {
+double mean_relative_error(std::span<const double> predicted,
+                           std::span<const double> actual) {
   if (predicted.size() != actual.size())
     throw std::invalid_argument("metric: size mismatch");
   if (predicted.empty()) throw std::invalid_argument("metric: empty input");
-}
-}  // namespace
-
-double mse(std::span<const double> predicted, std::span<const double> actual) {
-  check(predicted, actual);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const double d = predicted[i] - actual[i];
-    acc += d * d;
-  }
-  return acc / static_cast<double>(predicted.size());
-}
-
-double rmse(std::span<const double> predicted, std::span<const double> actual) {
-  return std::sqrt(mse(predicted, actual));
-}
-
-double mae(std::span<const double> predicted, std::span<const double> actual) {
-  check(predicted, actual);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    acc += std::abs(predicted[i] - actual[i]);
-  return acc / static_cast<double>(predicted.size());
-}
-
-double mean_relative_error(std::span<const double> predicted,
-                           std::span<const double> actual) {
-  check(predicted, actual);
   double acc = 0.0;
   for (std::size_t i = 0; i < predicted.size(); ++i) {
     if (actual[i] == 0.0)
@@ -45,24 +17,6 @@ double mean_relative_error(std::span<const double> predicted,
     acc += std::abs(predicted[i] - actual[i]) / std::abs(actual[i]);
   }
   return acc / static_cast<double>(predicted.size());
-}
-
-double r_squared(std::span<const double> predicted,
-                 std::span<const double> actual) {
-  check(predicted, actual);
-  double mean_actual = 0.0;
-  for (double a : actual) mean_actual += a;
-  mean_actual /= static_cast<double>(actual.size());
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double r = actual[i] - predicted[i];
-    const double t = actual[i] - mean_actual;
-    ss_res += r * r;
-    ss_tot += t * t;
-  }
-  if (ss_tot == 0.0) return 0.0;
-  return 1.0 - ss_res / ss_tot;
 }
 
 }  // namespace pt::ml

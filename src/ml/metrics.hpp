@@ -7,25 +7,8 @@
 
 namespace pt::ml {
 
-/// Mean squared error.
-[[nodiscard]] double mse(std::span<const double> predicted,
-                         std::span<const double> actual);
-
-/// Root mean squared error.
-[[nodiscard]] double rmse(std::span<const double> predicted,
-                          std::span<const double> actual);
-
-/// Mean absolute error.
-[[nodiscard]] double mae(std::span<const double> predicted,
-                         std::span<const double> actual);
-
 /// Mean of |pred - actual| / actual. Actual values must be non-zero.
 [[nodiscard]] double mean_relative_error(std::span<const double> predicted,
                                          std::span<const double> actual);
-
-/// Coefficient of determination R^2 (1 - SS_res / SS_tot); returns 0 when
-/// the actual values are constant.
-[[nodiscard]] double r_squared(std::span<const double> predicted,
-                               std::span<const double> actual);
 
 }  // namespace pt::ml

@@ -40,12 +40,15 @@ class OwningBenchmarkEvaluator final : public tuner::Evaluator {
 };
 
 /// The archsim TimingModel keys its measurement noise off a mutable call
-/// counter, so a device whose oracle is shared across evaluators would give
-/// each tune a different noise stream — breaking the serve determinism
-/// contract (served result == direct AutoTuner run at the same seed). Give
-/// each evaluator its own oracle, rebuilt from the same options, so every
-/// tune replays from call zero. Custom (non-archsim) oracles are shared
-/// as-is; their replay semantics are the caller's business.
+/// counter, and archsim::default_platform gives all five of its devices one
+/// model, so every launch on any of them advances it: timing-only and
+/// functional launches alike, from this tune or any other evaluator on the
+/// platform. A shared oracle would therefore give each tune a different
+/// noise stream, breaking the serve determinism contract (served result ==
+/// direct AutoTuner run at the same seed). Give each evaluator its own
+/// oracle, rebuilt from the same options, so every tune replays from call
+/// zero. Custom (non-archsim) oracles are shared as-is; their replay
+/// semantics are the caller's business.
 clsim::Device replay_device(const clsim::Device& device) {
   const auto* model =
       dynamic_cast<const archsim::TimingModel*>(&device.oracle());
@@ -77,8 +80,11 @@ std::unique_ptr<tuner::Evaluator> BenchmarkCatalog::make_evaluator(
   const auto names = benchkit::benchmark_names();
   if (std::find(names.begin(), names.end(), key.kernel) == names.end())
     return nullptr;
-  const auto device = platform_.find_device(key.device);
-  if (!device || device->info().name != key.device) return nullptr;
+  const auto& devices = platform_.devices();
+  const auto device = std::find_if(
+      devices.begin(), devices.end(),
+      [&](const clsim::Device& d) { return d.name() == key.device; });
+  if (device == devices.end()) return nullptr;
   std::unique_ptr<benchkit::TunableBenchmark> benchmark;
   if (key.input == "paper")
     benchmark = benchkit::make_benchmark(key.kernel);

@@ -48,10 +48,10 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
                               common::Rng& rng) {
   if (samples.empty())
     throw std::invalid_argument("AnnPerformanceModel::fit: no samples");
-  space_ = space;
-  codec_ = FeatureCodec::build(space, options_.encoding);
-  range_encoder_ = RangeEncoder(codec_, space_);
-  batched_.reset();
+  // Everything is built in locals and committed only once the new ensemble
+  // has fitted, so a fit that throws leaves the previous model whole.
+  FeatureCodec codec = FeatureCodec::build(space, options_.encoding);
+  RangeEncoder range_encoder(codec, space);
 
   const std::size_t dims = space.dimension_count();
   const std::size_t params = samples.front().instance.values.size();
@@ -63,7 +63,7 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
       throw std::invalid_argument(
           "AnnPerformanceModel::fit: non-positive time");
     const auto row = data.x.row(i);
-    codec_.encode_into(samples[i].config, row.first(dims));
+    codec.encode_into(samples[i].config, row.first(dims));
     const std::vector<double> tail =
         log2_instance(samples[i].instance, params);
     std::copy(tail.begin(), tail.end(), row.begin() + dims);
@@ -74,19 +74,23 @@ void AnnPerformanceModel::fit(const ParamSpace& space,
 
   // Standardize the (transformed) targets so the network trains at unit
   // scale; predictions are mapped back through output_.
-  {
-    common::RunningStats stats;
-    for (std::size_t i = 0; i < samples.size(); ++i) stats.add(data.y(i, 0));
-    output_ = OutputTransform{stats.stddev() > 1e-9 ? stats.stddev() : 1.0,
-                              stats.mean(), options_.log_targets};
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      data.y(i, 0) = (data.y(i, 0) - output_.mean) / output_.scale;
-  }
+  common::RunningStats stats;
+  for (std::size_t i = 0; i < samples.size(); ++i) stats.add(data.y(i, 0));
+  const OutputTransform output{stats.stddev() > 1e-9 ? stats.stddev() : 1.0,
+                               stats.mean(), options_.log_targets};
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    data.y(i, 0) = (data.y(i, 0) - output.mean) / output.scale;
 
   auto ensemble = std::make_shared<ml::BaggingEnsemble>(options_.ensemble);
   ensemble->fit(data, rng);
-  ensemble_ = std::move(ensemble);
+
+  space_ = space;
+  codec_ = std::move(codec);
+  range_encoder_ = std::move(range_encoder);
   problem_parameters_ = params;
+  output_ = output;
+  ensemble_ = std::move(ensemble);
+  batched_.reset();
 }
 
 AnnPerformanceModel AnnPerformanceModel::restore(
@@ -129,11 +133,6 @@ ScanEngine AnnPerformanceModel::scan_engine(
   return ScanEngine(
       ensemble_, batched_.get(*ensemble_, range_encoder_.calibration(tail_f)),
       range_encoder_, std::move(tail), output_, range_encoder_.radices());
-}
-
-std::vector<double> AnnPerformanceModel::predict_range_ms(
-    std::uint64_t begin, std::uint64_t end) const {
-  return scan_engine().reference_range(begin, end);
 }
 
 TopMScanResult AnnPerformanceModel::predict_scan_top_m(

@@ -64,7 +64,7 @@ class AnnPerformanceModel {
   /// paper). The first sample's instance fixes the number of problem
   /// parameters; every sample must have that many, each > 0. Throws
   /// std::invalid_argument on an empty sample set, a non-positive time or a
-  /// bad instance.
+  /// bad instance; a fit that throws leaves the model as it was.
   void fit(const ParamSpace& space, const std::vector<TrainingSample>& samples,
            common::Rng& rng);
 
@@ -85,14 +85,6 @@ class AnnPerformanceModel {
   [[nodiscard]] double predict_ms(const Configuration& config,
                                   const ProblemInstance& instance = {}) const;
 
-  /// Predicted times for a contiguous flat-index range [begin, end) of the
-  /// space on the empty instance — the dense bulk path, through the fp64
-  /// reference (ScanEngine::reference_range). Chunks of
-  /// scan_chunk_rows(end - begin) rows are dispatched on the global thread
-  /// pool; results are bit-identical for every pool size.
-  [[nodiscard]] std::vector<double> predict_range_ms(std::uint64_t begin,
-                                                     std::uint64_t end) const;
-
   /// Streaming top-m selection over [begin, end) on the empty instance: the
   /// m configurations with the lowest predicted time (ascending), found in
   /// O(n log m) time and O(chunks * m) memory — no full prediction vector —
@@ -105,12 +97,12 @@ class AnnPerformanceModel {
       std::uint64_t begin, std::uint64_t end, std::size_t m,
       const ScanFilter& filter = {}) const;
 
-  /// The scan engine of one instance, behind predict_range_ms and
-  /// predict_scan_top_m. The first call after fit/restore packs the fp32
-  /// engine; later calls for the same instance share it. The instance's
-  /// features enter the certification box as degenerate [v, v] tail
-  /// ranges, so an engine for another instance repacks. Throws
-  /// std::logic_error before fit.
+  /// The scan engine of one instance, behind predict_scan_top_m; its
+  /// reference_range is the dense fp64 bulk path. The first call after
+  /// fit/restore packs the fp32 engine; later calls for the same instance
+  /// share it. The instance's features enter the certification box as
+  /// degenerate [v, v] tail ranges, so an engine for another instance
+  /// repacks. Throws std::logic_error before fit.
   [[nodiscard]] ScanEngine scan_engine(
       const ProblemInstance& instance = {}) const;
 

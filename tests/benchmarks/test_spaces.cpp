@@ -70,8 +70,8 @@ TEST(Registry, BuildOptionsCoverEveryDimension) {
     const auto options = b->build_options(config);
     for (std::size_t d = 0; d < b->space().dimension_count(); ++d) {
       const auto& param = b->space().parameter(d);
-      EXPECT_TRUE(options.has(param.name)) << name << "/" << param.name;
-      EXPECT_EQ(options.require(param.name), config.values[d]);
+      EXPECT_EQ(options.require(param.name), config.values[d])
+          << name << "/" << param.name;
     }
   }
 }

@@ -10,19 +10,12 @@ namespace pt::clsim::testing {
 /// depend on the archsim cost model.
 class StubOracle final : public TimingOracle {
  public:
-  explicit StubOracle(double kernel_ms = 1.0, double transfer_ms = 0.25,
-                      double compile_ms = 10.0)
-      : kernel_ms_(kernel_ms),
-        transfer_ms_(transfer_ms),
-        compile_ms_(compile_ms) {}
+  explicit StubOracle(double kernel_ms = 1.0, double compile_ms = 10.0)
+      : kernel_ms_(kernel_ms), compile_ms_(compile_ms) {}
 
   double kernel_time_ms(const DeviceInfo&,
                         const LaunchDescriptor&) const override {
     return kernel_ms_;
-  }
-  double transfer_time_ms(const DeviceInfo&, std::size_t,
-                          TransferDirection) const override {
-    return transfer_ms_;
   }
   double compile_time_ms(const DeviceInfo&,
                          const KernelProfile&) const override {
@@ -31,7 +24,6 @@ class StubOracle final : public TimingOracle {
 
  private:
   double kernel_ms_;
-  double transfer_ms_;
   double compile_ms_;
 };
 

@@ -28,21 +28,6 @@ TEST(Platform, ListsDevices) {
   EXPECT_EQ(p.devices().size(), 3u);
 }
 
-TEST(Platform, FilterByType) {
-  const Platform p = make_platform();
-  EXPECT_EQ(p.devices_of_type(DeviceType::kGpu).size(), 2u);
-  EXPECT_EQ(p.devices_of_type(DeviceType::kCpu).size(), 1u);
-  EXPECT_TRUE(p.devices_of_type(DeviceType::kAccelerator).empty());
-}
-
-TEST(Platform, FindBySubstring) {
-  const Platform p = make_platform();
-  const auto found = p.find_device("Beta");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->name(), "Test GPU Beta");
-  EXPECT_FALSE(p.find_device("Gamma").has_value());
-}
-
 TEST(Platform, DeviceByExactName) {
   const Platform p = make_platform();
   EXPECT_EQ(p.device_by_name("Test CPU").type(), DeviceType::kCpu);

@@ -5,24 +5,6 @@
 namespace pt::clsim {
 namespace {
 
-TEST(Profile, GlobalTrafficSumsGlobalAndImage) {
-  KernelProfile p;
-  MemoryStream g;
-  g.space = MemorySpace::kGlobal;
-  g.accesses_per_item = 10.0;
-  g.bytes_per_access = 4;
-  MemoryStream img;
-  img.space = MemorySpace::kImage;
-  img.accesses_per_item = 5.0;
-  img.bytes_per_access = 8;
-  MemoryStream loc;
-  loc.space = MemorySpace::kLocal;
-  loc.accesses_per_item = 100.0;
-  loc.bytes_per_access = 4;
-  p.streams = {g, img, loc};
-  EXPECT_DOUBLE_EQ(p.total_global_traffic_bytes_per_item(), 40.0 + 40.0);
-}
-
 TEST(Profile, UsesSpace) {
   KernelProfile p;
   MemoryStream s;
@@ -30,25 +12,6 @@ TEST(Profile, UsesSpace) {
   p.streams.push_back(s);
   EXPECT_TRUE(p.uses_space(MemorySpace::kConstant));
   EXPECT_FALSE(p.uses_space(MemorySpace::kLocal));
-}
-
-TEST(Profile, AnyPragmaUnrollRequiresFactorAbove1) {
-  KernelProfile p;
-  LoopInfo manual;
-  manual.unroll_factor = 8;
-  manual.via_driver_pragma = false;
-  p.loops.push_back(manual);
-  EXPECT_FALSE(p.any_pragma_unroll());
-  LoopInfo pragma_noop;
-  pragma_noop.unroll_factor = 1;
-  pragma_noop.via_driver_pragma = true;
-  p.loops.push_back(pragma_noop);
-  EXPECT_FALSE(p.any_pragma_unroll());
-  LoopInfo pragma_active;
-  pragma_active.unroll_factor = 4;
-  pragma_active.via_driver_pragma = true;
-  p.loops.push_back(pragma_active);
-  EXPECT_TRUE(p.any_pragma_unroll());
 }
 
 TEST(Fnv1a, KnownVectorAndSensitivity) {

@@ -12,7 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "archsim/devices.hpp"
 #include "common/telemetry/telemetry.hpp"
+#include "serve/catalog.hpp"
 #include "serve/protocol.hpp"
 #include "tuner/autotuner.hpp"
 #include "tuner/options.hpp"
@@ -576,6 +578,27 @@ TEST(TuneService, ConcurrentMixedStormIsDeterministic) {
   EXPECT_EQ(stats.completed, kClients * kRequestsPerClient);
   EXPECT_GE(stats.cache_hits + stats.coalesced,
             stats.completed - stats.predicts - 2);
+}
+
+// ---------------------------------------------------------------------------
+// The catalog resolves a key's device by its exact name.
+
+TEST(BenchmarkCatalog, ExactDeviceNameResolvesAfterALongerOne) {
+  const auto model = std::make_shared<const archsim::TimingModel>();
+  clsim::DeviceInfo longer = archsim::nvidia_k40_info();
+  longer.name = "Nvidia K40c";
+  const BenchmarkCatalog catalog(clsim::Platform(
+      "two K40s", {archsim::make_device(longer, model),
+                   archsim::make_device(archsim::nvidia_k40_info(), model)}));
+  const auto k40 = catalog.make_evaluator({"convolution", "Nvidia K40", "small"});
+  ASSERT_NE(k40, nullptr);
+  EXPECT_EQ(k40->name(), "convolution@Nvidia K40");
+  const auto k40c =
+      catalog.make_evaluator({"convolution", "Nvidia K40c", "small"});
+  ASSERT_NE(k40c, nullptr);
+  EXPECT_EQ(k40c->name(), "convolution@Nvidia K40c");
+  EXPECT_EQ(catalog.make_evaluator({"convolution", "Nvidia K4", "small"}),
+            nullptr);
 }
 
 }  // namespace

@@ -198,7 +198,8 @@ TEST(InputAwareModel, EveryEntryPointChecksTheInstanceWidth) {
   EXPECT_THROW((void)model.predict_ms(c), std::invalid_argument);
   EXPECT_THROW((void)model.predict_many_ms({c}, wide), std::invalid_argument);
   EXPECT_THROW((void)model.scan_engine(wide), std::invalid_argument);
-  EXPECT_THROW((void)model.predict_range_ms(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)model.scan_engine().reference_range(0, 4),
+               std::invalid_argument);
   EXPECT_THROW((void)model.predict_scan_top_m(0, 4, 2),
                std::invalid_argument);
 }

