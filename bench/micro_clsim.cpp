@@ -1,7 +1,9 @@
 // google-benchmark micro-benchmarks for the simulated runtime: measurement
-// throughput (build + validate + timing-model evaluation per configuration)
-// and the functional coroutine executor. Measurement throughput is what
-// makes exhaustive ground-truth sweeps over 131K-point spaces practical.
+// throughput (build + validate + timing-model evaluation per configuration),
+// the set-up of a paper-geometry evaluator (what a tune or a served store
+// miss pays before its first measurement) and the functional coroutine
+// executor. Measurement throughput is what makes exhaustive ground-truth
+// sweeps over 131K-point spaces practical.
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +31,25 @@ void BM_MeasureConfiguration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MeasureConfiguration);
+
+// One iteration: build the paper-geometry benchmark, its evaluator on the
+// K40, and measure one configuration (then destroy both).
+void BM_EvaluatorSetup(benchmark::State& state, const char* kernel) {
+  const clsim::Platform platform = archsim::default_platform();
+  const clsim::Device k40 = platform.device_by_name(archsim::kNvidiaK40);
+  common::Rng rng(1);
+  const tuner::Configuration config =
+      benchkit::make_benchmark(kernel)->space().random(rng);
+  for (auto _ : state) {
+    const auto bench = benchkit::make_benchmark(kernel);
+    benchkit::BenchmarkEvaluator eval(*bench, k40);
+    const auto m = eval.measure(config);
+    benchmark::DoNotOptimize(m.time_ms);
+  }
+}
+BENCHMARK_CAPTURE(BM_EvaluatorSetup, convolution, "convolution");
+BENCHMARK_CAPTURE(BM_EvaluatorSetup, stereo, "stereo");
+BENCHMARK_CAPTURE(BM_EvaluatorSetup, raycasting, "raycasting");
 
 void BM_TimingModelOnly(benchmark::State& state) {
   const archsim::TimingModel model;

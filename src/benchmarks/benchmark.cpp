@@ -1,9 +1,5 @@
 #include "benchmarks/benchmark.hpp"
 
-#include <algorithm>
-
-#include "common/thread_pool.hpp"
-
 namespace pt::benchkit {
 
 clsim::analyze::KernelConstraints TunableBenchmark::constraints() const {
@@ -33,18 +29,6 @@ clsim::analyze::ConfigVerdict check_config(
     const clsim::analyze::StaticChecker& checker,
     const tuner::Configuration& config) {
   return checker.check(std::span<const int>(config.values));
-}
-
-void fill_rows(std::size_t width, std::size_t height,
-               const std::function<void(std::size_t)>& fill_row) {
-  constexpr std::size_t kTaskPixels = std::size_t{1} << 16;
-  const std::size_t rows_per_task =
-      (kTaskPixels + width - 1) / std::max<std::size_t>(width, 1);
-  if (height <= rows_per_task) {
-    for (std::size_t y = 0; y < height; ++y) fill_row(y);
-    return;
-  }
-  common::global_pool().parallel_for(0, height, rows_per_task, fill_row);
 }
 
 BenchmarkEvaluator::BenchmarkEvaluator(const TunableBenchmark& benchmark,

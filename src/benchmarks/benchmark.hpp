@@ -6,9 +6,12 @@
 // BenchmarkEvaluator adapts a (benchmark, device) pair to the tuner's
 // Evaluator interface, turning driver rejections into invalid measurements.
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 
 #include "clsim/clsim.hpp"
@@ -89,14 +92,36 @@ class TunableBenchmark {
     const clsim::analyze::StaticChecker& checker,
     const tuner::Configuration& config);
 
-/// Fill a width x height input image row by row: fill_row(y) for every y in
-/// [0, height). Rows go to the global pool in tasks of at least 2^16 pixels;
-/// an image no larger than one task is filled on the calling thread, so a
-/// small instance never waits behind other work queued on the pool.
-/// fill_row(y) must write only what belongs to row y, which makes the result
-/// independent of the pool size.
-void fill_rows(std::size_t width, std::size_t height,
-               const std::function<void(std::size_t)>& fill_row);
+/// Data that only functional runs read (kernel bodies, verify, reference):
+/// built by `build` on the first get(), from whichever thread asks first,
+/// once. A caller that asks while the build runs waits for it, and every
+/// caller gets the same object. A benchmark shares it with its kernel
+/// factory through a shared_ptr, and only kernel bodies, functional runs and
+/// the input views call get(): timing-only measurements (prepare, the kernel
+/// profile, constraints) never allocate or fill it. `build` runs on the
+/// asking thread and must not wait for the global pool, since a pool task
+/// may be the caller.
+template <typename T>
+class OnDemand {
+ public:
+  explicit OnDemand(std::function<T()> build) : build_(std::move(build)) {}
+
+  /// Kernel bodies call this once per work item; once the data is built it
+  /// costs one acquire load.
+  [[nodiscard]] const T& get() const {
+    if (const T* value = built_.load(std::memory_order_acquire)) return *value;
+    std::call_once(once_, [this] {
+      built_.store(&value_.emplace(build_()), std::memory_order_release);
+    });
+    return *value_;
+  }
+
+ private:
+  std::function<T()> build_;
+  mutable std::once_flag once_;
+  mutable std::optional<T> value_;
+  mutable std::atomic<const T*> built_{nullptr};
+};
 
 /// Adapts (benchmark, device) to tuner::Evaluator. Measurements run on a
 /// timing-only queue; invalid configurations are caught and reported with

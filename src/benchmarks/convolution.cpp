@@ -6,16 +6,23 @@
 
 namespace pt::benchkit {
 
+// Shared data objects (handle semantics).
+struct ConvolutionBenchmark::Inputs {
+  clsim::Buffer input;    // width*height floats
+  clsim::Buffer padded;   // (width+2R)*(height+2R), apron = clamped edges
+  clsim::Image2D image;   // same pixels as input
+  clsim::Buffer filter;   // (2R+1)^2 coefficients (box)
+  clsim::Buffer output;   // width*height floats
+};
+
 namespace {
 
-/// Everything a convolution kernel instance needs, captured by value
-/// (memory objects are shared handles, so copies are cheap).
+using Inputs = ConvolutionBenchmark::Inputs;
+
+/// Everything a convolution kernel instance needs, captured by value (the
+/// inputs are shared, so copies are cheap).
 struct ConvData {
-  clsim::Buffer input;
-  clsim::Buffer padded;
-  clsim::Image2D image;
-  clsim::Buffer filter;
-  clsim::Buffer output;
+  std::shared_ptr<const OnDemand<Inputs>> inputs;
   std::size_t width;
   std::size_t height;
   int radius;
@@ -159,14 +166,15 @@ clsim::KernelBody make_body(ConvData data, ConvConfig c) {
     const int diameter = 2 * radius + 1;
     const long pad_stride = width + 2 * radius;
 
-    const auto in = ctx.view<const float>(data.input, "input");
-    const auto padded = ctx.view<const float>(data.padded, "padded");
-    const auto coeffs = ctx.view<const float>(data.filter, "filter");
-    auto out = ctx.view<float>(data.output, "output");
+    const Inputs& bufs = data.inputs->get();
+    const auto in = ctx.view<const float>(bufs.input, "input");
+    const auto padded = ctx.view<const float>(bufs.padded, "padded");
+    const auto coeffs = ctx.view<const float>(bufs.filter, "filter");
+    auto out = ctx.view<float>(bufs.output, "output");
 
     // Clamp-to-edge read through whichever path the configuration picked.
     auto load = [&](long x, long y) -> float {
-      if (c.use_image) return data.image.sample(x, y);
+      if (c.use_image) return bufs.image.sample(x, y);
       if (c.pad) {
         // The apron replicates the clamped edge, so clamping to the padded
         // extent preserves clamp-to-edge semantics; without it, groups past
@@ -250,34 +258,23 @@ float input_value_at(double sin_x, std::size_t x, std::size_t y) noexcept {
                             0.25 * std::cos(0.07 * fy + 0.013 * fx));
 }
 
-}  // namespace
-
-float ConvolutionBenchmark::input_value(std::size_t x, std::size_t y) noexcept {
-  return input_value_at(std::sin(0.11 * static_cast<double>(x)), x, y);
-}
-
-ConvolutionBenchmark::ConvolutionBenchmark(const Geometry& geometry)
-    : geometry_(geometry),
-      input_(geometry.width * geometry.height * sizeof(float)),
-      padded_((geometry.width + 2 * geometry.radius) *
-              (geometry.height + 2 * geometry.radius) * sizeof(float)),
-      image_(geometry.width, geometry.height),
-      filter_(static_cast<std::size_t>(2 * geometry.radius + 1) *
-              static_cast<std::size_t>(2 * geometry.radius + 1) *
-              sizeof(float)),
-      output_(geometry.width * geometry.height * sizeof(float)),
-      program_("convolution") {
-  const std::size_t w = geometry_.width;
-  const std::size_t h = geometry_.height;
-  const auto r = static_cast<std::size_t>(geometry_.radius);
+Inputs build_inputs(const ConvolutionBenchmark::Geometry& g) {
+  const std::size_t w = g.width;
+  const std::size_t h = g.height;
+  const auto r = static_cast<std::size_t>(g.radius);
   const std::size_t pw = w + 2 * r;
-  float* const in = input_.as<float>().data();
-  float* const pad = padded_.as<float>().data();
-  float* const img = image_.data().data();
+  const std::size_t d = 2 * r + 1;
+  Inputs bufs{clsim::Buffer(w * h * sizeof(float)),
+              clsim::Buffer(pw * (h + 2 * r) * sizeof(float)),
+              clsim::Image2D(w, h), clsim::Buffer(d * d * sizeof(float)),
+              clsim::Buffer(w * h * sizeof(float))};
+  float* const in = bufs.input.as<float>().data();
+  float* const pad = bufs.padded.as<float>().data();
+  float* const img = bufs.image.data().data();
   std::vector<double> sin_x(w);
   for (std::size_t x = 0; x < w; ++x)
     sin_x[x] = std::sin(0.11 * static_cast<double>(x));
-  fill_rows(w, h, [&](std::size_t y) {
+  for (std::size_t y = 0; y < h; ++y) {
     float* const row = in + y * w;
     for (std::size_t x = 0; x < w; ++x)
       row[x] = input_value_at(sin_x[x], x, y);
@@ -296,14 +293,38 @@ ConvolutionBenchmark::ConvolutionBenchmark(const Geometry& geometry)
     if (y == h - 1)
       for (std::size_t a = 1; a <= r; ++a)
         std::copy_n(pad_row, pw, pad_row + a * pw);
-  });
+  }
 
-  const int d = 2 * geometry_.radius + 1;
-  auto coeffs = filter_.as<float>();
-  for (auto& cf : coeffs) cf = 1.0f / static_cast<float>(d * d);
+  for (auto& cf : bufs.filter.as<float>())
+    cf = 1.0f / static_cast<float>(d * d);
+  return bufs;
+}
 
+}  // namespace
+
+float ConvolutionBenchmark::input_value(std::size_t x, std::size_t y) noexcept {
+  return input_value_at(std::sin(0.11 * static_cast<double>(x)), x, y);
+}
+
+ConvolutionBenchmark::ConvolutionBenchmark(const Geometry& geometry)
+    : geometry_(geometry),
+      inputs_(std::make_shared<const OnDemand<Inputs>>(
+          [geometry] { return build_inputs(geometry); })),
+      program_("convolution") {
   build_space();
   build_program();
+}
+
+std::span<const float> ConvolutionBenchmark::input() const {
+  return inputs_->get().input.as<const float>();
+}
+
+std::span<const float> ConvolutionBenchmark::padded() const {
+  return inputs_->get().padded.as<const float>();
+}
+
+std::span<const float> ConvolutionBenchmark::image() const {
+  return inputs_->get().image.data();
 }
 
 void ConvolutionBenchmark::build_space() {
@@ -321,8 +342,7 @@ void ConvolutionBenchmark::build_space() {
 }
 
 void ConvolutionBenchmark::build_program() {
-  ConvData data{input_, padded_, image_, filter_, output_,
-                geometry_.width, geometry_.height, geometry_.radius};
+  ConvData data{inputs_, geometry_.width, geometry_.height, geometry_.radius};
   program_.add_kernel(
       "convolution",
       [data](const clsim::DeviceInfo& /*device*/,
@@ -472,7 +492,7 @@ double ConvolutionBenchmark::run_functional(const clsim::Device& device,
                                             clsim::CheckReport* report) const {
   LaunchPlan plan = prepare(device, config);
   // Clear the (shared) output so stale results cannot mask failures.
-  auto out = output_.as<float>();
+  auto out = inputs_->get().output.as<float>();
   std::fill(out.begin(), out.end(), -1.0f);
 
   clsim::CommandQueue::Options options{clsim::ExecMode::kFunctional, nullptr};
@@ -506,8 +526,9 @@ std::vector<float> ConvolutionBenchmark::reference() const {
   const long h = static_cast<long>(geometry_.height);
   const int r = geometry_.radius;
   const int d = 2 * r + 1;
-  const auto in = input_.as<const float>();
-  const auto coeffs = filter_.as<const float>();
+  const Inputs& bufs = inputs_->get();
+  const auto in = bufs.input.as<const float>();
+  const auto coeffs = bufs.filter.as<const float>();
   std::vector<float> out(static_cast<std::size_t>(w * h));
   for (long y = 0; y < h; ++y) {
     for (long x = 0; x < w; ++x) {

@@ -11,15 +11,18 @@
 // clamp-to-edge, implemented either by explicit clamping, by a pre-padded
 // input whose apron replicates the edge, or by the image sampler.
 //
-// The input is built once, at construction, row by row (fill_rows: rows on
-// the global pool for images larger than one task). input_value's sin(0.11 x)
-// is computed once per column, leaving 1 libm call per pixel, and each
-// finished row is copied into the image and, with its apron, into the padded
-// buffer. Only the whole libm result is reused, so every pixel equals the
-// per-pixel input_value bit for bit at any pool size
-// (tests/benchmarks/test_inputs.cpp).
+// The input, its padded copy and image, the filter and the output are built
+// on their first functional use (OnDemand): a kernel body, verify(),
+// reference() or one of the input views. Measuring a configuration on a
+// timing-only queue builds none of them. The input is filled row by row, on
+// the thread that asks first. input_value's sin(0.11 x) is computed once per
+// column, leaving 1 libm call per pixel, and each finished row is copied into
+// the image and, with its apron, into the padded buffer. Only the whole libm
+// result is reused, so every pixel equals the per-pixel input_value bit for
+// bit (tests/benchmarks/test_inputs.cpp).
 
 #include <cstddef>
+#include <memory>
 #include <span>
 
 #include "benchmarks/benchmark.hpp"
@@ -71,18 +74,16 @@ class ConvolutionBenchmark final : public TunableBenchmark {
   /// The deterministic input signal (exposed for tests).
   [[nodiscard]] static float input_value(std::size_t x, std::size_t y) noexcept;
 
-  /// Read-only views of the generated inputs: the width x height input and
-  /// image (same pixels), and the (width+2R) x (height+2R) padded copy whose
-  /// apron replicates the clamped edge.
-  [[nodiscard]] std::span<const float> input() const {
-    return input_.as<const float>();
-  }
-  [[nodiscard]] std::span<const float> padded() const {
-    return padded_.as<const float>();
-  }
-  [[nodiscard]] std::span<const float> image() const noexcept {
-    return image_.data();
-  }
+  /// Read-only views of the generated inputs (the first call builds them):
+  /// the width x height input and image (same pixels), and the
+  /// (width+2R) x (height+2R) padded copy whose apron replicates the clamped
+  /// edge.
+  [[nodiscard]] std::span<const float> input() const;
+  [[nodiscard]] std::span<const float> padded() const;
+  [[nodiscard]] std::span<const float> image() const;
+
+  /// The data objects only functional runs read (convolution.cpp).
+  struct Inputs;
 
  private:
   void build_space();
@@ -94,14 +95,8 @@ class ConvolutionBenchmark final : public TunableBenchmark {
   std::string name_ = "convolution";
   Geometry geometry_;
   tuner::ParamSpace space_;
-
-  // Shared data objects (handle semantics; kernels capture copies).
-  clsim::Buffer input_;    // width*height floats
-  clsim::Buffer padded_;   // (width+2R)*(height+2R), apron = clamped edges
-  clsim::Image2D image_;   // same pixels as input_
-  clsim::Buffer filter_;   // (2R+1)^2 coefficients (box)
-  clsim::Buffer output_;   // width*height floats
-
+  // Shared with the kernel factory, whose bodies read it.
+  std::shared_ptr<const OnDemand<Inputs>> inputs_;
   clsim::Program program_;
 };
 

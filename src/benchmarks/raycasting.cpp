@@ -6,14 +6,21 @@
 
 namespace pt::benchkit {
 
+// Shared data objects (handle semantics).
+struct RaycastingBenchmark::Inputs {
+  clsim::Buffer volume;    // volume^3 floats (densities)
+  clsim::Image3D volume_image;
+  clsim::Buffer tf;        // kTfEntries * 2 floats: (emission, alpha)
+  clsim::Image2D tf_image; // same data as a 256x1 2-channel image
+  clsim::Buffer output;    // width*height floats
+};
+
 namespace {
 
+using Inputs = RaycastingBenchmark::Inputs;
+
 struct RayData {
-  clsim::Buffer volume;
-  clsim::Image3D volume_image;
-  clsim::Buffer tf;
-  clsim::Image2D tf_image;
-  clsim::Buffer output;
+  std::shared_ptr<const OnDemand<Inputs>> inputs;
   std::size_t n;  // volume edge
   std::size_t width;
   std::size_t height;
@@ -142,9 +149,10 @@ clsim::KernelBody make_body(RayData data, RayConfig c) {
     const long n = static_cast<long>(data.n);
     const long width = static_cast<long>(data.width);
     const long height = static_cast<long>(data.height);
-    const auto vol = ctx.view<const float>(data.volume, "volume");
-    const auto tf_buf = ctx.view<const float>(data.tf, "tf");
-    auto out = ctx.view<float>(data.output, "output");
+    const Inputs& bufs = data.inputs->get();
+    const auto vol = ctx.view<const float>(bufs.volume, "volume");
+    const auto tf_buf = ctx.view<const float>(bufs.tf, "tf");
+    auto out = ctx.view<float>(bufs.output, "output");
 
     // Optionally stage the transfer function in local memory.
     clsim::CheckedSpan<float> tf_local;
@@ -160,9 +168,9 @@ clsim::KernelBody make_body(RayData data, RayConfig c) {
         // Pull through the configured source space (functionally identical).
         if (c.image_tf) {
           tf_local[static_cast<std::size_t>(2 * i)] =
-              data.tf_image.sample(i, 0, 0);
+              bufs.tf_image.sample(i, 0, 0);
           tf_local[static_cast<std::size_t>(2 * i + 1)] =
-              data.tf_image.sample(i, 0, 1);
+              bufs.tf_image.sample(i, 0, 1);
         } else {
           tf_local[static_cast<std::size_t>(2 * i)] =
               tf_buf[static_cast<std::size_t>(2 * i)];
@@ -174,7 +182,7 @@ clsim::KernelBody make_body(RayData data, RayConfig c) {
     }
 
     auto sample_volume = [&](long vx, long vy, long vz) -> float {
-      if (c.image_data) return data.volume_image.sample(vx, vy, vz);
+      if (c.image_data) return bufs.volume_image.sample(vx, vy, vz);
       const long cx = std::clamp<long>(vx, 0, n - 1);
       const long cy = std::clamp<long>(vy, 0, n - 1);
       const long cz = std::clamp<long>(vz, 0, n - 1);
@@ -185,8 +193,8 @@ clsim::KernelBody make_body(RayData data, RayConfig c) {
         emission = tf_local[static_cast<std::size_t>(2 * idx)];
         alpha = tf_local[static_cast<std::size_t>(2 * idx + 1)];
       } else if (c.image_tf) {
-        emission = data.tf_image.sample(idx, 0, 0);
-        alpha = data.tf_image.sample(idx, 0, 1);
+        emission = bufs.tf_image.sample(idx, 0, 0);
+        alpha = bufs.tf_image.sample(idx, 0, 1);
       } else {
         // Constant and plain-global lookups read the same buffer.
         emission = tf_buf[static_cast<std::size_t>(2 * idx)];
@@ -236,6 +244,40 @@ clsim::KernelBody make_body(RayData data, RayConfig c) {
   };
 }
 
+Inputs build_inputs(const RaycastingBenchmark::Geometry& g) {
+  constexpr std::size_t kTfEntries = RaycastingBenchmark::kTfEntries;
+  const std::size_t n = g.volume;
+  Inputs bufs{clsim::Buffer(n * n * n * sizeof(float)),
+              clsim::Image3D(n, n, n),
+              clsim::Buffer(kTfEntries * 2 * sizeof(float)),
+              clsim::Image2D(kTfEntries, 1, 2),
+              clsim::Buffer(g.width * g.height * sizeof(float))};
+  auto vol = bufs.volume.as<float>();
+  auto img = bufs.volume_image.data();
+  for (std::size_t z = 0; z < n; ++z)
+    for (std::size_t y = 0; y < n; ++y)
+      for (std::size_t x = 0; x < n; ++x) {
+        const float v = RaycastingBenchmark::density(x, y, z);
+        vol[(z * n + y) * n + x] = v;
+        img[(z * n + y) * n + x] = v;
+      }
+
+  auto tf = bufs.tf.as<float>();
+  auto tfi = bufs.tf_image.data();
+  for (std::size_t i = 0; i < kTfEntries; ++i) {
+    const double t = static_cast<double>(i) / (kTfEntries - 1);
+    // Emission ramps up with density; opacity is low for "air", higher for
+    // "tissue" — enough alpha variation to exercise early termination.
+    const float emission = static_cast<float>(t * t);
+    const float alpha = static_cast<float>(t > 0.55 ? 0.08 * t : 0.002);
+    tf[2 * i] = emission;
+    tf[2 * i + 1] = alpha;
+    tfi[2 * i] = emission;
+    tfi[2 * i + 1] = alpha;
+  }
+  return bufs;
+}
+
 }  // namespace
 
 float RaycastingBenchmark::density(std::size_t x, std::size_t y,
@@ -251,44 +293,11 @@ float RaycastingBenchmark::density(std::size_t x, std::size_t y,
 
 RaycastingBenchmark::RaycastingBenchmark(const Geometry& geometry)
     : geometry_(geometry),
-      materialized_(geometry.volume <= kMaxFunctionalVolume),
-      volume_(materialized_ ? geometry.volume * geometry.volume *
-                                  geometry.volume * sizeof(float)
-                            : sizeof(float)),
-      volume_image_(materialized_ ? geometry.volume : 1,
-                    materialized_ ? geometry.volume : 1,
-                    materialized_ ? geometry.volume : 1),
-      tf_(kTfEntries * 2 * sizeof(float)),
-      tf_image_(kTfEntries, 1, 2),
-      output_(geometry.width * geometry.height * sizeof(float)),
+      inputs_(geometry.volume <= kMaxFunctionalVolume
+                  ? std::make_shared<const OnDemand<Inputs>>(
+                        [geometry] { return build_inputs(geometry); })
+                  : nullptr),
       program_("raycasting") {
-  if (materialized_) {
-    const std::size_t n = geometry_.volume;
-    auto vol = volume_.as<float>();
-    auto img = volume_image_.data();
-    for (std::size_t z = 0; z < n; ++z)
-      for (std::size_t y = 0; y < n; ++y)
-        for (std::size_t x = 0; x < n; ++x) {
-          const float v = density(x, y, z);
-          vol[(z * n + y) * n + x] = v;
-          img[(z * n + y) * n + x] = v;
-        }
-  }
-
-  auto tf = tf_.as<float>();
-  auto tfi = tf_image_.data();
-  for (std::size_t i = 0; i < kTfEntries; ++i) {
-    const double t = static_cast<double>(i) / (kTfEntries - 1);
-    // Emission ramps up with density; opacity is low for "air", higher for
-    // "tissue" — enough alpha variation to exercise early termination.
-    const float emission = static_cast<float>(t * t);
-    const float alpha = static_cast<float>(t > 0.55 ? 0.08 * t : 0.002);
-    tf[2 * i] = emission;
-    tf[2 * i + 1] = alpha;
-    tfi[2 * i] = emission;
-    tfi[2 * i + 1] = alpha;
-  }
-
   build_space();
   build_program();
 }
@@ -309,13 +318,11 @@ void RaycastingBenchmark::build_space() {
 }
 
 void RaycastingBenchmark::build_program() {
-  RayData data{volume_,  volume_image_,   tf_,
-               tf_image_, output_,        geometry_.volume,
-               geometry_.width, geometry_.height, geometry_.termination_alpha};
-  const bool materialized = materialized_;
+  RayData data{inputs_, geometry_.volume, geometry_.width, geometry_.height,
+               geometry_.termination_alpha};
   program_.add_kernel(
       "raycasting",
-      [data, materialized](const clsim::DeviceInfo& /*device*/,
+      [data](const clsim::DeviceInfo& /*device*/,
              const clsim::BuildOptions& options) -> clsim::CompiledKernel {
         const RayConfig c = decode_options(options);
         if (static_cast<std::size_t>(c.ppt_x) > data.width ||
@@ -329,7 +336,7 @@ void RaycastingBenchmark::build_program() {
         clsim::CompiledKernel compiled;
         compiled.name = "raycasting";
         compiled.profile = make_profile(data, c, fp);
-        if (materialized) {
+        if (data.inputs != nullptr) {
           compiled.body = make_body(data, c);
         } else {
           compiled.body = [](clsim::WorkItemCtx&) -> clsim::WorkItemTask {
@@ -452,15 +459,21 @@ LaunchPlan RaycastingBenchmark::prepare(
                     clsim::NDRange(wg_x, wg_y), build_ms};
 }
 
+const RaycastingBenchmark::Inputs& RaycastingBenchmark::functional_inputs()
+    const {
+  if (inputs_ == nullptr)
+    throw std::logic_error(
+        "RaycastingBenchmark: timing-only instance (volume > "
+        "kMaxFunctionalVolume)");
+  return inputs_->get();
+}
+
 double RaycastingBenchmark::run_functional(const clsim::Device& device,
                                            const tuner::Configuration& config,
                                            clsim::CheckReport* report) const {
-  if (!materialized_)
-    throw std::logic_error(
-        "RaycastingBenchmark::verify: timing-only instance (volume > "
-        "kMaxFunctionalVolume)");
+  const Inputs& bufs = functional_inputs();
   LaunchPlan plan = prepare(device, config);
-  auto out = output_.as<float>();
+  auto out = bufs.output.as<float>();
   std::fill(out.begin(), out.end(), -1.0f);
 
   clsim::CommandQueue::Options options{clsim::ExecMode::kFunctional, nullptr};
@@ -493,8 +506,9 @@ std::vector<float> RaycastingBenchmark::reference() const {
   const long n = static_cast<long>(geometry_.volume);
   const long width = static_cast<long>(geometry_.width);
   const long height = static_cast<long>(geometry_.height);
-  const auto vol = volume_.as<const float>();
-  const auto tf = tf_.as<const float>();
+  const Inputs& bufs = functional_inputs();
+  const auto vol = bufs.volume.as<const float>();
+  const auto tf = bufs.tf.as<const float>();
   std::vector<float> out(static_cast<std::size_t>(width * height));
   for (long py = 0; py < height; ++py) {
     for (long px = 0; px < width; ++px) {

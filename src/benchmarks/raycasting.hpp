@@ -11,6 +11,12 @@
 // factor {1,2,4,8,16} for the traversal loop (macros, not driver pragmas —
 // the paper credits this for raycasting's better model accuracy on AMD).
 // Space size: 8^4 * 2^5 * 5 = 655,360.
+//
+// The volume, the transfer-function tables and the output are built on their
+// first functional use (OnDemand): a kernel body, verify() or reference().
+// Measuring a configuration on a timing-only queue builds none of them.
+
+#include <memory>
 
 #include "benchmarks/benchmark.hpp"
 
@@ -63,32 +69,37 @@ class RaycastingBenchmark final : public TunableBenchmark {
 
   static constexpr std::size_t kTfEntries = 256;
 
-  /// Volumes up to this edge length are materialized for functional runs;
-  /// larger instances are timing-only (the paper-scale 512^3 volume would
-  /// cost a gigabyte of host memory that timing experiments never touch).
+  /// Volumes up to this edge length can be built for functional runs;
+  /// larger instances are timing-only and never build their functional data
+  /// (the paper-scale 512^3 volume would cost a gigabyte of host memory that
+  /// timing experiments never touch).
   static constexpr std::size_t kMaxFunctionalVolume = 192;
 
-  /// True when the volume data exists and verify()/functional queues work.
-  [[nodiscard]] bool materialized() const noexcept { return materialized_; }
+  /// True when a functional run can build the volume, so verify() and
+  /// functional queues work; the first of them builds it.
+  [[nodiscard]] bool materialized() const noexcept {
+    return static_cast<bool>(inputs_);
+  }
+
+  /// The data objects only functional runs read (raycasting.cpp).
+  struct Inputs;
 
  private:
   void build_space();
   void build_program();
+  /// The functional data, built on the first call; throws std::logic_error
+  /// on a timing-only instance.
+  const Inputs& functional_inputs() const;
   double run_functional(const clsim::Device& device,
                         const tuner::Configuration& config,
                         clsim::CheckReport* report) const;
 
   std::string name_ = "raycasting";
   Geometry geometry_;
-  bool materialized_;
   tuner::ParamSpace space_;
-
-  clsim::Buffer volume_;    // volume^3 floats (densities)
-  clsim::Image3D volume_image_;
-  clsim::Buffer tf_;        // kTfEntries * 2 floats: (emission, alpha)
-  clsim::Image2D tf_image_; // same data as a 256x1 2-channel image
-  clsim::Buffer output_;    // width*height floats
-
+  // Shared with the kernel factory, whose bodies read it; null on a
+  // timing-only instance.
+  std::shared_ptr<const OnDemand<Inputs>> inputs_;
   clsim::Program program_;
 };
 

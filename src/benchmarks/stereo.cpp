@@ -7,14 +7,21 @@
 
 namespace pt::benchkit {
 
-namespace {
-
-struct StereoData {
+// Shared data objects (handle semantics).
+struct StereoBenchmark::Inputs {
   clsim::Buffer left;
   clsim::Buffer right;
   clsim::Image2D left_image;
   clsim::Image2D right_image;
-  clsim::Buffer output;
+  clsim::Buffer output;  // disparity per pixel (float)
+};
+
+namespace {
+
+using Inputs = StereoBenchmark::Inputs;
+
+struct StereoData {
+  std::shared_ptr<const OnDemand<Inputs>> inputs;
   std::size_t width;
   std::size_t height;
   int max_disparity;
@@ -166,9 +173,10 @@ clsim::KernelBody make_body(StereoData data, StereoConfig c) {
     const long height = static_cast<long>(data.height);
     const int rad = data.window_radius;
     const int max_d = data.max_disparity;
-    const auto left = ctx.view<const float>(data.left, "left");
-    const auto right = ctx.view<const float>(data.right, "right");
-    auto out = ctx.view<float>(data.output, "output");
+    const Inputs& bufs = data.inputs->get();
+    const auto left = ctx.view<const float>(bufs.left, "left");
+    const auto right = ctx.view<const float>(bufs.right, "right");
+    auto out = ctx.view<float>(bufs.output, "output");
 
     const long lx = static_cast<long>(ctx.local_id(0));
     const long ly = static_cast<long>(ctx.local_id(1));
@@ -181,13 +189,13 @@ clsim::KernelBody make_body(StereoData data, StereoConfig c) {
     const long tile_out_y = group_y * c.wg_y * c.ppt_y;
 
     auto load_left_direct = [&](long x, long y) -> float {
-      if (c.image_left) return data.left_image.sample(x, y);
+      if (c.image_left) return bufs.left_image.sample(x, y);
       const long cx = std::clamp<long>(x, 0, width - 1);
       const long cy = std::clamp<long>(y, 0, height - 1);
       return left[static_cast<std::size_t>(cy * width + cx)];
     };
     auto load_right_direct = [&](long x, long y) -> float {
-      if (c.image_right) return data.right_image.sample(x, y);
+      if (c.image_right) return bufs.right_image.sample(x, y);
       const long cx = std::clamp<long>(x, 0, width - 1);
       const long cy = std::clamp<long>(y, 0, height - 1);
       return right[static_cast<std::size_t>(cy * width + cx)];
@@ -281,6 +289,39 @@ int disparity_at(double sin_x, double cos_y, int max_disparity) noexcept {
   return std::clamp(d, 0, max_disparity - 1);
 }
 
+Inputs build_inputs(const StereoBenchmark::Geometry& g) {
+  const std::size_t w = g.width;
+  const int max_d = g.max_disparity;
+  Inputs bufs{clsim::Buffer(w * g.height * sizeof(float)),
+              clsim::Buffer(w * g.height * sizeof(float)),
+              clsim::Image2D(w, g.height), clsim::Image2D(w, g.height),
+              clsim::Buffer(w * g.height * sizeof(float))};
+  float* const l = bufs.left.as<float>().data();
+  float* const r = bufs.right.as<float>().data();
+  float* const li = bufs.left_image.data().data();
+  float* const ri = bufs.right_image.data().data();
+  std::vector<double> sin_x(w);
+  for (std::size_t x = 0; x < w; ++x)
+    sin_x[x] = std::sin(0.011 * static_cast<double>(x));
+  for (std::size_t y = 0; y < g.height; ++y) {
+    float* const left_row = l + y * w;
+    float* const right_row = r + y * w;
+    for (std::size_t x = 0; x < w; ++x)
+      left_row[x] = StereoBenchmark::left_value(x, y);
+    // Right image: left_value(x + d, y), clamped at the right edge, is a
+    // pixel of the row just computed.
+    const double cos_y = std::cos(0.017 * static_cast<double>(y));
+    for (std::size_t x = 0; x < w; ++x) {
+      const auto d =
+          static_cast<std::size_t>(disparity_at(sin_x[x], cos_y, max_d));
+      right_row[x] = left_row[std::min(x + d, w - 1)];
+    }
+    std::copy_n(left_row, w, li + y * w);
+    std::copy_n(right_row, w, ri + y * w);
+  }
+  return bufs;
+}
+
 }  // namespace
 
 float StereoBenchmark::left_value(std::size_t x, std::size_t y) noexcept {
@@ -300,39 +341,27 @@ int StereoBenchmark::true_disparity(std::size_t x, std::size_t y,
 
 StereoBenchmark::StereoBenchmark(const Geometry& geometry)
     : geometry_(geometry),
-      left_(geometry.width * geometry.height * sizeof(float)),
-      right_(geometry.width * geometry.height * sizeof(float)),
-      left_image_(geometry.width, geometry.height),
-      right_image_(geometry.width, geometry.height),
-      output_(geometry.width * geometry.height * sizeof(float)),
+      inputs_(std::make_shared<const OnDemand<Inputs>>(
+          [geometry] { return build_inputs(geometry); })),
       program_("stereo") {
-  const std::size_t w = geometry_.width;
-  const int max_d = geometry_.max_disparity;
-  float* const l = left_.as<float>().data();
-  float* const r = right_.as<float>().data();
-  float* const li = left_image_.data().data();
-  float* const ri = right_image_.data().data();
-  std::vector<double> sin_x(w);
-  for (std::size_t x = 0; x < w; ++x)
-    sin_x[x] = std::sin(0.011 * static_cast<double>(x));
-  fill_rows(w, geometry_.height, [&](std::size_t y) {
-    float* const left_row = l + y * w;
-    float* const right_row = r + y * w;
-    for (std::size_t x = 0; x < w; ++x) left_row[x] = left_value(x, y);
-    // Right image: left_value(x + d, y), clamped at the right edge, is a
-    // pixel of the row just computed.
-    const double cos_y = std::cos(0.017 * static_cast<double>(y));
-    for (std::size_t x = 0; x < w; ++x) {
-      const auto d =
-          static_cast<std::size_t>(disparity_at(sin_x[x], cos_y, max_d));
-      right_row[x] = left_row[std::min(x + d, w - 1)];
-    }
-    std::copy_n(left_row, w, li + y * w);
-    std::copy_n(right_row, w, ri + y * w);
-  });
-
   build_space();
   build_program();
+}
+
+std::span<const float> StereoBenchmark::left() const {
+  return inputs_->get().left.as<const float>();
+}
+
+std::span<const float> StereoBenchmark::right() const {
+  return inputs_->get().right.as<const float>();
+}
+
+std::span<const float> StereoBenchmark::left_image() const {
+  return inputs_->get().left_image.data();
+}
+
+std::span<const float> StereoBenchmark::right_image() const {
+  return inputs_->get().right_image.data();
 }
 
 void StereoBenchmark::build_space() {
@@ -352,10 +381,8 @@ void StereoBenchmark::build_space() {
 }
 
 void StereoBenchmark::build_program() {
-  StereoData data{left_,        right_,      left_image_,
-                  right_image_, output_,     geometry_.width,
-                  geometry_.height, geometry_.max_disparity,
-                  geometry_.window_radius};
+  StereoData data{inputs_, geometry_.width, geometry_.height,
+                  geometry_.max_disparity, geometry_.window_radius};
   program_.add_kernel(
       "stereo",
       [data](const clsim::DeviceInfo& /*device*/,
@@ -491,7 +518,7 @@ double StereoBenchmark::run_functional(const clsim::Device& device,
                                        const tuner::Configuration& config,
                                        clsim::CheckReport* report) const {
   LaunchPlan plan = prepare(device, config);
-  auto out = output_.as<float>();
+  auto out = inputs_->get().output.as<float>();
   std::fill(out.begin(), out.end(), -1.0f);
 
   clsim::CommandQueue::Options options{clsim::ExecMode::kFunctional, nullptr};
@@ -525,8 +552,9 @@ std::vector<float> StereoBenchmark::reference() const {
   const long height = static_cast<long>(geometry_.height);
   const int rad = geometry_.window_radius;
   const int max_d = geometry_.max_disparity;
-  const auto left = left_.as<const float>();
-  const auto right = right_.as<const float>();
+  const Inputs& bufs = inputs_->get();
+  const auto left = bufs.left.as<const float>();
+  const auto right = bufs.right.as<const float>();
   auto sample = [&](std::span<const float> img, long x, long y) {
     const long cx = std::clamp<long>(x, 0, width - 1);
     const long cy = std::clamp<long>(y, 0, height - 1);

@@ -12,15 +12,18 @@
 // the three benchmarks, and (via the right image's disparity-extended local
 // tile) the one with the most invalid configurations on GPUs.
 //
-// The inputs are built once, at construction, row by row (fill_rows: rows
-// on the global pool for images larger than one task). Each left row costs
-// 3 libm calls per pixel, for left_value; the right row is read off it,
-// because right(x, y) = left_value(x + d, y) with the shift clamped at the
-// right edge; and true_disparity's sin(0.011 x) and cos(0.017 y) are
-// computed once per column and once per row. Only whole libm results are
-// reused, so every pixel equals the per-pixel left_value/true_disparity bit
-// for bit at any pool size (tests/benchmarks/test_inputs.cpp).
+// The inputs, their images and the output are built on their first
+// functional use (OnDemand): a kernel body, verify(), reference() or one of
+// the input views. Measuring a configuration on a timing-only queue builds
+// none of them. The inputs are filled row by row, on the thread that asks
+// first. Each left row costs 3 libm calls per pixel, for left_value; the
+// right row is read off it, because right(x, y) = left_value(x + d, y) with
+// the shift clamped at the right edge; and true_disparity's sin(0.011 x) and
+// cos(0.017 y) are computed once per column and once per row. Only whole libm
+// results are reused, so every pixel equals the per-pixel
+// left_value/true_disparity bit for bit (tests/benchmarks/test_inputs.cpp).
 
+#include <memory>
 #include <span>
 
 #include "benchmarks/benchmark.hpp"
@@ -72,20 +75,16 @@ class StereoBenchmark final : public TunableBenchmark {
   [[nodiscard]] static int true_disparity(std::size_t x, std::size_t y,
                                           int max_disparity) noexcept;
 
-  /// Read-only views of the generated inputs, row-major width x height:
-  /// the buffers and the images hold the same pixels.
-  [[nodiscard]] std::span<const float> left() const {
-    return left_.as<const float>();
-  }
-  [[nodiscard]] std::span<const float> right() const {
-    return right_.as<const float>();
-  }
-  [[nodiscard]] std::span<const float> left_image() const noexcept {
-    return left_image_.data();
-  }
-  [[nodiscard]] std::span<const float> right_image() const noexcept {
-    return right_image_.data();
-  }
+  /// Read-only views of the generated inputs (the first call builds them),
+  /// row-major width x height: the buffers and the images hold the same
+  /// pixels.
+  [[nodiscard]] std::span<const float> left() const;
+  [[nodiscard]] std::span<const float> right() const;
+  [[nodiscard]] std::span<const float> left_image() const;
+  [[nodiscard]] std::span<const float> right_image() const;
+
+  /// The data objects only functional runs read (stereo.cpp).
+  struct Inputs;
 
  private:
   void build_space();
@@ -97,13 +96,8 @@ class StereoBenchmark final : public TunableBenchmark {
   std::string name_ = "stereo";
   Geometry geometry_;
   tuner::ParamSpace space_;
-
-  clsim::Buffer left_;
-  clsim::Buffer right_;
-  clsim::Image2D left_image_;
-  clsim::Image2D right_image_;
-  clsim::Buffer output_;  // disparity per pixel (float)
-
+  // Shared with the kernel factory, whose bodies read it.
+  std::shared_ptr<const OnDemand<Inputs>> inputs_;
   clsim::Program program_;
 };
 

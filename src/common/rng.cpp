@@ -31,10 +31,14 @@ double Rng::normal() noexcept {
   double u = 0.0;
   double v = 0.0;
   double s = 0.0;
+  // The fused multiply-adds the AVX builds contract these to, written out
+  // (rng.cpp compiles with -ffp-contract=off) so every backend rounds alike:
+  // uniform(-1, 1) as one fma, exact either way since hi - lo = 2, and u * u
+  // fused onto the rounded v * v.
   do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
+    u = std::fma(uniform(), 2.0, -1.0);
+    v = std::fma(uniform(), 2.0, -1.0);
+    s = std::fma(u, u, v * v);
   } while (s >= 1.0 || s == 0.0);
   const double factor = std::sqrt(-2.0 * std::log(s) / s);
   spare_normal_ = v * factor;

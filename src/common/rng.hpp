@@ -75,9 +75,11 @@ class Rng {
   /// Standard normal deviate (Marsaglia polar method, cached spare).
   double normal() noexcept;
 
-  /// Normal deviate with the given mean and standard deviation.
+  /// Normal deviate with the given mean and standard deviation, written as
+  /// the one fused multiply-add the AVX builds contract it to, so every
+  /// backend rounds it alike.
   double normal(double mean, double stddev) noexcept {
-    return mean + stddev * normal();
+    return std::fma(stddev, normal(), mean);
   }
 
   /// Log-normal deviate: exp(N(mu, sigma)).

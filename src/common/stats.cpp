@@ -53,7 +53,9 @@ double quantile(std::span<const double> xs, double q) {
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // The AVX builds' contraction, written out (stats.cpp compiles with
+  // -ffp-contract=off) so every backend rounds alike.
+  return std::fma(sorted[lo], 1.0 - frac, sorted[hi] * frac);
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
@@ -80,12 +82,24 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   double sxy = 0.0;
   double sxx = 0.0;
   double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
+  // The AVX builds vectorise the products of each pair of rows, rounding
+  // them before the in-order sums, and contract only a last, unpaired row's
+  // three multiply-adds. Written out (stats.cpp compiles with
+  // -ffp-contract=off), every backend gives their bits.
+  const std::size_t paired = xs.size() & ~std::size_t{1};
+  for (std::size_t i = 0; i < paired; ++i) {
     const double dx = xs[i] - mx;
     const double dy = ys[i] - my;
     sxy += dx * dy;
     sxx += dx * dx;
     syy += dy * dy;
+  }
+  if (paired < xs.size()) {
+    const double dx = xs[paired] - mx;
+    const double dy = ys[paired] - my;
+    sxy = std::fma(dx, dy, sxy);
+    sxx = std::fma(dx, dx, sxx);
+    syy = std::fma(dy, dy, syy);
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);

@@ -221,8 +221,10 @@ TuneResponse TuneService::execute_tune(const TuneRequest& request) {
     if (tel::enabled()) tel::count("serve.cache.misses");
   }
 
-  // Building the evaluator (for the catalog: the benchmark's inputs) is
-  // host time in front of the tune, so it gets its own span.
+  // Building the evaluator is host time in front of the tune, so it gets its
+  // own span. For the catalog it is the benchmark's space and program and a
+  // replayed timing oracle; the benchmark's inputs wait for a functional
+  // run, which a tune never makes.
   tel::Span evaluator_span("serve.evaluator");
   std::unique_ptr<tuner::Evaluator> evaluator =
       factory_ ? factory_(request.key) : nullptr;

@@ -1,9 +1,9 @@
-// Benchmark inputs are built row by row (fill_rows), with libm terms shared
-// along a row or a column and rows spread over the global pool. Every pixel
-// must equal the per-pixel functions bit for bit — left_value and
-// true_disparity for stereo, input_value for convolution — at any pool size,
-// for the paper geometries and for odd ones, and builds running concurrently
-// must give the same pixels.
+// Benchmark inputs are built on first use, row by row on the asking thread,
+// with libm terms shared along a row or a column. Every pixel must equal the
+// per-pixel functions bit for bit — left_value and true_disparity for stereo,
+// input_value for convolution — at any pool size, for the paper geometries and
+// for odd ones; builds running concurrently must give the same pixels, and
+// concurrent first uses of one instance must share one build.
 
 #include <gtest/gtest.h>
 
@@ -151,7 +151,9 @@ class BenchmarkInputs : public ::testing::Test {
   }
 };
 
-// Rows per pool task: 32 at width 2048, 64 at width 1024, 65536 at width 1.
+// The odd geometries' row tasks are blocks of at least 2^16 pixels (32 rows
+// at width 2048, 64 at width 1024, 65536 at width 1): edge cases for any
+// split of the rows, such as a parallel fill.
 
 TEST_F(BenchmarkInputs, ConvolutionPaperGeometryMatchesInputValue) {
   expect_exact(ConvGeometry{});
@@ -180,10 +182,9 @@ TEST_F(BenchmarkInputs, StereoOddGeometriesMatchPerPixelFunctions) {
 }
 
 TEST_F(BenchmarkInputs, ConcurrentBuildsMatchPerPixelFunctions) {
-  // Serve workers build evaluators concurrently: from pool tasks, whose
-  // row tasks then queue behind each other's, and from plain threads.
-  // Every build must give the pixels of a serial build, which computes
-  // each one with the per-pixel functions.
+  // Serve workers build evaluators concurrently: from pool tasks and from
+  // plain threads. Every build must give the pixels of a serial build, which
+  // computes each one with the per-pixel functions.
   const StereoReference stereo_want = stereo_reference(StereoGeometry{});
   const ConvReference conv_want = conv_reference(ConvGeometry{});
   const auto build_both = [&] {
@@ -205,6 +206,45 @@ TEST_F(BenchmarkInputs, ConcurrentBuildsMatchPerPixelFunctions) {
   b.join();
   EXPECT_TRUE(thread_ok[0]);
   EXPECT_TRUE(thread_ok[1]);
+}
+
+TEST_F(BenchmarkInputs, ConcurrentFirstUsesShareOneBuild) {
+  // The views of one fresh instance of each, asked for at once from 4 pool
+  // tasks and 2 plain threads: one caller builds while the others wait, and
+  // every caller must see the same buffers holding the per-pixel functions'
+  // pixels. On a 2-thread pool at least one of the 4 tasks is still queued
+  // while a task builds, so a build that waited for the pool would hang.
+  const StereoReference stereo_want = stereo_reference(StereoGeometry{});
+  const ConvReference conv_want = conv_reference(ConvGeometry{});
+  common::set_global_pool_threads(2);
+  const StereoBenchmark stereo;
+  const ConvolutionBenchmark conv;
+
+  struct Seen {
+    bool same_pixels = false;
+    std::vector<const float*> buffers;
+  };
+  const auto use_both = [&] {
+    Seen seen;
+    seen.same_pixels =
+        same_inputs(stereo, stereo_want) && same_inputs(conv, conv_want);
+    seen.buffers = {stereo.left().data(),       stereo.right().data(),
+                    stereo.left_image().data(), stereo.right_image().data(),
+                    conv.input().data(),        conv.padded().data(),
+                    conv.image().data()};
+    return seen;
+  };
+  std::vector<Seen> seen(6);
+  std::thread a([&] { seen[4] = use_both(); });
+  std::thread b([&] { seen[5] = use_both(); });
+  common::global_pool().parallel_for(
+      0, 4, [&](std::size_t i) { seen[i] = use_both(); });
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i].same_pixels) << "caller " << i;
+    EXPECT_EQ(seen[i].buffers, seen[0].buffers) << "caller " << i;
+  }
 }
 
 TEST_F(BenchmarkInputs, SmallImagesStayOnTheCallingThread) {
